@@ -190,18 +190,17 @@ void print_parallel_speedup() {
 }
 
 /// Streaming vs buffered aggregation on the staged-SAN engine: the same
-/// 4-cell × many-replication measurement once with keep_samples=false
-/// (streaming backend, O(cells + threads × block) state) and once with
-/// the retain-everything sample matrix. Summaries must match exactly —
-/// both paths fold through the same blocked reduction — and the returned
-/// verdict gates the process exit code.
+/// 4-cell × many-replication measurement once streaming (O(cells +
+/// threads × block) state) and once with a cell visitor, which makes the
+/// engine retain the sample matrix. Summaries must match exactly — both
+/// paths fold through the same reduction — and the returned verdict
+/// gates the process exit code.
 bool print_streaming_vs_buffered() {
   const core::SystemDescription desc = core::make_scope_description(catalog());
   constexpr std::size_t kReps = 50000;
 
   core::MeasurementOptions mo = options().measurement;
   mo.replications = kReps;
-  mo.keep_samples = false;
 
   core::MeasurementPlan plan;
   for (std::size_t c = 0; c < 4; ++c) {
@@ -216,24 +215,26 @@ bool print_streaming_vs_buffered() {
   std::printf("cells=%zu replications=%zu\n", plan.cell_count(), kReps);
 
   const double rss_base = bench::peak_rss_mb();
-  const core::MeasurementEngine streaming_engine(desc, profile, mo);
+  const core::MeasurementEngine engine(desc, profile, mo);
   auto t0 = std::chrono::steady_clock::now();
-  const auto streamed = streaming_engine.measure(plan);
+  const auto streamed = engine.measure(plan);
   const double stream_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
   const double rss_stream = bench::peak_rss_mb();
 
-  mo.keep_samples = true;
-  const core::MeasurementEngine buffered_engine(desc, profile, mo);
   t0 = std::chrono::steady_clock::now();
-  const auto buffered = buffered_engine.measure(plan);
+  std::size_t visited = 0;
+  const auto buffered = engine.measure(
+      plan, [&visited](std::size_t, std::span<const core::IndicatorSample> s) {
+        visited += s.size();
+      });
   const double buffered_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
   const double rss_buffered = bench::peak_rss_mb();
 
-  bool identical = true;
+  bool identical = visited == plan.cell_count() * kReps;
   for (std::size_t c = 0; c < plan.cell_count(); ++c)
     identical = identical &&
                 streamed[c].tta.mean() == buffered[c].tta.mean() &&
@@ -254,8 +255,7 @@ bool print_streaming_vs_buffered() {
              20);
   std::printf("summaries identical: %s\n", identical ? "yes" : "NO (BUG)");
 
-  const int threads =
-      static_cast<int>(streaming_engine.executor().thread_count());
+  const int threads = static_cast<int>(engine.executor().thread_count());
   bench::write_bench_json(
       "BENCH_e2_streaming.json",
       {{"e2.streaming_4x" + std::to_string(kReps), stream_ms, threads, 1.0,

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
+#include "core/measurement.h"
 #include "core/optimizer.h"
 #include "stats/descriptive.h"
 #include "stats/survival.h"
@@ -39,9 +40,13 @@ void print_table() {
     stats::Rng rng(100 + k);
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, s.stuxnet, s.mo, rng);
-    const auto summary = core::measure_indicators(s.desc, c, s.stuxnet, s.mo);
     std::vector<double> tta;
-    for (const auto& smp : summary.samples) tta.push_back(smp.tta);
+    const auto summary =
+        core::MeasurementEngine(s.desc, s.stuxnet, s.mo)
+            .measure_one(c, [&tta](std::size_t,
+                                   std::span<const core::IndicatorSample> got) {
+              for (const auto& smp : got) tta.push_back(smp.tta);
+            });
     const auto q = [&tta](double p) { return stats::quantile(tta, p); };
     if (k == 0) base_mean = summary.tta.mean();
     bench::row({bench::fmt_int(static_cast<long long>(k)),
@@ -69,10 +74,12 @@ void print_km_table() {
     stats::Rng rng(100 + k);
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, s.stuxnet, s.mo, rng);
-    const auto summary = core::measure_indicators(s.desc, c, s.stuxnet, s.mo);
     std::vector<stats::SurvivalObservation> obs;
-    for (const auto& smp : summary.samples)
-      obs.push_back({smp.tta, !smp.tta_censored});
+    (void)core::MeasurementEngine(s.desc, s.stuxnet, s.mo)
+        .measure_one(c, [&obs](std::size_t,
+                               std::span<const core::IndicatorSample> got) {
+          for (const auto& smp : got) obs.push_back({smp.tta, !smp.tta_censored});
+        });
     const stats::KaplanMeier km(std::move(obs));
     const auto median = km.median();
     bench::row({bench::fmt_int(static_cast<long long>(k)),

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "core/measurement.h"
 #include "core/optimizer.h"
 #include "stats/descriptive.h"
 
@@ -35,9 +36,13 @@ void print_diversity_sweep() {
     stats::Rng rng(200 + k);
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, stuxnet, s.mo, rng);
-    const auto summary = core::measure_indicators(s.desc, c, stuxnet, s.mo);
     std::vector<double> ttsf;
-    for (const auto& smp : summary.samples) ttsf.push_back(smp.ttsf);
+    const auto summary =
+        core::MeasurementEngine(s.desc, stuxnet, s.mo)
+            .measure_one(c, [&ttsf](std::size_t,
+                                    std::span<const core::IndicatorSample> got) {
+              for (const auto& smp : got) ttsf.push_back(smp.ttsf);
+            });
     bench::row({bench::fmt_int(static_cast<long long>(k)),
                 bench::fmt(summary.ttsf.mean(), 1),
                 bench::fmt(stats::quantile(ttsf, 0.5), 1),

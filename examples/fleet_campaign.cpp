@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   mo.engine = core::Engine::kCampaign;
   mo.replications = 100;
   mo.seed = seed;
-  mo.keep_samples = false;
   const core::MeasurementEngine engine(catalog, stuxnet, mo);
   const auto summaries = engine.measure_scenarios(plan);
 

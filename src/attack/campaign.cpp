@@ -269,23 +269,15 @@ struct QLater {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/// Mutable state of one run() over the read-only CampaignTables, shared
-/// by both kernels through a compile-time switch. Every random decision
-/// draws from the per-event-class facade (attack/campaign_rng.h) under
-/// the documented draw-order contract, so the two instantiations consume
-/// identical per-class word sequences and produce bit-identical results:
-///
-///  * kSoA = true  — the batched structure-of-arrays kernel: per-class
-///    words prefetched in blocks, victim eligibility fused into one
-///    scan_clean byte per node (host-target AND still-clean), the
-///    monitoring-view ownership kept as an incremental counter, and the
-///    unowned-target pool shrunk by swap-remove;
-///  * kSoA = false — the scalar reference: a straight port of the
-///    pre-SoA loop (per-draw streams, separate flag tests, linear
-///    monitoring scan) onto the same facade. The swap-remove pool
-///    discipline is shared — it is part of the draw-order contract,
-///    because the pool order feeds later uniform picks.
-template <bool kSoA>
+/// Mutable state of one run() over the read-only CampaignTables: the
+/// structure-of-arrays kernel. Every random decision draws from the
+/// per-event-class facade (attack/campaign_rng.h) under the documented
+/// draw-order contract, with per-class words prefetched in blocks.
+/// Victim eligibility is fused into one scan_clean byte per node
+/// (host-target AND still-clean), monitoring-view ownership is an
+/// incremental counter, and the unowned-target pool shrinks by
+/// swap-remove — part of the draw-order contract, because the pool order
+/// feeds later uniform picks.
 struct RunState {
   const Scenario& sc;
   const ThreatProfile& pr;
@@ -312,8 +304,8 @@ struct RunState {
 
   std::vector<NodeState> state;
   std::vector<std::uint8_t> plc_owned;
-  /// kSoA only: scan_clean[v] == (host-target AND state == kClean), the
-  /// fused one-load eligibility test of the propagation fast path.
+  /// scan_clean[v] == (host-target AND state == kClean), the fused
+  /// one-load eligibility test of the propagation fast path.
   std::vector<std::uint8_t> scan_clean;
   std::vector<NodeId> roots;            // nodes at kRoot, in promotion order
   std::vector<std::uint64_t> root_cum;  // cumulative scan+tunnel slots per root
@@ -323,7 +315,7 @@ struct RunState {
   std::vector<NodeId> unowned_targets;  // target_plcs minus owned (swap-remove)
   std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
-  std::size_t monitoring_owned = 0;  // kSoA: rooted monitoring-view nodes
+  std::size_t monitoring_owned = 0;  // rooted monitoring-view nodes
 
   RunState(const Scenario& s, const ThreatProfile& p,
            const CampaignTables& t, const DetectionModel& d,
@@ -333,14 +325,12 @@ struct RunState {
         det(d),
         opt(o),
         tb(t),
-        rng(base, kSoA ? kDefaultDrawBlock : 1) {
+        rng(base) {
     state.assign(tb.node_count, NodeState::kClean);
     plc_owned.assign(tb.node_count, 0);
-    if constexpr (kSoA) {
-      scan_clean.resize(tb.node_count);
-      for (std::size_t i = 0; i < tb.node_count; ++i)
-        scan_clean[i] = (tb.flags[i] & CampaignTables::kFlagHostTarget) ? 1 : 0;
-    }
+    scan_clean.resize(tb.node_count);
+    for (std::size_t i = 0; i < tb.node_count; ++i)
+      scan_clean[i] = (tb.flags[i] & CampaignTables::kFlagHostTarget) ? 1 : 0;
     unowned_targets = sc.target_plcs;
     heap.reserve(64);
     result.compromised_ratio.emplace_back(0.0, 0.0);
@@ -421,7 +411,7 @@ struct RunState {
 
   void deliver(NodeId n, CampaignEventKind kind) {
     state[n] = NodeState::kDelivered;
-    if constexpr (kSoA) scan_clean[n] = 0;
+    scan_clean[n] = 0;
     note(n, kind);
     push(0, n, exp_delay(DrawClass::kActivation, tb.activation_rate[n]));
   }
@@ -465,9 +455,7 @@ struct RunState {
       roots.push_back(n);
       scan_slots += tb.scan_w[n] + tb.tunnel_w[n];
       root_cum.push_back(scan_slots);
-      if constexpr (kSoA) {
-        if (tb.flags[n] & CampaignTables::kFlagMonitoring) ++monitoring_owned;
-      }
+      if (tb.flags[n] & CampaignTables::kFlagMonitoring) ++monitoring_owned;
       t_prop = exp_in(DrawClass::kPropagation,
                       pr.propagation_rate * static_cast<double>(scan_slots) *
                           tb.scan_norm);
@@ -496,9 +484,9 @@ struct RunState {
     // the pair uniform over the slot ranges, so one weighted word picks
     // root, channel and victim from the precomputed ReachabilityIndex
     // target lists and per-(root, victim, channel) intensities match the
-    // unthinned scan exactly. Victim eligibility is then the SoA fast
-    // path — one fused scan_clean load instead of two array reads (the
-    // lists never contain the owner, so v != n is structural).
+    // unthinned scan exactly. Victim eligibility is then one fused
+    // scan_clean load (the lists never contain the owner, so v != n is
+    // structural).
     const std::uint64_t x = rng.below(DrawClass::kPropagation, scan_slots);
     const std::size_t ri =
         static_cast<std::size_t>(std::upper_bound(root_cum.begin(),
@@ -518,15 +506,8 @@ struct RunState {
       }
       rem -= row.size();
     }
-    bool eligible;
-    if constexpr (kSoA) {
-      eligible = scan_clean[v] != 0;
-    } else {
-      eligible = (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
-                 state[v] == NodeState::kClean;
-    }
     ++scan_candidates;
-    if (eligible &&
+    if (scan_clean[v] != 0 &&
         (direct || rng.bernoulli(DrawClass::kPropagation, tb.firewall_bypass_p))) {
       ++scan_accepted;
       if (rng.bernoulli(DrawClass::kPropagation, tb.lateral_p[v])) {
@@ -562,8 +543,7 @@ struct RunState {
         if (rng.bernoulli(DrawClass::kPayload, p)) {
           plc_owned[plc] = 1;
           owned_plcs.push_back(plc);
-          // Swap-remove (contract): the pool order feeds later picks,
-          // so both kernels shrink it the same O(1) way.
+          // Swap-remove (contract): the pool order feeds later picks.
           unowned_targets[pick] = unowned_targets.back();
           unowned_targets.pop_back();
           if (!result.first_plc_compromise) result.first_plc_compromise = now;
@@ -613,21 +593,10 @@ struct RunState {
     // Full-strength spoofing needs an owned monitoring view (HMI, SCADA
     // server, or the engineering station running the vendor tools, where
     // Stuxnet actually hooked the s7otbxdx DLL); otherwise replaying
-    // recorded signals is only half effective. The SoA kernel keeps the
-    // rooted-monitoring count incrementally; the reference scans the
-    // root pool — same boolean, no draw either way.
-    bool view_owned;
-    if constexpr (kSoA) {
-      view_owned = monitoring_owned > 0;
-    } else {
-      view_owned = false;
-      for (const NodeId n : roots)
-        if (tb.flags[n] & CampaignTables::kFlagMonitoring) {
-          view_owned = true;
-          break;
-        }
-    }
-    const double spoof = pr.spoof_effectiveness * (view_owned ? 1.0 : 0.5);
+    // recorded signals is only half effective. The rooted-monitoring
+    // count is kept incrementally, so this consumes no draw.
+    const double spoof =
+        pr.spoof_effectiveness * (monitoring_owned > 0 ? 1.0 : 0.5);
     if (rng.bernoulli(DrawClass::kAlarm, 1.0 - spoof)) {
       record_detection(CampaignEventKind::kPlantAlarmDetection);
       return;
@@ -705,11 +674,10 @@ struct CampaignCounters {
   }
 };
 
-template <bool kSoA>
 CampaignResult run_kernel(const Scenario& sc, const ThreatProfile& pr,
                           const CampaignTables& tb, const DetectionModel& det,
                           const CampaignOptions& opt, const stats::Rng& base) {
-  RunState<kSoA> st(sc, pr, tb, det, opt, base);
+  RunState st(sc, pr, tb, det, opt, base);
   st.run_until(opt.t_max_hours);
   st.result.hosts_compromised = st.hosts_owned;
   st.result.plcs_compromised = st.owned_plcs.size();
@@ -733,11 +701,7 @@ CampaignResult CampaignSimulator::run(stats::Rng& rng) const {
   // The facade derives the class streams without consuming base state,
   // so run() leaves `rng` untouched — a (cell, rep) job stays a pure
   // function of Rng(cell.seed, rep).
-  if (options_.kernel == CampaignKernel::kScalarReference)
-    return run_kernel<false>(scenario_, profile_, *tables_, detection_,
-                             options_, rng);
-  return run_kernel<true>(scenario_, profile_, *tables_, detection_, options_,
-                          rng);
+  return run_kernel(scenario_, profile_, *tables_, detection_, options_, rng);
 }
 
 Scenario make_scope_cooling_scenario() {

@@ -119,28 +119,11 @@ struct CampaignResult {
   [[nodiscard]] double ratio_at(double t) const noexcept;
 };
 
-/// Which inner loop run() executes. Both kernels implement the identical
-/// event model over the identical per-event-class draw contract
-/// (attack/campaign_rng.h), so their results are bit-identical; the
-/// scalar reference exists to prove exactly that (tests compare them).
-enum class CampaignKernel : std::uint8_t {
-  /// Structure-of-arrays hot loop: batched per-class RNG blocks, fused
-  /// scan-eligibility bytes, incremental membership counters,
-  /// swap-remove pools. The default.
-  kBatched,
-  /// Straight port of the pre-SoA loop onto the class-stream facade:
-  /// per-draw (block = 1) streams, separate flag arrays, linear
-  /// monitoring-view scan. Same draws, same bits, slower.
-  kScalarReference,
-};
-
 struct CampaignOptions {
   double t_max_hours = 2160.0;  // 90-day horizon
   bool record_events = false;
   /// Detection freezes attacker progress (incident response).
   bool detection_halts_attack = true;
-  /// Inner-loop selection; results are bit-identical across kernels.
-  CampaignKernel kernel = CampaignKernel::kBatched;
 };
 
 /// Precomputed flat per-node campaign state (defined in campaign.cpp).

@@ -35,16 +35,15 @@
 //
 // Within a class, words are consumed strictly in call order. The facade
 // may prefetch words per class in blocks of any size: batching never
-// reorders a class's word sequence, so every block size (including 1,
-// the scalar reference) produces bit-identical results. A (cell, rep)
-// job therefore remains a pure function of Rng(cell.seed, rep) — the
-// DIVSEC_THREADS / schedule / process-split contract of the engine —
-// while the kernel is free to reorder work across classes.
+// reorders a class's word sequence, so every block size (including 1)
+// produces bit-identical results. A (cell, rep) job therefore remains a
+// pure function of Rng(cell.seed, rep) — the DIVSEC_THREADS / schedule /
+// process-split contract of the engine — while the kernel is free to
+// reorder work across classes.
 //
 // Exponentials are sampled with a 256-layer Marsaglia–Tsang ziggurat
 // (one word + one table compare on the common path, vs. a libm log()
-// per draw before), shared by the batched and the scalar reference
-// kernel so both consume identical words.
+// per draw before).
 #pragma once
 
 #include <array>
@@ -77,7 +76,7 @@ enum class DrawClass : std::uint8_t {
 
 inline constexpr std::size_t kDrawClassCount = 8;
 
-/// Words prefetched per class by the batched kernel. Pure performance
+/// Words prefetched per class by the campaign kernel. Pure performance
 /// tuning — NOT part of the determinism contract (any block size yields
 /// the same per-class word sequence, hence identical results).
 inline constexpr std::size_t kDefaultDrawBlock = 64;
@@ -144,8 +143,8 @@ class ZigguratExp {
 class CampaignRng {
  public:
   /// Derives the kDrawClassCount class streams from `base` (base state
-  /// is not consumed). `block` is the per-class prefetch depth; 1 is the
-  /// scalar reference configuration.
+  /// is not consumed). `block` is the per-class prefetch depth; any
+  /// value draws the same words (tests pin 1, 7 and the default).
   explicit CampaignRng(const stats::Rng& base,
                        std::size_t block = kDefaultDrawBlock)
       : block_(block ? block : 1), buf_(kDrawClassCount * block_) {

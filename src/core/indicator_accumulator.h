@@ -8,10 +8,8 @@
 // measurement sweep can reduce its (cell × replication) jobs without
 // ever materializing the sample matrix. merge() combines
 // block partials; the engine merges them in ascending block order
-// (sim::blocked_reduce_groups), which keeps every summary bit-identical
-// for any DIVSEC_THREADS. The retain-everything path folds its samples
-// through the same accumulator, so streaming and retained summaries are
-// bit-identical too.
+// (sim::reduce_groups), which keeps every summary bit-identical for any
+// DIVSEC_THREADS.
 #pragma once
 
 #include "core/indicators.h"

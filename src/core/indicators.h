@@ -36,20 +36,6 @@ namespace divsec::core {
 
 enum class Engine { kCampaign, kStagedSan };
 
-/// How the streaming reduction schedules its superblock tasks on the
-/// executor. Both schedules perform the identical fold/merge sequence per
-/// task, so results are bit-identical; only wall time differs.
-///  * kElastic — shared atomic work queue over superblock tasks: a thread
-///    pulls the next task when free, so skewed per-cell costs (a
-///    monoculture arm simulating ~5x slower than a diversified one) no
-///    longer idle the pool behind one thread's static chunk. When the
-///    task count cannot feed every thread, the engine transparently falls
-///    back to the static block schedule (more parallelism, same bits).
-///  * kStatic — the pre-elastic fixed round schedule of block jobs
-///    (sim::blocked_reduce_groups), kept addressable for A/B tests and
-///    benchmarks.
-enum class Scheduling { kElastic, kStatic };
-
 /// Per-replication raw indicator values. Censored times are recorded at
 /// the horizon t_max (standard fixed-censoring convention; the censored
 /// flags preserve the information).
@@ -83,7 +69,7 @@ struct IndicatorSummary {
   std::size_t successes = 0;
 
   /// Censoring-aware estimates of the event times (streaming
-  /// product-limit restricted mean / median + P² quantile sketches).
+  /// product-limit restricted mean / median + t-digest quantiles).
   /// `tta.mean()` / `ttsf.mean()` silently average censored-at-horizon
   /// values — a downward-biased estimate under censoring; these are the
   /// unbiased companions to report next to them.
@@ -112,8 +98,6 @@ struct IndicatorSummary {
                               static_cast<double>(replications)
                         : 0.0;
   }
-
-  std::vector<IndicatorSample> samples;  // per replication, in order
 };
 
 /// Variance-driven adaptive replication allocation (the sweep-level
@@ -191,12 +175,6 @@ struct MeasurementOptions {
   std::uint64_t seed = 2013;  // DSN 2013
   attack::CampaignOptions campaign{};
   attack::DetectionModel detection{};
-  /// Retain per-replication IndicatorSummary::samples. When off (and no
-  /// cell visitor asks for samples), measurement runs on the streaming
-  /// aggregation backend: per-cell accumulators fed by fixed-size
-  /// replication blocks, O(cells + threads × block) memory instead of
-  /// O(cells × replications). Summaries are bit-identical either way.
-  bool keep_samples = true;
   /// Replications per aggregation block of the streaming backend. The
   /// block decomposition is part of the determinism contract (partial
   /// accumulators merge in ascending block order), so it is a fixed
@@ -212,14 +190,10 @@ struct MeasurementOptions {
   /// shard counts; must be a multiple of the resolved block. 0 resolves
   /// to sim::kDefaultSuperblockReps (block-aligned).
   std::size_t superblock = 0;
-  /// Task scheduling of the streaming reduction (see Scheduling). Not
-  /// part of the determinism contract — summaries are bit-identical
-  /// under either value — so it is free to default to the elastic queue.
-  Scheduling schedule = Scheduling::kElastic;
   /// Bins of the streaming product-limit (survival) estimators over
   /// [0, horizon]; bounds the bias of the censor-aware restricted mean
   /// and median to one bin width.
-  std::size_t survival_bins = 64;
+  std::size_t survival_bins = stats::kDefaultSurvivalBins;
   /// Executor for (cell × replication) jobs; null falls back to
   /// sim::Executor::shared() (DIVSEC_THREADS-sized). Non-owning.
   /// Note the deliberate asymmetry with the low-level controllers

@@ -1,8 +1,6 @@
 #include "core/measurement.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -286,21 +284,21 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
   const double horizon = options_.campaign.t_max_hours;
   const std::size_t reps = options_.replications;
   const std::size_t total = tasks.size();
-  const std::size_t threads = executor_->thread_count();
   const auto make = [&](std::size_t) {
     return IndicatorAccumulator(horizon, options_.survival_bins);
   };
 
-  // The task list is consumed one scheduling round at a time — the same
-  // 4 × threads sizing as the static block rounds — and cell contexts
-  // are built only for the cells a round touches, then dropped once the
-  // ascending task order has moved past them. Per-task partials depend
+  // The task list is consumed one scheduling round of 4 × threads tasks
+  // at a time, and cell contexts are built only for the cells a round
+  // touches, then dropped once the ascending task order has moved past
+  // them. Per-task partials depend
   // only on (cell, superblock, RNG contract), so chunking the schedule
   // changes no bits; it changes residency: a 10^4-cell sweep holds
   // O(threads) contexts instead of 10^4 (reachability indexes are
   // shared per topology through the factory and live for the whole
   // call, so round boundaries never rebuild one).
-  const std::size_t round_tasks = std::max<std::size_t>(4 * threads, 1);
+  const std::size_t round_tasks =
+      std::max<std::size_t>(4 * executor_->thread_count(), 1);
   std::vector<std::unique_ptr<CellContext>> slots(factory.cell_count());
   std::vector<std::size_t> live;   // engaged slots, ascending cell ids
   std::vector<std::size_t> fresh;  // scratch: cells this round must build
@@ -342,12 +340,12 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
     });
     live.insert(live.end(), fresh.begin(), fresh.end());
 
-    // One blocked fold per superblock task: block partials merge in
-    // ascending block order inside the task, so a task's partial depends
-    // only on (cell, superblock, RNG contract) — not on the thread
-    // count, the schedule, or which process runs it. Tasks past a cell's
+    // One reduction per round over (task, block) items: a task's block
+    // partials merge in ascending block order, so its partial depends
+    // only on (cell, superblock, RNG contract) — not on the thread count,
+    // the claim order, or which process runs it. Tasks past a cell's
     // replication count bound-check to no-ops (uniform task_span keeps
-    // the schedule rectangular).
+    // the item space rectangular).
     const auto fold = [&](IndicatorAccumulator& a, std::size_t g,
                           std::size_t i) {
       const sim::ShardPlan::Task task = shard.task(tasks[begin + g]);
@@ -359,49 +357,11 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
       if (samples) (*samples)[task.group * reps + rep] = s;
       a.add(s);
     };
-
-    // Schedule selection, per round. The fold/merge sequence per task is
-    // identical either way (bit-identical partials), so this is purely a
-    // wall-time choice: the elastic work queue keeps threads busy under
-    // skewed per-cell costs, while the static block rounds expose
-    // sub-task parallelism when a round (e.g. the tail of the list)
-    // cannot feed every thread.
-    const bool queued =
-        options_.schedule == Scheduling::kElastic && count >= threads;
-    std::vector<IndicatorAccumulator> part;
     std::vector<double> part_seconds;
-    if (queued) {
-      part = sim::queued_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make, fold,
-          task_seconds ? &part_seconds : nullptr);
-    } else if (!task_seconds) {
-      part = sim::blocked_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make, fold);
-    } else {
-      // Cost capture under the static rounds (a round with fewer tasks
-      // than threads must not give up sub-task parallelism just to be
-      // timed): one task's block jobs run on several threads, so
-      // per-task seconds accumulate atomically from per-replication
-      // timings — two clock reads per campaign replication, noise
-      // against the simulation itself.
-      std::unique_ptr<std::atomic<double>[]> seconds(
-          new std::atomic<double>[count]());
-      const auto timed_fold = [&](IndicatorAccumulator& a, std::size_t g,
-                                  std::size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        fold(a, g, i);
-        seconds[g].fetch_add(std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count(),
-                             std::memory_order_relaxed);
-      };
-      part = sim::blocked_reduce_groups<IndicatorAccumulator>(
-          *executor_, count, shard.task_span(), shard.block(), make,
-          timed_fold);
-      part_seconds.resize(count);
-      for (std::size_t g = 0; g < count; ++g)
-        part_seconds[g] = seconds[g].load(std::memory_order_relaxed);
-    }
+    std::vector<IndicatorAccumulator> part =
+        sim::reduce_groups<IndicatorAccumulator>(
+            *executor_, count, shard.task_span(), shard.block(), make, fold,
+            task_seconds ? &part_seconds : nullptr);
     for (auto& p : part) out.push_back(std::move(p));
     if (task_seconds)
       task_seconds->insert(task_seconds->end(), part_seconds.begin(),
@@ -442,18 +402,16 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   // every superblock task of every cell runs here, then the exact
   // reducer folds task partials in ascending (cell, superblock) order —
   // the identical code path and merge sequence divsec_sweep uses across
-  // OS processes, and bit-identical for any DIVSEC_THREADS. Streaming
-  // (the default with keep_samples off and no visitor) keeps memory at
-  // O(cells + threads × block); the retain-everything path additionally
-  // stores each sample into the (cell × replication) matrix the visitor
-  // contract and keep_samples hand out, with the identical fold sequence.
-  const bool retain = options_.keep_samples || static_cast<bool>(visit);
-  std::vector<IndicatorSample> samples(retain ? cells * reps : 0);
+  // OS processes, and bit-identical for any DIVSEC_THREADS. Without a
+  // visitor memory stays O(cells + threads × block); a visitor
+  // additionally gets each cell's samples, stored into a (cell ×
+  // replication) matrix by the same fold sequence.
+  std::vector<IndicatorSample> samples(visit ? cells * reps : 0);
   const sim::ShardPlan plan = shard_plan(cells);
   std::vector<std::uint64_t> all_tasks(plan.task_count());
   for (std::size_t t = 0; t < all_tasks.size(); ++t) all_tasks[t] = t;
   std::vector<IndicatorAccumulator> partials =
-      run_tasks(factory, seeds, plan, all_tasks, retain ? &samples : nullptr,
+      run_tasks(factory, seeds, plan, all_tasks, visit ? &samples : nullptr,
                 /*task_seconds=*/nullptr);
   std::vector<IndicatorAccumulator> acc =
       sim::reduce_task_partials(plan, std::move(partials), make);
@@ -463,11 +421,9 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
     out[c] = acc[c].summarize();
     out[c].replications = reps;
     out[c].horizon_hours = horizon;
-    if (!retain) continue;
-    const auto first = samples.begin() + static_cast<std::ptrdiff_t>(c * reps);
-    if (visit) visit(c, std::span<const IndicatorSample>(&*first, reps));
-    if (options_.keep_samples)
-      out[c].samples.assign(first, first + static_cast<std::ptrdiff_t>(reps));
+    if (visit)
+      visit(c, std::span<const IndicatorSample>(samples.data() + c * reps,
+                                                reps));
   }
   return out;
 }
@@ -511,11 +467,6 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
   if (options_.engine != Engine::kCampaign)
     throw std::invalid_argument(
         "measure_scenarios_adaptive: requires the campaign engine");
-  if (options_.keep_samples)
-    throw std::invalid_argument(
-        "measure_scenarios_adaptive: streaming only — keep_samples must be "
-        "off (per-cell counts are not known up front, so there is no "
-        "rectangular sample matrix to retain)");
   const AdaptiveOptions& adaptive = options_.adaptive;
   if (!(adaptive.relative_precision > 0.0) &&
       !(adaptive.absolute_precision > 0.0))
@@ -658,10 +609,11 @@ std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
                    task_seconds);
 }
 
-IndicatorSummary MeasurementEngine::measure_one(const Configuration& config) const {
+IndicatorSummary MeasurementEngine::measure_one(const Configuration& config,
+                                               const CellVisitor& visit) const {
   MeasurementPlan plan;
   plan.cells.push_back({config, options_.seed});
-  return std::move(measure(plan).front());
+  return std::move(measure(plan, visit).front());
 }
 
 std::vector<double> MeasurementEngine::mean_ratio_curve(
@@ -674,17 +626,12 @@ std::vector<double> MeasurementEngine::mean_ratio_curve(
     throw std::invalid_argument(
         "mean_ratio_curve: requires the campaign engine");
   // The per-cell curve accumulator already streams the binned mean curve
-  // through the standard measurement reduction — run the cell once
-  // (streaming, no retained samples) and interpolate the bin-edge means
-  // onto the requested grid. This retired the per-configuration
-  // re-simulation pass: the curve shares the measurement's replications,
-  // its (cell seed, rep) RNG contract, and the reduction's determinism
-  // (bit-identical for any DIVSEC_THREADS).
-  MeasurementOptions opts = options_;
-  opts.keep_samples = false;
-  opts.executor = executor_;
-  const MeasurementEngine streaming(*description_, *profile_, opts);
-  const IndicatorSummary summary = streaming.measure_one(config);
+  // through the standard measurement reduction — run the cell once and
+  // interpolate the bin-edge means onto the requested grid. This retired
+  // the per-configuration re-simulation pass: the curve shares the
+  // measurement's replications, its (cell seed, rep) RNG contract, and
+  // the reduction's determinism (bit-identical for any DIVSEC_THREADS).
+  const IndicatorSummary summary = measure_one(config);
   std::vector<double> out(time_grid_hours.size());
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = curve_value_at(summary.ratio_curve, summary.horizon_hours,

@@ -35,21 +35,19 @@
 // — both part of the determinism contract, never derived from thread or
 // shard counts. Blocks fold into per-block IndicatorAccumulator partials
 // merged in ascending order into superblock partials
-// (sim::blocked_reduce_groups), and superblock partials merge in
-// ascending order into the cell result (sim::reduce_task_partials). The
-// superblock partial is the distributable unit: measure_scenario_partials
-// computes any task subrange — and measure_scenario_tasks any explicit
-// task list, e.g. one shard of a cost-weighted plan — so a sweep can run
-// as K OS processes (tools/divsec_sweep + dist::merge_shards) and reduce
-// bit-identically to the in-process run. Scheduling is elastic by
-// default (options.schedule): superblock tasks feed a shared atomic work
-// queue so skewed per-cell costs cannot idle the pool; the static block
-// schedule produces the same bits and remains addressable.
-// With keep_samples off and no visitor, memory is
-// O(cells + threads × block); keep_samples=true (or a visitor) takes the
-// retain-everything path, which materializes the sample matrix but folds
-// it through the same reduction, so the two paths produce bit-identical
-// summaries.
+// (sim::reduce_groups), and superblock partials merge in ascending order
+// into the cell result (sim::reduce_task_partials). The superblock
+// partial is the distributable unit: measure_scenario_partials computes
+// any task subrange — and measure_scenario_tasks any explicit task list,
+// e.g. one shard of a cost-weighted plan — so a sweep can run as K OS
+// processes (tools/divsec_sweep + dist::merge_shards) and reduce
+// bit-identically to the in-process run. In process, the (task, block)
+// items of a scheduling round feed one shared work queue, so skewed
+// per-cell costs cannot idle the pool and a round with fewer tasks than
+// threads still spreads over all of them. Memory is
+// O(cells + threads × block); a CellVisitor additionally materializes
+// each cell's samples (folded through the same reduction, so the
+// summaries do not change).
 #pragma once
 
 #include <cstdint>
@@ -124,15 +122,15 @@ class MeasurementEngine {
                     const MeasurementOptions& options);
 
   /// Per-cell observer invoked during reassembly with the cell's raw
-  /// samples in replication order — lets callers (e.g. MeasurementTable
-  /// construction) extract response vectors without the summaries having
-  /// to retain samples when options.keep_samples is off.
+  /// samples in replication order — the one way to see samples (e.g.
+  /// MeasurementTable construction extracts its response vectors here);
+  /// summaries never retain them.
   using CellVisitor =
       std::function<void(std::size_t cell, std::span<const IndicatorSample>)>;
 
   /// Measure every cell of the plan: (cell × replication) jobs run on the
   /// executor; summaries come back in cell order with samples folded in
-  /// replication order. Honours options.keep_samples.
+  /// replication order.
   [[nodiscard]] std::vector<IndicatorSummary> measure(
       const MeasurementPlan& plan, const CellVisitor& visit = {}) const;
 
@@ -152,7 +150,7 @@ class MeasurementEngine {
   /// so re-running exactly the recorded per-cell counts (report->achieved)
   /// through measure_scenario_tasks + the exact reducer reproduces every
   /// summary bit-identically for any thread or shard count. Streaming
-  /// only (keep_samples must be off); requires the campaign engine.
+  /// only (no cell visitor); requires the campaign engine.
   [[nodiscard]] std::vector<IndicatorSummary> measure_scenarios_adaptive(
       const ScenarioSweepPlan& plan, AdaptiveReport* report = nullptr) const;
 
@@ -183,10 +181,8 @@ class MeasurementEngine {
   /// merges through the same ascending (cell, superblock) fold, the
   /// reduced results are bit-identical to measure_scenarios() no matter
   /// how the tasks were divided. task_seconds, when non-null, receives
-  /// each task's measured fold wall time (the cost-model feed) — timed
-  /// whole-task on the owning thread under the work queue, or summed
-  /// from per-replication timings when the static rounds run (a shard
-  /// with fewer tasks than threads keeps its sub-task parallelism).
+  /// each task's measured fold time (the cost-model feed): the sum of its
+  /// block times, whichever threads folded them.
   /// Requires options.engine == Engine::kCampaign.
   [[nodiscard]] std::vector<IndicatorAccumulator> measure_scenario_tasks(
       const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
@@ -194,7 +190,8 @@ class MeasurementEngine {
       std::vector<double>* task_seconds = nullptr) const;
 
   /// Convenience: one cell seeded with options.seed.
-  [[nodiscard]] IndicatorSummary measure_one(const Configuration& config) const;
+  [[nodiscard]] IndicatorSummary measure_one(const Configuration& config,
+                                             const CellVisitor& visit = {}) const;
 
   /// Mean compromised-ratio curve over replications on the given time
   /// grid (campaign engine only); replications run in parallel, the mean

@@ -69,8 +69,7 @@ MeasurementTable Pipeline::measure_full_factorial(
   }
 
   // Extract the per-replicate response vectors through the engine's cell
-  // visitor, so keep_samples=false genuinely avoids retaining raw
-  // samples on large factorials.
+  // visitor — the summaries themselves never retain raw samples.
   out.tta_cells.resize(n);
   out.ttsf_cells.resize(n);
   out.success_cells.resize(n);

@@ -1,10 +1,10 @@
 #include "core/report.h"
 
-#include <fstream>
 #include <span>
 #include <sstream>
 
 #include "core/ratio_curve.h"
+#include "util/file.h"
 
 namespace divsec::core {
 
@@ -133,10 +133,7 @@ std::string assessment_markdown(const Assessment& assessment,
 }
 
 void save_to_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_to_file: cannot open " + path);
-  out << content;
-  if (!out) throw std::runtime_error("save_to_file: write failed for " + path);
+  util::write_file(path, content);
 }
 
 }  // namespace divsec::core

@@ -10,6 +10,7 @@
 
 #include "dist/fnv.h"
 #include "dist/state_codec.h"
+#include "util/file.h"
 
 namespace divsec::dist {
 
@@ -219,26 +220,11 @@ TaskPlan decode_task_plan(std::string_view text) {
 }
 
 void write_task_plan(const std::string& path, const TaskPlan& plan) {
-  const std::string text = encode_task_plan(plan);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_result = std::fclose(f);
-  if (written != text.size() || close_result != 0)
-    throw std::runtime_error("short write: " + path);
+  util::write_file(path, encode_task_plan(plan));
 }
 
 TaskPlan read_task_plan(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot open: " + path);
-  std::string text;
-  char buf[1 << 14];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) throw std::runtime_error("read error: " + path);
-  return decode_task_plan(text);
+  return decode_task_plan(util::read_file(path));
 }
 
 }  // namespace divsec::dist

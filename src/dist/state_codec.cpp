@@ -3,13 +3,13 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 #include <string>
 
 #include "dist/fnv.h"
 #include "obs/metrics.h"
+#include "util/file.h"
 #include "util/json.h"
 
 namespace divsec::dist {
@@ -967,26 +967,11 @@ std::string accumulator_json(const core::IndicatorAccumulator::State& state) {
 }
 
 void write_shard_state(const std::string& path, const ShardState& state) {
-  const std::string bytes = encode_shard_state(state);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const int close_result = std::fclose(f);  // unconditionally: no fd leak
-  if (written != bytes.size() || close_result != 0)
-    throw std::runtime_error("short write: " + path);
+  util::write_file(path, encode_shard_state(state));
 }
 
 ShardState read_shard_state(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot open: " + path);
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) throw std::runtime_error("read error: " + path);
-  return decode_shard_state(bytes);
+  return decode_shard_state(util::read_file(path));
 }
 
 }  // namespace divsec::dist

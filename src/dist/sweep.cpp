@@ -159,7 +159,6 @@ core::MeasurementOptions sweep_options(const SweepSpec& spec,
   mo.engine = core::Engine::kCampaign;
   mo.replications = spec.replications;
   mo.seed = spec.seed;
-  mo.keep_samples = false;  // the streaming path, always
   mo.replication_block = spec.replication_block;
   mo.superblock = spec.superblock;
   mo.survival_bins = spec.survival_bins;

@@ -50,7 +50,7 @@ struct SweepSpec {
   std::size_t replications = 1000;
   std::size_t replication_block = 0;  // 0 = sim::kDefaultReductionBlock
   std::size_t superblock = 0;         // 0 = sim::kDefaultSuperblockReps
-  std::size_t survival_bins = 64;
+  std::size_t survival_bins = stats::kDefaultSurvivalBins;
   double horizon_hours = 0.0;  // 0 = attack::CampaignOptions default
   /// Per-cell achieved replication counts recorded by an adaptive run
   /// (SweepMeta::achieved): empty for fixed-budget sweeps. A non-empty
@@ -84,8 +84,8 @@ struct SweepSpec {
 /// One human-readable name per sweep cell (the policy names).
 [[nodiscard]] std::vector<std::string> cell_names(const SweepSpec& spec);
 
-/// The measurement options a spec induces (streaming path: keep_samples
-/// off). Executor null = sim::Executor::shared().
+/// The measurement options a spec induces. Executor null =
+/// sim::Executor::shared().
 [[nodiscard]] core::MeasurementOptions sweep_options(
     const SweepSpec& spec, const sim::Executor* executor = nullptr);
 

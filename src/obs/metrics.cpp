@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
+#include "util/file.h"
 #include "util/json.h"
 
 #if DIVSEC_OBS
@@ -370,25 +370,11 @@ void merge_into(Snapshot& into, const Snapshot& from) {
 }
 
 void write_metrics_file(const std::string& path, const Snapshot& snap) {
-  const std::string body = metrics_json(snap);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot write metrics file: " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("short write on metrics file: " + path);
+  util::write_file(path, metrics_json(snap));
 }
 
 Snapshot read_metrics_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot read metrics file: " + path);
-  std::string body;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) body.append(buf, n);
-  const bool err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (err) throw std::runtime_error("read error on metrics file: " + path);
-  return parse_metrics_json(body);
+  return parse_metrics_json(util::read_file(path));
 }
 
 }  // namespace divsec::obs

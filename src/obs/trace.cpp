@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-#include <stdexcept>
-
+#include "util/file.h"
 #include "util/json.h"
 
 #if DIVSEC_OBS
@@ -133,12 +131,7 @@ std::string trace_json() {
 }
 
 void trace_stop(const std::string& path) {
-  const std::string body = trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot write trace file: " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("short write on trace file: " + path);
+  util::write_file(path, trace_json());
 }
 
 }  // namespace divsec::obs
@@ -148,12 +141,7 @@ void trace_stop(const std::string& path) {
 namespace divsec::obs {
 
 void trace_stop(const std::string& path) {
-  const std::string body = trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot write trace file: " + path);
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = n == body.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("short write on trace file: " + path);
+  util::write_file(path, trace_json());
 }
 
 }  // namespace divsec::obs

@@ -9,16 +9,32 @@
 // count:
 //  * the block size must not depend on the thread count (it is part of
 //    the caller's determinism contract, like the RNG stream derivation);
-//  * merges happen only on the calling thread, in ascending block order.
-// Scheduling runs in rounds of O(threads) block jobs, so at most
-// O(groups + threads) accumulators are alive at once — memory is
+//  * a group's block partials merge in ascending block order, one at a
+//    time, into the group's accumulator.
+//
+// One reducer does all of it. The (group, block) items form a single work
+// queue, claimed in ascending order from one atomic counter, so skewed
+// group costs cannot idle the pool and a short list of groups still
+// spreads over every thread. Items are numbered block-major (block 0 of
+// every group, then block 1 of every group, ...), so threads claiming
+// back to back mostly work on different groups. A finished block partial
+// merges into its group as soon as every lower block of that group has
+// merged; an early finisher parks its partial until then. A thread claims
+// its next item only while fewer partials are parked than there are
+// workers, so a stalled block (a slow replication, a preempted thread)
+// can never park the rest of its group: at most 2 × (workers − 1)
+// partials are ever parked, and live memory is
 // O(groups + threads × block-state), never O(groups × count).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -27,8 +43,8 @@
 namespace divsec::sim {
 
 namespace streaming_detail {
-/// Fold telemetry. The queued path already reads the clock per group for
-/// the dist:: cost model; the histogram reuses those numbers so the
+/// Fold telemetry. The reducer already reads the clock per block for the
+/// dist:: cost model; the histogram reuses those numbers so the
 /// CostModel and the obs catalog can never disagree about fold cost.
 inline obs::Counter& blocks_counter() {
   static obs::Counter& c = obs::counter("sim.streaming.blocks");
@@ -45,84 +61,23 @@ inline obs::Histogram& group_fold_hist() {
 }  // namespace streaming_detail
 
 /// Default replications-per-block of the streaming backends. Small enough
-/// that round memory stays trivial, large enough that per-block overhead
-/// (accumulator construction, merge) vanishes against the simulation work.
+/// that parked partials stay trivial, large enough that per-block
+/// overhead (accumulator construction, clock pair, merge) vanishes
+/// against the simulation work.
 inline constexpr std::size_t kDefaultReductionBlock = 256;
-
-/// How many block jobs are in flight between ordered merges. Any value
-/// yields identical results (merges stay in ascending block order); more
-/// in-flight jobs just keeps wide executors busy.
-[[nodiscard]] inline std::size_t blocked_round_size(const Executor& executor) {
-  return std::max<std::size_t>(1, executor.thread_count() * 4);
-}
 
 /// Reduce indices [0, count) of each of `groups` groups into one
 /// accumulator per group. make(g) builds an empty accumulator for group
 /// g; fold(acc, g, i) folds index i of group g into acc; Acc::merge(const
-/// Acc&) combines block partials.
-template <typename Acc, typename Make, typename Fold>
-[[nodiscard]] std::vector<Acc> blocked_reduce_groups(const Executor& executor,
-                                                     std::size_t groups,
-                                                     std::size_t count,
-                                                     std::size_t block,
-                                                     const Make& make,
-                                                     const Fold& fold) {
-  if (block == 0) block = kDefaultReductionBlock;
-  const std::size_t nblocks = count == 0 ? 0 : (count + block - 1) / block;
-
-  std::vector<Acc> out;
-  out.reserve(groups);
-  for (std::size_t g = 0; g < groups; ++g) out.push_back(make(g));
-
-  const std::size_t jobs = groups * nblocks;
-  if (jobs == 0) return out;
-
-  streaming_detail::blocks_counter().add(jobs);
-  const std::size_t round = blocked_round_size(executor);
-  std::vector<Acc> partials;
-  for (std::size_t start = 0; start < jobs; start += round) {
-    const std::size_t n = std::min(round, jobs - start);
-    partials.clear();
-    partials.reserve(n);
-    for (std::size_t j = 0; j < n; ++j)
-      partials.push_back(make((start + j) / nblocks));
-    executor.parallel_for(0, n, [&](std::size_t j) {
-      const std::size_t job = start + j;
-      const std::size_t g = job / nblocks;
-      const std::size_t b = job % nblocks;
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(count, lo + block);
-      for (std::size_t i = lo; i < hi; ++i) fold(partials[j], g, i);
-    });
-    // Ascending job order is ascending block order within each group: the
-    // reduction sequence is independent of the thread count and of the
-    // round size.
-    for (std::size_t j = 0; j < n; ++j)
-      out[(start + j) / nblocks].merge(partials[j]);
-  }
-  return out;
-}
-
-/// Elastic sibling of blocked_reduce_groups: the same (group × block)
-/// reduction, scheduled through a shared atomic work queue instead of
-/// static chunking. Whole groups are the queue items — a thread pulls the
-/// next unclaimed group when it finishes its current one, folds every
-/// block of that group locally (fresh block accumulator, merged in
-/// ascending block order), and moves on. Because each group's fold is the
-/// exact block sequence blocked_reduce_groups performs and no partial
-/// ever crosses a thread, the returned accumulators are bit-identical to
-/// the static schedule for any thread count and any pull order; only the
-/// assignment of groups to threads is dynamic. Use it when group costs
-/// are skewed (a static chunk of expensive groups idles the other
-/// threads); use blocked_reduce_groups when there are fewer groups than
-/// threads (the queue cannot feed the pool, the round schedule can).
+/// Acc&) combines block partials. Group g's result is make(g) merged with
+/// its block partials in ascending block order — for any thread count
+/// and any claim interleaving.
 ///
-/// group_seconds, when non-null, receives each group's fold wall time in
-/// seconds (resized to `groups`) — single-writer per slot, measured on
-/// the thread that owned the group. This is the measurement feed of the
-/// dist:: cost model.
+/// group_seconds, when non-null, receives each group's fold time in
+/// seconds (resized to `groups`): the sum of its block times, one clock
+/// pair per block. This is the measurement feed of the dist:: cost model.
 template <typename Acc, typename Make, typename Fold>
-[[nodiscard]] std::vector<Acc> queued_reduce_groups(
+[[nodiscard]] std::vector<Acc> reduce_groups(
     const Executor& executor, std::size_t groups, std::size_t count,
     std::size_t block, const Make& make, const Fold& fold,
     std::vector<double>* group_seconds = nullptr) {
@@ -133,32 +88,89 @@ template <typename Acc, typename Make, typename Fold>
   out.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) out.push_back(make(g));
   if (group_seconds) group_seconds->assign(groups, 0.0);
-  if (groups == 0 || nblocks == 0) return out;
+  const std::size_t items = groups * nblocks;
+  if (items == 0) return out;
+
+  // Merge state, under one lock: per group, the number of blocks merged
+  // into out[g] and the summed fold time of its blocks; block partials
+  // that finished before a lower block of their group wait in `parked`.
+  std::mutex mu;
+  std::condition_variable drained;
+  std::vector<std::size_t> merged(groups, 0);
+  std::vector<std::uint64_t> fold_ns(groups, 0);
+  std::vector<std::pair<std::size_t, Acc>> parked;  // (item, partial)
+  // Any throw inside an item — make, fold, or a merge/park under the lock
+  // — ends every worker's claims: that block never merges, so threads
+  // waiting for parked partials to drain would wait forever. The executor
+  // rethrows the exception.
+  bool failed = false;
+
+  // Fold block b of group g, then merge or park the partial.
+  const auto run_item = [&](std::size_t j) {
+    const std::size_t g = j % groups;
+    const std::size_t b = j / groups;
+    const auto start = std::chrono::steady_clock::now();
+    Acc partial = make(g);
+    const std::size_t hi = std::min(count, (b + 1) * block);
+    for (std::size_t i = b * block; i < hi; ++i) fold(partial, g, i);
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+
+    const std::lock_guard<std::mutex> lock(mu);
+    fold_ns[g] += ns;
+    if (b != merged[g]) {
+      parked.emplace_back(j, std::move(partial));
+      return;
+    }
+    // Merge this partial, then every parked successor it unblocks.
+    out[g].merge(partial);
+    std::size_t done = b + 1;
+    const std::size_t parked_before = parked.size();
+    for (auto it = parked.begin(); it != parked.end();) {
+      if (it->first != done * groups + g) {
+        ++it;
+        continue;
+      }
+      out[g].merge(it->second);
+      parked.erase(it);
+      it = parked.begin();
+      ++done;
+    }
+    merged[g] = done;
+    if (merged[g] == nblocks) {
+      streaming_detail::group_fold_hist().observe(fold_ns[g]);
+      if (group_seconds)
+        (*group_seconds)[g] = static_cast<double>(fold_ns[g]) * 1e-9;
+    }
+    if (parked.size() != parked_before) drained.notify_all();
+  };
 
   std::atomic<std::size_t> next{0};
-  const std::size_t workers = std::min(executor.thread_count(), groups);
+  const std::size_t workers = std::min(executor.thread_count(), items);
   executor.parallel_for(0, workers, [&](std::size_t) {
-    for (std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
-         g < groups; g = next.fetch_add(1, std::memory_order_relaxed)) {
-      const auto start = std::chrono::steady_clock::now();
-      Acc& acc = out[g];
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        Acc partial = make(g);
-        const std::size_t lo = b * block;
-        const std::size_t hi = std::min(count, lo + block);
-        for (std::size_t i = lo; i < hi; ++i) fold(partial, g, i);
-        acc.merge(partial);
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        drained.wait(lock, [&] { return failed || parked.size() < workers; });
+        if (failed) return;
       }
-      const auto fold_time = std::chrono::steady_clock::now() - start;
-      streaming_detail::groups_counter().add(1);
-      streaming_detail::group_fold_hist().observe(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(fold_time)
-              .count()));
-      if (group_seconds)
-        (*group_seconds)[g] =
-            std::chrono::duration<double>(fold_time).count();
+      const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
+      if (j >= items) return;
+      try {
+        run_item(j);
+      } catch (...) {
+        // run_item's lock was released while unwinding.
+        const std::lock_guard<std::mutex> lock(mu);
+        failed = true;
+        drained.notify_all();
+        throw;
+      }
     }
   });
+  streaming_detail::blocks_counter().add(items);
+  streaming_detail::groups_counter().add(groups);
   return out;
 }
 
@@ -170,9 +182,9 @@ template <typename Acc, typename Make, typename Fold>
                                  std::size_t block, const Make& make,
                                  const Fold& fold) {
   static const Executor serial{1};
-  const Executor& ex = executor ? *executor : serial;
-  auto out = blocked_reduce_groups<Acc>(
-      ex, 1, count, block, [&make](std::size_t) { return make(); },
+  auto out = reduce_groups<Acc>(
+      executor ? *executor : serial, 1, count, block,
+      [&make](std::size_t) { return make(); },
       [&fold](Acc& acc, std::size_t, std::size_t i) { fold(acc, i); });
   return std::move(out.front());
 }

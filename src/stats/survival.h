@@ -19,10 +19,9 @@
 // and a mergeable t-digest of the censored-at-horizon values: the one
 // per-indicator aggregation state shared by the campaign measurement
 // engine and the SAN first-passage estimators. (The digest replaced the
-// paired P² sketches once the accuracy audit showed the P² pooled-CDF
+// paired P² sketches once an accuracy audit showed the P² pooled-CDF
 // merge drifts +4–23% under the deep superblock × shard × round merge
-// trees; P2Quantile stays available as the single-stream reference —
-// see stats/quantile_sketch.h.)
+// trees; tests/test_sketch_accuracy.cpp keeps the digest's side of it.)
 #pragma once
 
 #include <cstdint>
@@ -81,6 +80,11 @@ class KaplanMeier {
   std::size_t n_ = 0;
   std::size_t events_ = 0;
 };
+
+/// Default bin count of the streaming survival grid, shared by the
+/// measurement engine, the sweep spec and the SAN first-passage
+/// estimator so their event-time summaries agree on identical inputs.
+inline constexpr std::size_t kDefaultSurvivalBins = 64;
 
 /// Streaming product-limit estimator on a fixed binned grid over
 /// [0, horizon]. Observations bucket into `bins` equal-width bins (events

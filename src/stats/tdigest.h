@@ -6,11 +6,11 @@
 // near the median may grow large, centroids near the tails stay small,
 // so tail quantiles keep high resolution at O(compression) memory. The
 // property that matters here is that merge() does NOT accumulate bias
-// the way the P² pooled-CDF merge does: merging concatenates centroid
-// lists and re-compresses, so a deep merge tree (superblocks × shards ×
-// adaptive rounds) ends up with the same kind of digest a single stream
-// would have produced, and the measured error stays well under 1% where
-// the P² merge drifted +4–23%.
+// the way the P² pooled-CDF merge it replaced did: merging concatenates
+// centroid lists and re-compresses, so a deep merge tree (superblocks ×
+// shards × adaptive rounds) ends up with the same kind of digest a
+// single stream would have produced, and the measured error stays well
+// under 1% where the P² merge drifted +4–23%.
 //
 // Determinism contract (what the distributed sweep relies on):
 //  * the centroid list is the complete state — there is no hidden

@@ -16,6 +16,7 @@
 #include "dist/adaptive.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
+#include "scenario/presets.h"
 #include "sim/executor.h"
 #include "sim/replication.h"
 #include "sim/stopping.h"
@@ -282,15 +283,36 @@ TEST(EngineAdaptive, RejectsInvalidOptions) {
           .measure_scenarios_adaptive(plan),
       std::invalid_argument);
 
-  // The adaptive driver is streaming-only.
-  core::MeasurementOptions buffered = dist::sweep_options(spec, nullptr);
-  buffered.adaptive.enabled = true;
-  buffered.adaptive.relative_precision = 0.05;
-  buffered.keep_samples = true;
-  EXPECT_THROW(
-      (void)core::MeasurementEngine(catalog, profile, buffered)
-          .measure_scenarios_adaptive(plan),
-      std::invalid_argument);
+  // The adaptive driver is streaming-only: no cell visitor.
+  core::MeasurementOptions adaptive = dist::sweep_options(spec, nullptr);
+  adaptive.adaptive.enabled = true;
+  EXPECT_THROW((void)core::MeasurementEngine(catalog, profile, adaptive)
+                   .measure_scenarios(
+                       plan, [](std::size_t,
+                                std::span<const core::IndicatorSample>) {}),
+               std::invalid_argument);
+}
+
+TEST(EngineAdaptive, DefaultOptionsWithAdaptiveEnabledRun) {
+  // Default MeasurementOptions plus adaptive.enabled is a valid adaptive
+  // sweep: there is no sample-retention default left to contradict it.
+  const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
+  const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
+  const sim::Executor serial{1};
+  core::MeasurementOptions options;
+  options.executor = &serial;
+  options.adaptive.enabled = true;
+  core::ScenarioSweepPlan plan;
+  plan.cells.push_back({scenario::make_preset("plant_small", catalog, 17,
+                                              scenario::VariantPolicy::kMonoculture)
+                            .scenario,
+                        2013});
+  std::vector<core::IndicatorSummary> out;
+  ASSERT_NO_THROW(out = core::MeasurementEngine(catalog, profile, options)
+                            .measure_scenarios(plan));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_GT(out[0].replications, 0u);
+  EXPECT_LE(out[0].replications, options.replications);
 }
 
 // ---- the cross-process coordinator -----------------------------------------

@@ -1,5 +1,5 @@
-// Tests for elastic sweep scheduling: the work-queue schedule must be
-// bit-identical to the static block schedule for any thread count, a
+// Tests for elastic sweep scheduling: the work-queue reducer must
+// perform exactly the serial left fold for any thread count, a
 // cost-weighted LPT plan must cover the task space exactly once and
 // merge bit-identically to the in-process run, the cost model must
 // round-trip through the state codec byte-stably, and weights/tasks
@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/measurement.h"
@@ -23,7 +27,7 @@
 namespace divsec {
 namespace {
 
-// ---- schedule equivalence at the reduction primitive -----------------------
+// ---- the reducer against a serial left fold -------------------------------
 
 /// Order-sensitive accumulator: x' = x * 1.0000001 + v is not
 /// associative, so any deviation in fold or merge order changes the bits.
@@ -40,8 +44,7 @@ struct OrderSensitive {
   }
 };
 
-TEST(ElasticSchedule, QueuedReduceBitIdenticalToBlockedReduce) {
-  constexpr std::size_t kGroups = 13;
+TEST(ElasticSchedule, ReducerIsTheSerialLeftFoldForAnyThreadCount) {
   constexpr std::size_t kCount = 1000;
   constexpr std::size_t kBlock = 64;
   const auto make = [](std::size_t g) {
@@ -53,31 +56,113 @@ TEST(ElasticSchedule, QueuedReduceBitIdenticalToBlockedReduce) {
     acc.fold(static_cast<double>(g * 7919 + i) * 1e-3);
   };
 
-  const sim::Executor serial(1);
-  const std::vector<OrderSensitive> reference =
-      sim::blocked_reduce_groups<OrderSensitive>(serial, kGroups, kCount,
-                                                 kBlock, make, fold);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    const sim::Executor ex(threads);
-    const std::vector<OrderSensitive> blocked =
-        sim::blocked_reduce_groups<OrderSensitive>(ex, kGroups, kCount, kBlock,
-                                                   make, fold);
-    std::vector<double> seconds;
-    const std::vector<OrderSensitive> queued =
-        sim::queued_reduce_groups<OrderSensitive>(ex, kGroups, kCount, kBlock,
-                                                  make, fold, &seconds);
-    ASSERT_EQ(seconds.size(), kGroups);
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      EXPECT_EQ(blocked[g].x, reference[g].x) << "threads=" << threads;
-      EXPECT_EQ(queued[g].x, reference[g].x) << "threads=" << threads;
-      EXPECT_EQ(queued[g].folds, reference[g].folds);
-      EXPECT_GE(seconds[g], 0.0);
+  // 13 groups feed every thread; 2 groups (fewer than threads) make the
+  // threads share a group's blocks and park early finishers.
+  for (const std::size_t groups : {std::size_t{13}, std::size_t{2}}) {
+    // The contract, spelled out: group g is make(g) merged with its block
+    // partials in ascending block order.
+    std::vector<OrderSensitive> reference;
+    for (std::size_t g = 0; g < groups; ++g) {
+      OrderSensitive acc = make(g);
+      for (std::size_t lo = 0; lo < kCount; lo += kBlock) {
+        OrderSensitive partial = make(g);
+        for (std::size_t i = lo; i < std::min(kCount, lo + kBlock); ++i)
+          fold(partial, g, i);
+        acc.merge(partial);
+      }
+      reference.push_back(acc);
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{8}}) {
+      const sim::Executor ex(threads);
+      std::vector<double> seconds;
+      const std::vector<OrderSensitive> got = sim::reduce_groups<OrderSensitive>(
+          ex, groups, kCount, kBlock, make, fold, &seconds);
+      ASSERT_EQ(got.size(), groups);
+      ASSERT_EQ(seconds.size(), groups);
+      for (std::size_t g = 0; g < groups; ++g) {
+        EXPECT_EQ(got[g].x, reference[g].x)
+            << "groups=" << groups << " threads=" << threads;
+        EXPECT_EQ(got[g].folds, reference[g].folds);
+        EXPECT_GE(seconds[g], 0.0);
+      }
     }
   }
 }
 
-// ---- schedule equivalence at the measurement engine ------------------------
+/// Counts live accumulators; a moved-from one no longer counts.
+struct Counted {
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> peak{0};
+  bool owns = true;
+  Counted() { note(live.fetch_add(1) + 1); }
+  Counted(Counted&& o) noexcept { o.owns = false; }
+  Counted& operator=(Counted&& o) noexcept {
+    if (owns) live.fetch_sub(1);
+    owns = o.owns;
+    o.owns = false;
+    return *this;
+  }
+  Counted(const Counted&) = delete;
+  ~Counted() {
+    if (owns) live.fetch_sub(1);
+  }
+  void merge(const Counted&) {}
+  static void note(int n) {
+    int p = peak.load();
+    while (n > p && !peak.compare_exchange_weak(p, n)) {
+    }
+  }
+};
+
+TEST(ElasticSchedule, StalledBlockParksAtMostTwiceThreads) {
+  // Block 0 stalls while the other threads could race through the
+  // group's remaining 63 blocks; parking must stay bounded anyway.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBlock = 4;
+  constexpr std::size_t kBlocks = 64;
+  const sim::Executor ex(kThreads);
+  Counted::peak = 0;
+  const auto out = sim::reduce_groups<Counted>(
+      ex, 1, kBlocks * kBlock, kBlock, [](std::size_t) { return Counted{}; },
+      [](Counted&, std::size_t, std::size_t i) {
+        if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+  ASSERT_EQ(out.size(), 1u);
+  // The result, one in-flight partial per thread, <= 2 (threads - 1) parked.
+  EXPECT_LE(Counted::peak.load(),
+            static_cast<int>(1 + kThreads + 2 * (kThreads - 1)));
+}
+
+/// Accumulator whose merge fails for a poisoned partial.
+struct PoisonOnMerge {
+  bool poison = false;
+  void merge(const PoisonOnMerge& o) {
+    if (o.poison) throw std::runtime_error("merge failed");
+  }
+};
+
+TEST(ElasticSchedule, ThrowingItemReleasesWaitingThreads) {
+  // Block 0 fails — in its fold, or in its merge under the lock — after
+  // the other threads have parked up to the cap and started waiting for
+  // it to merge; they must stop, not wait forever.
+  const sim::Executor ex(4);
+  for (const bool in_merge : {false, true}) {
+    EXPECT_THROW(
+        (void)sim::reduce_groups<PoisonOnMerge>(
+            ex, 1, 256, 4, [](std::size_t) { return PoisonOnMerge{}; },
+            [in_merge](PoisonOnMerge& acc, std::size_t, std::size_t i) {
+              if (i != 0) return;
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              if (!in_merge) throw std::runtime_error("fold failed");
+              acc.poison = true;
+            }),
+        std::runtime_error)
+        << (in_merge ? "merge" : "fold");
+  }
+}
+
+// ---- thread-count invariance at the measurement engine ---------------------
 
 dist::SweepSpec small_spec() {
   dist::SweepSpec spec;
@@ -89,41 +174,33 @@ dist::SweepSpec small_spec() {
   return spec;
 }
 
-TEST(ElasticSchedule, WorkQueueRunBitIdenticalToStaticChunking) {
-  // 12 tasks >= every tested thread count, so the elastic path really
-  // takes the work queue (it falls back to static rounds only when the
-  // queue could not feed the pool).
+TEST(ElasticSchedule, EngineBitIdenticalAcrossThreadCounts) {
   const dist::SweepSpec spec = small_spec();
+  const divers::VariantCatalog catalog =
+      divers::VariantCatalog::standard(spec.seed);
+  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
   std::vector<core::IndicatorSummary> reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
     const sim::Executor ex(threads);
-    for (const core::Scheduling schedule :
-         {core::Scheduling::kElastic, core::Scheduling::kStatic}) {
-      dist::SweepSpec s = spec;
-      const divers::VariantCatalog catalog =
-          divers::VariantCatalog::standard(s.seed);
-      const attack::ThreatProfile profile = dist::threat_profile(s.threat);
-      core::MeasurementOptions options = dist::sweep_options(s, &ex);
-      options.schedule = schedule;
-      const core::MeasurementEngine engine(catalog, profile, options);
-      const auto summaries =
-          engine.measure_scenarios(dist::expand_plan(s, catalog));
-      if (reference.empty()) {
-        reference = summaries;
-        continue;
-      }
-      ASSERT_EQ(summaries.size(), reference.size());
-      for (std::size_t c = 0; c < summaries.size(); ++c) {
-        EXPECT_EQ(summaries[c].tta.mean(), reference[c].tta.mean())
-            << "threads=" << threads;
-        EXPECT_EQ(summaries[c].tta.variance(), reference[c].tta.variance());
-        EXPECT_EQ(summaries[c].ttsf.mean(), reference[c].ttsf.mean());
-        EXPECT_EQ(summaries[c].successes, reference[c].successes);
-        EXPECT_EQ(summaries[c].tta_event.restricted_mean,
-                  reference[c].tta_event.restricted_mean);
-        EXPECT_EQ(summaries[c].ttsf_event.q90, reference[c].ttsf_event.q90);
-      }
+    const core::MeasurementEngine engine(catalog, profile,
+                                         dist::sweep_options(spec, &ex));
+    const auto summaries =
+        engine.measure_scenarios(dist::expand_plan(spec, catalog));
+    if (reference.empty()) {
+      reference = summaries;
+      continue;
+    }
+    ASSERT_EQ(summaries.size(), reference.size());
+    for (std::size_t c = 0; c < summaries.size(); ++c) {
+      EXPECT_EQ(summaries[c].tta.mean(), reference[c].tta.mean())
+          << "threads=" << threads;
+      EXPECT_EQ(summaries[c].tta.variance(), reference[c].tta.variance());
+      EXPECT_EQ(summaries[c].ttsf.mean(), reference[c].ttsf.mean());
+      EXPECT_EQ(summaries[c].successes, reference[c].successes);
+      EXPECT_EQ(summaries[c].tta_event.restricted_mean,
+                reference[c].tta_event.restricted_mean);
+      EXPECT_EQ(summaries[c].ttsf_event.q90, reference[c].ttsf_event.q90);
     }
   }
 }

@@ -23,14 +23,9 @@ void expect_bit_identical(const IndicatorSummary& a, const IndicatorSummary& b) 
   EXPECT_EQ(a.tta_censored, b.tta_censored);
   EXPECT_EQ(a.ttsf_censored, b.ttsf_censored);
   EXPECT_EQ(a.successes, b.successes);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].tta, b.samples[i].tta) << "rep " << i;
-    EXPECT_EQ(a.samples[i].ttsf, b.samples[i].ttsf) << "rep " << i;
-    EXPECT_EQ(a.samples[i].final_ratio, b.samples[i].final_ratio) << "rep " << i;
-    EXPECT_EQ(a.samples[i].attack_succeeded, b.samples[i].attack_succeeded)
-        << "rep " << i;
-  }
+  EXPECT_EQ(a.tta_event.restricted_mean, b.tta_event.restricted_mean);
+  EXPECT_EQ(a.ttsf_event.q50, b.ttsf_event.q50);
+  EXPECT_EQ(a.ratio_curve, b.ratio_curve);
 }
 
 class FleetSweepFixture : public ::testing::Test {
@@ -102,9 +97,7 @@ TEST_F(FleetSweepFixture, SweepIsAlsoDeterministicAcrossEngineInstances) {
 
 TEST_F(FleetSweepFixture, CellVisitorSeesReplicationOrderedSamples) {
   ScenarioSweepPlan plan = enterprise_plan("plant_small");
-  MeasurementOptions mo = options(&serial, 12);
-  mo.keep_samples = false;
-  const MeasurementEngine engine(cat, stuxnet, mo);
+  const MeasurementEngine engine(cat, stuxnet, options(&serial, 12));
   std::vector<std::size_t> visited;
   std::vector<std::vector<double>> ratios(plan.cell_count());
   const auto summaries = engine.measure_scenarios(
@@ -114,7 +107,7 @@ TEST_F(FleetSweepFixture, CellVisitorSeesReplicationOrderedSamples) {
       });
   EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1}));
   for (std::size_t c = 0; c < plan.cell_count(); ++c) {
-    EXPECT_TRUE(summaries[c].samples.empty());  // keep_samples off
+    EXPECT_EQ(summaries[c].replications, 12u);
     ASSERT_EQ(ratios[c].size(), 12u);
     // Replication r of cell c is the (seed, r) stream: recompute one.
     const attack::CampaignSimulator sim(plan.cells[c].scenario, stuxnet, cat);

@@ -1,0 +1,109 @@
+// Golden result digests: the FNV-1a of the measurement-CSV bytes of a
+// small sweep corpus, pinned at 1 and 4 threads.
+//
+// Every other byte-diff in the suite compares divsec with itself (thread
+// counts, shard cuts, replay, obs on/off). These digests compare it with
+// a fixed past: any change to the draw order, the event model, the fold
+// sequence or the CSV rendering moves at least one of them, and must
+// update them on purpose in the change that makes it. Each entry mirrors
+// a `divsec_sweep run` invocation (noted next to it), so a failing digest
+// can be reproduced from the CLI and diffed by hand.
+//
+// The corpus covers the paper plant, all four variant policies, one spec
+// per topology family, and a tuned threat whose 3-task sweep has fewer
+// tasks than the 4-thread executor has threads (the sub-task parallel
+// path of the reducer).
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "dist/fnv.h"
+#include "dist/sweep.h"
+#include "scenario/family_spec.h"
+#include "sim/executor.h"
+
+namespace divsec {
+namespace {
+
+using scenario::VariantPolicy;
+
+struct Golden {
+  const char* name;
+  dist::SweepSpec spec;
+  std::uint64_t digest;
+};
+
+dist::SweepSpec spec_of(std::string preset, std::size_t replications,
+                        std::size_t superblock) {
+  dist::SweepSpec s;
+  s.preset = std::move(preset);
+  s.replications = replications;
+  s.superblock = superblock;
+  return s;
+}
+
+/// --family SPEC canonicalizes through FamilySpec before it becomes the
+/// preset name; mirror that so the digest matches the CLI's CSV.
+dist::SweepSpec family(const char* text) {
+  return spec_of(scenario::FamilySpec::parse(text).canonical(), 300, 256);
+}
+
+std::vector<Golden> corpus() {
+  std::vector<Golden> g;
+  // run --preset scope_cooling --replications 2000 --superblock 512
+  g.push_back({"scope_cooling", spec_of("scope_cooling", 2000, 512),
+               0xc1dbd5d49fb8dbfcULL});
+  // run --preset enterprise64 --policies mono,zone,random,rotation
+  //     --replications 600 --superblock 256
+  {
+    dist::SweepSpec s = spec_of("enterprise64", 600, 256);
+    s.policies = {VariantPolicy::kMonoculture, VariantPolicy::kZoneStratified,
+                  VariantPolicy::kRandomPerNode,
+                  VariantPolicy::kBalancedRotation};
+    g.push_back({"enterprise64_4policies", s, 0x16205b34f7fec8ddULL});
+  }
+  // run --family F --replications 300 --superblock 256
+  g.push_back({"purdue_deep", family("purdue-deep:nodes=96,depth=3"),
+               0xf72ca9b5b5ec1c14ULL});
+  g.push_back({"mesh_flat", family("mesh-flat:nodes=96"), 0xdec581c902899fe7ULL});
+  g.push_back({"hub_spoke", family("hub-spoke:nodes=96"), 0xb4ce8852836f3971ULL});
+  g.push_back({"brownfield", family("brownfield:nodes=96"),
+               0x9fcd1c0f86d6befdULL});
+  // run --threat stuxnet:scan=2,dwell=0.5 --replications 1
+  {
+    dist::SweepSpec s;
+    s.threat = "stuxnet:scan=2,dwell=0.5";
+    s.replications = 1;
+    g.push_back({"tuned_threat_1rep", s, 0x1467ffffacb85699ULL});
+  }
+  return g;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+  return buf;
+}
+
+class GoldenDigests : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenDigests, MeasurementCsvMatchesPinnedDigest) {
+  const sim::Executor ex{GetParam()};
+  for (const Golden& g : corpus()) {
+    SCOPED_TRACE(g.name);
+    const std::string csv = dist::sweep_csv(dist::make_meta(g.spec),
+                                            dist::run_in_process(g.spec, &ex));
+    EXPECT_EQ(hex(dist::fnv1a(csv)), hex(g.digest));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GoldenDigests, ::testing::Values(1u, 4u),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace divsec

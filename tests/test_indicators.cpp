@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/indicators.h"
+#include "core/measurement.h"
 
 namespace divsec::core {
 namespace {
@@ -65,20 +66,24 @@ TEST_F(IndicatorsFixture, SanEngineMeasuresAllIndicators) {
   mo.engine = Engine::kStagedSan;
   mo.replications = 300;
   mo.seed = 7;
-  const IndicatorSummary s =
-      measure_indicators(desc, desc.baseline_configuration(), stuxnet, mo);
+  std::vector<IndicatorSample> samples;
+  const IndicatorSummary s = MeasurementEngine(desc, stuxnet, mo).measure_one(
+      desc.baseline_configuration(),
+      [&samples](std::size_t, std::span<const IndicatorSample> got) {
+        samples.assign(got.begin(), got.end());
+      });
   EXPECT_EQ(s.replications, 300u);
-  EXPECT_EQ(s.samples.size(), 300u);
+  EXPECT_EQ(samples.size(), 300u);
   EXPECT_EQ(s.tta.count(), 300u);
   EXPECT_GT(s.attack_success_probability(), 0.0);
   EXPECT_LE(s.attack_success_probability(), 1.0);
   // Censored counts match the per-sample flags.
   std::size_t censored = 0;
-  for (const auto& smp : s.samples)
+  for (const auto& smp : samples)
     if (smp.tta_censored) ++censored;
   EXPECT_EQ(censored, s.tta_censored);
   // Censored values sit exactly at the horizon.
-  for (const auto& smp : s.samples) {
+  for (const auto& smp : samples) {
     if (smp.tta_censored) {
       EXPECT_DOUBLE_EQ(smp.tta, s.horizon_hours);
     }

@@ -29,16 +29,36 @@ void expect_bit_identical(const IndicatorSummary& a, const IndicatorSummary& b) 
   EXPECT_EQ(a.tta_censored, b.tta_censored);
   EXPECT_EQ(a.ttsf_censored, b.ttsf_censored);
   EXPECT_EQ(a.successes, b.successes);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].tta, b.samples[i].tta) << "rep " << i;
-    EXPECT_EQ(a.samples[i].tta_censored, b.samples[i].tta_censored) << "rep " << i;
-    EXPECT_EQ(a.samples[i].ttsf, b.samples[i].ttsf) << "rep " << i;
-    EXPECT_EQ(a.samples[i].ttsf_censored, b.samples[i].ttsf_censored) << "rep " << i;
-    EXPECT_EQ(a.samples[i].attack_succeeded, b.samples[i].attack_succeeded)
-        << "rep " << i;
-    EXPECT_EQ(a.samples[i].final_ratio, b.samples[i].final_ratio) << "rep " << i;
+  EXPECT_EQ(a.tta_event.restricted_mean, b.tta_event.restricted_mean);
+  EXPECT_EQ(a.ttsf_event.q90, b.ttsf_event.q90);
+  EXPECT_EQ(a.ratio_curve, b.ratio_curve);
+}
+
+void expect_same_samples(const std::vector<IndicatorSample>& a,
+                         const std::vector<IndicatorSample>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].tta, b[i].tta) << "rep " << i;
+    EXPECT_EQ(a[i].tta_censored, b[i].tta_censored) << "rep " << i;
+    EXPECT_EQ(a[i].ttsf, b[i].ttsf) << "rep " << i;
+    EXPECT_EQ(a[i].ttsf_censored, b[i].ttsf_censored) << "rep " << i;
+    EXPECT_EQ(a[i].attack_succeeded, b[i].attack_succeeded) << "rep " << i;
+    EXPECT_EQ(a[i].final_ratio, b[i].final_ratio) << "rep " << i;
+    EXPECT_EQ(a[i].ratio_counts, b[i].ratio_counts) << "rep " << i;
   }
+}
+
+/// One configuration's summary, with its samples captured through the
+/// engine's cell visitor.
+IndicatorSummary measure_with_samples(const SystemDescription& desc,
+                                      const attack::ThreatProfile& profile,
+                                      const MeasurementOptions& mo,
+                                      std::vector<IndicatorSample>& samples) {
+  return MeasurementEngine(desc, profile, mo)
+      .measure_one(desc.baseline_configuration(),
+                   [&samples](std::size_t, std::span<const IndicatorSample> s) {
+                     samples.assign(s.begin(), s.end());
+                   });
 }
 
 class MeasurementParallelFixture : public ::testing::Test {
@@ -110,6 +130,15 @@ TEST_F(MeasurementParallelFixture, MeasureIndicatorsMatchesEngineForBothEngines)
     const auto parallel_summary = measure_indicators(
         desc, desc.baseline_configuration(), profile, options(engine, 50, &threaded));
     expect_bit_identical(serial_summary, parallel_summary);
+
+    std::vector<IndicatorSample> a, b;
+    expect_bit_identical(
+        serial_summary,
+        measure_with_samples(desc, profile, options(engine, 50, &serial), a));
+    expect_bit_identical(
+        serial_summary,
+        measure_with_samples(desc, profile, options(engine, 50, &threaded), b));
+    expect_same_samples(a, b);
   }
 }
 
@@ -127,28 +156,23 @@ TEST_F(MeasurementParallelFixture, RatioCurveBitIdenticalAcrossThreads) {
   EXPECT_EQ(a, b);  // exact: the reduction folds in replication order
 }
 
-TEST_F(MeasurementParallelFixture, KeepSamplesOffDropsRawSamplesOnly) {
+TEST_F(MeasurementParallelFixture, VisitorSeesSamplesWithoutChangingSummaries) {
   const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
-  MeasurementOptions with = options(Engine::kStagedSan, 80, &serial);
-  MeasurementOptions without = with;
-  without.keep_samples = false;
+  const MeasurementOptions mo = options(Engine::kStagedSan, 80, &serial);
 
-  const auto a = measure_indicators(desc, desc.baseline_configuration(), profile, with);
-  const auto b =
-      measure_indicators(desc, desc.baseline_configuration(), profile, without);
-  EXPECT_EQ(a.samples.size(), 80u);
-  EXPECT_TRUE(b.samples.empty());
-  EXPECT_EQ(a.tta.mean(), b.tta.mean());
-  EXPECT_EQ(a.ttsf.variance(), b.ttsf.variance());
-  EXPECT_EQ(a.successes, b.successes);
+  std::vector<IndicatorSample> samples;
+  const auto visited = measure_with_samples(desc, profile, mo, samples);
+  EXPECT_EQ(samples.size(), 80u);
+  expect_bit_identical(
+      measure_indicators(desc, desc.baseline_configuration(), profile, mo),
+      visited);
 
-  // A MeasurementTable still gets its per-replicate response cells.
+  // A MeasurementTable gets its per-replicate response cells the same way.
   PipelineOptions po;
-  po.measurement = without;
+  po.measurement = mo;
   const Pipeline p(desc, profile, po);
   const auto table = p.measure_full_factorial({"plc.firmware", "firewall"}, 2);
   for (std::size_t c = 0; c < table.configuration_count(); ++c) {
-    EXPECT_TRUE(table.summaries[c].samples.empty());
     EXPECT_EQ(table.tta_cells[c].size(), 80u);
     EXPECT_EQ(table.success_cells[c].size(), 80u);
   }

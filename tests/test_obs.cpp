@@ -306,7 +306,38 @@ TEST(ObsTrace, NoSessionRecordsNothing) {
 #endif
 }
 
-// --- 4. The out-of-band invariant --------------------------------------
+// --- 4. Reducer fold telemetry -----------------------------------------
+
+TEST(ObsReducer, FoldCountersAreScheduleIndependent) {
+  // 3 cells x 48 reps, superblock 16, block 8: 9 superblock tasks of 2
+  // blocks each. Every run records all three fold metrics, whichever
+  // thread count claims the (task, block) items.
+  dist::SweepSpec spec;
+  spec.preset = "plant_small";
+  spec.seed = 4242;
+  spec.replications = 48;
+  spec.replication_block = 8;
+  spec.superblock = 16;
+  constexpr std::uint64_t kTasks = 9;
+  constexpr std::uint64_t kBlocksPerTask = 2;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::Executor ex(threads);
+    obs::reset();
+    (void)dist::run_in_process(spec, &ex);
+#if DIVSEC_OBS
+    const obs::Snapshot snap = obs::snapshot();
+    EXPECT_EQ(snap.counter("sim.streaming.blocks"), kTasks * kBlocksPerTask)
+        << "threads=" << threads;
+    EXPECT_EQ(snap.counter("sim.streaming.groups"), kTasks)
+        << "threads=" << threads;
+    const obs::HistogramValue* fold = snap.histogram("sim.streaming.group_fold_ns");
+    ASSERT_NE(fold, nullptr);
+    EXPECT_EQ(fold->count, kTasks) << "threads=" << threads;
+#endif
+  }
+}
+
+// --- 5. The out-of-band invariant --------------------------------------
 
 TEST(ObsInvariant, SweepCsvBytesIdenticalWithRecordingOnOrOff) {
   dist::SweepSpec spec;

@@ -85,7 +85,7 @@ TEST(Simulator, StopHaltsTheLoop) {
   EXPECT_TRUE(sim.stopped());
 }
 
-TEST(Simulator, SchedulingInThePastThrows) {
+TEST(Simulator, ScheduleInThePastThrows) {
   Simulator sim;
   sim.schedule(5.0, [] {});
   sim.run();

@@ -1,8 +1,8 @@
 // Tests for the streaming, block-sharded measurement backend
-// (core/measurement.cpp on sim::blocked_reduce_groups): summaries must be
-// bit-identical across DIVSEC_THREADS ∈ {1, 4, 8}, bit-identical between
-// the streaming and retain-everything paths, and well-defined on the
-// edge cases (one replication, fully censored cells, empty ranges).
+// (core/measurement.cpp on sim::reduce_groups): summaries must be
+// bit-identical across DIVSEC_THREADS ∈ {1, 4, 8}, unchanged when a cell
+// visitor makes the engine retain samples, and well-defined on the edge
+// cases (one replication, fully censored cells, empty ranges).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -43,14 +43,12 @@ void expect_summary_bit_identical(const IndicatorSummary& a,
 class StreamingMeasurementFixture : public ::testing::Test {
  protected:
   [[nodiscard]] MeasurementOptions options(const sim::Executor* ex,
-                                           std::size_t reps,
-                                           bool keep_samples) const {
+                                           std::size_t reps) const {
     MeasurementOptions mo;
     mo.engine = Engine::kCampaign;
     mo.replications = reps;
     mo.seed = 2013;
     mo.executor = ex;
-    mo.keep_samples = keep_samples;
     // A small block so even modest replication counts exercise multi-
     // block folds and ascending-order merges.
     mo.replication_block = 8;
@@ -83,7 +81,7 @@ TEST_F(StreamingMeasurementFixture, BitIdenticalAcrossThreadCounts) {
   const ScenarioSweepPlan plan = plant_medium_plan();
   std::vector<std::vector<IndicatorSummary>> results;
   for (const sim::Executor* ex : {&one, &four, &eight}) {
-    const MeasurementEngine engine(cat, stuxnet, options(ex, 30, false));
+    const MeasurementEngine engine(cat, stuxnet, options(ex, 30));
     results.push_back(engine.measure_scenarios(plan));
   }
   for (std::size_t v = 1; v < results.size(); ++v) {
@@ -93,22 +91,24 @@ TEST_F(StreamingMeasurementFixture, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(StreamingMeasurementFixture, StreamingMatchesRetainedPathExactly) {
+TEST_F(StreamingMeasurementFixture, StreamingMatchesVisitedPathExactly) {
   const ScenarioSweepPlan plan = plant_medium_plan();
-  const MeasurementEngine streaming(cat, stuxnet, options(&four, 30, false));
-  const MeasurementEngine retained(cat, stuxnet, options(&four, 30, true));
-  const auto a = streaming.measure_scenarios(plan);
-  const auto b = retained.measure_scenarios(plan);
+  const MeasurementEngine engine(cat, stuxnet, options(&four, 30));
+  std::vector<std::vector<IndicatorSample>> samples(plan.cell_count());
+  const auto a = engine.measure_scenarios(plan);
+  const auto b = engine.measure_scenarios(
+      plan, [&samples](std::size_t c, std::span<const IndicatorSample> s) {
+        samples[c].assign(s.begin(), s.end());
+      });
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t c = 0; c < a.size(); ++c) {
     expect_summary_bit_identical(a[c], b[c]);
-    EXPECT_TRUE(a[c].samples.empty());
-    EXPECT_EQ(b[c].samples.size(), 30u);
-    // Recompute the moments from the retained samples: the streaming
+    EXPECT_EQ(samples[c].size(), 30u);
+    // Recompute the moments from the visited samples: the streaming
     // counts and Welford moments must agree with the raw data.
     stats::OnlineStats tta;
     std::size_t censored = 0;
-    for (const auto& s : b[c].samples) {
+    for (const auto& s : samples[c]) {
       tta.add(s.tta);
       if (s.tta_censored) ++censored;
     }
@@ -120,7 +120,7 @@ TEST_F(StreamingMeasurementFixture, StreamingMatchesRetainedPathExactly) {
 
 TEST_F(StreamingMeasurementFixture, SingleReplicationCell) {
   const ScenarioSweepPlan plan = plant_medium_plan();
-  const MeasurementEngine engine(cat, stuxnet, options(&four, 1, false));
+  const MeasurementEngine engine(cat, stuxnet, options(&four, 1));
   const auto out = engine.measure_scenarios(plan);
   ASSERT_EQ(out.size(), plan.cell_count());
   for (const auto& s : out) {
@@ -139,7 +139,6 @@ TEST(StreamingMeasurementEdge, AllCensoredCellReportsUnbiasedFields) {
   mo.engine = Engine::kStagedSan;
   mo.replications = 40;
   mo.seed = 5;
-  mo.keep_samples = false;
   mo.campaign.t_max_hours = 1e-6;
   const sim::Executor serial{1};
   mo.executor = &serial;
@@ -162,17 +161,17 @@ TEST(StreamingMeasurementEdge, EmptyRangesAreWellDefined) {
   std::size_t calls = 0;
   four.parallel_for(0, 0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
-  // blocked_reduce_groups with zero items returns the empty accumulators;
+  // reduce_groups with zero items returns the empty accumulators;
   // with zero groups it returns an empty vector.
   const auto make = [](std::size_t) { return IndicatorAccumulator(1.0, 4); };
   const auto fold = [](IndicatorAccumulator&, std::size_t, std::size_t) {
     FAIL() << "fold must not run on an empty range";
   };
-  const auto none = sim::blocked_reduce_groups<IndicatorAccumulator>(
+  const auto none = sim::reduce_groups<IndicatorAccumulator>(
       four, 3, 0, 8, make, fold);
   ASSERT_EQ(none.size(), 3u);
   for (const auto& acc : none) EXPECT_EQ(acc.count(), 0u);
-  const auto empty = sim::blocked_reduce_groups<IndicatorAccumulator>(
+  const auto empty = sim::reduce_groups<IndicatorAccumulator>(
       four, 0, 100, 8, make, fold);
   EXPECT_TRUE(empty.empty());
   // An empty measurement plan measures to an empty summary list.

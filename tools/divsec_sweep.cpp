@@ -73,6 +73,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "sim/executor.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/version.h"
 
@@ -289,14 +290,11 @@ bool file_exists(const std::string& path) {
 }
 
 std::string read_text_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) die("cannot open: " + path);
-  std::string bytes;
-  char buf[1 << 12];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
-  return bytes;
+  try {
+    return util::read_file(path);
+  } catch (const std::exception& e) {
+    die(e.what());
+  }
 }
 
 /// Canonicalize --preset/--threat up front so a typo dies with the
@@ -796,15 +794,7 @@ int cmd_inspect(int argc, char** argv) {
     return 0;
   }
 
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) die("cannot open: " + path);
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    std::fclose(f);
-  }
+  const std::string bytes = read_text_file(path);
   const dist::ShardState state = dist::decode_shard_state(bytes);
   std::printf("%s\n", dist::meta_json(state.meta).c_str());
 
