@@ -501,30 +501,22 @@ bool adaptive_sweep_phase() {
   spec.replications = 24576;  // the per-cell budget cap
   spec.replication_block = 256;
   spec.superblock = 512;  // 48 superblocks per cell
-  constexpr std::size_t kShards = 4;
 
-  dist::AdaptiveSweepOptions options;
-  options.shards = kShards;
+  core::AdaptiveOptions options;
   options.relative_precision = 0.01;
   options.absolute_precision = 0.002;
 
   bench::section("E5 adaptive: variance-driven replication allocation (" +
                  spec.preset + ")");
-  std::printf("cells=%zu budget=%zu/cell superblock=%zu shards=%zu "
+  std::printf("cells=%zu budget=%zu/cell superblock=%zu "
               "precision=1%% abs-floor=0.002\n",
-              spec.policies.size(), spec.replications, spec.superblock,
-              kShards);
+              spec.policies.size(), spec.replications, spec.superblock);
 
   const dist::AdaptiveResult result = dist::run_adaptive(spec, options);
 
-  // Per-cell verdict against the same resolved rule the controller used.
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = options.relative_precision;
-  adaptive.absolute_precision = options.absolute_precision;
-  adaptive.confidence_level = options.confidence_level;
+  // Per-cell verdict against the same resolved rule the loop used.
   const core::AdaptiveSchedule sched = core::resolve_adaptive_schedule(
-      adaptive, spec.replications, spec.superblock);
+      options, spec.replications, spec.superblock);
   bool precision_ok = true;
   bench::row({"cell", "achieved", "rounds", "verdict"}, 14);
   for (std::size_t c = 0; c < result.meta.cells; ++c) {
@@ -544,26 +536,20 @@ bool adaptive_sweep_phase() {
                 static_cast<double>(result.total_replications)
           : 0.0;
 
-  // Replay the recorded achieved counts across a DIFFERENT shard cut (2
-  // instead of 4) and demand the byte-identical CSV — the reproducibility
-  // contract is the counts, never the round schedule or the deal.
-  const dist::ShardState adaptive_st = dist::adaptive_state(result);
-  const dist::SweepSpec replay_spec = dist::spec_from_meta(adaptive_st.meta);
-  const std::vector<std::uint64_t> tasks =
-      dist::achieved_tasks(adaptive_st.meta);
-  const std::size_t half = tasks.size() / 2;
+  // Replay the recorded achieved counts across a 2-shard cut the run
+  // never used and demand the byte-identical CSV — the reproducibility
+  // contract is the counts, never the round schedule.
+  const dist::SweepSpec replay_spec = dist::spec_from_meta(result.meta);
   std::vector<dist::ShardState> replay_states;
-  replay_states.push_back(dist::run_shard_tasks(
-      replay_spec, {tasks.begin(), tasks.begin() + half}, 0, 2));
-  replay_states.push_back(dist::run_shard_tasks(
-      replay_spec, {tasks.begin() + half, tasks.end()}, 1, 2));
+  for (std::size_t i = 0; i < 2; ++i)
+    replay_states.push_back(dist::run_shard(replay_spec, i, 2));
   const dist::MergeResult replayed = dist::merge_shards(replay_states);
   const bool identical =
       dist::sweep_csv(result.meta, result.summaries) ==
       dist::sweep_csv(replayed.meta, replayed.summaries);
 
   double merge_total_ms = 0.0, replay_worst_wall = 0.0;
-  for (const dist::RoundLog& r : result.rounds) merge_total_ms += r.merge_ms;
+  for (const core::RoundLog& r : result.rounds) merge_total_ms += r.merge_ms;
   for (const auto& s : replay_states)
     replay_worst_wall = std::max(replay_worst_wall, s.meta.wall_ms);
 

@@ -101,16 +101,15 @@ struct IndicatorSummary {
 };
 
 /// Variance-driven adaptive replication allocation (the sweep-level
-/// Law & Kelton procedure; see MeasurementEngine::measure_scenarios_adaptive
-/// and dist::run_adaptive). The sweep runs in superblock rounds: after
-/// each round every active cell's streaming accumulator is tested against
-/// the CI half-width rule (sim/stopping.h) and converged cells retire
-/// from the task queue. Decisions land on superblock boundaries — the
-/// superblock stays the distributable, replayable unit — so the recorded
-/// per-cell achieved counts are always whole numbers of superblocks (or
-/// the cell's final short superblock).
+/// Law & Kelton procedure; see MeasurementEngine::measure_scenarios_adaptive,
+/// which dist::run_adaptive packages for the CLI). The sweep runs in
+/// superblock rounds: after each round every active cell's streaming
+/// accumulator is tested against the CI half-width rule (sim/stopping.h)
+/// and converged cells retire from the task queue. Decisions land on
+/// superblock boundaries — the superblock stays the distributable,
+/// replayable unit — so the recorded per-cell achieved counts are always
+/// whole numbers of superblocks (or the cell's final short superblock).
 struct AdaptiveOptions {
-  bool enabled = false;
   /// Per-indicator CI half-width targets at confidence_level, applied to
   /// the censored-at-horizon TTA/TTSF moments and the final compromised
   /// ratio; a cell retires when all three indicators meet either
@@ -132,11 +131,9 @@ struct AdaptiveOptions {
 };
 
 /// The whole-superblock schedule an AdaptiveOptions resolves to against a
-/// concrete budget and superblock size. Shared by the in-process driver
-/// (MeasurementEngine::measure_scenarios_adaptive) and the cross-process
-/// coordinator (dist::run_adaptive) so both make identical retirement
-/// decisions — the recorded per-cell counts, and therefore the replay,
-/// cannot depend on which driver ran.
+/// concrete budget and superblock size: what the adaptive loop
+/// (MeasurementEngine::measure_scenarios_adaptive) retires cells by, and
+/// what a caller judging its verdicts must resolve to agree with it.
 struct AdaptiveSchedule {
   sim::StoppingRule rule;          // min/max resolved against the budget
   std::size_t first_superblocks = 1;  // superblocks per cell in round 1
@@ -168,6 +165,20 @@ struct AdaptiveSchedule {
       std::max<std::size_t>(1, (round_reps + superblock - 1) / superblock);
   return s;
 }
+
+/// One round of an adaptive sweep: wall-clock bookkeeping the round loop
+/// records and a merged adaptive state carries (dist::ShardState::rounds)
+/// so `divsec_sweep inspect` can show where the budget went. Provenance
+/// only — never part of the identity; the reproducibility contract is the
+/// per-cell achieved counts.
+struct RoundLog {
+  std::uint64_t round = 0;         // 1-based
+  std::uint64_t active_cells = 0;  // cells still unconverged this round
+  std::uint64_t tasks = 0;         // superblock tasks run this round
+  std::uint64_t replications = 0;  // replications folded this round
+  double wall_ms = 0.0;            // the round's wall time
+  double merge_ms = 0.0;           // the round's fold time
+};
 
 struct MeasurementOptions {
   Engine engine = Engine::kCampaign;
@@ -204,10 +215,6 @@ struct MeasurementOptions {
   /// way, and a caller already running inside an executor job reuses its
   /// thread inline (no nested parallelism or deadlock).
   const sim::Executor* executor = nullptr;
-  /// Adaptive replication allocation (campaign scenario sweeps only).
-  /// When enabled, measure_scenarios() delegates to the adaptive driver;
-  /// options.replications becomes the per-cell budget cap.
-  AdaptiveOptions adaptive{};
 };
 
 /// Step-1 bridge: derive the staged attack model (per-stage success

@@ -1,6 +1,8 @@
 #include "core/measurement.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -42,6 +44,26 @@ obs::Counter& reach_builds_counter() {
 obs::Counter& reach_dedup_counter() {
   static obs::Counter& c = obs::counter("core.context.reach_dedup_hits");
   return c;
+}
+
+/// Adaptive round-loop telemetry: one add per round, nothing per
+/// replication.
+struct AdaptCounters {
+  obs::Counter& rounds = obs::counter("adapt.rounds");
+  obs::Counter& cells_retired = obs::counter("adapt.cells_retired");
+  obs::Counter& round_tasks = obs::counter("adapt.round_tasks");
+  obs::Counter& round_replications = obs::counter("adapt.round_replications");
+  obs::Counter& merge_ns = obs::counter("adapt.merge_ns");
+
+  static const AdaptCounters& instance() {
+    static const AdaptCounters counters;
+    return counters;
+  }
+};
+
+double ms_between(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
 /// Read-only per-cell state shared by that cell's replication jobs.
@@ -447,13 +469,6 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
   if (options_.engine != Engine::kCampaign)
     throw std::invalid_argument(
         "measure_scenarios: requires the campaign engine");
-  if (options_.adaptive.enabled) {
-    if (visit)
-      throw std::invalid_argument(
-          "measure_scenarios: adaptive mode is streaming-only (no cell "
-          "visitor)");
-    return measure_scenarios_adaptive(plan);
-  }
   const std::size_t cells = plan.cell_count();
   ContextFactory factory(*catalog_, *profile_, options_,
                          std::span<const ScenarioCell>(plan.cells));
@@ -463,11 +478,11 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
-    const ScenarioSweepPlan& plan, AdaptiveReport* report) const {
+    const ScenarioSweepPlan& plan, const AdaptiveOptions& adaptive,
+    AdaptiveReport* report) const {
   if (options_.engine != Engine::kCampaign)
     throw std::invalid_argument(
         "measure_scenarios_adaptive: requires the campaign engine");
-  const AdaptiveOptions& adaptive = options_.adaptive;
   if (!(adaptive.relative_precision > 0.0) &&
       !(adaptive.absolute_precision > 0.0))
     throw std::invalid_argument(
@@ -492,18 +507,24 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
   // order. Replaying the recorded per-cell prefix through
   // measure_scenario_tasks + reduce_task_partials therefore performs the
   // identical operation sequence — bit-identical summaries.
-  std::vector<IndicatorAccumulator> acc(cells);
-  std::vector<bool> has(cells, false);
+  AdaptiveReport local;
+  AdaptiveReport& r = report ? *report : local;
+  r = AdaptiveReport{};
+  r.accumulators.resize(cells);
+  r.achieved.assign(cells, 0);
+  r.cell_rounds.assign(cells, 0);
+  r.cell_seconds.assign(cells, 0.0);
   std::vector<std::size_t> folded_sb(cells, 0);  // superblocks folded so far
-  std::vector<std::uint64_t> achieved(cells, 0);
-  std::vector<std::uint64_t> done_round(cells, 0);
   std::vector<std::size_t> active(cells);
   for (std::size_t c = 0; c < cells; ++c) active[c] = c;
 
-  std::size_t round = 0;
+  std::uint64_t round = 0;
   std::vector<std::uint64_t> tasks;
+  std::vector<double> task_seconds;
   std::vector<std::size_t> still;
   while (!active.empty()) {
+    const auto round_start = std::chrono::steady_clock::now();
+    const obs::Span round_span("adapt.round");
     ++round;
     const std::size_t take =
         round == 1 ? sched.first_superblocks : sched.round_superblocks;
@@ -514,58 +535,69 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
         tasks.push_back(static_cast<std::uint64_t>(c * per_group + s));
     }
     std::vector<IndicatorAccumulator> partials = run_tasks(
-        factory, seeds, shard, tasks, /*samples=*/nullptr,
-        /*task_seconds=*/nullptr);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const std::size_t c = static_cast<std::size_t>(tasks[i]) / per_group;
-      if (!has[c]) {
-        acc[c] = std::move(partials[i]);
-        has[c] = true;
-      } else {
-        acc[c].merge(partials[i]);
+        factory, seeds, shard, tasks, /*samples=*/nullptr, &task_seconds);
+
+    const auto fold_start = std::chrono::steady_clock::now();
+    std::uint64_t round_reps = 0;
+    {
+      const obs::Span merge_span("adapt.merge");
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const std::size_t c = static_cast<std::size_t>(tasks[i]) / per_group;
+        round_reps += partials[i].count();
+        if (tasks[i] % per_group == 0)  // the cell's first superblock
+          r.accumulators[c] = std::move(partials[i]);
+        else
+          r.accumulators[c].merge(partials[i]);
+        r.cell_seconds[c] += task_seconds[i];
       }
     }
+    const auto fold_end = std::chrono::steady_clock::now();
+
     still.clear();
     for (const std::size_t c : active) {
       folded_sb[c] = std::min(per_group, folded_sb[c] + take);
-      achieved[c] = acc[c].count();
+      r.achieved[c] = r.accumulators[c].count();
       const bool capped = folded_sb[c] >= per_group ||
-                          achieved[c] >= sched.rule.max_replications;
-      const bool converged = achieved[c] >= sched.rule.min_replications &&
-                             acc[c].precision_reached(sched.rule);
+                          r.achieved[c] >= sched.rule.max_replications;
+      const bool converged = r.achieved[c] >= sched.rule.min_replications &&
+                             r.accumulators[c].precision_reached(sched.rule);
       if (capped || converged)
-        done_round[c] = round;
+        r.cell_rounds[c] = round;
       else
         still.push_back(c);
     }
+
+    const double merge_ms = ms_between(fold_start, fold_end);
+    const double wall_ms =
+        ms_between(round_start, std::chrono::steady_clock::now());
+    r.rounds.push_back(RoundLog{round, active.size(), tasks.size(), round_reps,
+                                wall_ms, merge_ms});
+    const std::size_t retired = active.size() - still.size();
+    const AdaptCounters& counters = AdaptCounters::instance();
+    counters.rounds.add(1);
+    counters.cells_retired.add(retired);
+    counters.round_tasks.add(tasks.size());
+    counters.round_replications.add(round_reps);
+    counters.merge_ns.add(
+        static_cast<std::uint64_t>(std::llround(merge_ms * 1e6)));
+    // One summary line per round is the operator's convergence view
+    // (stderr only — never a byte of CSV/state output).
+    obs::progress_line("adapt round %" PRIu64
+                       ": retired %zu, active %zu, round %.2fs, fold %.1f ms",
+                       round, retired, still.size(), wall_ms / 1000.0,
+                       merge_ms);
     active.swap(still);
   }
 
   std::vector<IndicatorSummary> out(cells);
-  std::uint64_t total = 0;
   for (std::size_t c = 0; c < cells; ++c) {
-    out[c] = acc[c].summarize();
-    out[c].replications = static_cast<std::size_t>(achieved[c]);
+    out[c] = r.accumulators[c].summarize();
+    out[c].replications = static_cast<std::size_t>(r.achieved[c]);
     out[c].horizon_hours = horizon;
-    total += achieved[c];
+    r.total_replications += r.achieved[c];
   }
-  if (report) {
-    report->achieved = std::move(achieved);
-    report->rounds = std::move(done_round);
-    report->total_rounds = round;
-    report->total_replications = total;
-  }
+  r.total_rounds = static_cast<std::size_t>(round);
   return out;
-}
-
-std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_partials(
-    const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
-    std::size_t task_begin, std::size_t task_end) const {
-  if (task_begin > task_end || task_end > shard.task_count())
-    throw std::out_of_range("measure_scenario_partials: bad task range");
-  std::vector<std::uint64_t> tasks(task_end - task_begin);
-  for (std::size_t t = 0; t < tasks.size(); ++t) tasks[t] = task_begin + t;
-  return measure_scenario_tasks(plan, shard, tasks);
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(

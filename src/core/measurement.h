@@ -37,14 +37,14 @@
 // merged in ascending order into superblock partials
 // (sim::reduce_groups), and superblock partials merge in ascending order
 // into the cell result (sim::reduce_task_partials). The superblock
-// partial is the distributable unit: measure_scenario_partials computes
-// any task subrange — and measure_scenario_tasks any explicit task list,
-// e.g. one shard of a cost-weighted plan — so a sweep can run as K OS
-// processes (tools/divsec_sweep + dist::merge_shards) and reduce
-// bit-identically to the in-process run. In process, the (task, block)
-// items of a scheduling round feed one shared work queue, so skewed
-// per-cell costs cannot idle the pool and a round with fewer tasks than
-// threads still spreads over all of them. Memory is
+// partial is the distributable unit: measure_scenario_tasks computes any
+// explicit task list — a contiguous shard range, one shard of a
+// cost-weighted plan, or an adaptive run's recorded prefix — so a sweep
+// can run as K OS processes (tools/divsec_sweep + dist::merge_shards)
+// and reduce bit-identically to the in-process run. In process, the
+// (task, block) items of a scheduling round feed one shared work queue,
+// so skewed per-cell costs cannot idle the pool and a round with fewer
+// tasks than threads still spreads over all of them. Memory is
 // O(cells + threads × block); a CellVisitor additionally materializes
 // each cell's samples (folded through the same reduction, so the
 // summaries do not change).
@@ -97,10 +97,14 @@ struct ScenarioSweepPlan {
 /// What an adaptive sweep actually spent, per cell — the reproducibility
 /// record: replaying the achieved counts (dist layer: SweepMeta::achieved)
 /// reproduces the summaries bit-identically with any thread or shard
-/// count; the round schedule itself is wall-clock bookkeeping.
+/// count; the round log and the measured seconds are wall-clock
+/// bookkeeping.
 struct AdaptiveReport {
-  std::vector<std::uint64_t> achieved;  // replications folded, per cell
-  std::vector<std::uint64_t> rounds;    // termination round (1-based), per cell
+  std::vector<std::uint64_t> achieved;     // replications folded, per cell
+  std::vector<std::uint64_t> cell_rounds;  // termination round (1-based)
+  std::vector<IndicatorAccumulator> accumulators;  // folded result, per cell
+  std::vector<double> cell_seconds;  // measured fold seconds, per cell
+  std::vector<RoundLog> rounds;      // one per round
   std::size_t total_rounds = 0;
   std::uint64_t total_replications = 0;
 };
@@ -141,18 +145,20 @@ class MeasurementEngine {
   [[nodiscard]] std::vector<IndicatorSummary> measure_scenarios(
       const ScenarioSweepPlan& plan, const CellVisitor& visit = {}) const;
 
-  /// Variance-driven adaptive sweep (options.adaptive; measure_scenarios
-  /// delegates here when it is enabled): runs superblock rounds through
-  /// the same task reduction as the fixed-budget path, tests every active
-  /// cell's streaming accumulator against the CI half-width rule after
-  /// each round, and retires converged cells. Each cell's folded
-  /// superblocks are an ascending prefix of its fixed-budget task list,
-  /// so re-running exactly the recorded per-cell counts (report->achieved)
-  /// through measure_scenario_tasks + the exact reducer reproduces every
-  /// summary bit-identically for any thread or shard count. Streaming
-  /// only (no cell visitor); requires the campaign engine.
+  /// Variance-driven adaptive sweep — the one adaptive round loop. Runs
+  /// superblock rounds through the same task reduction as the
+  /// fixed-budget path, tests every active cell's streaming accumulator
+  /// against the CI half-width rule after each round, and retires
+  /// converged cells; options.replications is the per-cell budget cap.
+  /// Each cell's folded superblocks are an ascending prefix of its
+  /// fixed-budget task list, so re-running exactly the recorded per-cell
+  /// counts (report->achieved) through measure_scenario_tasks + the exact
+  /// reducer reproduces every summary bit-identically for any thread or
+  /// shard count. Streaming only; requires the campaign engine. Throws
+  /// std::invalid_argument when both precision criteria are disabled.
   [[nodiscard]] std::vector<IndicatorSummary> measure_scenarios_adaptive(
-      const ScenarioSweepPlan& plan, AdaptiveReport* report = nullptr) const;
+      const ScenarioSweepPlan& plan, const AdaptiveOptions& adaptive,
+      AdaptiveReport* report = nullptr) const;
 
   /// The shard plan this engine's options induce over a sweep of `cells`
   /// cells: (cell × replication) space cut into superblock tasks
@@ -161,28 +167,19 @@ class MeasurementEngine {
   [[nodiscard]] sim::ShardPlan shard_plan(std::size_t cells) const;
 
   /// The distributed unit of work: compute the superblock partial
-  /// accumulators of tasks [task_begin, task_end) of `plan` under
-  /// `shard` (which must be shard_plan(plan.cell_count())). Contexts are
-  /// built only for the cells the range touches, so a shard of a huge
-  /// sweep never materializes the whole fleet. Partials come back in
-  /// ascending task order; the exact reducer (sim::reduce_task_partials,
-  /// or dist::merge_shards across processes) folds them into per-cell
-  /// accumulators bit-identical to measure_scenarios() on the full plan.
-  /// Requires options.engine == Engine::kCampaign.
-  [[nodiscard]] std::vector<IndicatorAccumulator> measure_scenario_partials(
-      const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
-      std::size_t task_begin, std::size_t task_end) const;
-
-  /// Elastic-sharding variant: compute the partials of an explicit task
-  /// list (strictly ascending task indices, e.g. one shard's slice of a
-  /// cost-weighted LPT assignment — dist::cost_weighted_assignment).
-  /// Contexts are built only for the cells the list touches. Partials
-  /// come back in list order; since any exact-coverage mix of task lists
-  /// merges through the same ascending (cell, superblock) fold, the
-  /// reduced results are bit-identical to measure_scenarios() no matter
-  /// how the tasks were divided. task_seconds, when non-null, receives
-  /// each task's measured fold time (the cost-model feed): the sum of its
-  /// block times, whichever threads folded them.
+  /// accumulators of an explicit task list of `plan` under `shard` (which
+  /// must be shard_plan(plan.cell_count())) — strictly ascending task
+  /// indices, e.g. a contiguous shard range or one shard's slice of a
+  /// cost-weighted LPT assignment (dist::cost_weighted_assignment).
+  /// Contexts are built only for the cells the list touches, so a shard
+  /// of a huge sweep never materializes the whole fleet. Partials come
+  /// back in list order; since any exact-coverage mix of task lists
+  /// merges through the same ascending (cell, superblock) fold
+  /// (sim::reduce_task_partials, or dist::merge_shards across processes),
+  /// the reduced results are bit-identical to measure_scenarios() no
+  /// matter how the tasks were divided. task_seconds, when non-null,
+  /// receives each task's measured fold time (the cost-model feed): the
+  /// sum of its block times, whichever threads folded them.
   /// Requires options.engine == Engine::kCampaign.
   [[nodiscard]] std::vector<IndicatorAccumulator> measure_scenario_tasks(
       const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,

@@ -1,220 +1,52 @@
 #include "dist/adaptive.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "sim/executor.h"
 
 namespace divsec::dist {
 
-namespace {
-
-template <typename F>
-double timed_ms(const F& f) {
-  const auto t0 = std::chrono::steady_clock::now();
-  f();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-/// Coordinator telemetry: one add per round, nothing per replication.
-struct AdaptCounters {
-  obs::Counter& rounds = obs::counter("adapt.rounds");
-  obs::Counter& cells_retired = obs::counter("adapt.cells_retired");
-  obs::Counter& round_tasks = obs::counter("adapt.round_tasks");
-  obs::Counter& round_replications = obs::counter("adapt.round_replications");
-  obs::Counter& merge_ns = obs::counter("adapt.merge_ns");
-  obs::Histogram& deal_tasks = obs::histogram("adapt.deal_tasks");
-
-  static const AdaptCounters& instance() {
-    static const AdaptCounters counters;
-    return counters;
-  }
-};
-
-}  // namespace
-
 AdaptiveResult run_adaptive(const SweepSpec& spec,
-                            const AdaptiveSweepOptions& options,
+                            const core::AdaptiveOptions& options,
                             const sim::Executor* executor) {
-  if (options.shards == 0)
-    throw std::invalid_argument("run_adaptive: need >= 1 shard");
   if (!spec.achieved.empty())
     throw std::invalid_argument(
         "run_adaptive: spec already carries achieved counts (that is a "
         "replay input, not an adaptive-run input)");
-  if (!(options.relative_precision > 0.0) &&
-      !(options.absolute_precision > 0.0))
-    throw std::invalid_argument(
-        "run_adaptive: need relative_precision or absolute_precision > 0 "
-        "(otherwise no cell can ever converge)");
 
   AdaptiveResult result;
   result.meta = make_meta(spec);
   SweepMeta& meta = result.meta;
-  const sim::ShardPlan plan = sweep_shard_plan(meta);
-  const std::size_t per_group = plan.superblocks_per_group();
-  const std::size_t cells = meta.cells;
+  core::AdaptiveReport report;
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    const divers::VariantCatalog catalog =
+        divers::VariantCatalog::standard(spec.seed);
+    const attack::ThreatProfile profile = threat_profile(spec.threat);
+    const core::MeasurementEngine engine(catalog, profile,
+                                         sweep_options(spec, executor));
+    result.summaries = engine.measure_scenarios_adaptive(
+        expand_plan(spec, catalog), options, &report);
+  }
+  meta.wall_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
 
-  // One schedule resolution shared with the in-process driver
-  // (core::resolve_adaptive_schedule), so both retire cells identically.
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = options.relative_precision;
-  adaptive.absolute_precision = options.absolute_precision;
-  adaptive.confidence_level = options.confidence_level;
-  adaptive.min_replications = options.min_replications;
-  adaptive.max_replications = options.max_replications;
-  adaptive.round_replications = options.round_replications;
-  const core::AdaptiveSchedule sched = core::resolve_adaptive_schedule(
-      adaptive, static_cast<std::size_t>(meta.replications),
-      static_cast<std::size_t>(meta.superblock));
-
-  std::vector<core::IndicatorAccumulator> acc(cells);
-  std::vector<bool> has(cells, false);
-  std::vector<std::size_t> folded_sb(cells, 0);
-  std::vector<std::uint64_t> achieved(cells, 0);
-  result.cell_rounds.assign(cells, 0);
-  std::vector<std::size_t> active(cells);
-  for (std::size_t c = 0; c < cells; ++c) active[c] = c;
-
-  std::uint64_t round = 0;
-  std::vector<std::uint64_t> tasks;
-  std::vector<std::size_t> still;
-  const AdaptCounters& counters = AdaptCounters::instance();
-  meta.wall_ms = timed_ms([&] {
-    while (!active.empty()) {
-      const obs::Span round_span("adapt.round");
-      ++round;
-      const std::size_t take =
-          round == 1 ? sched.first_superblocks : sched.round_superblocks;
-      tasks.clear();
-      std::uint64_t round_reps = 0;
-      for (const std::size_t c : active) {
-        const std::size_t end = std::min(per_group, folded_sb[c] + take);
-        for (std::size_t s = folded_sb[c]; s < end; ++s) {
-          const std::uint64_t t = static_cast<std::uint64_t>(c * per_group + s);
-          tasks.push_back(t);
-          const sim::ShardPlan::Task span = plan.task(t);
-          round_reps += span.end - span.begin;
-        }
-      }
-
-      // Deal the round's tasks by LPT over the cost measured so far
-      // (round 1 has no measurements yet — sec_per_rep falls back to
-      // uniform, so the deal degenerates to a balanced one).
-      const std::vector<std::vector<std::uint64_t>> deal =
-          cost_weighted_assignment(plan, result.cost, options.shards, tasks);
-
-      // Run every shard of the round, then push each one's state through
-      // the codec — the coordinator consumes exactly the bytes an OS
-      // process would have flushed, so the in-process loop and a real
-      // fleet share one transport and one validation path.
-      double shard_wall = 0.0;
-      std::vector<std::string> flushed;
-      flushed.reserve(deal.size());
-      for (std::size_t i = 0; i < deal.size(); ++i) {
-        if (deal[i].empty()) continue;
-        const obs::Span shard_span("adapt.shard");
-        counters.deal_tasks.observe(deal[i].size());
-        const ShardState state = run_shard_tasks(
-            spec, deal[i], i, options.shards, executor);
-        shard_wall = std::max(shard_wall, state.meta.wall_ms);
-        flushed.push_back(encode_shard_state(state));
-      }
-
-      // Fold the round's partials in ascending (cell, superblock) order —
-      // the first partial of a cell becomes its accumulator, later ones
-      // merge into it: the identical left-fold merge_shards performs on a
-      // replay, hence bit-identical summaries.
-      const double merge_ms = timed_ms([&] {
-        const obs::Span merge_span("adapt.merge");
-        std::vector<std::pair<std::uint64_t, core::IndicatorAccumulator>>
-            parts;
-        parts.reserve(tasks.size());
-        for (const std::string& bytes : flushed) {
-          ShardState state = decode_shard_state(bytes);
-          if (sweep_fingerprint(state.meta) != sweep_fingerprint(meta))
-            throw std::logic_error(
-                "run_adaptive: shard state fingerprint drifted");
-          for (std::size_t i = 0; i < state.tasks.size(); ++i)
-            parts.emplace_back(state.tasks[i],
-                               core::IndicatorAccumulator::from_state(
-                                   state.partials[i]));
-          result.cost.merge(state.cost);
-        }
-        std::sort(parts.begin(), parts.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (auto& [t, partial] : parts) {
-          const std::size_t c = static_cast<std::size_t>(t) / per_group;
-          if (!has[c]) {
-            acc[c] = std::move(partial);
-            has[c] = true;
-          } else {
-            acc[c].merge(partial);
-          }
-        }
-      });
-
-      still.clear();
-      for (const std::size_t c : active) {
-        folded_sb[c] = std::min(per_group, folded_sb[c] + take);
-        achieved[c] = acc[c].count();
-        const bool capped = folded_sb[c] >= per_group ||
-                            achieved[c] >= sched.rule.max_replications;
-        const bool converged = achieved[c] >= sched.rule.min_replications &&
-                               acc[c].precision_reached(sched.rule);
-        if (capped || converged)
-          result.cell_rounds[c] = round;
-        else
-          still.push_back(c);
-      }
-      result.rounds.push_back(
-          RoundLog{round, static_cast<std::uint64_t>(active.size()),
-                   static_cast<std::uint64_t>(tasks.size()), round_reps,
-                   shard_wall, merge_ms});
-
-      const std::size_t retired = active.size() - still.size();
-      counters.rounds.add(1);
-      counters.cells_retired.add(retired);
-      counters.round_tasks.add(tasks.size());
-      counters.round_replications.add(round_reps);
-      counters.merge_ns.add(
-          static_cast<std::uint64_t>(std::llround(merge_ms * 1e6)));
-      // The coordinator loop used to run to completion without a word;
-      // one summary line per round is the operator's convergence view
-      // (stderr only — never a byte of CSV/state output).
-      obs::progress_line("adapt round %" PRIu64
-                         ": retired %zu, active %zu, worst shard %.2fs, "
-                         "merge %.1f ms",
-                         round, retired, still.size(), shard_wall / 1000.0,
-                         merge_ms);
-      active.swap(still);
-    }
-  });
-
-  meta.achieved = achieved;
+  meta.achieved = report.achieved;
   meta.merged = true;
-  meta.shard = 0;
-  meta.shard_count = options.shards;
   if (executor)
     meta.threads = static_cast<std::uint32_t>(executor->thread_count());
 
-  result.summaries.resize(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    result.summaries[c] = acc[c].summarize();
-    result.summaries[c].replications = static_cast<std::size_t>(achieved[c]);
-    result.summaries[c].horizon_hours = meta.horizon_hours;
-    result.total_replications += achieved[c];
-  }
+  result.cost.cells.resize(meta.cells);
+  for (std::size_t c = 0; c < meta.cells; ++c)
+    result.cost.cells[c] = CellCost{report.achieved[c], report.cell_seconds[c]};
+  result.accumulators = std::move(report.accumulators);
+  result.rounds = std::move(report.rounds);
+  result.cell_rounds = std::move(report.cell_rounds);
+  result.total_replications = report.total_replications;
   result.budget_replications = meta.cells * meta.replications;
-  result.accumulators = std::move(acc);
   return result;
 }
 

@@ -1,17 +1,14 @@
-// adaptive.h — the cross-process adaptive sweep coordinator.
+// adaptive.h — the adaptive sweep as a merged, replayable sweep result.
 //
-// `divsec_sweep adapt` runs here: a multi-round loop that spends
-// replications only where variance demands them. Each round the
-// coordinator deals the still-active cells' next superblock tasks to K
-// shards by LPT over the cost model measured so far (round 1 is
-// uniform), each shard runs its list through the ordinary shard runner
-// and flushes its partial state through the PR-4 codec (the bytes
-// genuinely round-trip the serializer — the in-process shards of this
-// loop and real OS processes exercise the identical transport), and the
-// coordinator folds the round's partials into per-cell accumulators in
-// ascending (cell, superblock) order, applies the shared stopping rule
-// (sim/stopping.h via IndicatorAccumulator::precision_reached), and
-// retires converged cells.
+// `divsec_sweep adapt` runs here: run_adaptive expands the spec into the
+// engine's one adaptive round loop
+// (core::MeasurementEngine::measure_scenarios_adaptive), which spends
+// replications only where variance demands them — each round runs the
+// still-active cells' next superblocks, folds them in ascending (cell,
+// superblock) order, applies the shared stopping rule (sim/stopping.h
+// via IndicatorAccumulator::precision_reached), and retires converged
+// cells — then packages the loop's report as a merged result: the
+// per-cell achieved counts, summaries, measured cost and round log.
 //
 // Reproducibility contract: the recorded per-cell achieved counts
 // (SweepMeta::achieved) — not the round schedule — are the contract.
@@ -29,45 +26,31 @@
 
 namespace divsec::dist {
 
-/// Coordinator knobs. Precision fields mirror core::AdaptiveOptions
-/// (resolved through the same core::resolve_adaptive_schedule, so the
-/// in-process and cross-process drivers retire cells identically).
-struct AdaptiveSweepOptions {
-  std::size_t shards = 1;
-  double relative_precision = 0.05;
-  double absolute_precision = 0.0;
-  double confidence_level = 0.95;
-  std::size_t min_replications = 0;    // 0 = one superblock
-  std::size_t max_replications = 0;    // 0 = spec.replications (the cap)
-  std::size_t round_replications = 0;  // 0 = one superblock
-};
-
-/// What the coordinator produced: the merged result (meta.achieved
+/// What the adaptive loop produced: the merged result (meta.achieved
 /// records where every cell stopped) plus the round-by-round provenance.
 struct AdaptiveResult {
   SweepMeta meta;  // merged = true, achieved filled
   std::vector<core::IndicatorAccumulator> accumulators;  // one per cell
   std::vector<core::IndicatorSummary> summaries;         // one per cell
-  CostModel cost;               // merged measured cost of the whole run
-  std::vector<RoundLog> rounds;               // one per coordinator round
-  std::vector<std::uint64_t> cell_rounds;     // termination round per cell
-  std::uint64_t total_replications = 0;       // sum of achieved
-  std::uint64_t budget_replications = 0;      // cells × spec.replications
+  CostModel cost;                         // measured cost of the whole run
+  std::vector<core::RoundLog> rounds;     // one per round
+  std::vector<std::uint64_t> cell_rounds; // termination round per cell
+  std::uint64_t total_replications = 0;   // sum of achieved
+  std::uint64_t budget_replications = 0;  // cells × spec.replications
 };
 
-/// Run the adaptive coordinator loop. spec.achieved must be empty (the
-/// run records it); spec.replications is the per-cell budget cap. Throws
-/// std::invalid_argument for zero shards or when both precision criteria
-/// are disabled. The executor threads each in-process shard's engine
-/// (null = sim::Executor::shared()); results are bit-identical for any
-/// thread count and any shard count.
+/// Run the adaptive sweep. spec.achieved must be empty (the run records
+/// it); spec.replications is the per-cell budget cap. Throws
+/// std::invalid_argument when both precision criteria are disabled. The
+/// executor threads the engine (null = sim::Executor::shared()); results
+/// are bit-identical for any thread count.
 [[nodiscard]] AdaptiveResult run_adaptive(
-    const SweepSpec& spec, const AdaptiveSweepOptions& options,
+    const SweepSpec& spec, const core::AdaptiveOptions& options,
     const sim::Executor* executor = nullptr);
 
-/// The coordinator's result as a writable merged state (meta.achieved +
-/// round log + termination rounds carried) — what `inspect` reads and
-/// `run --replay` replays.
+/// The adaptive result as a writable merged state (meta.achieved + round
+/// log + termination rounds carried) — what `inspect` reads and `run
+/// --replay` replays.
 [[nodiscard]] ShardState adaptive_state(const AdaptiveResult& result);
 
 }  // namespace divsec::dist

@@ -59,37 +59,23 @@ std::uint64_t cost_fingerprint(const SweepMeta& meta) {
 
 std::vector<std::vector<std::uint64_t>> cost_weighted_assignment(
     const sim::ShardPlan& plan, const CostModel& cost, std::size_t shards) {
-  std::vector<std::uint64_t> all(plan.task_count());
-  std::iota(all.begin(), all.end(), std::uint64_t{0});
-  return cost_weighted_assignment(plan, cost, shards, all);
-}
-
-std::vector<std::vector<std::uint64_t>> cost_weighted_assignment(
-    const sim::ShardPlan& plan, const CostModel& cost, std::size_t shards,
-    const std::vector<std::uint64_t>& tasks) {
   if (shards == 0)
     throw std::invalid_argument("cost_weighted_assignment: need >= 1 shard");
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i] >= plan.task_count())
-      throw std::out_of_range("cost_weighted_assignment: task outside plan");
-    if (i > 0 && tasks[i] <= tasks[i - 1])
-      throw std::invalid_argument(
-          "cost_weighted_assignment: task list must be strictly ascending");
-  }
-  std::vector<double> estimate(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const sim::ShardPlan::Task task = plan.task(tasks[i]);
-    estimate[i] = cost.sec_per_rep(task.group) *
+  const std::size_t tasks = plan.task_count();
+  std::vector<double> estimate(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const sim::ShardPlan::Task task = plan.task(t);
+    estimate[t] = cost.sec_per_rep(task.group) *
                   static_cast<double>(task.end - task.begin);
   }
 
   // LPT: place tasks in descending estimated cost (ties by ascending id
   // for determinism) onto the least-loaded shard so far.
-  std::vector<std::size_t> order(tasks.size());
+  std::vector<std::size_t> order(tasks);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (estimate[a] != estimate[b]) return estimate[a] > estimate[b];
-    return tasks[a] < tasks[b];
+    return a < b;
   });
 
   using Load = std::pair<double, std::size_t>;  // (seconds, shard)
@@ -97,11 +83,11 @@ std::vector<std::vector<std::uint64_t>> cost_weighted_assignment(
   for (std::size_t s = 0; s < shards; ++s) heap.push({0.0, s});
 
   std::vector<std::vector<std::uint64_t>> out(shards);
-  for (const std::size_t i : order) {
+  for (const std::size_t t : order) {
     auto [load, shard] = heap.top();
     heap.pop();
-    out[shard].push_back(tasks[i]);
-    heap.push({load + estimate[i], shard});
+    out[shard].push_back(t);
+    heap.push({load + estimate[t], shard});
   }
   for (auto& list : out) std::sort(list.begin(), list.end());
   return out;

@@ -88,16 +88,6 @@ struct CostModel {
 cost_weighted_assignment(const sim::ShardPlan& plan, const CostModel& cost,
                          std::size_t shards);
 
-/// Subset variant — deal only `tasks` (strictly ascending ids within the
-/// plan) to `shards` shards by the same LPT rule; together the returned
-/// lists cover exactly `tasks`. This is the adaptive coordinator's
-/// per-round deal: each round re-balances the unconverged remainder over
-/// the cost model measured so far.
-[[nodiscard]] std::vector<std::vector<std::uint64_t>>
-cost_weighted_assignment(const sim::ShardPlan& plan, const CostModel& cost,
-                         std::size_t shards,
-                         const std::vector<std::uint64_t>& tasks);
-
 /// Estimated cost (seconds) of each shard's list under the model — the
 /// planner's own prediction, printed by `divsec_sweep plan`.
 [[nodiscard]] std::vector<double> assignment_cost(

@@ -564,7 +564,7 @@ void put_cost_section(Writer& w, const ShardState& state) {
 
 void put_rounds_section(Writer& w, const ShardState& state) {
   w.u64(state.rounds.size());
-  for (const RoundLog& rl : state.rounds) {
+  for (const core::RoundLog& rl : state.rounds) {
     w.u64(rl.round);
     w.u64(rl.active_cells);
     w.u64(rl.tasks);
@@ -863,7 +863,7 @@ ShardState decode_shard_state(std::string_view bytes) {
       throw std::runtime_error("shard state: round log exceeds input size");
     state.rounds.reserve(static_cast<std::size_t>(nrounds));
     for (std::uint64_t i = 0; i < nrounds; ++i) {
-      RoundLog rl;
+      core::RoundLog rl;
       rl.round = sr.var();
       rl.active_cells = sr.var();
       rl.tasks = sr.var();

@@ -34,8 +34,7 @@
 // lists. Together these make shard files ≥ 4× smaller than the
 // fixed-width equivalent at 10^4 cells (uncompressed_equivalent_bytes
 // computes that baseline; `divsec_sweep inspect` and the bench_e5 codec
-// phase gate on it), which is what keeps adaptive coordinator-round
-// flushes cheap.
+// phase gate on it), which is what keeps shard flushes cheap.
 //
 // Version 2 replaced version 1's contiguous [task_begin, task_end) range
 // with the explicit task-id list; version 3 added the adaptive sections;
@@ -116,28 +115,15 @@ struct SweepMeta {
 /// plus the per-cell cost measured while the shard ran. For merged
 /// states (meta.merged) the "tasks" are the per-cell merged accumulators
 /// and the list is [0, cells).
-/// One round of an adaptive coordinator run (dist::run_adaptive):
-/// wall-clock bookkeeping carried on the merged state so `inspect` can
-/// show where the budget went. Provenance only — never part of the
-/// identity; the reproducibility contract is SweepMeta::achieved.
-struct RoundLog {
-  std::uint64_t round = 0;         // 1-based
-  std::uint64_t active_cells = 0;  // cells still unconverged this round
-  std::uint64_t tasks = 0;         // superblock tasks dealt this round
-  std::uint64_t replications = 0;  // replications folded this round
-  double wall_ms = 0.0;            // slowest shard's wall time
-  double merge_ms = 0.0;           // coordinator decode+fold time
-};
-
 struct ShardState {
   SweepMeta meta;
   std::vector<std::uint64_t> tasks;
   std::vector<core::IndicatorAccumulator::State> partials;  // one per task
   CostModel cost;
   /// Adaptive provenance (both empty for fixed-budget sweeps):
-  /// the coordinator's round log, and each cell's termination round
+  /// the round loop's log, and each cell's termination round
   /// (1-based; 0 or cells entries).
-  std::vector<RoundLog> rounds;
+  std::vector<core::RoundLog> rounds;
   std::vector<std::uint64_t> cell_rounds;
 };
 

@@ -169,10 +169,10 @@ core::MeasurementOptions sweep_options(const SweepSpec& spec,
 
 ShardState run_shard(const SweepSpec& spec, std::size_t shard,
                      std::size_t shard_count, const sim::Executor* executor) {
-  const sim::ShardPlan plan = sweep_shard_plan(make_meta(spec));
-  const auto [lo, hi] = plan.shard_range(shard, shard_count);
-  std::vector<std::uint64_t> tasks(hi - lo);
-  for (std::size_t t = 0; t < tasks.size(); ++t) tasks[t] = lo + t;
+  std::vector<std::uint64_t> tasks = achieved_tasks(make_meta(spec));
+  const auto [lo, hi] = sim::contiguous_range(tasks.size(), shard, shard_count);
+  tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(hi), tasks.end());
+  tasks.erase(tasks.begin(), tasks.begin() + static_cast<std::ptrdiff_t>(lo));
   return run_shard_tasks(spec, std::move(tasks), shard, shard_count, executor);
 }
 
@@ -228,15 +228,25 @@ std::vector<core::IndicatorSummary> run_in_process(
 MergeResult merge_shards(const std::vector<ShardState>& states) {
   if (states.empty())
     throw std::invalid_argument("merge_shards: no shard states");
+  // Every rejection names the culprit input(s) by position and by the
+  // shard/shard_count they recorded; MergeError::inputs carries the
+  // positions so the CLI can name the files.
+  const auto input = [&](std::size_t i) {
+    return "input " + std::to_string(i) + " (shard " +
+           std::to_string(states[i].meta.shard) + "/" +
+           std::to_string(states[i].meta.shard_count) + ")";
+  };
   const std::uint64_t fingerprint = sweep_fingerprint(states.front().meta);
-  for (const auto& s : states) {
-    if (s.meta.merged)
-      throw std::invalid_argument(
-          "merge_shards: input is already a merged state");
-    if (sweep_fingerprint(s.meta) != fingerprint)
-      throw std::invalid_argument(
-          "merge_shards: shard states come from different sweeps "
-          "(fingerprint mismatch)");
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (states[i].meta.merged)
+      throw MergeError("merge_shards: " + input(i) +
+                           " is already a merged state",
+                       {i});
+    if (sweep_fingerprint(states[i].meta) != fingerprint)
+      throw MergeError("merge_shards: " + input(i) +
+                           " comes from a different sweep than input 0 "
+                           "(fingerprint mismatch)",
+                       {0, i});
   }
 
   const SweepMeta& meta = states.front().meta;
@@ -251,27 +261,39 @@ MergeResult merge_shards(const std::vector<ShardState>& states) {
   std::vector<char> expected(tasks, 0);
   for (const std::uint64_t t : expect) expected[t] = 1;
   std::vector<const core::IndicatorAccumulator::State*> slots(tasks, nullptr);
-  for (const auto& s : states) {
+  std::vector<std::size_t> owner(tasks, 0);  // input position per slot
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const ShardState& s = states[i];
     if (s.partials.size() != s.tasks.size())
-      throw std::invalid_argument(
-          "merge_shards: partial count != task list size");
-    for (std::size_t i = 0; i < s.tasks.size(); ++i) {
-      const std::uint64_t t = s.tasks[i];
+      throw MergeError(
+          "merge_shards: " + input(i) + ": partial count != task list size",
+          {i});
+    for (std::size_t k = 0; k < s.tasks.size(); ++k) {
+      const std::uint64_t t = s.tasks[k];
       if (t >= tasks || !expected[t])
-        throw std::invalid_argument(
-            "merge_shards: task " + std::to_string(t) +
-            " outside the sweep's task set");
+        throw MergeError("merge_shards: task " + std::to_string(t) + " of " +
+                             input(i) + " is outside the sweep's task set",
+                         {i});
       if (slots[t])
-        throw std::invalid_argument(
-            "merge_shards: task " + std::to_string(t) +
-            " appears in more than one shard state");
-      slots[t] = &s.partials[i];
+        throw MergeError("merge_shards: task " + std::to_string(t) +
+                             " appears in both " + input(owner[t]) + " and " +
+                             input(i),
+                         {owner[t], i});
+      slots[t] = &s.partials[k];
+      owner[t] = i;
     }
   }
   for (const std::uint64_t t : expect)
-    if (!slots[t])
-      throw std::invalid_argument("merge_shards: task " + std::to_string(t) +
-                                  " is missing (incomplete shard set)");
+    if (!slots[t]) {
+      std::string held;
+      for (std::size_t i = 0; i < states.size(); ++i)
+        held += (i ? ", " : "") + std::to_string(states[i].meta.shard) + "/" +
+                std::to_string(states[i].meta.shard_count);
+      throw MergeError("merge_shards: task " + std::to_string(t) +
+                           " is missing (incomplete shard set: the inputs "
+                           "hold shards " + held + ")",
+                       {});
+    }
 
   // Restore and fold each cell's covered prefix in ascending (cell,
   // superblock) order — the same left-fold the in-process reducer

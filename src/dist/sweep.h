@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/measurement.h"
@@ -101,11 +103,14 @@ struct SweepSpec {
 [[nodiscard]] std::vector<std::uint64_t> achieved_tasks(const SweepMeta& meta);
 
 /// Compute shard `shard` of `shard_count` under the contiguous balanced
-/// split: re-expand the plan, run the owned superblock tasks, and return
-/// the serialized-ready state (meta provenance filled in, wall_ms and
-/// the per-cell cost model measured). The accumulator payload is a pure
-/// function of (spec, shard, shard_count) — thread count and host change
-/// only the wall/cost provenance, never the partial bytes.
+/// split of the sweep's task list — achieved_tasks(make_meta(spec)),
+/// which is [0, task_count) for fixed budgets and each cell's recorded
+/// prefix for an adaptive replay — cut by list position with
+/// sim::contiguous_range: re-expand the plan, run the owned tasks, and
+/// return the serialized-ready state (meta provenance filled in, wall_ms
+/// and the per-cell cost model measured). The accumulator payload is a
+/// pure function of (spec, shard, shard_count) — thread count and host
+/// change only the wall/cost provenance, never the partial bytes.
 [[nodiscard]] ShardState run_shard(const SweepSpec& spec, std::size_t shard,
                                    std::size_t shard_count,
                                    const sim::Executor* executor = nullptr);
@@ -136,16 +141,26 @@ struct MergeResult {
   CostModel cost;  // fleet-wide per-cell cost (shard models merged)
 };
 
+/// merge_shards' rejection. The message names the input position(s) —
+/// indices into the states vector — and the shard/shard_count each
+/// recorded; `inputs` lists those positions so a caller can map them to
+/// file names.
+struct MergeError : std::invalid_argument {
+  MergeError(const std::string& what, std::vector<std::size_t> positions)
+      : std::invalid_argument(what), inputs(std::move(positions)) {}
+  std::vector<std::size_t> inputs;
+};
+
 /// Merge shard states into per-cell results. Validates that every state
 /// shares one sweep fingerprint, none is already merged, and the task
 /// lists cover the sweep's task set — [0, task_count) for fixed budgets,
 /// achieved_tasks(meta) for adaptive sweeps — exactly once; throws
-/// std::invalid_argument otherwise. Partials fold in ascending (cell,
-/// superblock) order — bit-identical to run_in_process (fixed) or to the
-/// adaptive driver that recorded the counts, no matter how the covering
-/// lists were cut (contiguous ranges, cost-weighted LPT sets, or any
-/// mix). Shard cost models merge into the result, so the merged state is
-/// itself a weights source for the next `divsec_sweep plan`.
+/// MergeError otherwise. Partials fold in ascending (cell, superblock)
+/// order — bit-identical to run_in_process (fixed) or to the adaptive
+/// run that recorded the counts, no matter how the covering lists were
+/// cut (contiguous ranges, cost-weighted LPT sets, or any mix). Shard
+/// cost models merge into the result, so the merged state is itself a
+/// weights source for the next `divsec_sweep plan`.
 [[nodiscard]] MergeResult merge_shards(const std::vector<ShardState>& states);
 
 /// The merged result as a writable state file (meta.merged = true, one

@@ -28,7 +28,7 @@ inline bool progress_enabled() noexcept {
 }
 
 /// One unconditional (modulo DIVSEC_PROGRESS=0) stderr line with the
-/// "divsec: " prefix. Coordinator-level summaries (adaptive rounds) use
+/// "divsec: " prefix. Per-round summaries (adaptive rounds) use
 /// this; per-unit spam belongs in a Heartbeat.
 inline void progress_line(const char* fmt, ...) {
   if (!progress_enabled()) return;

@@ -41,6 +41,16 @@ namespace divsec::sim {
 /// is recorded in serialized shard state and validated at merge time.
 inline constexpr std::size_t kDefaultSuperblockReps = 16384;
 
+/// Contiguous balanced split of `n` list positions over `shard_count`
+/// shards: shard i owns positions [i·n/K, (i+1)·n/K). Deterministic in
+/// (n, K) only; shards past n are empty and valid.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> contiguous_range(
+    std::size_t n, std::size_t shard, std::size_t shard_count) {
+  if (shard_count == 0 || shard >= shard_count)
+    throw std::invalid_argument("contiguous_range: need shard < K");
+  return {n * shard / shard_count, n * (shard + 1) / shard_count};
+}
+
 class ShardPlan {
  public:
   /// One unit of distributable work: indices [begin, end) of `group`,
@@ -113,14 +123,11 @@ class ShardPlan {
   }
 
   /// Contiguous balanced assignment of tasks to `shard_count` shards:
-  /// shard i owns tasks [i·T/K, (i+1)·T/K). Deterministic in (plan,
-  /// shard_count) only; shards past the task count are empty and valid.
+  /// shard i owns tasks [i·T/K, (i+1)·T/K) (contiguous_range over the
+  /// task count).
   [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
       std::size_t shard, std::size_t shard_count) const {
-    if (shard_count == 0 || shard >= shard_count)
-      throw std::invalid_argument("ShardPlan::shard_range: need shard < K");
-    const std::size_t t = task_count();
-    return {t * shard / shard_count, t * (shard + 1) / shard_count};
+    return contiguous_range(task_count(), shard, shard_count);
   }
 
  private:

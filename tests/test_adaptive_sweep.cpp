@@ -1,9 +1,10 @@
-// Tests for the adaptive sweep controller (PR 7): the shared stopping
-// rule (sim/stopping.h), the in-process adaptive measurement driver
-// (MeasurementEngine::measure_scenarios_adaptive), the cross-process
-// coordinator (dist::run_adaptive), and the replay contract — the
-// recorded per-cell achieved counts reproduce the adaptive results bit
-// for bit through any thread count and any shard cut.
+// Tests for the adaptive sweep controller: the shared stopping rule
+// (sim/stopping.h), the one adaptive round loop
+// (MeasurementEngine::measure_scenarios_adaptive), its dist:: packaging
+// (dist::run_adaptive), and the replay contract — the recorded per-cell
+// achieved counts reproduce the adaptive results bit for bit through any
+// thread count and any shard cut. The adaptive CSV itself is pinned in
+// test_golden_digests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,7 +122,6 @@ TEST(RunSequential, AbsoluteFloorStopsNearZeroMeanExperiment) {
 
 TEST(AdaptiveSchedule, DefaultsAndClamping) {
   core::AdaptiveOptions opts;
-  opts.enabled = true;
   // Defaults: min = one superblock, max = budget, round = one superblock.
   const auto def = core::resolve_adaptive_schedule(opts, 1000, 64);
   EXPECT_EQ(def.rule.min_replications, 64u);
@@ -178,16 +178,14 @@ std::vector<core::IndicatorSummary> engine_adaptive(
   const divers::VariantCatalog catalog =
       divers::VariantCatalog::standard(spec.seed);
   const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  core::MeasurementOptions options = dist::sweep_options(spec, executor);
-  options.adaptive = adaptive;
-  const core::MeasurementEngine engine(catalog, profile, options);
+  const core::MeasurementEngine engine(catalog, profile,
+                                       dist::sweep_options(spec, executor));
   return engine.measure_scenarios_adaptive(dist::expand_plan(spec, catalog),
-                                           report);
+                                           adaptive, report);
 }
 
 TEST(EngineAdaptive, LooseTargetStopsEveryCellAtMin) {
   core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
   adaptive.relative_precision = 0.0;
   adaptive.absolute_precision = 1e6;  // any half-width passes
   core::AdaptiveReport report;
@@ -197,7 +195,7 @@ TEST(EngineAdaptive, LooseTargetStopsEveryCellAtMin) {
   EXPECT_EQ(report.total_rounds, 1u);
   for (std::size_t c = 0; c < summaries.size(); ++c) {
     EXPECT_EQ(report.achieved[c], 32u);  // min = one superblock
-    EXPECT_EQ(report.rounds[c], 1u);
+    EXPECT_EQ(report.cell_rounds[c], 1u);
     EXPECT_EQ(summaries[c].replications, 32u);
   }
   EXPECT_EQ(report.total_replications, 96u);
@@ -206,7 +204,6 @@ TEST(EngineAdaptive, LooseTargetStopsEveryCellAtMin) {
 TEST(EngineAdaptive, UnreachableTargetCapsAtBudgetAndMatchesFixedRun) {
   const dist::SweepSpec spec = small_spec();
   core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
   adaptive.relative_precision = 1e-12;  // unreachable
   core::AdaptiveReport report;
   const auto adaptive_sums = engine_adaptive(spec, adaptive, nullptr, &report);
@@ -224,7 +221,6 @@ TEST(EngineAdaptive, UnreachableTargetCapsAtBudgetAndMatchesFixedRun) {
 
 TEST(EngineAdaptive, ResultIndependentOfThreadCount) {
   core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
   adaptive.relative_precision = 0.10;
   adaptive.absolute_precision = 0.02;
   std::vector<core::IndicatorSummary> reference;
@@ -242,66 +238,30 @@ TEST(EngineAdaptive, ResultIndependentOfThreadCount) {
     }
     ASSERT_EQ(summaries.size(), reference.size());
     EXPECT_EQ(report.achieved, ref_report.achieved);
-    EXPECT_EQ(report.rounds, ref_report.rounds);
+    EXPECT_EQ(report.cell_rounds, ref_report.cell_rounds);
     EXPECT_EQ(report.total_rounds, ref_report.total_rounds);
     for (std::size_t c = 0; c < reference.size(); ++c)
       expect_bit_identical(summaries[c], reference[c]);
   }
 }
 
-TEST(EngineAdaptive, MeasureScenariosDelegatesWhenEnabled) {
-  const dist::SweepSpec spec = small_spec();
-  const divers::VariantCatalog catalog =
-      divers::VariantCatalog::standard(spec.seed);
-  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  core::MeasurementOptions options = dist::sweep_options(spec, nullptr);
-  options.adaptive.enabled = true;
-  options.adaptive.absolute_precision = 1e6;
-  const core::MeasurementEngine engine(catalog, profile, options);
-  const auto plan = dist::expand_plan(spec, catalog);
-  const auto via_measure = engine.measure_scenarios(plan);
-  const auto direct = engine.measure_scenarios_adaptive(plan);
-  ASSERT_EQ(via_measure.size(), direct.size());
-  for (std::size_t c = 0; c < direct.size(); ++c)
-    expect_bit_identical(via_measure[c], direct[c]);
-}
-
 TEST(EngineAdaptive, RejectsInvalidOptions) {
-  const dist::SweepSpec spec = small_spec();
-  const divers::VariantCatalog catalog =
-      divers::VariantCatalog::standard(spec.seed);
-  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
-  const auto plan = dist::expand_plan(spec, catalog);
-
   // Both precision criteria disabled: no cell could ever converge.
-  core::MeasurementOptions no_target = dist::sweep_options(spec, nullptr);
-  no_target.adaptive.enabled = true;
-  no_target.adaptive.relative_precision = 0.0;
-  no_target.adaptive.absolute_precision = 0.0;
-  EXPECT_THROW(
-      (void)core::MeasurementEngine(catalog, profile, no_target)
-          .measure_scenarios_adaptive(plan),
-      std::invalid_argument);
-
-  // The adaptive driver is streaming-only: no cell visitor.
-  core::MeasurementOptions adaptive = dist::sweep_options(spec, nullptr);
-  adaptive.adaptive.enabled = true;
-  EXPECT_THROW((void)core::MeasurementEngine(catalog, profile, adaptive)
-                   .measure_scenarios(
-                       plan, [](std::size_t,
-                                std::span<const core::IndicatorSample>) {}),
+  core::AdaptiveOptions no_target;
+  no_target.relative_precision = 0.0;
+  no_target.absolute_precision = 0.0;
+  EXPECT_THROW((void)engine_adaptive(small_spec(), no_target, nullptr),
                std::invalid_argument);
 }
 
-TEST(EngineAdaptive, DefaultOptionsWithAdaptiveEnabledRun) {
-  // Default MeasurementOptions plus adaptive.enabled is a valid adaptive
-  // sweep: there is no sample-retention default left to contradict it.
+TEST(EngineAdaptive, DefaultOptionsRun) {
+  // Default MeasurementOptions and default AdaptiveOptions make a valid
+  // adaptive sweep.
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
   const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
   const sim::Executor serial{1};
   core::MeasurementOptions options;
   options.executor = &serial;
-  options.adaptive.enabled = true;
   core::ScenarioSweepPlan plan;
   plan.cells.push_back({scenario::make_preset("plant_small", catalog, 17,
                                               scenario::VariantPolicy::kMonoculture)
@@ -309,66 +269,34 @@ TEST(EngineAdaptive, DefaultOptionsWithAdaptiveEnabledRun) {
                         2013});
   std::vector<core::IndicatorSummary> out;
   ASSERT_NO_THROW(out = core::MeasurementEngine(catalog, profile, options)
-                            .measure_scenarios(plan));
+                            .measure_scenarios_adaptive(plan, {}));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_GT(out[0].replications, 0u);
   EXPECT_LE(out[0].replications, options.replications);
 }
 
-// ---- the cross-process coordinator -----------------------------------------
+// ---- the dist:: packaging --------------------------------------------------
 
-dist::AdaptiveSweepOptions coordinator_options(std::size_t shards) {
-  dist::AdaptiveSweepOptions options;
-  options.shards = shards;
+core::AdaptiveOptions adaptive_options() {
+  core::AdaptiveOptions options;
   options.relative_precision = 0.10;
   options.absolute_precision = 0.02;
   return options;
 }
 
-TEST(RunAdaptive, ShardCountDoesNotChangeResults) {
-  const dist::SweepSpec spec = small_spec();
-  const dist::AdaptiveResult one =
-      dist::run_adaptive(spec, coordinator_options(1));
-  const dist::AdaptiveResult three =
-      dist::run_adaptive(spec, coordinator_options(3));
-
-  EXPECT_EQ(one.meta.achieved, three.meta.achieved);
-  EXPECT_EQ(one.cell_rounds, three.cell_rounds);
-  EXPECT_EQ(one.total_replications, three.total_replications);
-  ASSERT_EQ(one.summaries.size(), three.summaries.size());
-  for (std::size_t c = 0; c < one.summaries.size(); ++c)
-    expect_bit_identical(one.summaries[c], three.summaries[c]);
-  EXPECT_EQ(dist::sweep_csv(one.meta, one.summaries),
-            dist::sweep_csv(three.meta, three.summaries));
-}
-
-TEST(RunAdaptive, MatchesTheInProcessAdaptiveEngine) {
-  const dist::SweepSpec spec = small_spec();
-  const dist::AdaptiveResult coordinated =
-      dist::run_adaptive(spec, coordinator_options(2));
-
-  core::AdaptiveOptions adaptive;
-  adaptive.enabled = true;
-  adaptive.relative_precision = 0.10;
-  adaptive.absolute_precision = 0.02;
-  core::AdaptiveReport report;
-  const auto engine_sums = engine_adaptive(spec, adaptive, nullptr, &report);
-
-  ASSERT_EQ(engine_sums.size(), coordinated.summaries.size());
-  EXPECT_EQ(report.achieved, coordinated.meta.achieved);
-  for (std::size_t c = 0; c < engine_sums.size(); ++c)
-    expect_bit_identical(engine_sums[c], coordinated.summaries[c]);
-}
-
 TEST(RunAdaptive, RecordsProvenance) {
   const dist::AdaptiveResult result =
-      dist::run_adaptive(small_spec(), coordinator_options(2));
+      dist::run_adaptive(small_spec(), adaptive_options());
   ASSERT_FALSE(result.rounds.empty());
   EXPECT_EQ(result.rounds.front().round, 1u);
   EXPECT_EQ(result.rounds.front().active_cells, 3u);
-  std::uint64_t logged_reps = 0;
-  for (const auto& r : result.rounds) logged_reps += r.replications;
+  std::uint64_t logged_reps = 0, logged_tasks = 0;
+  for (const auto& r : result.rounds) {
+    logged_reps += r.replications;
+    logged_tasks += r.tasks;
+  }
   EXPECT_EQ(logged_reps, result.total_replications);
+  EXPECT_EQ(logged_tasks, dist::achieved_tasks(result.meta).size());
   for (std::size_t c = 0; c < result.cell_rounds.size(); ++c) {
     EXPECT_GE(result.cell_rounds[c], 1u);
     EXPECT_LE(result.cell_rounds[c], result.rounds.size());
@@ -376,51 +304,45 @@ TEST(RunAdaptive, RecordsProvenance) {
   EXPECT_EQ(result.budget_replications,
             result.meta.cells * result.meta.replications);
   EXPECT_TRUE(result.meta.merged);
+  EXPECT_EQ(result.meta.shard_count, 1u);
+}
+
+TEST(RunAdaptive, CostModelCoversExactlyTheAchievedReplications) {
+  const dist::AdaptiveResult result =
+      dist::run_adaptive(small_spec(), adaptive_options());
+  ASSERT_EQ(result.cost.cells.size(), result.meta.cells);
+  for (std::size_t c = 0; c < result.meta.cells; ++c) {
+    EXPECT_EQ(result.cost.cells[c].replications, result.meta.achieved[c])
+        << "cell " << c;
+    EXPECT_GT(result.cost.cells[c].seconds, 0.0) << "cell " << c;
+  }
 }
 
 TEST(RunAdaptive, RejectsInvalidInputs) {
   dist::SweepSpec replay_input = small_spec();
   replay_input.achieved = {32, 32, 32};
-  EXPECT_THROW((void)dist::run_adaptive(replay_input, coordinator_options(1)),
-               std::invalid_argument);
-
-  dist::AdaptiveSweepOptions no_shards = coordinator_options(0);
-  EXPECT_THROW((void)dist::run_adaptive(small_spec(), no_shards),
-               std::invalid_argument);
-
-  dist::AdaptiveSweepOptions no_target = coordinator_options(1);
-  no_target.relative_precision = 0.0;
-  no_target.absolute_precision = 0.0;
-  EXPECT_THROW((void)dist::run_adaptive(small_spec(), no_target),
+  EXPECT_THROW((void)dist::run_adaptive(replay_input, adaptive_options()),
                std::invalid_argument);
 }
 
 // ---- the replay contract ---------------------------------------------------
 
 /// Replay the recorded achieved counts over `shard_count` contiguous
-/// slices of the achieved task list (the CLI's `run --replay --shard
-/// i/K` cut) and merge.
+/// slices of the achieved task list (run_shard, the CLI's `run --replay
+/// --shard i/K` cut) and merge.
 dist::MergeResult replay(const dist::ShardState& recorded,
                          std::size_t shard_count,
                          const sim::Executor* executor = nullptr) {
   const dist::SweepSpec spec = dist::spec_from_meta(recorded.meta);
-  const std::vector<std::uint64_t> tasks = dist::achieved_tasks(recorded.meta);
   std::vector<dist::ShardState> states;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const std::size_t base = tasks.size() / shard_count;
-    const std::size_t rem = tasks.size() % shard_count;
-    const std::size_t begin = i * base + std::min(i, rem);
-    const std::size_t end = begin + base + (i < rem ? 1 : 0);
-    states.push_back(dist::run_shard_tasks(
-        spec, {tasks.begin() + begin, tasks.begin() + end}, i, shard_count,
-        executor));
-  }
+  for (std::size_t i = 0; i < shard_count; ++i)
+    states.push_back(dist::run_shard(spec, i, shard_count, executor));
   return dist::merge_shards(states);
 }
 
 TEST(AdaptiveReplay, ReproducesTheAdaptiveRunForAnyShardCut) {
   const dist::AdaptiveResult result =
-      dist::run_adaptive(small_spec(), coordinator_options(2));
+      dist::run_adaptive(small_spec(), adaptive_options());
   const dist::ShardState recorded = dist::adaptive_state(result);
   const std::string adaptive_csv =
       dist::sweep_csv(result.meta, result.summaries);
@@ -438,7 +360,7 @@ TEST(AdaptiveReplay, ReproducesTheAdaptiveRunForAnyShardCut) {
 
 TEST(AdaptiveReplay, ThreadCountDoesNotChangeTheReplay) {
   const dist::AdaptiveResult result =
-      dist::run_adaptive(small_spec(), coordinator_options(1));
+      dist::run_adaptive(small_spec(), adaptive_options());
   const dist::ShardState recorded = dist::adaptive_state(result);
   const sim::Executor one(1), eight(8);
   const dist::MergeResult serial = replay(recorded, 2, &one);
@@ -451,7 +373,7 @@ TEST(AdaptiveReplay, ThreadCountDoesNotChangeTheReplay) {
 
 TEST(AdaptiveReplay, MergeValidatesTheAchievedTaskSet) {
   const dist::AdaptiveResult result =
-      dist::run_adaptive(small_spec(), coordinator_options(1));
+      dist::run_adaptive(small_spec(), adaptive_options());
   const dist::ShardState recorded = dist::adaptive_state(result);
   const dist::SweepSpec spec = dist::spec_from_meta(recorded.meta);
   const std::vector<std::uint64_t> tasks = dist::achieved_tasks(recorded.meta);
@@ -491,7 +413,7 @@ TEST(AdaptiveReplay, MergeValidatesTheAchievedTaskSet) {
 
 TEST(AdaptiveState, EncodeDecodeEncodeIsByteStable) {
   const dist::AdaptiveResult result =
-      dist::run_adaptive(small_spec(), coordinator_options(2));
+      dist::run_adaptive(small_spec(), adaptive_options());
   const dist::ShardState state = dist::adaptive_state(result);
   ASSERT_FALSE(state.meta.achieved.empty());
   ASSERT_FALSE(state.rounds.empty());

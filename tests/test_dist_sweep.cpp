@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dist/fnv.h"
@@ -371,26 +372,46 @@ TEST(DistributedSweep, MoreShardsThanTasksLeavesEmptyShardsValid) {
 }
 
 TEST(DistributedSweep, MergeValidatesCoverageAndIdentity) {
+  // Every rejection names its culprits: input positions with their
+  // recorded shard/shard_count (MergeError::inputs carries the positions).
   const SweepSpec spec = small_spec();
   std::vector<ShardState> states;
   for (std::size_t i = 0; i < 3; ++i) states.push_back(run_shard(spec, i, 3));
 
-  // Missing shard.
-  EXPECT_THROW((void)merge_shards({states[0], states[2]}),
-               std::invalid_argument);
-  // Duplicate shard.
-  EXPECT_THROW((void)merge_shards({states[0], states[0], states[1], states[2]}),
-               std::invalid_argument);
+  // Duplicate shard: both positions.
+  try {
+    (void)merge_shards({states[0], states[1], states[0], states[2]});
+    FAIL() << "duplicate shard merged";
+  } catch (const MergeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("input 0 (shard 0/3)"), std::string::npos) << what;
+    EXPECT_NE(what.find("input 2 (shard 0/3)"), std::string::npos) << what;
+    EXPECT_EQ(e.inputs, (std::vector<std::size_t>{0, 2}));
+  }
   // Foreign shard (different seed -> different fingerprint).
   SweepSpec other = spec;
   other.seed = 9;
-  EXPECT_THROW(
-      (void)merge_shards({states[0], states[1], run_shard(other, 2, 3)}),
-      std::invalid_argument);
+  try {
+    (void)merge_shards({states[0], states[1], run_shard(other, 2, 3)});
+    FAIL() << "foreign shard merged";
+  } catch (const MergeError& e) {
+    EXPECT_NE(std::string(e.what()).find("input 2 (shard 2/3)"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.inputs, (std::vector<std::size_t>{0, 2}));
+  }
+  // Missing shard: the shards the inputs do hold.
+  try {
+    (void)merge_shards({states[0], states[2]});
+    FAIL() << "incomplete shard set merged";
+  } catch (const MergeError& e) {
+    EXPECT_NE(std::string(e.what()).find("shards 0/3, 2/3"),
+              std::string::npos)
+        << e.what();
+  }
   // Already-merged input.
   const MergeResult merged = merge_shards(states);
-  EXPECT_THROW((void)merge_shards({merged_state(merged)}),
-               std::invalid_argument);
+  EXPECT_THROW((void)merge_shards({merged_state(merged)}), MergeError);
   // Empty input.
   EXPECT_THROW((void)merge_shards({}), std::invalid_argument);
 }

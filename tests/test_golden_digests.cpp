@@ -12,7 +12,9 @@
 // The corpus covers the paper plant, all four variant policies, one spec
 // per topology family, and a tuned threat whose 3-task sweep has fewer
 // tasks than the 4-thread executor has threads (the sub-task parallel
-// path of the reducer).
+// path of the reducer). A second corpus pins the adaptive sweep
+// (`divsec_sweep adapt`): its CSV digest and the per-cell achieved
+// counts its stopping rule settled on.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/adaptive.h"
 #include "dist/fnv.h"
 #include "dist/sweep.h"
 #include "scenario/family_spec.h"
@@ -82,6 +85,37 @@ std::vector<Golden> corpus() {
   return g;
 }
 
+struct AdaptiveGolden {
+  const char* name;
+  dist::SweepSpec spec;
+  double relative_precision;
+  double absolute_precision;
+  std::vector<std::uint64_t> achieved;
+  std::uint64_t digest;
+};
+
+std::vector<AdaptiveGolden> adaptive_corpus() {
+  std::vector<AdaptiveGolden> g;
+  // adapt --preset enterprise256 --replications 24576 --block 256
+  //       --superblock 512 --precision 0.01 --abs-floor 0.002
+  {
+    dist::SweepSpec s = spec_of("enterprise256", 24576, 512);
+    s.replication_block = 256;
+    g.push_back({"enterprise256", s, 0.01, 0.002, {4096, 2048, 3072},
+                 0xa1e756f2673a1237ULL});
+  }
+  // adapt --preset plant_small --seed 4242 --replications 256 --block 8
+  //       --superblock 32 --precision 0.10 --abs-floor 0.02
+  {
+    dist::SweepSpec s = spec_of("plant_small", 256, 32);
+    s.seed = 4242;
+    s.replication_block = 8;
+    g.push_back({"plant_small", s, 0.10, 0.02, {192, 256, 64},
+                 0x2a274bc4a87fa532ULL});
+  }
+  return g;
+}
+
 std::string hex(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
@@ -97,6 +131,20 @@ TEST_P(GoldenDigests, MeasurementCsvMatchesPinnedDigest) {
     const std::string csv = dist::sweep_csv(dist::make_meta(g.spec),
                                             dist::run_in_process(g.spec, &ex));
     EXPECT_EQ(hex(dist::fnv1a(csv)), hex(g.digest));
+  }
+}
+
+TEST_P(GoldenDigests, AdaptiveCsvAndAchievedCountsMatchPinned) {
+  const sim::Executor ex{GetParam()};
+  for (const AdaptiveGolden& g : adaptive_corpus()) {
+    SCOPED_TRACE(g.name);
+    core::AdaptiveOptions options;
+    options.relative_precision = g.relative_precision;
+    options.absolute_precision = g.absolute_precision;
+    const dist::AdaptiveResult r = dist::run_adaptive(g.spec, options, &ex);
+    EXPECT_EQ(r.meta.achieved, g.achieved);
+    EXPECT_EQ(hex(dist::fnv1a(dist::sweep_csv(r.meta, r.summaries))),
+              hex(g.digest));
   }
 }
 

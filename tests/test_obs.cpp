@@ -337,6 +337,41 @@ TEST(ObsReducer, FoldCountersAreScheduleIndependent) {
   }
 }
 
+TEST(ObsReducer, AdaptiveCountersMatchTheReport) {
+  // The adaptive round loop adds to adapt.* once per round; the totals
+  // must agree with the report it returns, whatever the thread count.
+  dist::SweepSpec spec;
+  spec.preset = "plant_small";
+  spec.seed = 4242;
+  spec.replications = 256;
+  spec.replication_block = 8;
+  spec.superblock = 32;
+  const divers::VariantCatalog catalog =
+      divers::VariantCatalog::standard(spec.seed);
+  const attack::ThreatProfile profile = dist::threat_profile(spec.threat);
+  const core::ScenarioSweepPlan plan = dist::expand_plan(spec, catalog);
+  core::AdaptiveOptions adaptive;
+  adaptive.relative_precision = 0.10;
+  adaptive.absolute_precision = 0.02;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::Executor ex(threads);
+    const core::MeasurementEngine engine(catalog, profile,
+                                         dist::sweep_options(spec, &ex));
+    obs::reset();
+    core::AdaptiveReport report;
+    (void)engine.measure_scenarios_adaptive(plan, adaptive, &report);
+    ASSERT_GT(report.total_rounds, 1u);
+#if DIVSEC_OBS
+    const obs::Snapshot snap = obs::snapshot();
+    EXPECT_EQ(snap.counter("adapt.rounds"), report.total_rounds)
+        << "threads=" << threads;
+    EXPECT_EQ(snap.counter("adapt.round_replications"),
+              report.total_replications)
+        << "threads=" << threads;
+#endif
+  }
+}
+
 // --- 5. The out-of-band invariant --------------------------------------
 
 TEST(ObsInvariant, SweepCsvBytesIdenticalWithRecordingOnOrOff) {

@@ -57,7 +57,7 @@ double exact_quantile(std::vector<double> v, double q) {
 /// into superblock digests, superblock digests dealt round-robin across
 /// `shards` shard digests (what each divsec_sweep process accumulates
 /// over its rounds), shard digests merged in ascending shard order (the
-/// coordinator's fold). Three merge levels — deeper than production,
+/// reducer's fold). Three merge levels — deeper than production,
 /// never shallower.
 TDigest deep_merged_digest(const std::vector<double>& values,
                            std::size_t block, std::size_t superblock,

@@ -27,13 +27,12 @@
 //           bit-identical to the in-process `run` on the same spec —
 //           for any shard count, including 1, and for any exact-coverage
 //           assignment of tasks to shards.
-//   adapt   variance-driven coordinator (dist/adaptive.h): multi-round
-//           loop that re-deals only the unconverged cells' next
-//           superblocks each round (LPT over the cost measured so far)
-//           and retires a cell once its CI half-width passes the
-//           stopping rule. Writes the merged artifacts plus
-//           <out>_adaptive.state, whose per-cell achieved counts are the
-//           reproducibility contract.
+//   adapt   variance-driven sweep (dist/adaptive.h): the engine's
+//           adaptive round loop runs only the unconverged cells' next
+//           superblocks each round and retires a cell once its CI
+//           half-width passes the stopping rule. Writes the merged
+//           artifacts plus <out>_adaptive.state, whose per-cell achieved
+//           counts are the reproducibility contract.
 //           With --replay STATE, `run` re-executes exactly the recorded
 //           achieved counts — any thread count, any --shard i/K cut —
 //           and merging reproduces the adaptive CSV byte for byte.
@@ -59,6 +58,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -148,14 +148,11 @@ void usage(std::FILE* to) {
       "  codec counters) into <PREFIX>_merged.state.metrics.json, or\n"
       "  --metrics PATH\n"
       "\n"
-      "divsec_sweep adapt [sweep options] [--shards K] [--threads T]\n"
-      "                   [--out PREFIX]\n"
+      "divsec_sweep adapt [sweep options] [--threads T] [--out PREFIX]\n"
       "  variance-driven sweep: rounds of one superblock per unconverged\n"
-      "  cell, dealt to K in-process shards by LPT over measured cost,\n"
-      "  until every cell's CI half-width meets the stopping rule or hits\n"
-      "  the --replications budget. Writes <PREFIX>_measurements.csv,\n"
+      "  cell until every cell's CI half-width meets the stopping rule or\n"
+      "  hits the --replications budget. Writes <PREFIX>_measurements.csv,\n"
       "  <PREFIX>_summary.json and <PREFIX>_adaptive.state\n"
-      "  --shards K           coordinator shards per round (default 1)\n"
       "  --precision R        relative CI half-width target (default 0.05;\n"
       "                       0 disables the relative criterion)\n"
       "  --abs-floor A        absolute half-width floor in ratio units\n"
@@ -169,7 +166,7 @@ void usage(std::FILE* to) {
       "  --round N            replications added per round per cell\n"
       "                       (default: one superblock)\n"
       "  --metrics PATH       write the obs:: metrics snapshot as JSON\n"
-      "  --trace FILE         record obs:: spans (adapt.round/shard/merge)\n"
+      "  --trace FILE         record obs:: spans (adapt.round/merge)\n"
       "                       and write Chrome trace-event JSON\n"
       "  (a per-round convergence line always goes to stderr; silence it\n"
       "  with DIVSEC_PROGRESS=0)\n"
@@ -409,37 +406,29 @@ int cmd_run(int argc, char** argv) {
       die("--replay wants an adaptive state (no per-cell achieved counts "
           "in " + replay_path + ")");
     const dist::SweepSpec replay_spec = dist::spec_from_meta(recorded.meta);
-    const std::vector<std::uint64_t> tasks =
-        dist::achieved_tasks(recorded.meta);
 
     if (sharded) {
-      // Shard i's slice of the achieved task LIST (contiguous balanced
-      // over list positions — task ids themselves are non-contiguous
+      // Shard i's contiguous slice of the achieved task list (run_shard
+      // cuts by list position — task ids themselves are non-contiguous
       // because each cell contributes only its prefix).
       const auto [shard, shard_count] = parse_shard(shard_value);
-      const std::size_t base = tasks.size() / shard_count;
-      const std::size_t rem = tasks.size() % shard_count;
-      const std::size_t begin = shard * base + std::min(shard, rem);
-      const std::size_t end = begin + base + (shard < rem ? 1 : 0);
-      const std::vector<std::uint64_t> slice(tasks.begin() + begin,
-                                             tasks.begin() + end);
       if (out.empty())
         out = replay_spec.preset + "_replay_shard" + std::to_string(shard) +
               "of" + std::to_string(shard_count) + ".state";
-      const dist::ShardState state = dist::run_shard_tasks(
-          replay_spec, slice, shard, shard_count, &executor);
+      const dist::ShardState state =
+          dist::run_shard(replay_spec, shard, shard_count, &executor);
       dist::write_shard_state(out, state);
       shard_metrics(out);
-      std::printf("replay shard %zu/%zu: %zu of %zu achieved task(s) of %s "
-                  "in %.1f ms -> %s\n",
-                  shard, shard_count, state.tasks.size(), tasks.size(),
+      std::printf("replay shard %zu/%zu: %zu achieved task(s) of %s in "
+                  "%.1f ms -> %s\n",
+                  shard, shard_count, state.tasks.size(),
                   replay_spec.preset.c_str(), state.meta.wall_ms, out.c_str());
       return 0;
     }
 
     if (out.empty()) out = replay_spec.preset + "_replay";
     const dist::ShardState state =
-        dist::run_shard_tasks(replay_spec, tasks, 0, 1, &executor);
+        dist::run_shard(replay_spec, 0, 1, &executor);
     const dist::MergeResult merged = dist::merge_shards({state});
     core::save_to_file(out + "_measurements.csv",
                        dist::sweep_csv(merged.meta, merged.summaries));
@@ -448,8 +437,8 @@ int cmd_run(int argc, char** argv) {
     if (!metrics_path.empty()) write_metrics_sidecar(metrics_path);
     std::printf("replayed %zu achieved task(s) of %s in %.1f ms -> "
                 "%s_{measurements.csv,summary.json}\n",
-                tasks.size(), replay_spec.preset.c_str(), state.meta.wall_ms,
-                out.c_str());
+                state.tasks.size(), replay_spec.preset.c_str(),
+                state.meta.wall_ms, out.c_str());
     return 0;
   }
 
@@ -604,7 +593,17 @@ int cmd_merge(int argc, char** argv) {
     states.push_back(dist::read_shard_state(path));
 
   const auto t0 = std::chrono::steady_clock::now();
-  const dist::MergeResult merged = dist::merge_shards(states);
+  const dist::MergeResult merged = [&] {
+    try {
+      return dist::merge_shards(states);
+    } catch (const dist::MergeError& e) {
+      // The reducer names inputs by position; name the files too.
+      std::string message = e.what();
+      for (const std::size_t i : e.inputs)
+        message += "\n  input " + std::to_string(i) + ": " + inputs[i];
+      throw std::invalid_argument(message);
+    }
+  }();
   const double merge_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -677,7 +676,7 @@ int cmd_merge(int argc, char** argv) {
 
 int cmd_adapt(int argc, char** argv) {
   dist::SweepSpec spec;
-  dist::AdaptiveSweepOptions options;
+  core::AdaptiveOptions options;
   std::size_t threads = 0;
   std::string out;
   std::string metrics_path;
@@ -687,8 +686,6 @@ int cmd_adapt(int argc, char** argv) {
   for (; args.i < argc; ++args.i) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
-    else if (flag == "--shards")
-      options.shards = parse_u64(flag, args.value(flag));
     else if (flag == "--precision")
       options.relative_precision = parse_f64(flag, args.value(flag));
     else if (flag == "--abs-floor")
@@ -708,7 +705,6 @@ int cmd_adapt(int argc, char** argv) {
     else if (flag == "--trace") trace_path = args.value(flag);
     else die_unknown(flag);
   }
-  if (options.shards == 0) die("adapt wants --shards K >= 1");
   resolve_spec(spec);
   if (out.empty()) out = spec.preset;
 
@@ -731,12 +727,12 @@ int cmd_adapt(int argc, char** argv) {
                 static_cast<double>(result.total_replications)
           : 0.0;
   std::printf("adaptive sweep of %s: %zu round(s), %llu of %llu budget "
-              "replication(s) (%.2fx saved) across %zu shard(s) in %.1f ms "
+              "replication(s) (%.2fx saved) in %.1f ms "
               "-> %s_{measurements.csv,summary.json,adaptive.state}\n",
               spec.preset.c_str(), result.rounds.size(),
               static_cast<unsigned long long>(result.total_replications),
               static_cast<unsigned long long>(result.budget_replications),
-              savings, options.shards, result.meta.wall_ms, out.c_str());
+              savings, result.meta.wall_ms, out.c_str());
   for (std::size_t c = 0; c < result.meta.cells; ++c)
     std::printf("  cell %zu: %llu rep(s), stopped round %llu\n", c,
                 static_cast<unsigned long long>(result.meta.achieved[c]),
@@ -848,7 +844,7 @@ int cmd_inspect(int argc, char** argv) {
     std::printf("%s\n", line.c_str());
   }
 
-  for (const dist::RoundLog& r : state.rounds)
+  for (const core::RoundLog& r : state.rounds)
     std::printf("{\"round\": %llu, \"active_cells\": %llu, \"tasks\": %llu, "
                 "\"replications\": %llu, \"wall_ms\": %s, \"merge_ms\": %s}\n",
                 static_cast<unsigned long long>(r.round),
