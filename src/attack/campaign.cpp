@@ -66,9 +66,9 @@ const char* to_string(CampaignEventKind k) noexcept {
 }
 
 double CampaignResult::ratio_at(double t) const noexcept {
-  // The step curve is sorted by time: binary-search the first step past t
-  // (mean_ratio_curve calls this per grid point per replication — a
-  // linear scan over a fleet-sized curve was the hot spot).
+  // The step curve is sorted by time: binary-search the first step past t.
+  // (Sampling a whole grid is one forward walk instead: run_job in
+  // core/measurement.cpp.)
   const auto it = std::upper_bound(
       compromised_ratio.begin(), compromised_ratio.end(), t,
       [](double value, const std::pair<double, double>& step) {
@@ -269,21 +269,49 @@ struct QLater {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
+/// The mutable buffers a run borrows, one set per thread. Invariant at
+/// rest (between runs): every `state` byte is kClean and every pool is
+/// empty — whichever simulator, of whatever size or topology, ran last.
+/// `state` only ever grows (to the largest node_count seen), so a run
+/// costs O(nodes it touches), not O(node_count), and after warm-up no
+/// buffer here allocates.
+struct RunScratch {
+  std::vector<NodeState> state;
+  std::vector<NodeId> touched;  // nodes moved out of kClean this run
+  std::vector<QEvent> heap;
+  std::vector<NodeId> roots;
+  std::vector<std::uint64_t> root_cum;
+  std::vector<NodeId> payload_sources;
+  std::vector<NodeId> owned_plcs;
+  std::vector<NodeId> unowned_targets;
+};
+
+RunScratch& thread_scratch() {
+  thread_local RunScratch scratch;
+  return scratch;
+}
+
 /// Mutable state of one run() over the read-only CampaignTables: the
 /// structure-of-arrays kernel. Every random decision draws from the
 /// per-event-class facade (attack/campaign_rng.h) under the documented
 /// draw-order contract, with per-class words prefetched in blocks.
-/// Victim eligibility is fused into one scan_clean byte per node
-/// (host-target AND still-clean), monitoring-view ownership is an
-/// incremental counter, and the unowned-target pool shrinks by
-/// swap-remove — part of the draw-order contract, because the pool order
-/// feeds later uniform picks.
+/// Victim eligibility is tested as state == kClean on top of the shared
+/// host-target flag, monitoring-view ownership is an incremental counter,
+/// and the unowned-target pool shrinks by swap-remove — part of the
+/// draw-order contract, because the pool order feeds later uniform picks.
+///
+/// The per-node array and the pools are borrowed from the calling
+/// thread's RunScratch. deliver() is the only transition out of kClean
+/// and logs the node in `touched`; the destructor restores exactly those
+/// nodes and empties the pools, so even a throw mid-run hands the next
+/// run a clean scratch.
 struct RunState {
   const Scenario& sc;
   const ThreatProfile& pr;
   const DetectionModel& det;
   const CampaignOptions& opt;
   const CampaignTables& tb;
+  RunScratch& scratch;
   CampaignRng rng;
   CampaignResult result;
 
@@ -299,42 +327,58 @@ struct RunState {
   double t_sabotage = kNever;
 
   // Per-node transient events (activation / privesc retries).
-  std::vector<QEvent> heap;  // min-heap via std::push_heap/pop_heap
+  std::vector<QEvent>& heap;  // min-heap via std::push_heap/pop_heap
   std::uint32_t next_seq = 0;
 
-  std::vector<NodeState> state;
-  std::vector<std::uint8_t> plc_owned;
-  /// scan_clean[v] == (host-target AND state == kClean), the fused
-  /// one-load eligibility test of the propagation fast path.
-  std::vector<std::uint8_t> scan_clean;
-  std::vector<NodeId> roots;            // nodes at kRoot, in promotion order
-  std::vector<std::uint64_t> root_cum;  // cumulative scan+tunnel slots per root
+  NodeState* state = nullptr;           // scratch.state.data(), >= node_count
+  std::vector<NodeId>& roots;           // nodes at kRoot, in promotion order
+  std::vector<std::uint64_t>& root_cum;  // cumulative scan+tunnel slots per root
   std::uint64_t scan_slots = 0;         // == root_cum.back() (0 when no roots)
-  std::vector<NodeId> payload_sources;  // rooted engineering/SCADA nodes
-  std::vector<NodeId> owned_plcs;       // owned targets, in capture order
-  std::vector<NodeId> unowned_targets;  // target_plcs minus owned (swap-remove)
+  std::vector<NodeId>& payload_sources;  // rooted engineering/SCADA nodes
+  std::vector<NodeId>& owned_plcs;       // owned targets, in capture order
+  std::vector<NodeId>& unowned_targets;  // target_plcs minus owned (swap-remove)
   std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
   std::size_t monitoring_owned = 0;  // rooted monitoring-view nodes
 
   RunState(const Scenario& s, const ThreatProfile& p,
            const CampaignTables& t, const DetectionModel& d,
-           const CampaignOptions& o, const stats::Rng& base)
+           const CampaignOptions& o, const stats::Rng& base, RunScratch& scr)
       : sc(s),
         pr(p),
         det(d),
         opt(o),
         tb(t),
-        rng(base) {
-    state.assign(tb.node_count, NodeState::kClean);
-    plc_owned.assign(tb.node_count, 0);
-    scan_clean.resize(tb.node_count);
-    for (std::size_t i = 0; i < tb.node_count; ++i)
-      scan_clean[i] = (tb.flags[i] & CampaignTables::kFlagHostTarget) ? 1 : 0;
-    unowned_targets = sc.target_plcs;
-    heap.reserve(64);
+        scratch(scr),
+        rng(base),
+        heap(scr.heap),
+        roots(scr.roots),
+        root_cum(scr.root_cum),
+        payload_sources(scr.payload_sources),
+        owned_plcs(scr.owned_plcs),
+        unowned_targets(scr.unowned_targets) {
+    // Growth keeps the invariant (new bytes are kClean), and both
+    // throwing steps leave the scratch as they found it, so a throw here
+    // (where no destructor runs) cannot dirty it either.
+    if (scratch.state.size() < tb.node_count)
+      scratch.state.resize(tb.node_count, NodeState::kClean);
+    state = scratch.state.data();
     result.compromised_ratio.emplace_back(0.0, 0.0);
+    unowned_targets.assign(sc.target_plcs.begin(), sc.target_plcs.end());
   }
+
+  ~RunState() {
+    for (const NodeId n : scratch.touched) state[n] = NodeState::kClean;
+    scratch.touched.clear();
+    heap.clear();
+    roots.clear();
+    root_cum.clear();
+    payload_sources.clear();
+    owned_plcs.clear();
+    unowned_targets.clear();
+  }
+
+  RunState(const RunState&) = delete;  // a copy would restore twice
 
   // Telemetry tallies: plain locals, flushed to the striped obs::
   // counters once per run (run_kernel), so the event loop never touches
@@ -410,8 +454,8 @@ struct RunState {
   }
 
   void deliver(NodeId n, CampaignEventKind kind) {
+    scratch.touched.push_back(n);  // first: a throw leaves `n` clean
     state[n] = NodeState::kDelivered;
-    scan_clean[n] = 0;
     note(n, kind);
     push(0, n, exp_delay(DrawClass::kActivation, tb.activation_rate[n]));
   }
@@ -484,8 +528,8 @@ struct RunState {
     // the pair uniform over the slot ranges, so one weighted word picks
     // root, channel and victim from the precomputed ReachabilityIndex
     // target lists and per-(root, victim, channel) intensities match the
-    // unthinned scan exactly. Victim eligibility is then one fused
-    // scan_clean load (the lists never contain the owner, so v != n is
+    // unthinned scan exactly. Victim eligibility is then still-clean AND
+    // host-target (the lists never contain the owner, so v != n is
     // structural).
     const std::uint64_t x = rng.below(DrawClass::kPropagation, scan_slots);
     const std::size_t ri =
@@ -507,7 +551,8 @@ struct RunState {
       rem -= row.size();
     }
     ++scan_candidates;
-    if (scan_clean[v] != 0 &&
+    if (state[v] == NodeState::kClean &&
+        (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
         (direct || rng.bernoulli(DrawClass::kPropagation, tb.firewall_bypass_p))) {
       ++scan_accepted;
       if (rng.bernoulli(DrawClass::kPropagation, tb.lateral_p[v])) {
@@ -541,7 +586,6 @@ struct RunState {
       if (via_project || via_modbus) {
         const double p = via_modbus ? tb.plc_modbus_p[plc] : tb.plc_direct_p[plc];
         if (rng.bernoulli(DrawClass::kPayload, p)) {
-          plc_owned[plc] = 1;
           owned_plcs.push_back(plc);
           // Swap-remove (contract): the pool order feeds later picks.
           unowned_targets[pick] = unowned_targets.back();
@@ -677,7 +721,7 @@ struct CampaignCounters {
 CampaignResult run_kernel(const Scenario& sc, const ThreatProfile& pr,
                           const CampaignTables& tb, const DetectionModel& det,
                           const CampaignOptions& opt, const stats::Rng& base) {
-  RunState st(sc, pr, tb, det, opt, base);
+  RunState st(sc, pr, tb, det, opt, base, thread_scratch());
   st.run_until(opt.t_max_hours);
   st.result.hosts_compromised = st.hosts_owned;
   st.result.plcs_compromised = st.owned_plcs.size();

@@ -24,7 +24,11 @@
 // small heap of per-node retry events. No string labels, no per-node
 // scans, no per-event catalog or firewall walks, no queue that grows
 // with fleet compromise. The precomputed state is read-only, so one
-// simulator serves any number of concurrent replications.
+// simulator serves any number of concurrent replications. A run's own
+// mutable state (per-node state, event heap, membership pools) lives in
+// a per-thread scratch that each run hands back clean by restoring only
+// the nodes it touched: a replication costs O(nodes touched), not
+// O(node_count), and allocates no fleet-sized buffer once warm.
 #pragma once
 
 #include <memory>

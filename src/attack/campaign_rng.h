@@ -46,10 +46,10 @@
 // per draw before).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "stats/rng.h"
 
@@ -76,9 +76,10 @@ enum class DrawClass : std::uint8_t {
 
 inline constexpr std::size_t kDrawClassCount = 8;
 
-/// Words prefetched per class by the campaign kernel. Pure performance
-/// tuning — NOT part of the determinism contract (any block size yields
-/// the same per-class word sequence, hence identical results).
+/// Words prefetched per class by the campaign kernel, and the facade's
+/// cap (its buffer is inline, so a run allocates nothing for it). Pure
+/// performance tuning — NOT part of the determinism contract (any block
+/// size yields the same per-class word sequence, hence identical results).
 inline constexpr std::size_t kDefaultDrawBlock = 64;
 
 /// 256-layer ziggurat for Exp(1) (Marsaglia & Tsang, "The Ziggurat
@@ -143,11 +144,12 @@ class ZigguratExp {
 class CampaignRng {
  public:
   /// Derives the kDrawClassCount class streams from `base` (base state
-  /// is not consumed). `block` is the per-class prefetch depth; any
-  /// value draws the same words (tests pin 1, 7 and the default).
+  /// is not consumed). `block` is the per-class prefetch depth, clamped
+  /// to [1, kDefaultDrawBlock]; any value draws the same words (tests
+  /// pin 1, 7 and the default).
   explicit CampaignRng(const stats::Rng& base,
                        std::size_t block = kDefaultDrawBlock)
-      : block_(block ? block : 1), buf_(kDrawClassCount * block_) {
+      : block_(std::clamp<std::size_t>(block, 1, kDefaultDrawBlock)) {
     for (std::size_t c = 0; c < kDrawClassCount; ++c) {
       lanes_[c].rng = base.stream(c);
       lanes_[c].pos = block_;  // empty: refill on first next()
@@ -221,7 +223,9 @@ class CampaignRng {
   };
 
   std::size_t block_;
-  std::vector<std::uint64_t> buf_;
+  // Lane c's block is buf_[c * block_, (c + 1) * block_); a lane writes
+  // it before its first read, so no word needs initializing.
+  std::array<std::uint64_t, kDrawClassCount * kDefaultDrawBlock> buf_;
   std::array<Lane, kDrawClassCount> lanes_;
 };
 

@@ -96,14 +96,21 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
     // edges as integer compromised-component counts (the recorded ratio
     // is count / node_count, so the llround recovers the count exactly);
     // the curve accumulator sums these exactly across any merge order.
+    // Both the edges and the curve's steps ascend, so one forward walk
+    // replaces a ratio_at search per bin (same rule: a step at time <= t
+    // counts).
     const std::size_t nodes = ctx.campaign->scenario().topology.node_count();
     s.ratio_scale = static_cast<std::uint64_t>(nodes);
     s.ratio_counts.resize(curve_bins);
+    const auto& curve = r.compromised_ratio;
+    std::size_t next = 0;  // first step past the current edge
     for (std::size_t k = 0; k < curve_bins; ++k) {
       const double t = horizon * static_cast<double>(k + 1) /
                        static_cast<double>(curve_bins);
+      while (next < curve.size() && curve[next].first <= t) ++next;
+      const double ratio = next == 0 ? 0.0 : curve[next - 1].second;
       s.ratio_counts[k] = static_cast<std::uint32_t>(
-          std::llround(r.ratio_at(t) * static_cast<double>(nodes)));
+          std::llround(ratio * static_cast<double>(nodes)));
     }
   } else {
     san::SanSimulator sim(ctx.san->asan.model, rng);

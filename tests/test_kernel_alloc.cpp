@@ -1,0 +1,95 @@
+// The campaign kernel's per-replication cost must not scale with fleet
+// size: a run borrows its per-node state and event pools from a
+// per-thread scratch that is restored through a touched-node list, so
+// once warm it makes no allocation proportional to node_count. This
+// binary replaces the global operator new/delete (backed by malloc/free)
+// to count every allocation of at least node_count bytes made while a
+// window is armed — which is why it is its own executable, and why it
+// stays out of sanitizer builds that intercept operator new themselves.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "attack/campaign.h"
+#include "scenario/presets.h"
+#include "stats/rng.h"
+
+namespace {
+
+std::atomic<bool> g_armed{false};
+std::atomic<std::size_t> g_threshold{0};
+std::atomic<std::size_t> g_large{0};    // armed allocations >= threshold
+std::atomic<std::size_t> g_largest{0};  // biggest armed allocation
+
+void* counted_alloc(std::size_t size) {
+  if (g_armed.load(std::memory_order_relaxed) &&
+      size >= g_threshold.load(std::memory_order_relaxed)) {
+    g_large.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_largest.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  return std::malloc(size ? size : 1);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace divsec {
+namespace {
+
+TEST(KernelAlloc, SteadyStateRunsMakeNoNodeCountSizedAllocation) {
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const auto made = scenario::make_preset("enterprise4096", cat, 17,
+                                          scenario::VariantPolicy::kMonoculture);
+  const attack::CampaignSimulator sim(made.scenario,
+                                      attack::ThreatProfile::stuxnet(), cat);
+  const std::size_t nodes = made.scenario.topology.node_count();
+  ASSERT_EQ(nodes, 4096u);
+
+  {  // Warm-up: grows this thread's scratch and registers the counters.
+    stats::Rng rng(2013, 0);
+    (void)sim.run(rng);
+  }
+
+  g_threshold = nodes;
+  g_large = 0;
+  g_largest = 0;
+  std::size_t events = 0;
+  g_armed = true;
+  for (std::uint64_t rep = 1; rep <= 256; ++rep) {
+    stats::Rng rng(2013, rep);
+    events += sim.run(rng).events_executed;
+  }
+  g_armed = false;
+
+  // The runs did real work (the window is not vacuous) ...
+  EXPECT_GT(events, 256u);
+  // ... and none of it allocated a buffer the size of the fleet.
+  EXPECT_EQ(g_large.load(), 0u)
+      << "largest allocation in the window: " << g_largest.load()
+      << " bytes (node_count = " << nodes << ")";
+}
+
+}  // namespace
+}  // namespace divsec

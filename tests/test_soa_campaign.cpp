@@ -14,9 +14,15 @@
 //     ReachabilityIndex, contexts are built lazily per scheduling round
 //     (peak residency far below the cell count), and none of it changes
 //     a single bit of the summaries.
+//  4. Per-thread scratch: a run borrows its per-node state and pools
+//     from its thread's scratch and hands them back clean, so a run's
+//     result never depends on what that thread ran before — a fleet of
+//     any size, a plant, a failed run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "attack/campaign.h"
 #include "attack/campaign_rng.h"
@@ -348,6 +354,79 @@ TEST_F(SoaKernelFixture, LazySharedPathChangesNoBits) {
       const auto r = direct.run(rng);
       EXPECT_EQ(samples[c][rep].final_ratio, r.compromised_ratio.back().second)
           << "cell " << c << " rep " << rep;
+    }
+  }
+}
+
+// --- 4. Per-thread scratch ---------------------------------------------
+
+TEST_F(SoaKernelFixture, ScratchReuseAcrossFleetSizesChangesNoBits) {
+  CampaignOptions opt;
+  opt.detection_halts_attack = false;  // longer runs touch more nodes
+  const auto make = [&](const char* preset) {
+    return CampaignSimulator(
+        scenario::make_preset(preset, cat, 17,
+                              scenario::VariantPolicy::kMonoculture)
+            .scenario,
+        stuxnet, cat, {}, opt);
+  };
+  const CampaignSimulator big = make("enterprise1024");
+  const CampaignSimulator small = make("scope_cooling");
+  const CampaignSimulator mid = make("enterprise64");
+  // Big -> small -> big, and seeds that come back after other runs: a
+  // node left dirty by one run would change a later run on this thread.
+  const std::vector<std::pair<const CampaignSimulator*, std::uint64_t>> steps =
+      {{&big, 0}, {&small, 0}, {&big, 1}, {&mid, 0}, {&big, 0}, {&small, 0},
+       {&mid, 1}, {&big, 1},   {&small, 1}, {&mid, 0}, {&big, 2}, {&small, 1}};
+  std::size_t most_owned = 0;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const auto& [sim, rep] = steps[i];
+    stats::Rng here(2013, rep);
+    const CampaignResult got = sim->run(here);
+    // The same run on a thread whose scratch has never been used.
+    CampaignResult fresh;
+    std::thread([&fresh, sim = sim, rep = rep] {
+      stats::Rng rng(2013, rep);
+      fresh = sim->run(rng);
+    }).join();
+    SCOPED_TRACE(::testing::Message() << "step " << i);
+    expect_same_result(got, fresh);
+    most_owned = std::max(most_owned, got.hosts_compromised);
+  }
+  // The big runs really did leave many nodes to restore.
+  EXPECT_GE(most_owned, 20u);
+}
+
+TEST_F(SoaKernelFixture, MixedSizeSweepBitIdenticalAcrossThreads) {
+  // Worker threads pick up blocks of differently sized cells in
+  // schedule-dependent order, so each thread's scratch serves a mix of
+  // fleets; the summaries must still equal the 1-thread sweep's.
+  core::ScenarioSweepPlan plan;
+  std::uint64_t seed = 300;
+  for (const char* preset : {"enterprise1024", "scope_cooling", "enterprise64",
+                             "enterprise256", "scope_cooling", "enterprise1024"})
+    plan.cells.push_back({scenario::make_preset(preset, cat, 17,
+                                                scenario::VariantPolicy::kMonoculture)
+                              .scenario,
+                          seed++});
+  std::vector<core::IndicatorSummary> reference;
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::Executor ex{threads};
+    core::MeasurementOptions mo;
+    mo.replications = 64;
+    mo.replication_block = 16;
+    mo.executor = &ex;
+    const auto got =
+        core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
+    if (reference.empty()) {
+      reference = got;
+      continue;
+    }
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " cell=" << c);
+      expect_bit_identical(reference[c], got[c]);
     }
   }
 }
