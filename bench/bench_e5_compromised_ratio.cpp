@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstring>
 #include <ctime>
+#include <numeric>
 
 #include "bench/bench_util.h"
 #include "bench/legacy_campaign.h"
@@ -512,7 +513,7 @@ bool adaptive_sweep_phase() {
               "precision=1%% abs-floor=0.002\n",
               spec.policies.size(), spec.replications, spec.superblock);
 
-  const dist::AdaptiveResult result = dist::run_adaptive(spec, options);
+  const dist::MergeResult result = dist::run_adaptive(spec, options);
 
   // Per-cell verdict against the same resolved rule the loop used.
   const core::AdaptiveSchedule sched = core::resolve_adaptive_schedule(
@@ -530,11 +531,15 @@ bool adaptive_sweep_phase() {
                14);
   }
 
+  const std::uint64_t total_replications = std::accumulate(
+      result.meta.achieved.begin(), result.meta.achieved.end(),
+      std::uint64_t{0});
+  const std::uint64_t budget_replications =
+      result.meta.cells * result.meta.replications;
   const double savings =
-      result.total_replications > 0
-          ? static_cast<double>(result.budget_replications) /
-                static_cast<double>(result.total_replications)
-          : 0.0;
+      total_replications > 0 ? static_cast<double>(budget_replications) /
+                                   static_cast<double>(total_replications)
+                             : 0.0;
 
   // Replay the recorded achieved counts across a 2-shard cut the run
   // never used and demand the byte-identical CSV — the reproducibility
@@ -555,8 +560,8 @@ bool adaptive_sweep_phase() {
 
   std::printf("replications %llu of %llu budget (%.2fx saved) in %zu "
               "round(s), %.1f ms   2-shard replay CSV identical: %s\n",
-              static_cast<unsigned long long>(result.total_replications),
-              static_cast<unsigned long long>(result.budget_replications),
+              static_cast<unsigned long long>(total_replications),
+              static_cast<unsigned long long>(budget_replications),
               savings, result.rounds.size(), result.meta.wall_ms,
               identical ? "yes" : "NO (BUG)");
 

@@ -8,15 +8,15 @@
 
 namespace divsec::dist {
 
-AdaptiveResult run_adaptive(const SweepSpec& spec,
-                            const core::AdaptiveOptions& options,
-                            const sim::Executor* executor) {
+MergeResult run_adaptive(const SweepSpec& spec,
+                         const core::AdaptiveOptions& options,
+                         const sim::Executor* executor) {
   if (!spec.achieved.empty())
     throw std::invalid_argument(
         "run_adaptive: spec already carries achieved counts (that is a "
         "replay input, not an adaptive-run input)");
 
-  AdaptiveResult result;
+  MergeResult result;
   result.meta = make_meta(spec);
   SweepMeta& meta = result.meta;
   core::AdaptiveReport report;
@@ -45,23 +45,7 @@ AdaptiveResult run_adaptive(const SweepSpec& spec,
   result.accumulators = std::move(report.accumulators);
   result.rounds = std::move(report.rounds);
   result.cell_rounds = std::move(report.cell_rounds);
-  result.total_replications = report.total_replications;
-  result.budget_replications = meta.cells * meta.replications;
   return result;
-}
-
-ShardState adaptive_state(const AdaptiveResult& result) {
-  ShardState state;
-  state.meta = result.meta;
-  state.tasks.resize(result.accumulators.size());
-  for (std::size_t c = 0; c < state.tasks.size(); ++c) state.tasks[c] = c;
-  state.partials.reserve(result.accumulators.size());
-  for (const auto& a : result.accumulators)
-    state.partials.push_back(a.state());
-  state.cost = result.cost;
-  state.rounds = result.rounds;
-  state.cell_rounds = result.cell_rounds;
-  return state;
 }
 
 }  // namespace divsec::dist

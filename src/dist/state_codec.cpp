@@ -1,11 +1,14 @@
 #include "dist/state_codec.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <chrono>
-#include <span>
+#include <concepts>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "dist/fnv.h"
 #include "obs/metrics.h"
@@ -28,7 +31,7 @@ constexpr std::size_t kJsonListCap = 64;
 /// before it drives allocation — no legitimate sweep state comes close.
 constexpr std::uint64_t kMaxArray = std::uint64_t{1} << 26;
 
-// ---- primitive byte codec (little-endian, padding-free) --------------------
+// ---- framing primitives (fixed-width, little-endian, padding-free) --------
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -36,15 +39,6 @@ void put_u32(std::string& out, std::uint32_t v) {
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
 }
 
 /// LEB128 varint: 7 bits per byte, low bits first, high bit = continue.
@@ -65,15 +59,6 @@ void put_var(std::string& out, std::uint64_t v) {
   return r;
 }
 
-/// "varf64": varint of the byte-swapped IEEE-754 bit pattern. A double's
-/// low mantissa bytes are zero for "clean" values (integers, halves, a
-/// zeroed accumulator); swapping moves those zeros to the high end,
-/// where LEB128 drops them — 2160.0 costs 3 bytes, 0.0 costs 1, a noisy
-/// full-mantissa double at most 10.
-void put_varf(std::string& out, double v) {
-  put_var(out, byteswap64(std::bit_cast<std::uint64_t>(v)));
-}
-
 [[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -83,6 +68,356 @@ void put_varf(std::string& out, double v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+// ---- the field walks -------------------------------------------------------
+//
+// Each state's field order is written down exactly once, in a `walk`
+// overload below. Four visitors run the walks:
+//   Packer       — the v4 wire format (encode_shard_state);
+//   Reader       — decode, the only visitor that enforces Check rules;
+//   JsonWriter   — accumulator_json;
+//   WidthCounter — the fixed-width size (uncompressed_equivalent_bytes).
+// Visitor primitives, with their packed coding:
+//   uint(name, x, check)          integer: LEB128 varint
+//   f64(name, x)                  double: "varf64", the varint of the
+//                                 byte-swapped IEEE-754 bits (low mantissa
+//                                 zeros of clean values drop out)
+//   byte(name, x, max)            bool or enum: one byte, at most `max`
+//   str(name, s)                  varint length, then the bytes
+//   list(name, v, coding, check)  u64 array: varint length, then `coding`
+//   records(name, v, check)       varint count, then each entry's walk
+//   entries(name, v, n)           n entry walks; n comes from an earlier field
+//   object(name, s)               a nested state's walk
+
+/// Packed codings of a u64 array.
+enum class Coding {
+  kCounts,     // sparse counts (survival bins): a zero run is (0, length)
+  kRuns,       // flat per-cell lists: (value, run length) pairs
+  kAscending,  // strictly ascending ids: first value, then gaps
+  kDeltas,     // monotone-ish sums (curves): zigzag deltas, then kCounts
+};
+
+/// Decode-side shape rules of one field. Only the Reader enforces them,
+/// so encode stays exactly as lenient as validate_state.
+struct Check {
+  std::uint64_t lo = 0;  // the value (every element, for a list) lies in [lo, hi]
+  std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t zero_or = kAnyLength;  // the length must be 0 or this
+  /// Each entry costs at least this many input bytes, so a count the
+  /// remaining input cannot hold is corrupt. 0: run-coded (entries can
+  /// expand past the input), bounded by kMaxArray instead.
+  std::uint64_t entry_bytes = 0;
+
+  static constexpr std::uint64_t kAnyLength =
+      std::numeric_limits<std::uint64_t>::max();
+};
+
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+template <class V>
+void walk(V& v, Of<stats::OnlineStats::State> auto& s) {
+  v.uint("n", s.n);
+  v.f64("mean", s.mean);
+  v.f64("m2", s.m2);
+  v.f64("min", s.min);
+  v.f64("max", s.max);
+}
+
+template <class V>
+void walk(V& v, Of<stats::TDigest::Centroid> auto& c) {
+  v.f64("mean", c.mean);
+  v.uint("weight", c.weight);
+}
+
+template <class V>
+void walk(V& v, Of<stats::TDigest::State> auto& s) {
+  v.f64("compression", s.compression);
+  v.f64("min", s.min);
+  v.f64("max", s.max);
+  v.records("centroids", s.centroids, {.entry_bytes = 2});
+}
+
+template <class V>
+void walk(V& v, Of<stats::StreamingSurvival::State> auto& s) {
+  v.f64("horizon", s.horizon);
+  v.uint("n", s.n);
+  v.uint("events", s.events);
+  v.list("events_in", s.events_in, Coding::kCounts);
+  v.list("censored_in", s.censored_in, Coding::kCounts);
+}
+
+template <class V>
+void walk(V& v, Of<stats::CensoredTimeAccumulator::State> auto& s) {
+  v.object("moments", s.moments);
+  v.uint("censored", s.censored);
+  v.object("times", s.times);
+  v.object("survival", s.survival);
+}
+
+template <class V>
+void walk(V& v, Of<core::RatioCurveAccumulator::State> auto& s) {
+  v.f64("horizon", s.horizon);
+  v.uint("scale", s.scale);
+  v.uint("n", s.n);
+  v.list("sums", s.sums, Coding::kDeltas);
+}
+
+template <class V>
+void walk(V& v, Of<core::IndicatorAccumulator::State> auto& s) {
+  v.f64("horizon", s.horizon);
+  v.uint("n", s.n);
+  v.uint("successes", s.successes);
+  v.object("tta", s.tta);
+  v.object("ttsf", s.ttsf);
+  v.object("final_ratio", s.final_ratio);
+  v.object("curve", s.curve);
+}
+
+template <class V>
+void walk(V& v, Of<scenario::VariantPolicy> auto& p) {
+  v.byte("policy", p,
+         static_cast<std::uint8_t>(scenario::VariantPolicy::kBalancedRotation));
+}
+
+template <class V>
+void walk(V& v, Of<SweepMeta> auto& m) {
+  v.str("preset", m.preset);
+  v.str("threat", m.threat);
+  v.records("policies", m.policies, {.entry_bytes = 1});
+  v.uint("seed", m.seed);
+  v.uint("replications", m.replications);
+  v.uint("replication_block", m.replication_block);
+  v.uint("superblock", m.superblock);
+  v.uint("survival_bins", m.survival_bins);
+  v.f64("horizon_hours", m.horizon_hours);
+  // Per-cell lookups downstream index the policy list by cell.
+  v.uint("cells", m.cells, {.lo = m.policies.size(), .hi = m.policies.size()});
+  v.list("achieved", m.achieved, Coding::kRuns,
+         {.lo = 1, .hi = m.replications, .zero_or = m.cells});
+  v.uint("shard", m.shard);
+  v.uint("shard_count", m.shard_count);
+  v.byte("merged", m.merged, 1);
+  v.f64("wall_ms", m.wall_ms);
+  v.uint("threads", m.threads);
+}
+
+template <class V>
+void walk(V& v, Of<CellCost> auto& c) {
+  v.uint("replications", c.replications);
+  v.f64("seconds", c.seconds);
+}
+
+template <class V>
+void walk(V& v, Of<core::RoundLog> auto& r) {
+  v.uint("round", r.round);
+  v.uint("active_cells", r.active_cells);
+  v.uint("tasks", r.tasks);
+  v.uint("replications", r.replications);
+  v.f64("wall_ms", r.wall_ms);
+  v.f64("merge_ms", r.merge_ms);
+}
+
+constexpr const char* kSectionNames[] = {"meta", "tasks", "accumulators",
+                                         "cost", "rounds"};
+constexpr std::size_t kSectionCount = std::size(kSectionNames);
+
+/// The payload sections of a shard state, in file order.
+template <class V>
+void walk_section(V& v, Of<ShardState> auto& s, std::size_t section) {
+  switch (section) {
+    case 0: v.object("meta", s.meta); break;
+    case 1:
+      v.list("tasks", s.tasks, Coding::kAscending, {.entry_bytes = 1});
+      break;
+    case 2: v.entries("accumulators", s.partials, s.tasks.size()); break;
+    case 3:
+      v.records("cost", s.cost.cells,
+                {.zero_or = s.meta.cells, .entry_bytes = 2});
+      break;
+    default:
+      v.records("rounds", s.rounds, {.entry_bytes = 6});
+      v.list("cell_rounds", s.cell_rounds, Coding::kRuns,
+             {.zero_or = s.meta.cells});
+  }
+}
+
+// ---- visitors --------------------------------------------------------------
+
+/// The v4 wire format.
+struct Packer {
+  std::string out;
+
+  void uint(const char*, std::uint64_t x, Check = {}) { put_var(out, x); }
+  void f64(const char*, double x) {
+    put_var(out, byteswap64(std::bit_cast<std::uint64_t>(x)));
+  }
+  template <class T>
+  void byte(const char*, T x, std::uint8_t) {
+    out.push_back(static_cast<char>(x));
+  }
+  void str(const char*, const std::string& s) {
+    put_var(out, s.size());
+    out += s;
+  }
+  void list(const char*, const std::vector<std::uint64_t>& v, Coding coding,
+            Check = {}) {
+    put_var(out, v.size());
+    switch (coding) {
+      case Coding::kCounts: counts(v); break;
+      case Coding::kRuns:
+        for (std::size_t i = 0, j = 0; i < v.size(); i = j) {
+          while (j < v.size() && v[j] == v[i]) ++j;
+          put_var(out, v[i]);
+          put_var(out, j - i);
+        }
+        break;
+      case Coding::kAscending:
+        for (std::size_t i = 0; i < v.size(); ++i)
+          put_var(out, i == 0 ? v[i] : v[i] - v[i - 1]);
+        break;
+      case Coding::kDeltas: {
+        std::vector<std::uint64_t> zz(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i)
+          zz[i] = zigzag(static_cast<std::int64_t>(v[i] - (i ? v[i - 1] : 0)));
+        counts(zz);
+      }
+    }
+  }
+  template <class T>
+  void records(const char* name, const std::vector<T>& v, Check = {}) {
+    put_var(out, v.size());
+    entries(name, v, v.size());
+  }
+  template <class T>
+  void entries(const char*, const std::vector<T>& v, std::size_t) {
+    for (const T& e : v) walk(*this, e);
+  }
+  template <class S>
+  void object(const char*, const S& s) {
+    walk(*this, s);
+  }
+
+ private:
+  void counts(const std::vector<std::uint64_t>& v) {
+    for (std::size_t i = 0, j = 0; i < v.size(); i = j) {
+      if (v[i] != 0) {
+        put_var(out, v[j++]);
+        continue;
+      }
+      while (j < v.size() && v[j] == 0) ++j;
+      put_var(out, 0);
+      put_var(out, j - i);
+    }
+  }
+};
+
+/// The fixed-width size of the same walk: 8 bytes per number (4 for
+/// 32-bit fields), the way versions 1–3 encoded.
+struct WidthCounter {
+  std::size_t bytes = 0;
+
+  template <class T>
+  void uint(const char*, T, Check = {}) {
+    bytes += sizeof(T);
+  }
+  void f64(const char*, double) { bytes += 8; }
+  template <class T>
+  void byte(const char*, T, std::uint8_t) {
+    bytes += 1;
+  }
+  void str(const char*, const std::string& s) { bytes += 8 + s.size(); }
+  void list(const char*, const std::vector<std::uint64_t>& v, Coding,
+            Check = {}) {
+    bytes += 8 * (1 + v.size());
+  }
+  template <class T>
+  void records(const char* name, const std::vector<T>& v, Check = {}) {
+    bytes += 8;
+    entries(name, v, v.size());
+  }
+  template <class T>
+  void entries(const char*, const std::vector<T>& v, std::size_t) {
+    for (const T& e : v) walk(*this, e);
+  }
+  template <class S>
+  void object(const char*, const S& s) {
+    walk(*this, s);
+  }
+};
+
+/// Exact JSON (doubles at %.17g): objects render as {"name": value, ...},
+/// record entries positionally as [value, ...].
+class JsonWriter {
+ public:
+  template <class S>
+  static std::string render(const S& s) {
+    JsonWriter j;
+    j.nested('{', '}', false, [&] { walk(j, s); });
+    return std::move(j.out_);
+  }
+
+  void uint(const char* name, std::uint64_t x, Check = {}) {
+    key(name);
+    out_ += std::to_string(x);
+  }
+  void f64(const char* name, double x) {
+    key(name);
+    out_ += util::json_number_exact(x);
+  }
+  void list(const char* name, const std::vector<std::uint64_t>& v, Coding,
+            Check = {}) {
+    key(name);
+    nested('[', ']', true, [&] {
+      for (const std::uint64_t x : v) uint("", x);
+    });
+  }
+  template <class T>
+  void records(const char* name, const std::vector<T>& v, Check = {}) {
+    key(name);
+    nested('[', ']', true, [&] {
+      for (const T& e : v) {
+        key("");
+        nested('[', ']', true, [&] { walk(*this, e); });
+      }
+    });
+  }
+  template <class S>
+  void object(const char* name, const S& s) {
+    key(name);
+    nested('{', '}', false, [&] { walk(*this, s); });
+  }
+
+ private:
+  void key(const char* name) {
+    if (!first_) out_ += ", ";
+    first_ = false;
+    if (positional_) return;
+    out_ += '"';
+    out_ += name;
+    out_ += "\": ";
+  }
+  template <class Body>
+  void nested(char open, char close, bool positional, Body&& body) {
+    const bool outer = positional_;
+    out_ += open;
+    first_ = true;
+    positional_ = positional;
+    body();
+    positional_ = outer;
+    first_ = false;
+    out_ += close;
+  }
+
+  std::string out_;
+  bool first_ = true;
+  bool positional_ = false;
+};
+
+/// Decode: the framing reads plus the walk primitives, which enforce each
+/// field's Check and accept only the bytes Packer writes — minimal
+/// varints, 0/1 flags, maximal runs — so encode(decode(bytes)) == bytes.
+/// var/uint/f64 are forced inline: at -O2 GCC otherwise leaves them out
+/// of line in the nested walks, and decode runs ~20% slower.
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
@@ -98,426 +433,163 @@ class Reader {
   }
 
   [[nodiscard]] std::uint32_t u32() {
-    need(4);
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[off_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    off_ += 4;
+    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
     return v;
   }
 
   [[nodiscard]] std::uint64_t u64() {
-    need(8);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[off_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    off_ += 8;
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
     return v;
   }
 
-  [[nodiscard]] std::uint64_t var() {
+  [[nodiscard, gnu::always_inline]] std::uint64_t var() {
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
       const std::uint8_t b = u8();
       v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if (!(b & 0x80)) {
+        // A zero final byte after the first is padding put_var never writes.
+        if (b == 0 && shift > 0) fail("varint", "overlong");
         // The 10th byte may only carry the top bit of the 64 (64 = 9*7+1).
-        if (shift == 63 && (b & 0x7E))
-          throw std::runtime_error("shard state: varint overflows 64 bits");
+        if (shift == 63 && (b & 0x7E)) break;
         return v;
       }
     }
-    throw std::runtime_error("shard state: varint overflows 64 bits");
+    fail("varint", "overflows 64 bits");
   }
 
-  [[nodiscard]] double varf() {
-    return std::bit_cast<double>(byteswap64(var()));
-  }
-
-  [[nodiscard]] std::string str() {
-    const std::uint32_t n = u32();
+  [[nodiscard]] std::string_view take(std::uint64_t n) {
     need(n);
-    std::string s(bytes_.substr(off_, n));
-    off_ += n;
-    return s;
-  }
-
-  /// Varint-length-prefixed string (packed sections).
-  [[nodiscard]] std::string vstr() {
-    const std::uint64_t n = var();
-    need(n);
-    std::string s(bytes_.substr(off_, static_cast<std::size_t>(n)));
+    const std::string_view v = bytes_.substr(off_, static_cast<std::size_t>(n));
     off_ += static_cast<std::size_t>(n);
-    return s;
-  }
-
-  [[nodiscard]] std::string_view take(std::size_t n) {
-    need(n);
-    const std::string_view v = bytes_.substr(off_, n);
-    off_ += n;
     return v;
   }
 
-  void skip(std::size_t n) {
-    need(n);
-    off_ += n;
+  template <std::unsigned_integral T>
+  [[gnu::always_inline]] void uint(const char* name, T& x, Check c = {}) {
+    x = static_cast<T>(
+        in_range(name, var(), c.lo,
+                 std::min<std::uint64_t>(c.hi, std::numeric_limits<T>::max())));
+  }
+  [[gnu::always_inline]] void f64(const char*, double& x) {
+    x = std::bit_cast<double>(byteswap64(var()));
+  }
+  template <class T>
+  void byte(const char* name, T& x, std::uint8_t max) {
+    x = static_cast<T>(in_range(name, u8(), 0, max));
+  }
+  void str(const char*, std::string& s) { s = std::string(take(var())); }
+
+  void list(const char* name, std::vector<std::uint64_t>& v, Coding coding,
+            Check c = {}) {
+    const std::uint64_t n = length(name, c);
+    v.clear();
+    v.reserve(static_cast<std::size_t>(n));
+    switch (coding) {
+      case Coding::kCounts: counts(name, v, n); break;
+      case Coding::kRuns:
+        while (v.size() < n) {
+          const std::uint64_t x = var();
+          const std::uint64_t run = var();
+          if (run == 0 || run > n - v.size())
+            fail(name, "bad run length");
+          if (!v.empty() && v.back() == x)
+            fail(name, "a value run is split in two");
+          v.insert(v.end(), static_cast<std::size_t>(run), x);
+        }
+        break;
+      case Coding::kAscending:
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const std::uint64_t gap = var();
+          if (i != 0 && (gap == 0 ||
+                         gap > std::numeric_limits<std::uint64_t>::max() - v.back()))
+            fail(name, "not strictly ascending");
+          v.push_back(i == 0 ? gap : v.back() + gap);
+        }
+        break;
+      case Coding::kDeltas: {
+        counts(name, v, n);
+        std::uint64_t prev = 0;
+        for (std::uint64_t& x : v) {
+          prev += static_cast<std::uint64_t>(unzigzag(x));
+          x = prev;
+        }
+      }
+    }
+    for (const std::uint64_t x : v) in_range(name, x, c.lo, c.hi);
+  }
+  template <class T>
+  void records(const char* name, std::vector<T>& v, Check c = {}) {
+    entries(name, v, length(name, c));
+  }
+  template <class T>
+  void entries(const char*, std::vector<T>& v, std::uint64_t n) {
+    v.assign(static_cast<std::size_t>(n), T{});
+    for (T& e : v) walk(*this, e);
+  }
+  template <class S>
+  void object(const char*, S& s) {
+    walk(*this, s);
   }
 
  private:
-  void need(std::size_t n) const {
-    if (remaining() < n)
-      throw std::runtime_error("shard state: truncated input");
+  void need(std::uint64_t n) const {
+    if (remaining() < n) fail("input", "truncated");
+  }
+
+  /// Every rejection throws from here, out of line, so the hot reads
+  /// stay small enough to inline.
+  [[noreturn, gnu::cold, gnu::noinline]] static void fail(
+      const char* name, const std::string& what) {
+    throw std::runtime_error(std::string("shard state: ") + name + ": " + what);
+  }
+
+  static std::uint64_t in_range(const char* name, std::uint64_t x,
+                                std::uint64_t lo, std::uint64_t hi) {
+    if (x < lo || x > hi) out_of_range(name, x, lo, hi);
+    return x;
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] static void out_of_range(
+      const char* name, std::uint64_t x, std::uint64_t lo, std::uint64_t hi) {
+    fail(name, std::to_string(x) + " outside [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+  }
+
+  /// A list or record count, checked against its rule before it drives
+  /// any allocation.
+  std::uint64_t length(const char* name, const Check& c) {
+    const std::uint64_t n = var();
+    if (c.zero_or != Check::kAnyLength && n != 0 && n != c.zero_or)
+      fail(name, std::to_string(n) + " entries, want 0 or " +
+                     std::to_string(c.zero_or));
+    if (n > (c.entry_bytes ? remaining() / c.entry_bytes : kMaxArray))
+      fail(name, "length " + std::to_string(n) + " exceeds the input");
+    return n;
+  }
+
+  void counts(const char* name, std::vector<std::uint64_t>& v,
+              std::uint64_t n) {
+    bool after_zero_run = false;
+    while (v.size() < n) {
+      const std::uint64_t x = var();
+      if (x != 0) {
+        v.push_back(x);
+        after_zero_run = false;
+        continue;
+      }
+      const std::uint64_t run = var();
+      if (run == 0 || run > n - v.size()) fail(name, "bad zero-run length");
+      if (after_zero_run) fail(name, "a zero run is split in two");
+      v.insert(v.end(), static_cast<std::size_t>(run), 0);
+      after_zero_run = true;
+    }
   }
 
   std::string_view bytes_;
   std::size_t off_ = 0;
 };
-
-// ---- dual-mode section writer ----------------------------------------------
-
-/// Writes a section payload either packed (the v4 wire format) or
-/// fixed-width (8 bytes per number — the "uncompressed equivalent" the
-/// compression ratio is measured against). Both modes walk the identical
-/// field sequence, so the equivalent is the same content, only wider.
-struct Writer {
-  std::string out;
-  bool packed = true;
-
-  void u32(std::uint32_t v) {
-    if (packed)
-      put_var(out, v);
-    else
-      put_u32(out, v);
-  }
-  void u64(std::uint64_t v) {
-    if (packed)
-      put_var(out, v);
-    else
-      put_u64(out, v);
-  }
-  void f64(double v) {
-    if (packed)
-      put_varf(out, v);
-    else
-      put_f64(out, v);
-  }
-  void byte(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    out += s;
-  }
-
-  /// Sparse count array: zero runs collapse to (0, run-length); nonzero
-  /// values encode directly. Right for survival bins, where most bins
-  /// hold nothing.
-  void counts(std::span<const std::uint64_t> v) {
-    if (!packed) {
-      for (const std::uint64_t x : v) put_u64(out, x);
-      return;
-    }
-    std::size_t i = 0;
-    while (i < v.size()) {
-      if (v[i] == 0) {
-        std::size_t j = i;
-        while (j < v.size() && v[j] == 0) ++j;
-        put_var(out, 0);
-        put_var(out, j - i);
-        i = j;
-      } else {
-        put_var(out, v[i]);
-        ++i;
-      }
-    }
-  }
-
-  /// Flat array: (value, run-length) pairs. Right for per-cell lists
-  /// where long stretches of cells share one value (achieved counts,
-  /// termination rounds).
-  void runs(std::span<const std::uint64_t> v) {
-    if (!packed) {
-      for (const std::uint64_t x : v) put_u64(out, x);
-      return;
-    }
-    std::size_t i = 0;
-    while (i < v.size()) {
-      std::size_t j = i;
-      while (j < v.size() && v[j] == v[i]) ++j;
-      put_var(out, v[i]);
-      put_var(out, j - i);
-      i = j;
-    }
-  }
-
-  /// Strictly ascending id list: first value, then gaps.
-  void ascending(std::span<const std::uint64_t> v) {
-    if (!packed) {
-      for (const std::uint64_t x : v) put_u64(out, x);
-      return;
-    }
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      put_var(out, i == 0 ? v[i] : v[i] - prev);
-      prev = v[i];
-    }
-  }
-
-  /// Monotone-ish array (curve sums): zigzag deltas, then the sparse
-  /// count coding — a plateaued curve is runs of zero deltas.
-  void zz_deltas(std::span<const std::uint64_t> v) {
-    if (!packed) {
-      for (const std::uint64_t x : v) put_u64(out, x);
-      return;
-    }
-    std::vector<std::uint64_t> zz(v.size());
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      zz[i] = zigzag(static_cast<std::int64_t>(v[i] - prev));
-      prev = v[i];
-    }
-    counts(zz);
-  }
-};
-
-[[nodiscard]] std::vector<std::uint64_t> get_counts(Reader& r,
-                                                    std::uint64_t n) {
-  if (n > kMaxArray)
-    throw std::runtime_error("shard state: array length exceeds sanity bound");
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  while (out.size() < n) {
-    const std::uint64_t v = r.var();
-    if (v == 0) {
-      const std::uint64_t run = r.var();
-      if (run == 0 || run > n - out.size())
-        throw std::runtime_error("shard state: bad zero-run length");
-      out.insert(out.end(), static_cast<std::size_t>(run), 0);
-    } else {
-      out.push_back(v);
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] std::vector<std::uint64_t> get_runs(Reader& r, std::uint64_t n) {
-  if (n > kMaxArray)
-    throw std::runtime_error("shard state: array length exceeds sanity bound");
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  while (out.size() < n) {
-    const std::uint64_t v = r.var();
-    const std::uint64_t run = r.var();
-    if (run == 0 || run > n - out.size())
-      throw std::runtime_error("shard state: bad run length");
-    out.insert(out.end(), static_cast<std::size_t>(run), v);
-  }
-  return out;
-}
-
-[[nodiscard]] std::vector<std::uint64_t> get_zz_deltas(Reader& r,
-                                                       std::uint64_t n) {
-  std::vector<std::uint64_t> zz = get_counts(r, n);
-  std::uint64_t prev = 0;
-  for (std::uint64_t& v : zz) {
-    prev += static_cast<std::uint64_t>(unzigzag(v));
-    v = prev;
-  }
-  return zz;
-}
-
-// ---- state blobs -----------------------------------------------------------
-
-void put_online(Writer& w, const stats::OnlineStats::State& s) {
-  w.u64(s.n);
-  w.f64(s.mean);
-  w.f64(s.m2);
-  w.f64(s.min);
-  w.f64(s.max);
-}
-
-stats::OnlineStats::State get_online(Reader& r) {
-  stats::OnlineStats::State s;
-  s.n = r.var();
-  s.mean = r.varf();
-  s.m2 = r.varf();
-  s.min = r.varf();
-  s.max = r.varf();
-  return s;
-}
-
-void put_digest(Writer& w, const stats::TDigest::State& s) {
-  w.f64(s.compression);
-  w.f64(s.min);
-  w.f64(s.max);
-  w.u64(s.centroids.size());
-  for (const auto& c : s.centroids) {
-    w.f64(c.mean);
-    w.u64(c.weight);
-  }
-}
-
-stats::TDigest::State get_digest(Reader& r) {
-  stats::TDigest::State s;
-  s.compression = r.varf();
-  s.min = r.varf();
-  s.max = r.varf();
-  const std::uint64_t n = r.var();
-  // Every centroid costs at least 2 bytes (varf mean + varint weight).
-  if (n > r.remaining() / 2)
-    throw std::runtime_error("shard state: centroid count exceeds input");
-  s.centroids.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    stats::TDigest::Centroid c;
-    c.mean = r.varf();
-    c.weight = r.var();
-    s.centroids.push_back(c);
-  }
-  return s;
-}
-
-void put_survival(Writer& w, const stats::StreamingSurvival::State& s) {
-  w.f64(s.horizon);
-  w.u64(s.n);
-  w.u64(s.events);
-  w.u64(s.events_in.size());
-  w.counts(s.events_in);
-  w.u64(s.censored_in.size());
-  w.counts(s.censored_in);
-}
-
-stats::StreamingSurvival::State get_survival(Reader& r) {
-  stats::StreamingSurvival::State s;
-  s.horizon = r.varf();
-  s.n = r.var();
-  s.events = r.var();
-  s.events_in = get_counts(r, r.var());
-  s.censored_in = get_counts(r, r.var());
-  return s;
-}
-
-void put_censored(Writer& w, const stats::CensoredTimeAccumulator::State& s) {
-  put_online(w, s.moments);
-  w.u64(s.censored);
-  put_digest(w, s.times);
-  put_survival(w, s.survival);
-}
-
-stats::CensoredTimeAccumulator::State get_censored(Reader& r) {
-  stats::CensoredTimeAccumulator::State s;
-  s.moments = get_online(r);
-  s.censored = r.var();
-  s.times = get_digest(r);
-  s.survival = get_survival(r);
-  return s;
-}
-
-void put_curve(Writer& w, const core::RatioCurveAccumulator::State& s) {
-  w.f64(s.horizon);
-  w.u64(s.scale);
-  w.u64(s.n);
-  w.u64(s.sums.size());
-  w.zz_deltas(s.sums);
-}
-
-core::RatioCurveAccumulator::State get_curve(Reader& r) {
-  core::RatioCurveAccumulator::State s;
-  s.horizon = r.varf();
-  s.scale = r.var();
-  s.n = r.var();
-  s.sums = get_zz_deltas(r, r.var());
-  return s;
-}
-
-void put_accumulator(Writer& w, const core::IndicatorAccumulator::State& s) {
-  w.f64(s.horizon);
-  w.u64(s.n);
-  w.u64(s.successes);
-  put_censored(w, s.tta);
-  put_censored(w, s.ttsf);
-  put_online(w, s.final_ratio);
-  put_curve(w, s.curve);
-}
-
-core::IndicatorAccumulator::State get_accumulator(Reader& r) {
-  core::IndicatorAccumulator::State s;
-  s.horizon = r.varf();
-  s.n = r.var();
-  s.successes = r.var();
-  s.tta = get_censored(r);
-  s.ttsf = get_censored(r);
-  s.final_ratio = get_online(r);
-  s.curve = get_curve(r);
-  return s;
-}
-
-// ---- sections --------------------------------------------------------------
-
-void put_meta(Writer& w, const SweepMeta& m) {
-  w.str(m.preset);
-  w.str(m.threat);
-  w.u64(m.policies.size());
-  for (const auto p : m.policies)
-    w.byte(static_cast<std::uint8_t>(p));
-  w.u64(m.seed);
-  w.u64(m.replications);
-  w.u64(m.replication_block);
-  w.u64(m.superblock);
-  w.u64(m.survival_bins);
-  w.f64(m.horizon_hours);
-  w.u64(m.cells);
-  w.u64(m.achieved.size());
-  w.runs(m.achieved);
-  w.u64(m.shard);
-  w.u64(m.shard_count);
-  w.byte(m.merged ? 1 : 0);
-  w.f64(m.wall_ms);
-  w.u32(m.threads);
-}
-
-void get_meta(Reader& r, SweepMeta& m) {
-  m.preset = r.vstr();
-  m.threat = r.vstr();
-  const std::uint64_t npol = r.var();
-  // One byte per policy: a count the remaining payload cannot hold is
-  // corruption. (No arbitrary cap — sweeps with many replicate arms are
-  // legitimate, and whatever encode writes must decode.)
-  if (npol > r.remaining())
-    throw std::runtime_error("shard state: policy list exceeds input size");
-  m.policies.reserve(static_cast<std::size_t>(npol));
-  for (std::uint64_t i = 0; i < npol; ++i) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(scenario::VariantPolicy::kBalancedRotation))
-      throw std::runtime_error("shard state: unknown variant policy");
-    m.policies.push_back(static_cast<scenario::VariantPolicy>(raw));
-  }
-  m.seed = r.var();
-  m.replications = r.var();
-  m.replication_block = r.var();
-  m.superblock = r.var();
-  m.survival_bins = r.var();
-  m.horizon_hours = r.varf();
-  m.cells = r.var();
-  if (m.cells != m.policies.size())
-    throw std::runtime_error(
-        "shard state: cell count disagrees with the policy list");
-  const std::uint64_t nachieved = r.var();
-  if (nachieved != 0 && nachieved != m.cells)
-    throw std::runtime_error(
-        "shard state: achieved-count list disagrees with the cell count");
-  m.achieved = get_runs(r, nachieved);
-  for (const std::uint64_t a : m.achieved)
-    if (a == 0 || a > m.replications)
-      throw std::runtime_error(
-          "shard state: achieved replications outside (0, budget]");
-  m.shard = r.var();
-  m.shard_count = r.var();
-  m.merged = r.u8() != 0;
-  m.wall_ms = r.varf();
-  m.threads = static_cast<std::uint32_t>(r.var());
-}
 
 void validate_state(const ShardState& state) {
   if (state.partials.size() != state.tasks.size())
@@ -544,48 +616,6 @@ void validate_state(const ShardState& state) {
     throw std::invalid_argument(
         "encode_shard_state: termination-round count != sweep cell count");
 }
-
-void put_tasks_section(Writer& w, const ShardState& state) {
-  w.u64(state.tasks.size());
-  w.ascending(state.tasks);
-}
-
-void put_accumulators_section(Writer& w, const ShardState& state) {
-  for (const auto& p : state.partials) put_accumulator(w, p);
-}
-
-void put_cost_section(Writer& w, const ShardState& state) {
-  w.u64(state.cost.cells.size());
-  for (const auto& c : state.cost.cells) {
-    w.u64(c.replications);
-    w.f64(c.seconds);
-  }
-}
-
-void put_rounds_section(Writer& w, const ShardState& state) {
-  w.u64(state.rounds.size());
-  for (const core::RoundLog& rl : state.rounds) {
-    w.u64(rl.round);
-    w.u64(rl.active_cells);
-    w.u64(rl.tasks);
-    w.u64(rl.replications);
-    w.f64(rl.wall_ms);
-    w.f64(rl.merge_ms);
-  }
-  w.u64(state.cell_rounds.size());
-  w.runs(state.cell_rounds);
-}
-
-using SectionFn = void (*)(Writer&, const ShardState&);
-
-constexpr SectionFn kSections[] = {
-    [](Writer& w, const ShardState& s) { put_meta(w, s.meta); },
-    put_tasks_section, put_accumulators_section, put_cost_section,
-    put_rounds_section};
-
-constexpr std::size_t kSectionCount = std::size(kSections);
-constexpr const char* kSectionNames[kSectionCount] = {
-    "meta", "tasks", "accumulators", "cost", "rounds"};
 
 /// Codec telemetry: per-call totals plus per-section byte/time
 /// breakdowns — the live counterpart of state_section_sizes.
@@ -712,11 +742,13 @@ std::string encode_shard_state(const ShardState& state) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   put_u32(out, kStateFormatVersion);
-  put_str(out, meta_json(state.meta));
+  const std::string header = meta_json(state.meta);
+  put_u32(out, static_cast<std::uint32_t>(header.size()));
+  out += header;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     const auto section_started = std::chrono::steady_clock::now();
-    Writer w{.out = {}, .packed = true};
-    kSections[s](w, state);
+    Packer w;
+    walk_section(w, state, s);
     put_var(out, w.out.size());
     out += w.out;
     counters.encode_section_bytes[s]->add(w.out.size());
@@ -732,14 +764,14 @@ std::string encode_shard_state(const ShardState& state) {
 std::size_t uncompressed_equivalent_bytes(const ShardState& state) {
   validate_state(state);
   // Same framing, same JSON header, same content and field sequence —
-  // every number just costs its fixed 8 (or 4) bytes, the way versions
-  // 1–3 encoded, with u32 section length prefixes.
+  // every number just costs its fixed width, with u32 section length
+  // prefixes.
   std::size_t total = sizeof(kMagic) + 4;
   total += 4 + meta_json(state.meta).size();
-  for (const SectionFn section : kSections) {
-    Writer w{.out = {}, .packed = false};
-    section(w, state);
-    total += 4 + w.out.size();
+  for (std::size_t s = 0; s < kSectionCount; ++s) {
+    WidthCounter w;
+    walk_section(w, state, s);
+    total += 4 + w.bytes;
   }
   return total + 8;  // trailing checksum
 }
@@ -766,27 +798,15 @@ Reader open_state(std::string_view bytes) {
     throw std::runtime_error("shard state: checksum mismatch (file damaged)");
 
   Reader r(bytes.substr(0, bytes.size() - 8));
-  r.skip(sizeof(kMagic));
+  (void)r.take(sizeof(kMagic));
   const std::uint32_t version = r.u32();
   if (version != kStateFormatVersion)
     throw std::runtime_error(
         "shard state: unsupported format version " + std::to_string(version) +
         " (this build reads v" + std::to_string(kStateFormatVersion) +
         ") — regenerate shards with this build's divsec_sweep");
-  (void)r.str();  // the informational JSON header; binary meta is authoritative
+  (void)r.take(r.u32());  // the informational JSON header; binary meta is authoritative
   return r;
-}
-
-/// Reads one varint-length-prefixed section and hands a bounded reader
-/// to `parse`; a section that does not consume exactly its declared
-/// length is corrupt.
-template <typename Parse>
-void read_section(Reader& r, Parse&& parse) {
-  const std::uint64_t len = r.var();
-  Reader sr(r.take(static_cast<std::size_t>(len)));
-  parse(sr);
-  if (sr.remaining() != 0)
-    throw std::runtime_error("shard state: section length mismatch");
 }
 
 }  // namespace
@@ -796,89 +816,17 @@ ShardState decode_shard_state(std::string_view bytes) {
   const auto started = std::chrono::steady_clock::now();
   Reader r = open_state(bytes);
   ShardState state;
-  SweepMeta& m = state.meta;
-
-  // Per-section accounting: sections decode in kSections order, so the
-  // running index lines up with kSectionNames. Bytes include the varint
-  // length prefix (the section's on-wire footprint).
-  std::size_t section_index = 0;
-  const auto timed_section = [&](auto&& parse) {
+  for (std::size_t s = 0; s < kSectionCount; ++s) {
+    // Bytes include the varint length prefix (the on-wire footprint).
     const std::size_t before = r.remaining();
     const auto section_started = std::chrono::steady_clock::now();
-    read_section(r, parse);
-    counters.decode_section_bytes[section_index]->add(before - r.remaining());
-    counters.decode_section_ns[section_index]->add(
-        codec_elapsed_ns(section_started));
-    ++section_index;
-  };
-
-  timed_section([&](Reader& sr) { get_meta(sr, m); });
-
-  timed_section([&](Reader& sr) {
-    const std::uint64_t ntasks = sr.var();
-    // Plausibility bound before reserving anything: every id costs at
-    // least one byte, so a count the section cannot hold is corruption —
-    // reject it rather than letting a forged count drive reserve() into
-    // bad_alloc.
-    if (ntasks > sr.remaining())
-      throw std::runtime_error("shard state: task count exceeds input size");
-    state.tasks.reserve(static_cast<std::size_t>(ntasks));
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < ntasks; ++i) {
-      const std::uint64_t gap = sr.var();
-      const std::uint64_t t = i == 0 ? gap : prev + gap;
-      if (i != 0 && gap == 0)
-        throw std::runtime_error(
-            "shard state: task list is not strictly ascending");
-      state.tasks.push_back(t);
-      prev = t;
-    }
-  });
-
-  timed_section([&](Reader& sr) {
-    state.partials.reserve(state.tasks.size());
-    for (std::size_t i = 0; i < state.tasks.size(); ++i)
-      state.partials.push_back(get_accumulator(sr));
-  });
-
-  timed_section([&](Reader& sr) {
-    const std::uint64_t ncost = sr.var();
-    if (ncost != 0 && ncost != m.cells)
-      throw std::runtime_error(
-          "shard state: cost model cell count disagrees with the sweep");
-    if (ncost > sr.remaining())
-      throw std::runtime_error("shard state: cost section exceeds input size");
-    state.cost.cells.reserve(static_cast<std::size_t>(ncost));
-    for (std::uint64_t i = 0; i < ncost; ++i) {
-      CellCost c;
-      c.replications = sr.var();
-      c.seconds = sr.varf();
-      state.cost.cells.push_back(c);
-    }
-  });
-
-  timed_section([&](Reader& sr) {
-    const std::uint64_t nrounds = sr.var();
-    if (nrounds > sr.remaining())
-      throw std::runtime_error("shard state: round log exceeds input size");
-    state.rounds.reserve(static_cast<std::size_t>(nrounds));
-    for (std::uint64_t i = 0; i < nrounds; ++i) {
-      core::RoundLog rl;
-      rl.round = sr.var();
-      rl.active_cells = sr.var();
-      rl.tasks = sr.var();
-      rl.replications = sr.var();
-      rl.wall_ms = sr.varf();
-      rl.merge_ms = sr.varf();
-      state.rounds.push_back(rl);
-    }
-    const std::uint64_t ncr = sr.var();
-    if (ncr != 0 && ncr != m.cells)
-      throw std::runtime_error(
-          "shard state: termination-round list disagrees with the cell count");
-    state.cell_rounds = get_runs(sr, ncr);
-  });
-
+    Reader sr(r.take(r.var()));
+    walk_section(sr, state, s);
+    if (sr.remaining() != 0)
+      throw std::runtime_error("shard state: section length mismatch");
+    counters.decode_section_bytes[s]->add(before - r.remaining());
+    counters.decode_section_ns[s]->add(codec_elapsed_ns(section_started));
+  }
   if (r.remaining() != 0)
     throw std::runtime_error("shard state: trailing bytes after payload");
   counters.decode_calls.add(1);
@@ -896,8 +844,7 @@ StateSectionSizes state_section_sizes(std::string_view bytes) {
                                 &sizes.rounds};
   for (std::size_t* slot : slots) {
     const std::size_t start = r.offset();
-    const std::uint64_t len = r.var();
-    r.skip(static_cast<std::size_t>(len));
+    (void)r.take(r.var());
     *slot = r.offset() - start;
   }
   if (r.remaining() != 0)
@@ -906,64 +853,7 @@ StateSectionSizes state_section_sizes(std::string_view bytes) {
 }
 
 std::string accumulator_json(const core::IndicatorAccumulator::State& state) {
-  using util::json_number_exact;
-  const auto online = [](const stats::OnlineStats::State& s) {
-    return "{\"n\": " + std::to_string(s.n) +
-           ", \"mean\": " + json_number_exact(s.mean) +
-           ", \"m2\": " + json_number_exact(s.m2) +
-           ", \"min\": " + json_number_exact(s.min) +
-           ", \"max\": " + json_number_exact(s.max) + "}";
-  };
-  const auto digest = [](const stats::TDigest::State& s) {
-    std::string c;
-    for (std::size_t i = 0; i < s.centroids.size(); ++i) {
-      if (i) c += ", ";
-      c += "[" + json_number_exact(s.centroids[i].mean) + ", " +
-           std::to_string(s.centroids[i].weight) + "]";
-    }
-    return "{\"compression\": " + json_number_exact(s.compression) +
-           ", \"min\": " + json_number_exact(s.min) +
-           ", \"max\": " + json_number_exact(s.max) + ", \"centroids\": [" +
-           c + "]}";
-  };
-  const auto survival = [](const stats::StreamingSurvival::State& s) {
-    std::string ev, ce;
-    for (std::size_t i = 0; i < s.events_in.size(); ++i) {
-      if (i) ev += ", ";
-      ev += std::to_string(s.events_in[i]);
-    }
-    for (std::size_t i = 0; i < s.censored_in.size(); ++i) {
-      if (i) ce += ", ";
-      ce += std::to_string(s.censored_in[i]);
-    }
-    return "{\"horizon\": " + json_number_exact(s.horizon) +
-           ", \"n\": " + std::to_string(s.n) +
-           ", \"events\": " + std::to_string(s.events) + ", \"events_in\": [" +
-           ev + "], \"censored_in\": [" + ce + "]}";
-  };
-  const auto curve = [](const core::RatioCurveAccumulator::State& s) {
-    std::string sums;
-    for (std::size_t i = 0; i < s.sums.size(); ++i) {
-      if (i) sums += ", ";
-      sums += std::to_string(s.sums[i]);
-    }
-    return "{\"horizon\": " + json_number_exact(s.horizon) +
-           ", \"scale\": " + std::to_string(s.scale) +
-           ", \"n\": " + std::to_string(s.n) + ", \"sums\": [" + sums + "]}";
-  };
-  const auto censored = [&](const stats::CensoredTimeAccumulator::State& s) {
-    return "{\"moments\": " + online(s.moments) +
-           ", \"censored\": " + std::to_string(s.censored) +
-           ", \"times\": " + digest(s.times) +
-           ", \"survival\": " + survival(s.survival) + "}";
-  };
-  return "{\"horizon\": " + json_number_exact(state.horizon) +
-         ", \"n\": " + std::to_string(state.n) +
-         ", \"successes\": " + std::to_string(state.successes) +
-         ", \"tta\": " + censored(state.tta) +
-         ", \"ttsf\": " + censored(state.ttsf) +
-         ", \"final_ratio\": " + online(state.final_ratio) +
-         ", \"curve\": " + curve(state.curve) + "}";
+  return JsonWriter::render(state);
 }
 
 void write_shard_state(const std::string& path, const ShardState& state) {

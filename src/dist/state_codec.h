@@ -43,14 +43,34 @@
 // the payload to the packed encoding above. Older versions are rejected
 // with a "regenerate shards" error — shards are cheap by construction.
 //
+// One field walk per state: each serialized type (OnlineStats, TDigest,
+// StreamingSurvival, CensoredTimeAccumulator, RatioCurveAccumulator,
+// IndicatorAccumulator, the meta block, the tasks/cost/rounds sections)
+// names its fields, in file order, in exactly one function of
+// state_codec.cpp. Four visitors run those walks: the packed writer
+// (encode), the reader (decode), a JSON writer (accumulator_json) and a
+// fixed-width byte counter (uncompressed_equivalent_bytes). meta_json is
+// a separate rendering (it elides long lists and adds fingerprints).
+//
 // Guarantees:
 //   * exact round-trip — decode(encode(s)) restores every accumulator
 //     bit for bit, and encode(decode(bytes)) == bytes (byte-stable);
+//   * canonical decode — the reader accepts only payload bytes the
+//     encoder writes: overlong varints, flag bytes other than 0/1,
+//     out-of-range policy bytes, a threads value above 2^32-1, and zero
+//     or value runs split in two all throw. So for any bytes decode
+//     accepts, re-encoding reproduces every payload byte. (The JSON
+//     header is informational: decode skips it unread, because older v4
+//     builds rendered it differently, and encode re-renders it.)
 //   * portability — no struct dumps, no host endianness, no padding;
 //   * integrity — truncation (at any section boundary or inside one),
 //     magic/version mismatch, checksum damage, section-length
-//     inconsistencies, and structurally corrupt accumulator state all
-//     throw.
+//     inconsistencies, and structurally corrupt section shapes (a
+//     per-cell list that is neither empty nor `cells` long, a count the
+//     remaining input cannot hold, a task list that is not strictly
+//     ascending) all throw. The decode checks live with the field they
+//     constrain, as arguments of the walk's primitives; only the reader
+//     enforces them, so encode is exactly as lenient as before.
 #pragma once
 
 #include <cstdint>
@@ -131,8 +151,9 @@ struct ShardState {
 /// encode to equal bytes.
 [[nodiscard]] std::string encode_shard_state(const ShardState& state);
 
-/// Parse and validate (magic, version, checksum, structural bounds).
-/// Throws std::runtime_error on corrupt or foreign bytes.
+/// Parse and validate (magic, version, checksum, structural bounds,
+/// canonical payload bytes). Throws std::runtime_error on corrupt,
+/// non-canonical or foreign bytes.
 [[nodiscard]] ShardState decode_shard_state(std::string_view bytes);
 
 /// The JSON rendering of a meta block (the embedded header). Per-cell

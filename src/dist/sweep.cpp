@@ -332,6 +332,8 @@ ShardState merged_state(const MergeResult& merged) {
   state.partials.reserve(merged.accumulators.size());
   for (const auto& a : merged.accumulators) state.partials.push_back(a.state());
   state.cost = merged.cost;
+  state.rounds = merged.rounds;
+  state.cell_rounds = merged.cell_rounds;
   return state;
 }
 

@@ -132,13 +132,19 @@ struct SweepSpec {
 [[nodiscard]] std::vector<core::IndicatorSummary> run_in_process(
     const SweepSpec& spec, const sim::Executor* executor = nullptr);
 
-/// The exact reducer's output: per-cell merged accumulators plus the
-/// summaries they yield.
+/// A merged sweep result: per-cell accumulators plus the summaries they
+/// yield. merge_shards returns one (rounds and cell_rounds empty), and
+/// so does run_adaptive (dist/adaptive.h), whose meta.achieved records
+/// where every cell stopped.
 struct MergeResult {
   SweepMeta meta;  // merged = true
   std::vector<core::IndicatorAccumulator> accumulators;  // one per cell
   std::vector<core::IndicatorSummary> summaries;         // one per cell
   CostModel cost;  // fleet-wide per-cell cost (shard models merged)
+  /// Adaptive provenance: the round loop's log and each cell's
+  /// termination round (1-based). Empty for shard merges.
+  std::vector<core::RoundLog> rounds;
+  std::vector<std::uint64_t> cell_rounds;
 };
 
 /// merge_shards' rejection. The message names the input position(s) —
@@ -164,7 +170,8 @@ struct MergeError : std::invalid_argument {
 [[nodiscard]] MergeResult merge_shards(const std::vector<ShardState>& states);
 
 /// The merged result as a writable state file (meta.merged = true, one
-/// "task" per cell) — what divsec_report consumes downstream.
+/// "task" per cell, the adaptive round log carried) — what divsec_report
+/// consumes, `inspect` reads and `run --replay` replays.
 [[nodiscard]] ShardState merged_state(const MergeResult& merged);
 
 /// Per-cell summaries of a merged state file (meta.merged required;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -285,7 +286,7 @@ core::AdaptiveOptions adaptive_options() {
 }
 
 TEST(RunAdaptive, RecordsProvenance) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
   ASSERT_FALSE(result.rounds.empty());
   EXPECT_EQ(result.rounds.front().round, 1u);
@@ -295,20 +296,22 @@ TEST(RunAdaptive, RecordsProvenance) {
     logged_reps += r.replications;
     logged_tasks += r.tasks;
   }
-  EXPECT_EQ(logged_reps, result.total_replications);
+  const std::uint64_t total = std::accumulate(
+      result.meta.achieved.begin(), result.meta.achieved.end(),
+      std::uint64_t{0});
+  EXPECT_EQ(logged_reps, total);
   EXPECT_EQ(logged_tasks, dist::achieved_tasks(result.meta).size());
   for (std::size_t c = 0; c < result.cell_rounds.size(); ++c) {
     EXPECT_GE(result.cell_rounds[c], 1u);
     EXPECT_LE(result.cell_rounds[c], result.rounds.size());
   }
-  EXPECT_EQ(result.budget_replications,
-            result.meta.cells * result.meta.replications);
+  EXPECT_LE(total, result.meta.cells * result.meta.replications);
   EXPECT_TRUE(result.meta.merged);
   EXPECT_EQ(result.meta.shard_count, 1u);
 }
 
 TEST(RunAdaptive, CostModelCoversExactlyTheAchievedReplications) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
   ASSERT_EQ(result.cost.cells.size(), result.meta.cells);
   for (std::size_t c = 0; c < result.meta.cells; ++c) {
@@ -341,9 +344,9 @@ dist::MergeResult replay(const dist::ShardState& recorded,
 }
 
 TEST(AdaptiveReplay, ReproducesTheAdaptiveRunForAnyShardCut) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
-  const dist::ShardState recorded = dist::adaptive_state(result);
+  const dist::ShardState recorded = dist::merged_state(result);
   const std::string adaptive_csv =
       dist::sweep_csv(result.meta, result.summaries);
 
@@ -359,9 +362,9 @@ TEST(AdaptiveReplay, ReproducesTheAdaptiveRunForAnyShardCut) {
 }
 
 TEST(AdaptiveReplay, ThreadCountDoesNotChangeTheReplay) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
-  const dist::ShardState recorded = dist::adaptive_state(result);
+  const dist::ShardState recorded = dist::merged_state(result);
   const sim::Executor one(1), eight(8);
   const dist::MergeResult serial = replay(recorded, 2, &one);
   const dist::MergeResult parallel = replay(recorded, 2, &eight);
@@ -372,9 +375,9 @@ TEST(AdaptiveReplay, ThreadCountDoesNotChangeTheReplay) {
 }
 
 TEST(AdaptiveReplay, MergeValidatesTheAchievedTaskSet) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
-  const dist::ShardState recorded = dist::adaptive_state(result);
+  const dist::ShardState recorded = dist::merged_state(result);
   const dist::SweepSpec spec = dist::spec_from_meta(recorded.meta);
   const std::vector<std::uint64_t> tasks = dist::achieved_tasks(recorded.meta);
   ASSERT_LT(tasks.size(),
@@ -412,9 +415,9 @@ TEST(AdaptiveReplay, MergeValidatesTheAchievedTaskSet) {
 // ---- state codec v3 --------------------------------------------------------
 
 TEST(AdaptiveState, EncodeDecodeEncodeIsByteStable) {
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(small_spec(), adaptive_options());
-  const dist::ShardState state = dist::adaptive_state(result);
+  const dist::ShardState state = dist::merged_state(result);
   ASSERT_FALSE(state.meta.achieved.empty());
   ASSERT_FALSE(state.rounds.empty());
   ASSERT_FALSE(state.cell_rounds.empty());

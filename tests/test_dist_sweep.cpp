@@ -9,27 +9,19 @@
 #include <string>
 #include <vector>
 
-#include "dist/fnv.h"
+#include "codec_fixtures.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
 #include "sim/executor.h"
 #include "sim/shard_plan.h"
-#include "stats/rng.h"
 
 namespace divsec::dist {
 namespace {
 
-/// A spec small enough for CI but spanning several superblocks per cell,
-/// so the cross-process merge exercises the real multi-partial fold.
-SweepSpec small_spec() {
-  SweepSpec spec;
-  spec.preset = "plant_small";
-  spec.seed = 4242;
-  spec.replications = 50;
-  spec.replication_block = 8;
-  spec.superblock = 16;  // ceil(50/16) = 4 superblocks per cell
-  return spec;
-}
+using fixtures::filled_accumulator;
+using fixtures::rich_state;
+using fixtures::signed_bytes;
+using fixtures::small_spec;
 
 void expect_bit_identical(const core::IndicatorSummary& a,
                           const core::IndicatorSummary& b) {
@@ -54,24 +46,6 @@ void expect_bit_identical(const core::IndicatorSummary& a,
   EXPECT_EQ(a.ttsf_event.median, b.ttsf_event.median);
   EXPECT_EQ(a.ttsf_event.q50, b.ttsf_event.q50);
   EXPECT_EQ(a.ttsf_event.q90, b.ttsf_event.q90);
-}
-
-core::IndicatorAccumulator filled_accumulator(std::uint64_t seed,
-                                              std::size_t n) {
-  core::IndicatorAccumulator acc(100.0, 16);
-  stats::Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    core::IndicatorSample s;
-    s.tta = rng.uniform(0.0, 120.0);
-    s.tta_censored = s.tta >= 100.0;
-    if (s.tta_censored) s.tta = 100.0;
-    s.ttsf = rng.uniform(0.0, 100.0);
-    s.ttsf_censored = rng.uniform() < 0.25;
-    s.attack_succeeded = !s.tta_censored;
-    s.final_ratio = rng.uniform();
-    acc.add(s);
-  }
-  return acc;
 }
 
 // ---- serialization ---------------------------------------------------------
@@ -147,38 +121,6 @@ TEST(StateCodec, RejectsCorruptBytes) {
   inconsistent.meta.cells = 5;  // policies.size() == 3
   EXPECT_THROW((void)decode_shard_state(encode_shard_state(inconsistent)),
                std::runtime_error);
-}
-
-/// A state exercising every v4 section: non-contiguous tasks, cost,
-/// adaptive achieved counts, round log, termination rounds.
-ShardState rich_state() {
-  ShardState state;
-  state.meta = make_meta(small_spec());
-  state.meta.shard = 0;
-  state.meta.shard_count = 1;
-  state.meta.merged = true;
-  state.meta.achieved = {50, 16, 50};
-  state.tasks = {0, 1, 2};
-  state.partials.push_back(filled_accumulator(1, 100).state());
-  state.partials.push_back(filled_accumulator(2, 31).state());
-  state.partials.push_back(filled_accumulator(3, 64).state());
-  state.cost.cells = {{100, 0.1 + 0.2}, {16, 0.5}, {31, 1.0 / 3.0}};
-  state.rounds = {{1, 3, 3, 48, 10.5, 0.25}, {2, 1, 1, 16, 4.0, 0.125}};
-  state.cell_rounds = {2, 1, 2};
-  return state;
-}
-
-/// Re-sign a (possibly tampered) prefix with a valid trailing checksum,
-/// so decode gets past the integrity check and the structural validation
-/// under test is what must reject the bytes.
-std::string signed_bytes(std::string prefix) {
-  prefix.resize(prefix.size() + 8);
-  const std::uint64_t sum =
-      fnv1a(std::string_view(prefix).substr(0, prefix.size() - 8));
-  for (int i = 0; i < 8; ++i)
-    prefix[prefix.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<char>((sum >> (8 * i)) & 0xFF);
-  return prefix;
 }
 
 TEST(StateCodec, AdaptiveSectionsRoundTripByteStable) {

@@ -141,7 +141,7 @@ TEST_P(GoldenDigests, AdaptiveCsvAndAchievedCountsMatchPinned) {
     core::AdaptiveOptions options;
     options.relative_precision = g.relative_precision;
     options.absolute_precision = g.absolute_precision;
-    const dist::AdaptiveResult r = dist::run_adaptive(g.spec, options, &ex);
+    const dist::MergeResult r = dist::run_adaptive(g.spec, options, &ex);
     EXPECT_EQ(r.meta.achieved, g.achieved);
     EXPECT_EQ(hex(dist::fnv1a(dist::sweep_csv(r.meta, r.summaries))),
               hex(g.digest));

@@ -58,6 +58,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -710,7 +711,7 @@ int cmd_adapt(int argc, char** argv) {
 
   const TraceGuard trace(trace_path);
   const sim::Executor executor(threads);
-  const dist::AdaptiveResult result =
+  const dist::MergeResult result =
       dist::run_adaptive(spec, options, &executor);
 
   core::save_to_file(out + "_measurements.csv",
@@ -718,20 +719,22 @@ int cmd_adapt(int argc, char** argv) {
   core::save_to_file(out + "_summary.json",
                      dist::summary_json(result.meta, result.summaries));
   dist::write_shard_state(out + "_adaptive.state",
-                          dist::adaptive_state(result));
+                          dist::merged_state(result));
   if (!metrics_path.empty()) write_metrics_sidecar(metrics_path);
 
+  const std::uint64_t total = std::accumulate(
+      result.meta.achieved.begin(), result.meta.achieved.end(),
+      std::uint64_t{0});
+  const std::uint64_t budget = result.meta.cells * result.meta.replications;
   const double savings =
-      result.total_replications > 0
-          ? static_cast<double>(result.budget_replications) /
-                static_cast<double>(result.total_replications)
-          : 0.0;
+      total > 0 ? static_cast<double>(budget) / static_cast<double>(total)
+                : 0.0;
   std::printf("adaptive sweep of %s: %zu round(s), %llu of %llu budget "
               "replication(s) (%.2fx saved) in %.1f ms "
               "-> %s_{measurements.csv,summary.json,adaptive.state}\n",
               spec.preset.c_str(), result.rounds.size(),
-              static_cast<unsigned long long>(result.total_replications),
-              static_cast<unsigned long long>(result.budget_replications),
+              static_cast<unsigned long long>(total),
+              static_cast<unsigned long long>(budget),
               savings, result.meta.wall_ms, out.c_str());
   for (std::size_t c = 0; c < result.meta.cells; ++c)
     std::printf("  cell %zu: %llu rep(s), stopped round %llu\n", c,
