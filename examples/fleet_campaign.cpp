@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   }
 
   // Mean-field SI baseline over the monoculture fleet's reachability,
-  // sharing the campaign's precomputed index instead of re-deriving the
-  // all-pairs relation.
+  // sharing the campaign's precomputed index instead of indexing the
+  // fleet again.
   const attack::CampaignSimulator sim(fleet, stuxnet, catalog);
   net::MeanFieldEpidemic epidemic(
       sim.reachability(),

@@ -176,8 +176,8 @@ struct CampaignTables {
     tunnel_w.assign(n, 0);
     for (NodeId i = 0; i < n; ++i) {
       for (const net::Channel c : pr.channels) {
-        scan_w[i] += reach->scan_targets(c, i).size();
-        tunnel_w[i] += reach->tunnel_targets(c, i).size();
+        scan_w[i] += reach->target_count(c, i, true);
+        tunnel_w[i] += reach->target_count(c, i, false);
       }
     }
     scan_norm = pr.channels.empty()
@@ -542,13 +542,12 @@ struct RunState {
     if (!direct) rem -= tb.scan_w[n];
     NodeId v = 0;
     for (const net::Channel c : pr.channels) {
-      const auto row = direct ? tb.reach->scan_targets(c, n)
-                              : tb.reach->tunnel_targets(c, n);
-      if (rem < row.size()) {
-        v = row[rem];
+      const std::size_t count = tb.reach->target_count(c, n, direct);
+      if (rem < count) {
+        v = tb.reach->target(c, n, rem, direct);
         break;
       }
-      rem -= row.size();
+      rem -= count;
     }
     ++scan_candidates;
     if (state[v] == NodeState::kClean &&

@@ -140,7 +140,7 @@ class CampaignSimulator {
                     DetectionModel detection = {}, CampaignOptions options = {});
 
   /// Shared-topology construction: reuse a prebuilt ReachabilityIndex
-  /// instead of evaluating the all-pairs relation again. The index must
+  /// instead of indexing the same topology again. The index must
   /// have been built from this scenario's topology and firewall (node
   /// counts are validated; the caller owns the stronger equivalence —
   /// core::MeasurementEngine keys its cache on the full structural
@@ -161,7 +161,7 @@ class CampaignSimulator {
   [[nodiscard]] const ThreatProfile& profile() const noexcept { return profile_; }
 
   /// The per-scenario reachability index built at construction; share it
-  /// with net::MeanFieldEpidemic instead of recomputing all pairs.
+  /// with net::MeanFieldEpidemic instead of building another.
   [[nodiscard]] const net::ReachabilityIndex& reachability() const noexcept;
 
   /// Owning handle on the same index, for sharing across simulators of

@@ -53,12 +53,6 @@
 
 #include "stats/rng.h"
 
-// Per-class draw accounting (telemetry only; plain members, no atomics)
-// compiles out with the rest of the obs:: hot path.
-#if !defined(DIVSEC_OBS)
-#define DIVSEC_OBS 1
-#endif
-
 namespace divsec::attack {
 
 /// Event classes of the campaign draw-order contract. The numeric values
@@ -158,27 +152,26 @@ class CampaignRng {
 
   /// Next raw word of the class stream, in strict per-class call order.
   [[nodiscard]] std::uint64_t next(DrawClass c) noexcept {
-    Lane& lane = lanes_[static_cast<std::size_t>(c)];
+    const std::size_t i = static_cast<std::size_t>(c);
+    Lane& lane = lanes_[i];
     if (lane.pos == block_) {
-      std::uint64_t* b = buf_.data() + static_cast<std::size_t>(c) * block_;
-      for (std::size_t i = 0; i < block_; ++i) b[i] = lane.rng();
+      std::uint64_t* b = buf_.data() + i * block_;
+      for (std::size_t k = 0; k < block_; ++k) b[k] = lane.rng();
       lane.pos = 0;
+      ++refills_[i];
     }
-#if DIVSEC_OBS
-    ++lane.drawn;
-#endif
-    return buf_[static_cast<std::size_t>(c) * block_ + lane.pos++];
+    return buf_[i * block_ + lane.pos++];
   }
 
   /// Words actually consumed per class this run (not prefetch refills) —
   /// the obs:: correctness probe for the draw-ownership table above.
-  /// All zeros when the telemetry hot path is compiled out.
+  /// Derived from the refill count, so the hot path counts per block,
+  /// not per word.
   [[nodiscard]] std::array<std::uint64_t, kDrawClassCount> words_drawn()
       const noexcept {
     std::array<std::uint64_t, kDrawClassCount> out{};
-#if DIVSEC_OBS
-    for (std::size_t c = 0; c < kDrawClassCount; ++c) out[c] = lanes_[c].drawn;
-#endif
+    for (std::size_t c = 0; c < kDrawClassCount; ++c)
+      out[c] = refills_[c] * block_ - (block_ - lanes_[c].pos);
     return out;
   }
 
@@ -217,9 +210,6 @@ class CampaignRng {
   struct Lane {
     stats::Rng rng{0, 0};
     std::size_t pos = 0;  // == block_ => empty, refill on next()
-#if DIVSEC_OBS
-    std::uint64_t drawn = 0;  // words handed out (telemetry only)
-#endif
   };
 
   std::size_t block_;
@@ -227,6 +217,7 @@ class CampaignRng {
   // it before its first read, so no word needs initializing.
   std::array<std::uint64_t, kDrawClassCount * kDefaultDrawBlock> buf_;
   std::array<Lane, kDrawClassCount> lanes_;
+  std::array<std::uint64_t, kDrawClassCount> refills_{};  // blocks per class
 };
 
 }  // namespace divsec::attack

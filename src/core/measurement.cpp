@@ -139,8 +139,8 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
 /// input (ReachabilityIndex::StructuralKey, compared on fingerprint
 /// hits — a hash collision can cost a lookup, never alias an index).
 /// Concurrent builders of the same key deduplicate through a
-/// shared_future, so a fleet of same-topology cells pays the all-pairs
-/// sweep exactly once. Construction consumes no randomness, so sharing
+/// shared_future, so a fleet of same-topology cells builds its index
+/// exactly once. Construction consumes no randomness, so sharing
 /// and laziness leave results bit-identical.
 ///
 /// Thread-safe; one instance per measurement call (the cache — and the

@@ -13,8 +13,10 @@
 // integrated with forward Euler over a flat CSR adjacency, so the same
 // loop serves the paper's 11-node plant and a generated enterprise fleet.
 // The adjacency comes from a ReachabilityIndex — build it once per
-// scenario and share it with the campaign simulator instead of paying
-// the all-pairs reachability sweep again.
+// scenario and share it with the campaign simulator instead of indexing
+// the topology twice. The union adjacency itself is as large as the
+// relation: with USB among the channels, every exposed node has every
+// other exposed node as an in-neighbour.
 #pragma once
 
 #include <vector>

@@ -1,170 +1,131 @@
 #include "net/reachability_index.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace divsec::net {
 
-namespace {
-
-inline void set_row_bit(std::uint64_t* row, NodeId b) noexcept {
-  row[b / 64] |= std::uint64_t{1} << (b % 64);
-}
-
-}  // namespace
-
 ReachabilityIndex::ReachabilityIndex(const Topology& topo, const Firewall& fw)
-    : n_(topo.node_count()), words_((topo.node_count() + 63) / 64) {
-  linked_bits_.assign(n_ * words_, 0);
+    : n_(topo.node_count()) {
+  // Adjacency CSR: bucket both directions of every link, then sort and
+  // deduplicate each row (Topology is a multigraph; the relation is not).
+  adj_off_.assign(n_ + 1, 0);
   for (const Link& l : topo.links()) {
-    set_row_bit(linked_bits_.data() + l.a * words_, l.b);
-    set_row_bit(linked_bits_.data() + l.b * words_, l.a);
+    ++adj_off_[l.a + 1];
+    ++adj_off_[l.b + 1];
+  }
+  for (std::size_t i = 0; i < n_; ++i) adj_off_[i + 1] += adj_off_[i];
+  adj_.resize(adj_off_[n_]);
+  {
+    std::vector<std::uint32_t> cursor(adj_off_.begin(), adj_off_.end() - 1);
+    for (const Link& l : topo.links()) {
+      adj_[cursor[l.a]++] = static_cast<std::uint32_t>(l.b);
+      adj_[cursor[l.b]++] = static_cast<std::uint32_t>(l.a);
+    }
+  }
+  std::uint32_t kept = 0;
+  for (NodeId a = 0; a < n_; ++a) {
+    std::uint32_t* first = adj_.data() + adj_off_[a];
+    std::uint32_t* last = adj_.data() + adj_off_[a + 1];
+    std::sort(first, last);
+    last = std::unique(first, last);
+    adj_off_[a] = kept;  // row a + 1 still starts at adj_off_[a + 1]
+    for (const std::uint32_t* p = first; p != last; ++p) adj_[kept++] = *p;
+  }
+  adj_off_[n_] = kept;
+  adj_.resize(kept);
+
+  zone_.resize(n_);
+  usb_rank_.assign(n_, kUnexposed);
+  for (NodeId i = 0; i < n_; ++i) {
+    const Node& node = topo.node(i);
+    zone_[i] = node.zone;
+    if (node.usb_exposure) {
+      usb_rank_[i] = static_cast<std::uint32_t>(usb_.size());
+      usb_.push_back(static_cast<std::uint32_t>(i));
+    }
   }
 
   // Policy is a pure (zone, zone, channel) relation: evaluate the rule
   // list once per triple instead of once per node pair.
-  bool allow[kZoneCount][kZoneCount][kChannelCount];
   for (std::size_t za = 0; za < kZoneCount; ++za)
     for (std::size_t zb = 0; zb < kZoneCount; ++zb)
       for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-        allow[za][zb][ch] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
-                                      static_cast<Channel>(ch));
+        allow_[za][zb][ch] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
+                                       static_cast<Channel>(ch));
 
-  // Per-channel destination masks: zone_ok[ch][za] marks every node b a
-  // source in zone za may address on channel ch; usb_mask marks every
-  // node with removable-media exposure.
-  std::array<std::array<std::vector<std::uint64_t>, kZoneCount>, kChannelCount>
-      zone_ok;
-  for (auto& per_zone : zone_ok)
-    for (auto& mask : per_zone) mask.assign(words_, 0);
-  std::vector<std::uint64_t> usb_mask(words_, 0);
-  for (NodeId b = 0; b < n_; ++b) {
-    const Node& node = topo.node(b);
-    if (node.usb_exposure) set_row_bit(usb_mask.data(), b);
-    for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-      for (std::size_t za = 0; za < kZoneCount; ++za)
-        if (allow[za][static_cast<std::size_t>(node.zone)][ch])
-          set_row_bit(zone_ok[ch][za].data(), b);
-  }
-
+  // Scan / tunnel target lists of each link channel: every adjacency row
+  // partitioned into its allowed targets, then its denied ones.
   for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    auto& rows = reach_[ch];
-    rows.assign(n_ * words_, 0);
-    const bool is_usb = static_cast<Channel>(ch) == Channel::kUsb;
+    const Channel c = static_cast<Channel>(ch);
+    if (c == Channel::kUsb) continue;  // removable media travel without links
+    std::vector<std::uint32_t>& out = split_adj_[ch];
+    std::vector<std::uint32_t>& split = split_[ch];
+    out.resize(adj_.size());
+    split.resize(n_);
     for (NodeId a = 0; a < n_; ++a) {
-      std::uint64_t* row = rows.data() + a * words_;
-      if (is_usb) {
-        // Removable media travel with operators, not over links.
-        if (!topo.node(a).usb_exposure) continue;
-        for (std::size_t w = 0; w < words_; ++w) row[w] = usb_mask[w];
-      } else {
-        const auto& ok = zone_ok[ch][static_cast<std::size_t>(topo.node(a).zone)];
-        const std::uint64_t* lnk = linked_bits_.data() + a * words_;
-        for (std::size_t w = 0; w < words_; ++w) row[w] = lnk[w] & ok[w];
-      }
-      row[a / 64] &= ~(std::uint64_t{1} << (a % 64));  // never self-reach
+      const std::uint32_t* first = adj_.data() + adj_off_[a];
+      const std::uint32_t* last = adj_.data() + adj_off_[a + 1];
+      std::uint32_t k = adj_off_[a];
+      for (const std::uint32_t* p = first; p != last; ++p)
+        if (allows(a, *p, c)) out[k++] = *p;
+      split[a] = k - adj_off_[a];
+      for (const std::uint32_t* p = first; p != last; ++p)
+        if (!allows(a, *p, c)) out[k++] = *p;
     }
   }
+}
 
-  // Scan / tunnel target lists: the same relations as flat CSR lists,
-  // the sampling substrate of the campaign kernel's thinned worm scan.
-  // `word(a, w)` yields word w of source a's row of the relation.
-  const auto build_csr = [this](TargetCsr& csr, auto&& word) {
-    csr.off.assign(n_ + 1, 0);
-    for (NodeId a = 0; a < n_; ++a) {
-      std::uint32_t count = 0;
-      for (std::size_t w = 0; w < words_; ++w)
-        count += static_cast<std::uint32_t>(std::popcount(word(a, w)));
-      csr.off[a + 1] = csr.off[a] + count;
+ReachabilityIndex::ChannelUnion ReachabilityIndex::channel_union(
+    const std::vector<Channel>& channels) const noexcept {
+  ChannelUnion u;
+  for (Channel c : channels) {
+    if (c == Channel::kUsb) {
+      u.usb = true;
+      continue;
     }
-    csr.tgt.resize(csr.off[n_]);
-    for (NodeId a = 0; a < n_; ++a) {
-      std::uint32_t* out = csr.tgt.data() + csr.off[a];
-      for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t bits = word(a, w);
-        while (bits) {
-          *out++ = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-        }
-      }
-    }
-  };
-  for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    const std::vector<std::uint64_t>& rows = reach_[ch];
-    build_csr(scan_[ch],
-              [&](NodeId a, std::size_t w) { return rows[a * words_ + w]; });
-    if (static_cast<Channel>(ch) == Channel::kUsb) {
-      tunnel_[ch].off.assign(n_ + 1, 0);  // no tunnelling on removable media
-    } else {
-      build_csr(tunnel_[ch], [&](NodeId a, std::size_t w) {
-        return linked_bits_[a * words_ + w] & ~rows[a * words_ + w];
-      });
-    }
+    for (std::size_t za = 0; za < kZoneCount; ++za)
+      for (std::size_t zb = 0; zb < kZoneCount; ++zb)
+        u.link[za][zb] |= allow_[za][zb][static_cast<std::size_t>(c)];
+  }
+  return u;
+}
+
+void ReachabilityIndex::union_row(NodeId i, const ChannelUnion& u, bool incoming,
+                                  std::vector<NodeId>& out) const {
+  const std::size_t start = out.size();
+  const auto zi = static_cast<std::size_t>(zone_[i]);
+  for (std::uint32_t k = adj_off_[i]; k < adj_off_[i + 1]; ++k) {
+    const auto zj = static_cast<std::size_t>(zone_[adj_[k]]);
+    if (incoming ? u.link[zj][zi] : u.link[zi][zj]) out.push_back(adj_[k]);
+  }
+  if (u.usb && usb_rank_[i] != kUnexposed) {
+    const std::size_t mid = out.size();
+    for (std::uint32_t j : usb_)
+      if (j != i) out.push_back(j);
+    std::inplace_merge(out.begin() + static_cast<std::ptrdiff_t>(start),
+                       out.begin() + static_cast<std::ptrdiff_t>(mid), out.end());
+    out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(start),
+                          out.end()),
+              out.end());
   }
 }
 
 std::vector<std::vector<NodeId>> ReachabilityIndex::union_graph(
     const std::vector<Channel>& channels) const {
+  const ChannelUnion u = channel_union(channels);
   std::vector<std::vector<NodeId>> out(n_);
-  std::vector<std::uint64_t> row(words_);
-  for (NodeId a = 0; a < n_; ++a) {
-    row.assign(words_, 0);
-    for (Channel c : channels) {
-      const std::uint64_t* r = reach_[static_cast<std::size_t>(c)].data() + a * words_;
-      for (std::size_t w = 0; w < words_; ++w) row[w] |= r[w];
-    }
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        out[a].push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-      }
-    }
-  }
+  for (NodeId a = 0; a < n_; ++a) union_row(a, u, false, out[a]);
   return out;
 }
 
 ReachabilityIndex::UnionInCsr ReachabilityIndex::union_in_csr(
     const std::vector<Channel>& channels) const {
-  // Two passes over the union rows: count in-degrees, prefix-sum, fill.
-  // Iterating sources in ascending order makes every destination's
-  // source list ascending — the same lists union_graph inverts to.
+  const ChannelUnion u = channel_union(channels);
   UnionInCsr csr;
   csr.off.assign(n_ + 1, 0);
-  std::vector<std::uint64_t> row(words_);
-  const auto union_row = [&](NodeId a) {
-    std::fill(row.begin(), row.end(), 0);
-    for (Channel c : channels) {
-      const std::uint64_t* r =
-          reach_[static_cast<std::size_t>(c)].data() + a * words_;
-      for (std::size_t w = 0; w < words_; ++w) row[w] |= r[w];
-    }
-  };
-  for (NodeId a = 0; a < n_; ++a) {
-    union_row(a);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        ++csr.off[w * 64 + static_cast<std::size_t>(std::countr_zero(bits)) + 1];
-        bits &= bits - 1;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n_; ++i) csr.off[i + 1] += csr.off[i];
-  csr.edge.resize(csr.off[n_]);
-  std::vector<std::size_t> cursor(csr.off.begin(), csr.off.end() - 1);
-  for (NodeId a = 0; a < n_; ++a) {
-    union_row(a);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits) {
-        const std::size_t b =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        csr.edge[cursor[b]++] = a;
-        bits &= bits - 1;
-      }
-    }
+  for (NodeId i = 0; i < n_; ++i) {
+    union_row(i, u, true, csr.edge);
+    csr.off[i + 1] = csr.edge.size();
   }
   return csr;
 }

@@ -10,7 +10,7 @@
 // can be reproduced from the CLI and diffed by hand.
 //
 // The corpus covers the paper plant, all four variant policies, one spec
-// per topology family, and a tuned threat whose 3-task sweep has fewer
+// per topology family, a 4096-node fleet, and a tuned threat whose 3-task sweep has fewer
 // tasks than the 4-thread executor has threads (the sub-task parallel
 // path of the reducer). A second corpus pins the adaptive sweep
 // (`divsec_sweep adapt`): its CSV digest and the per-cell achieved
@@ -75,6 +75,10 @@ std::vector<Golden> corpus() {
   g.push_back({"hub_spoke", family("hub-spoke:nodes=96"), 0xb4ce8852836f3971ULL});
   g.push_back({"brownfield", family("brownfield:nodes=96"),
                0x9fcd1c0f86d6befdULL});
+  // run --preset enterprise4096 --replications 512 --superblock 256
+  // (a fleet whose USB target rows hold >1000 victims each)
+  g.push_back({"enterprise4096", spec_of("enterprise4096", 512, 256),
+               0x64f87f908fc7ccd0ULL});
   // run --threat stuxnet:scan=2,dwell=0.5 --replications 1
   {
     dist::SweepSpec s;

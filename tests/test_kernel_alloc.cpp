@@ -1,11 +1,13 @@
 // The campaign kernel's per-replication cost must not scale with fleet
 // size: a run borrows its per-node state and event pools from a
 // per-thread scratch that is restored through a touched-node list, so
-// once warm it makes no allocation proportional to node_count. This
-// binary replaces the global operator new/delete (backed by malloc/free)
-// to count every allocation of at least node_count bytes made while a
-// window is armed — which is why it is its own executable, and why it
-// stays out of sanitizer builds that intercept operator new themselves.
+// once warm it makes no allocation proportional to node_count. Nor may
+// the reachability index a fleet's runs share grow faster than the fleet:
+// its build allocates O(nodes + links) bytes, not an all-pairs relation.
+// This binary replaces the global operator new/delete (backed by
+// malloc/free) to count the allocations made while a window is armed —
+// which is why it is its own executable, and why it stays out of
+// sanitizer builds that intercept operator new themselves.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <new>
 
 #include "attack/campaign.h"
+#include "net/reachability_index.h"
 #include "scenario/presets.h"
 #include "stats/rng.h"
 
@@ -22,8 +25,11 @@ std::atomic<bool> g_armed{false};
 std::atomic<std::size_t> g_threshold{0};
 std::atomic<std::size_t> g_large{0};    // armed allocations >= threshold
 std::atomic<std::size_t> g_largest{0};  // biggest armed allocation
+std::atomic<std::size_t> g_bytes{0};    // sum of all armed allocations
 
 void* counted_alloc(std::size_t size) {
+  if (g_armed.load(std::memory_order_relaxed))
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (g_armed.load(std::memory_order_relaxed) &&
       size >= g_threshold.load(std::memory_order_relaxed)) {
     g_large.fetch_add(1, std::memory_order_relaxed);
@@ -89,6 +95,27 @@ TEST(KernelAlloc, SteadyStateRunsMakeNoNodeCountSizedAllocation) {
   EXPECT_EQ(g_large.load(), 0u)
       << "largest allocation in the window: " << g_largest.load()
       << " bytes (node_count = " << nodes << ")";
+}
+
+TEST(KernelAlloc, ReachabilityIndexBuildAllocatesLinearBytes) {
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const auto made = scenario::make_preset("enterprise4096", cat, 17,
+                                          scenario::VariantPolicy::kMonoculture);
+  const net::Topology& topo = made.scenario.topology;
+  ASSERT_EQ(topo.node_count(), 4096u);
+
+  g_bytes = 0;
+  g_armed = true;
+  const net::ReachabilityIndex index(topo, made.scenario.firewall);
+  g_armed = false;
+  EXPECT_EQ(index.node_count(), topo.node_count());
+
+  // Every byte the build allocated, temporaries included, against a
+  // budget linear in the structure (~2.5 MB here; all-pairs bit rows
+  // alone would be 2 MiB per channel).
+  const std::size_t budget = 256 * (topo.node_count() + topo.link_count());
+  EXPECT_LE(g_bytes.load(), budget)
+      << topo.node_count() << " nodes, " << topo.link_count() << " links";
 }
 
 }  // namespace

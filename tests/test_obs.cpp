@@ -9,7 +9,9 @@
 //     I/O errors throw, and malformed sidecars are rejected.
 //  3. Trace spans nest, flush as balanced Chrome trace-event JSON, and
 //     record nothing when no session is active.
-//  4. The out-of-band invariant: sweep CSV bytes are identical with
+//  4. Fold, adaptive and campaign counters are schedule-independent;
+//     the kernel's per-class RNG word counts are exact and pinned.
+//  5. The out-of-band invariant: sweep CSV bytes are identical with
 //     recording enabled or disabled, for 1/4/8 threads. (The compiled-
 //     out leg is CI's -DDIVSEC_OBS=0 build of this same test.)
 //
@@ -18,17 +20,20 @@
 // cold sidecar layer and the invariant tests still run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/campaign_rng.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/executor.h"
+#include "stats/rng.h"
 
 namespace divsec {
 namespace {
@@ -368,6 +373,58 @@ TEST(ObsReducer, AdaptiveCountersMatchTheReport) {
     EXPECT_EQ(snap.counter("adapt.round_replications"),
               report.total_replications)
         << "threads=" << threads;
+#endif
+  }
+}
+
+// --- 4b. Campaign kernel RNG accounting ---------------------------------
+
+TEST(ObsCampaign, WordsDrawnCountsWordsNotBlocks) {
+  // words_drawn is derived from per-class refills and the lane cursor;
+  // it must count handed-out words whatever the prefetch block.
+  const stats::Rng base(7, 3);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                  attack::kDefaultDrawBlock}) {
+    attack::CampaignRng rng(base, block);
+    std::array<std::uint64_t, attack::kDrawClassCount> want{};
+    for (std::size_t i = 0; i < 1000; ++i) {
+      const std::size_t c = (i * i + 3 * i) % attack::kDrawClassCount;
+      if (c == 5) continue;  // one class is never drawn
+      (void)rng.next(static_cast<attack::DrawClass>(c));
+      ++want[c];
+    }
+    EXPECT_EQ(rng.words_drawn(), want) << "block=" << block;
+  }
+}
+
+TEST(ObsCampaign, RngWordTotalsArePinned) {
+  // Per-class campaign.rng_words.* totals of a fixed sweep, pinned
+  // exactly, at 1 and 4 threads: the ledger perfbench's
+  // attack.rng_words_per_event is computed from.
+  dist::SweepSpec spec;
+  spec.preset = "plant_small";
+  spec.seed = 4242;
+  spec.replications = 48;
+  spec.replication_block = 8;
+  spec.superblock = 16;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const sim::Executor ex(threads);
+    obs::reset();
+    (void)dist::run_in_process(spec, &ex);
+#if DIVSEC_OBS
+    const obs::Snapshot snap = obs::snapshot();
+    const std::array<std::uint64_t, attack::kDrawClassCount> got = {
+        snap.counter("campaign.rng_words.entry"),
+        snap.counter("campaign.rng_words.activation"),
+        snap.counter("campaign.rng_words.privesc"),
+        snap.counter("campaign.rng_words.propagation"),
+        snap.counter("campaign.rng_words.payload"),
+        snap.counter("campaign.rng_words.sabotage"),
+        snap.counter("campaign.rng_words.host_ids"),
+        snap.counter("campaign.rng_words.alarm")};
+    const std::array<std::uint64_t, attack::kDrawClassCount> pinned = {
+        994, 2493, 1354, 5316, 2254, 272, 385, 6594};
+    EXPECT_EQ(got, pinned) << "threads=" << threads;
 #endif
   }
 }
