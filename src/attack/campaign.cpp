@@ -67,8 +67,8 @@ const char* to_string(CampaignEventKind k) noexcept {
 
 double CampaignResult::ratio_at(double t) const noexcept {
   // The step curve is sorted by time: binary-search the first step past t.
-  // (Sampling a whole grid is one forward walk instead: run_job in
-  // core/measurement.cpp.)
+  // (Sampling a whole grid is one forward walk instead:
+  // core::sample_step_counts.)
   const auto it = std::upper_bound(
       compromised_ratio.begin(), compromised_ratio.end(), t,
       [](double value, const std::pair<double, double>& step) {
@@ -294,7 +294,7 @@ RunScratch& thread_scratch() {
 /// Mutable state of one run() over the read-only CampaignTables: the
 /// structure-of-arrays kernel. Every random decision draws from the
 /// per-event-class facade (attack/campaign_rng.h) under the documented
-/// draw-order contract, with per-class words prefetched in blocks.
+/// draw-order contract, one word per call drawn on demand.
 /// Victim eligibility is tested as state == kClean on top of the shared
 /// host-target flag, monitoring-view ownership is an incremental counter,
 /// and the unowned-target pool shrinks by swap-remove — part of the

@@ -1,5 +1,5 @@
-// campaign_rng.h — the batched per-event-class RNG facade of the
-// campaign kernel, and the ziggurat exponential sampler behind it.
+// campaign_rng.h — the per-event-class RNG facade of the campaign
+// kernel, and the ziggurat exponential sampler behind it.
 //
 // THE DRAW-ORDER CONTRACT (part of the reproducibility contract since
 // the SoA kernel; tests/test_soa_campaign.cpp pins it):
@@ -33,20 +33,17 @@
 //   6   host-IDS      t_host exponentials
 //   7   plant-alarm   t_alarm exponentials; spoof-thinning Bernoulli
 //
-// Within a class, words are consumed strictly in call order. The facade
-// may prefetch words per class in blocks of any size: batching never
-// reorders a class's word sequence, so every block size (including 1)
-// produces bit-identical results. A (cell, rep) job therefore remains a
-// pure function of Rng(cell.seed, rep) — the DIVSEC_THREADS / schedule /
-// process-split contract of the engine — while the kernel is free to
-// reorder work across classes.
+// Within a class, words are consumed strictly in call order: one word
+// per call, drawn on demand from the class stream. A (cell, rep) job
+// therefore remains a pure function of Rng(cell.seed, rep) — the
+// DIVSEC_THREADS / schedule / process-split contract of the engine —
+// while the kernel is free to reorder work across classes.
 //
 // Exponentials are sampled with a 256-layer Marsaglia–Tsang ziggurat
 // (one word + one table compare on the common path, vs. a libm log()
 // per draw before).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -69,12 +66,6 @@ enum class DrawClass : std::uint8_t {
 };
 
 inline constexpr std::size_t kDrawClassCount = 8;
-
-/// Words prefetched per class by the campaign kernel, and the facade's
-/// cap (its buffer is inline, so a run allocates nothing for it). Pure
-/// performance tuning — NOT part of the determinism contract (any block
-/// size yields the same per-class word sequence, hence identical results).
-inline constexpr std::size_t kDefaultDrawBlock = 64;
 
 /// 256-layer ziggurat for Exp(1) (Marsaglia & Tsang, "The Ziggurat
 /// Method for Generating Random Variables", JSS 2000), widened to a
@@ -138,41 +129,24 @@ class ZigguratExp {
 class CampaignRng {
  public:
   /// Derives the kDrawClassCount class streams from `base` (base state
-  /// is not consumed). `block` is the per-class prefetch depth, clamped
-  /// to [1, kDefaultDrawBlock]; any value draws the same words (tests
-  /// pin 1, 7 and the default).
-  explicit CampaignRng(const stats::Rng& base,
-                       std::size_t block = kDefaultDrawBlock)
-      : block_(std::clamp<std::size_t>(block, 1, kDefaultDrawBlock)) {
-    for (std::size_t c = 0; c < kDrawClassCount; ++c) {
-      lanes_[c].rng = base.stream(c);
-      lanes_[c].pos = block_;  // empty: refill on first next()
-    }
-  }
+  /// is not consumed).
+  explicit CampaignRng(const stats::Rng& base)
+      : lanes_{base.stream(0), base.stream(1), base.stream(2), base.stream(3),
+               base.stream(4), base.stream(5), base.stream(6),
+               base.stream(7)} {}
 
   /// Next raw word of the class stream, in strict per-class call order.
   [[nodiscard]] std::uint64_t next(DrawClass c) noexcept {
     const std::size_t i = static_cast<std::size_t>(c);
-    Lane& lane = lanes_[i];
-    if (lane.pos == block_) {
-      std::uint64_t* b = buf_.data() + i * block_;
-      for (std::size_t k = 0; k < block_; ++k) b[k] = lane.rng();
-      lane.pos = 0;
-      ++refills_[i];
-    }
-    return buf_[i * block_ + lane.pos++];
+    ++words_[i];
+    return lanes_[i]();
   }
 
-  /// Words actually consumed per class this run (not prefetch refills) —
-  /// the obs:: correctness probe for the draw-ownership table above.
-  /// Derived from the refill count, so the hot path counts per block,
-  /// not per word.
-  [[nodiscard]] std::array<std::uint64_t, kDrawClassCount> words_drawn()
-      const noexcept {
-    std::array<std::uint64_t, kDrawClassCount> out{};
-    for (std::size_t c = 0; c < kDrawClassCount; ++c)
-      out[c] = refills_[c] * block_ - (block_ - lanes_[c].pos);
-    return out;
+  /// Words consumed per class this run — the obs:: correctness probe for
+  /// the draw-ownership table above.
+  [[nodiscard]] const std::array<std::uint64_t, kDrawClassCount>&
+  words_drawn() const noexcept {
+    return words_;
   }
 
   /// Uniform double in [0, 1), 53 bits (same mapping as Rng::uniform()).
@@ -207,17 +181,12 @@ class CampaignRng {
   }
 
  private:
-  struct Lane {
-    stats::Rng rng{0, 0};
-    std::size_t pos = 0;  // == block_ => empty, refill on next()
-  };
-
-  std::size_t block_;
-  // Lane c's block is buf_[c * block_, (c + 1) * block_); a lane writes
-  // it before its first read, so no word needs initializing.
-  std::array<std::uint64_t, kDrawClassCount * kDefaultDrawBlock> buf_;
-  std::array<Lane, kDrawClassCount> lanes_;
-  std::array<std::uint64_t, kDrawClassCount> refills_{};  // blocks per class
+  std::array<stats::Rng, kDrawClassCount> lanes_;
+  std::array<std::uint64_t, kDrawClassCount> words_{};
 };
+
+// One generator and one word count per class: no prefetch buffer.
+static_assert(sizeof(CampaignRng) <=
+              kDrawClassCount * (sizeof(stats::Rng) + sizeof(std::uint64_t)));
 
 }  // namespace divsec::attack

@@ -78,11 +78,13 @@ struct CellContext {
   std::optional<StagedSan> san;
 };
 
-/// One (cell, replication) job. All randomness comes from `rng`, so the
-/// sample depends only on (cell seed, replication index).
-IndicatorSample run_job(const CellContext& ctx, double horizon,
-                        std::size_t curve_bins, stats::Rng rng) {
-  IndicatorSample s;
+/// One (cell, replication) job, written into `s` (a per-thread sample,
+/// so its ratio_counts buffer is reused across replications). All
+/// randomness comes from `rng`, so the sample depends only on (cell
+/// seed, replication index).
+void run_job(const CellContext& ctx, double horizon,
+             std::span<const double> curve_edges, stats::Rng rng,
+             IndicatorSample& s) {
   if (ctx.campaign) {
     const attack::CampaignResult r = ctx.campaign->run(rng);
     s.tta = r.time_to_attack.value_or(horizon);
@@ -92,26 +94,15 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
     s.attack_succeeded = r.attack_succeeded();
     s.final_ratio =
         r.compromised_ratio.empty() ? 0.0 : r.compromised_ratio.back().second;
-    // Sample the replication's step curve at the curve-grid bin upper
-    // edges as integer compromised-component counts (the recorded ratio
-    // is count / node_count, so the llround recovers the count exactly);
+    // The replication's step curve at the curve-grid bin upper edges, as
+    // integer compromised-component counts (the recorded ratio is
+    // count / node_count, so the llround recovers the count exactly);
     // the curve accumulator sums these exactly across any merge order.
-    // Both the edges and the curve's steps ascend, so one forward walk
-    // replaces a ratio_at search per bin (same rule: a step at time <= t
-    // counts).
     const std::size_t nodes = ctx.campaign->scenario().topology.node_count();
     s.ratio_scale = static_cast<std::uint64_t>(nodes);
-    s.ratio_counts.resize(curve_bins);
-    const auto& curve = r.compromised_ratio;
-    std::size_t next = 0;  // first step past the current edge
-    for (std::size_t k = 0; k < curve_bins; ++k) {
-      const double t = horizon * static_cast<double>(k + 1) /
-                       static_cast<double>(curve_bins);
-      while (next < curve.size() && curve[next].first <= t) ++next;
-      const double ratio = next == 0 ? 0.0 : curve[next - 1].second;
-      s.ratio_counts[k] = static_cast<std::uint32_t>(
-          std::llround(ratio * static_cast<double>(nodes)));
-    }
+    s.ratio_counts.resize(curve_edges.size());
+    sample_step_counts(r.compromised_ratio, curve_edges,
+                       static_cast<double>(nodes), s.ratio_counts);
   } else {
     san::SanSimulator sim(ctx.san->asan.model, rng);
     const auto t = sim.run_until_predicate(ctx.san->terminal, horizon);
@@ -123,8 +114,10 @@ IndicatorSample run_job(const CellContext& ctx, double horizon,
     s.ttsf_censored = !detected;
     s.attack_succeeded = succeeded;
     s.final_ratio = succeeded ? 1.0 : 0.0;
+    // No c(t) trajectory; the reused sample may hold a campaign's curve.
+    s.ratio_counts.clear();
+    s.ratio_scale = 0;
   }
-  return s;
 }
 
 }  // namespace
@@ -316,6 +309,8 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
   const auto make = [&](std::size_t) {
     return IndicatorAccumulator(horizon, options_.survival_bins);
   };
+  const std::vector<double> curve_edges =
+      curve_bin_edges(horizon, options_.survival_bins);
 
   // The task list is consumed one scheduling round of 4 × threads tasks
   // at a time, and cell contexts are built only for the cells a round
@@ -380,9 +375,9 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
       const sim::ShardPlan::Task task = shard.task(tasks[begin + g]);
       const std::size_t rep = task.begin + i;
       if (rep >= task.end) return;
-      const IndicatorSample s =
-          run_job(*slots[task.group], horizon, options_.survival_bins,
-                  stats::Rng(seeds[task.group], rep));
+      thread_local IndicatorSample s;
+      run_job(*slots[task.group], horizon, curve_edges,
+              stats::Rng(seeds[task.group], rep), s);
       if (samples) (*samples)[task.group * reps + rep] = s;
       a.add(s);
     };

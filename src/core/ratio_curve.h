@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace divsec::core {
@@ -74,6 +75,20 @@ class RatioCurveAccumulator {
   std::uint64_t n_ = 0;
   std::vector<std::uint64_t> sums_;  // per bin upper edge
 };
+
+/// Upper edges of `bins` equal bins over [0, horizon]: edge k is
+/// horizon × (k + 1) / bins — the grid RatioCurveAccumulator sums over.
+[[nodiscard]] std::vector<double> curve_bin_edges(double horizon,
+                                                  std::size_t bins);
+
+/// Sample one replication's step curve (time-ascending (time, ratio)
+/// steps) at ascending bin upper `edges`: counts[k] =
+/// llround(ratio × scale) of the last step at time <= edges[k], 0 before
+/// the first step. One forward walk that converts each step once, not
+/// each bin. counts.size() must equal edges.size().
+void sample_step_counts(std::span<const std::pair<double, double>> steps,
+                        std::span<const double> edges, double scale,
+                        std::span<std::uint32_t> counts);
 
 /// Evaluate a binned mean curve (values at the upper edges of
 /// curve.size() equal bins over [0, horizon]) at time t: linear

@@ -156,6 +156,26 @@ TEST_F(MeasurementParallelFixture, RatioCurveBitIdenticalAcrossThreads) {
   EXPECT_EQ(a, b);  // exact: the reduction folds in replication order
 }
 
+TEST_F(MeasurementParallelFixture, SanAfterCampaignOnOneThreadHasNoCurve) {
+  // Jobs fill a per-thread sample. A SAN job on the thread that just ran
+  // campaign jobs must not inherit their compromised-ratio counts.
+  const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
+  const IndicatorSummary campaign =
+      MeasurementEngine(desc, profile, options(Engine::kCampaign, 20, &serial))
+          .measure_one(desc.baseline_configuration());
+  ASSERT_FALSE(campaign.ratio_curve.empty());
+
+  std::vector<IndicatorSample> samples;
+  const IndicatorSummary san = measure_with_samples(
+      desc, profile, options(Engine::kStagedSan, 20, &serial), samples);
+  EXPECT_TRUE(san.ratio_curve.empty());
+  ASSERT_EQ(samples.size(), 20u);
+  for (const IndicatorSample& s : samples) {
+    EXPECT_TRUE(s.ratio_counts.empty());
+    EXPECT_EQ(s.ratio_scale, 0u);
+  }
+}
+
 TEST_F(MeasurementParallelFixture, VisitorSeesSamplesWithoutChangingSummaries) {
   const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
   const MeasurementOptions mo = options(Engine::kStagedSan, 80, &serial);
