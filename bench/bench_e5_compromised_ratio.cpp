@@ -5,16 +5,12 @@
 // monoculture curve rises fast and saturates high; diversity flattens and
 // caps it.
 //
-// Fleet phase: on a generated enterprise1024 preset, the indexed
-// campaign engine is validated statistically (same indicator
-// distributions, 5-sigma gate) against the preserved pre-refactor
-// implementation (legacy_campaign.h) and timed against it — the phase
-// fails unless the indexed engine is >= 5x faster per replication. A
-// MeasurementEngine scenario sweep is timed on top. Records land in
-// BENCH_e5_fleet.json. `--fleet-smoke` runs only the fleet-scale phases
-// (fleet, context residency, streaming, elastic, adaptive, codec, obs),
-// skipping the paper-curve tables and google-benchmark timings (CI's
-// Release smoke pass).
+// `--fleet-smoke` runs only the fleet-scale phases (context residency,
+// streaming, elastic, adaptive, codec, obs), skipping the paper-curve
+// tables and google-benchmark timings (CI's Release smoke pass). The
+// campaign law itself is checked against an exact chain solution in
+// tests/test_campaign_oracle.cpp, and fleet throughput by perfbench's
+// fleet16k_fixed workload.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +21,6 @@
 #include <numeric>
 
 #include "bench/bench_util.h"
-#include "bench/legacy_campaign.h"
 #include "core/indicator_accumulator.h"
 #include "core/indicators.h"
 #include "core/measurement.h"
@@ -53,7 +48,7 @@ double wall_ms_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Process CPU time in ms. The ratio gates time single-threaded work
-/// (direct kernel calls, 1-thread sweeps) on it rather than on the wall
+/// (1-thread sweeps, sequential shards) on it rather than on the wall
 /// clock: time a shared host spends running other tenants never lands
 /// on it, so the gates measure the code, not the neighbours.
 double cpu_ms() {
@@ -64,137 +59,6 @@ double cpu_ms() {
 /// keeps its minimum, so a slow spell of the host hits both arms alike
 /// and a single spike cannot decide a gate.
 constexpr int kGateTrials = 5;
-
-/// Legacy-vs-indexed campaign on a generated fleet: verify statistical
-/// equivalence, time both (CPU time, min of kGateTrials alternating
-/// trials), emit the perf-trajectory JSON. Returns false on indicator
-/// drift or a speedup below the 5x acceptance bar.
-bool fleet_speedup_phase() {
-  constexpr std::size_t kNodes = 1024;
-  constexpr std::size_t kReps = 96;
-  constexpr std::uint64_t kSeed = 2013;
-  const std::string preset = "enterprise" + std::to_string(kNodes);
-
-  const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
-  const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
-  // The monoculture arm is the heavy one: the worm actually spreads, so
-  // compromise-volume-proportional work (ratio snapshots, spoof checks,
-  // per-root scanning) dominates — exactly what the paper's baseline
-  // configuration looks like at fleet scale.
-  const scenario::GeneratedScenario fleet = scenario::make_preset(
-      preset, cat, kSeed, scenario::VariantPolicy::kMonoculture);
-
-  bench::section("E5 fleet: " + preset + " campaign, legacy vs indexed engine");
-  std::printf("nodes=%zu links=%zu entries=%zu target PLCs=%zu\n",
-              fleet.scenario.topology.node_count(),
-              fleet.scenario.topology.link_count(),
-              fleet.scenario.entry_nodes.size(),
-              fleet.scenario.target_plcs.size());
-
-  // Sustained-throughput configuration: incident response does not
-  // freeze the attacker, so the worm keeps scanning until the horizon —
-  // the event-volume regime a fleet-scale engine must survive. Both
-  // engines run the identical configuration.
-  attack::CampaignOptions opts;
-  opts.detection_halts_attack = false;
-
-  const bench::legacy::CampaignSimulator legacy_sim(fleet.scenario, stuxnet, cat,
-                                                    {}, opts);
-  const attack::CampaignSimulator indexed_sim(fleet.scenario, stuxnet, cat, {},
-                                              opts);
-
-  // The indexed engine schedules the model's Poisson processes as exact
-  // superpositions, so it samples the SAME distribution as the
-  // pre-refactor per-node implementation through different draws.
-  // Equivalence gate: replication means of the three indicators must
-  // agree within 5 standard errors (a drifted model fails loudly).
-  // Every trial replays the same kReps streams, so the indicator
-  // statistics come from the first trial and later trials only time.
-  struct Arm {
-    stats::OnlineStats ratio, ttsf, success;
-    std::size_t events = 0;
-    double ms = 0.0;  // CPU ms per replication, min over trials
-  };
-  const auto run_arm = [&](const auto& sim, Arm& arm, bool first) {
-    const double start = cpu_ms();
-    for (std::size_t r = 0; r < kReps; ++r) {
-      stats::Rng rng(kSeed, r);
-      const auto res = sim.run(rng);
-      if (!first) continue;
-      arm.ratio.add(res.compromised_ratio.back().second);
-      arm.ttsf.add(res.time_to_detection.value_or(opts.t_max_hours));
-      arm.success.add(res.attack_succeeded() ? 1.0 : 0.0);
-      arm.events += res.events_executed;
-    }
-    const double ms = (cpu_ms() - start) / kReps;
-    arm.ms = first ? ms : std::min(arm.ms, ms);
-  };
-  Arm legacy, indexed;
-  for (int t = 0; t < kGateTrials; ++t) {
-    run_arm(legacy_sim, legacy, t == 0);
-    run_arm(indexed_sim, indexed, t == 0);
-  }
-  const auto close = [&](const stats::OnlineStats& a, const stats::OnlineStats& b,
-                         double floor) {
-    const double se = std::sqrt(a.variance() / static_cast<double>(kReps) +
-                                b.variance() / static_cast<double>(kReps));
-    return std::abs(a.mean() - b.mean()) <= 5.0 * se + floor;
-  };
-  const bool equivalent = close(legacy.ratio, indexed.ratio, 1e-3) &&
-                          close(legacy.ttsf, indexed.ttsf, 1e-6) &&
-                          close(legacy.success, indexed.success, 1e-3);
-
-  const double speedup = indexed.ms > 0.0 ? legacy.ms / indexed.ms : 0.0;
-  bench::row({"engine", "ms/replication", "events/rep", "speedup"}, 18);
-  bench::row({"legacy", bench::fmt(legacy.ms, 3),
-              bench::fmt_int(static_cast<long long>(legacy.events / kReps)),
-              bench::fmt(1.0, 2)},
-             18);
-  bench::row({"indexed", bench::fmt(indexed.ms, 3),
-              bench::fmt_int(static_cast<long long>(indexed.events / kReps)),
-              bench::fmt(speedup, 2)},
-             18);
-  std::printf(
-      "equivalence (%zu reps): %s  ratio %.4f vs %.4f | mean TTSF %.1f vs "
-      "%.1f | success %.3f vs %.3f\n",
-      kReps, equivalent ? "OK" : "FAILED", legacy.ratio.mean(),
-      indexed.ratio.mean(), legacy.ttsf.mean(), indexed.ttsf.mean(),
-      legacy.success.mean(), indexed.success.mean());
-
-  // The new measurement flavour: the same fleet swept through
-  // MeasurementEngine (monoculture + stratified cells) on the shared
-  // executor — the wall clock CI tracks for fleet-scale throughput.
-  core::MeasurementOptions mo;
-  mo.engine = core::Engine::kCampaign;
-  mo.replications = 32;
-  mo.seed = kSeed;
-  core::ScenarioSweepPlan plan;
-  plan.cells.push_back({fleet.scenario, kSeed});  // the monoculture arm
-  plan.cells.push_back(
-      {scenario::make_preset(preset, cat, kSeed,
-                             scenario::VariantPolicy::kZoneStratified)
-           .scenario,
-       kSeed + 1});
-  const core::MeasurementEngine engine(cat, stuxnet, mo);
-  const auto sweep_start = std::chrono::steady_clock::now();
-  const auto summaries = engine.measure_scenarios(plan);
-  const double sweep_ms = wall_ms_since(sweep_start);
-  const int threads = static_cast<int>(engine.executor().thread_count());
-  std::printf(
-      "sweep: %zu cells x %zu reps in %.1f ms on %d threads "
-      "(monoculture success=%.2f, stratified success=%.2f)\n",
-      plan.cell_count(), mo.replications, sweep_ms,
-      threads, summaries[0].attack_success_probability(),
-      summaries[1].attack_success_probability());
-
-  bench::write_bench_json(
-      "BENCH_e5_fleet.json",
-      {{"fleet_campaign_legacy_" + std::to_string(kNodes), legacy.ms, 1, 1.0},
-       {"fleet_campaign_indexed_" + std::to_string(kNodes), indexed.ms, 1, speedup},
-       {"fleet_sweep_2x32_" + std::to_string(kNodes), sweep_ms, threads,
-        speedup}});
-  return equivalent && speedup >= 5.0;
-}
 
 /// Streaming vs buffered aggregation at fleet scale: the identical
 /// enterprise256 sweep once through the streaming backend
@@ -931,28 +795,24 @@ int main(int argc, char** argv) {
   // The acceptance-scale streaming comparison: >= 1e5 replications per
   // enterprise256 cell.
   constexpr std::size_t kStreamingReps = 100000;
-  // CI smoke mode: only the fleet and streaming phases (generated-preset
-  // campaign + sweep + aggregation comparison, JSON emission), skipping
-  // the slower paper-curve tables and google-benchmark timings. Exits
-  // non-zero if the indexed engine diverges from the preserved legacy
-  // implementation or the streaming backend regresses.
+  // CI smoke mode: only the fleet-scale phases (JSON emission included),
+  // skipping the slower paper-curve tables and google-benchmark timings.
+  // Exits non-zero if any phase's gate fails.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fleet-smoke") == 0) {
-      const bool fleet_ok = fleet_speedup_phase();
       const bool soa_ok = context_residency_phase();
       const bool streaming_ok = streaming_aggregation_phase(kStreamingReps);
       const bool elastic_ok = elastic_scheduling_phase();
       const bool adaptive_ok = adaptive_sweep_phase();
       const bool codec_ok = codec_phase();
       const bool obs_ok = obs_overhead_phase();
-      return fleet_ok && soa_ok && streaming_ok && elastic_ok && adaptive_ok &&
-                     codec_ok && obs_ok
+      return soa_ok && streaming_ok && elastic_ok && adaptive_ok && codec_ok &&
+                     obs_ok
                  ? 0
                  : 1;
     }
   }
   print_curves();
-  const bool fleet_ok = fleet_speedup_phase();
   const bool soa_ok = context_residency_phase();
   const bool streaming_ok = streaming_aggregation_phase(kStreamingReps);
   const bool elastic_ok = elastic_scheduling_phase();
@@ -962,8 +822,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return fleet_ok && soa_ok && streaming_ok && elastic_ok && adaptive_ok &&
-                 codec_ok && obs_ok
+  return soa_ok && streaming_ok && elastic_ok && adaptive_ok && codec_ok && obs_ok
              ? 0
              : 1;
 }

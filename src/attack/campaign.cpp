@@ -48,6 +48,10 @@ void Scenario::validate(const divers::VariantCatalog& catalog) const {
     if (topology.node(n).role != net::Role::kPlc)
       throw std::invalid_argument("Scenario: sabotage target is not a PLC");
   }
+  std::vector<NodeId> targets = target_plcs;
+  std::sort(targets.begin(), targets.end());
+  if (std::adjacent_find(targets.begin(), targets.end()) != targets.end())
+    throw std::invalid_argument("Scenario: duplicate target PLC");
 }
 
 const char* to_string(CampaignEventKind k) noexcept {
@@ -88,8 +92,7 @@ struct CampaignTables {
   enum : std::uint8_t {
     kFlagPlc = 1,            // counts only when owned
     kFlagHostTarget = 2,     // valid lateral victim
-    kFlagMonitoring = 4,     // HMI / SCADA / engineering view
-    kFlagPayloadSource = 8,  // can push a PLC payload
+    kFlagPayloadSource = 4,  // can push a PLC payload
   };
 
   std::shared_ptr<const net::ReachabilityIndex> reach;
@@ -146,9 +149,6 @@ struct CampaignTables {
       if (role == net::Role::kPlc) f |= kFlagPlc;
       if (role != net::Role::kPlc && role != net::Role::kSensorGateway)
         f |= kFlagHostTarget;
-      if (role == net::Role::kHmi || role == net::Role::kScadaServer ||
-          role == net::Role::kEngineering)
-        f |= kFlagMonitoring;
       if (pr.has_sabotage_payload && (role == net::Role::kEngineering ||
                                       role == net::Role::kScadaServer))
         f |= kFlagPayloadSource;
@@ -228,8 +228,7 @@ namespace {
 
 /// The campaign's stochastic processes are superposed Poisson streams,
 /// and the engine schedules them as such instead of keeping one pending
-/// event per node in a shared queue (what the generic sim::Simulator
-/// forced). Per class:
+/// event per node in a shared queue. Per class:
 ///
 ///  * worm scanning   — every root scans at rate lambda_p; the
 ///    superposition is one aggregate process of rate lambda_p * R(t)
@@ -239,8 +238,8 @@ namespace {
 ///  * host IDS        — each activated node is detected after an
 ///    exponential delay; only the FIRST detection matters, and before it
 ///    the hazard is rate_h * A(t) — one aggregate first-passage process;
-///  * plant alarms    — one poll chain per owned PLC in the old model,
-///    i.e. rate_a * P(t) aggregated, thinned by the current spoofing;
+///  * plant alarms    — one poll chain per owned PLC, i.e. rate_a * P(t)
+///    aggregated, thinned by the spoofing;
 ///  * sabotage        — first-passage of rate_s * P(t), owner uniform
 ///    over owned PLCs (constant hazards are memoryless).
 ///
@@ -248,11 +247,12 @@ namespace {
 /// redrawn from `now` at the new rate — exact by memorylessness
 /// (min(Exp(a), Exp(b)) ~ Exp(a+b), and the remaining wait of a Poisson
 /// superposition at any instant is Exp(total rate)). The event law of
-/// the model is exactly the per-node construction's; only the RNG draw
-/// sequence differs. What remains per-node — activation and privilege
-/// escalation retries — lives in a small binary heap that stays a few
-/// entries deep, so the per-event cost no longer grows with fleet
-/// compromise the way a per-node event queue's does.
+/// the model is exactly the per-node construction's, which
+/// tests/campaign_oracle.h writes out rate by rate and solves as a CTMC.
+/// What remains per-node — activation and privilege escalation retries —
+/// lives in a small binary heap that stays a few entries deep, so the
+/// per-event cost no longer grows with fleet compromise the way a
+/// per-node event queue's does.
 struct QEvent {
   double at = 0.0;
   std::uint32_t seq = 0;  // FIFO tie-break among equal timestamps
@@ -296,9 +296,9 @@ RunScratch& thread_scratch() {
 /// per-event-class facade (attack/campaign_rng.h) under the documented
 /// draw-order contract, one word per call drawn on demand.
 /// Victim eligibility is tested as state == kClean on top of the shared
-/// host-target flag, monitoring-view ownership is an incremental counter,
-/// and the unowned-target pool shrinks by swap-remove — part of the
-/// draw-order contract, because the pool order feeds later uniform picks.
+/// host-target flag, and the unowned-target pool shrinks by swap-remove —
+/// part of the draw-order contract, because the pool order feeds later
+/// uniform picks.
 ///
 /// The per-node array and the pools are borrowed from the calling
 /// thread's RunScratch. deliver() is the only transition out of kClean
@@ -339,7 +339,6 @@ struct RunState {
   std::vector<NodeId>& unowned_targets;  // target_plcs minus owned (swap-remove)
   std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
-  std::size_t monitoring_owned = 0;  // rooted monitoring-view nodes
 
   RunState(const Scenario& s, const ThreatProfile& p,
            const CampaignTables& t, const DetectionModel& d,
@@ -499,7 +498,6 @@ struct RunState {
       roots.push_back(n);
       scan_slots += tb.scan_w[n] + tb.tunnel_w[n];
       root_cum.push_back(scan_slots);
-      if (tb.flags[n] & CampaignTables::kFlagMonitoring) ++monitoring_owned;
       t_prop = exp_in(DrawClass::kPropagation,
                       pr.propagation_rate * static_cast<double>(scan_slots) *
                           tb.scan_norm);
@@ -632,15 +630,13 @@ struct RunState {
 
   void on_alarm_detect() {
     // Thinning: poll at the undefended alarm rate (one chain per owned
-    // PLC), accept with the current spoof-adjusted probability.
-    // Full-strength spoofing needs an owned monitoring view (HMI, SCADA
-    // server, or the engineering station running the vendor tools, where
-    // Stuxnet actually hooked the s7otbxdx DLL); otherwise replaying
-    // recorded signals is only half effective. The rooted-monitoring
-    // count is kept incrementally, so this consumes no draw.
-    const double spoof =
-        pr.spoof_effectiveness * (monitoring_owned > 0 ? 1.0 : 0.5);
-    if (rng.bernoulli(DrawClass::kAlarm, 1.0 - spoof)) {
+    // PLC), accept with the spoof-adjusted probability. Spoofing needs an
+    // owned monitoring view (HMI, SCADA server, or the engineering
+    // station running the vendor tools, where Stuxnet hooked the
+    // s7otbxdx DLL), and one is always owned here: only a rooted
+    // engineering/SCADA payload source captures a PLC, and both roles
+    // are monitoring views. So the alarm clock never runs without one.
+    if (rng.bernoulli(DrawClass::kAlarm, 1.0 - pr.spoof_effectiveness)) {
       record_detection(CampaignEventKind::kPlantAlarmDetection);
       return;
     }

@@ -75,6 +75,16 @@ TEST_F(CampaignFixture, ScenarioValidationCatchesErrors) {
   EXPECT_THROW(bad.validate(cat), std::invalid_argument);
 }
 
+TEST_F(CampaignFixture, DuplicateTargetPlcRejected) {
+  // A repeated target would be owned twice: plcs_compromised would count
+  // one PLC as two and double its alarm and sabotage rates.
+  Scenario bad = scope;
+  bad.target_plcs = {scope.target_plcs[0], scope.target_plcs[0]};
+  EXPECT_THROW(bad.validate(cat), std::invalid_argument);
+  EXPECT_THROW(CampaignSimulator(bad, ThreatProfile::stuxnet(), cat),
+               std::invalid_argument);
+}
+
 TEST_F(CampaignFixture, RunIsDeterministicInSeed) {
   const CampaignSimulator sim(scope, ThreatProfile::stuxnet(), cat);
   stats::Rng r1(5), r2(5);

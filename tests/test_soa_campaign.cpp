@@ -1,14 +1,14 @@
 // Tests for the SoA campaign kernel and its per-event-class RNG
 // facade (attack/campaign_rng.h), plus the engine's shared lazy-context
-// path. Three contracts are pinned here:
+// path. Four contracts are pinned here:
 //
 //  1. The draw-order contract: class ids are fixed, the facade's words
 //     are exactly the base Rng::stream(id) words in per-class call
 //     order, however the classes interleave.
 //  2. The kernel through the engine is bit-identical for any thread
-//     count, and statistically equivalent to the preserved PR-1 legacy
-//     engine (bench/legacy_campaign.h). Its absolute bits are pinned by
-//     tests/test_golden_digests.cpp.
+//     count. Its absolute bits are pinned by
+//     tests/test_golden_digests.cpp, and its law is checked against the
+//     exact chain solution in tests/test_campaign_oracle.cpp.
 //  3. Shared contexts: structurally identical topologies share one
 //     ReachabilityIndex, contexts are built lazily per scheduling round
 //     (peak residency far below the cell count), and none of it changes
@@ -26,7 +26,6 @@
 
 #include "attack/campaign.h"
 #include "attack/campaign_rng.h"
-#include "bench/legacy_campaign.h"
 #include "core/measurement.h"
 #include "net/reachability_index.h"
 #include "obs/metrics.h"
@@ -185,43 +184,6 @@ TEST_F(SoaKernelFixture, EngineBitIdenticalAcrossThreads) {
       expect_bit_identical(reference[c], got[c]);
     }
   }
-}
-
-TEST_F(SoaKernelFixture, KernelStatisticallyMatchesLegacyEngine) {
-  // The PR-1 engine is preserved verbatim in bench/legacy_campaign.h:
-  // same event LAW, different draw sequence, so equality holds in
-  // distribution, not in bits. Compare success probability and the
-  // final compromised ratio over a replication set, 5 sigma bands.
-  const auto made = scenario::make_preset("plant_small", cat, 17,
-                                          scenario::VariantPolicy::kMonoculture);
-  CampaignOptions opt;
-  opt.detection_halts_attack = false;
-  const CampaignSimulator soa(made.scenario, stuxnet, cat, {}, opt);
-  const bench::legacy::CampaignSimulator legacy(made.scenario, stuxnet, cat, {},
-                                                opt);
-  const int n = 400;
-  double ratio_a = 0.0, ratio_b = 0.0, ratio2_a = 0.0, ratio2_b = 0.0;
-  int succ_a = 0, succ_b = 0;
-  for (std::uint64_t rep = 0; rep < n; ++rep) {
-    stats::Rng ra(2013, rep), rb(4027, rep);
-    const auto a = soa.run(ra);
-    const auto b = legacy.run(rb);
-    const double fa = a.compromised_ratio.back().second;
-    const double fb = b.compromised_ratio.back().second;
-    ratio_a += fa;
-    ratio_b += fb;
-    ratio2_a += fa * fa;
-    ratio2_b += fb * fb;
-    succ_a += a.attack_succeeded() ? 1 : 0;
-    succ_b += b.attack_succeeded() ? 1 : 0;
-  }
-  const double ma = ratio_a / n, mb = ratio_b / n;
-  const double va = ratio2_a / n - ma * ma, vb = ratio2_b / n - mb * mb;
-  EXPECT_NEAR(ma, mb, 5.0 * std::sqrt((va + vb) / n) + 1e-3);
-  const double pa = static_cast<double>(succ_a) / n;
-  const double pb = static_cast<double>(succ_b) / n;
-  EXPECT_NEAR(pa, pb,
-              5.0 * std::sqrt((pa * (1 - pa) + pb * (1 - pb)) / n) + 1e-3);
 }
 
 // --- 3. Shared contexts ------------------------------------------------

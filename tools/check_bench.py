@@ -16,8 +16,8 @@ when a metric regresses past its tolerance:
               a floor that fits its own scale instead of being silently
               exempted by the global 5 ms default.
   * speedup   may not fall below baseline * (1 - --speedup-tol) — the
-              speedup floors (e.g. the indexed-engine 5x, the elastic
-              worst-shard 1.3x improvement).
+              speedup floors (e.g. the elastic worst-shard 1.3x
+              improvement, the codec compression ratio).
   * peak_mb   may not rise above baseline * (1 + --peak-tol) — the
               footprint ceilings (aggregation state, peak-RSS deltas).
               null baselines or null measurements skip the check.
@@ -28,8 +28,10 @@ when a metric regresses past its tolerance:
               tight. null baselines or measurements skip the check.
 
 A record present in the baseline but missing from the produced file is a
-failure (a gated metric silently disappeared). Produced records without
-a baseline are reported as new; refresh with --update after reviewing.
+failure (a gated metric silently disappeared), and so is a committed
+baseline file that no produced file matches (a renamed or crashed phase).
+Produced records without a baseline are reported as new; refresh with
+--update after reviewing.
 
 Usage:
   tools/check_bench.py BENCH_*.json               # gate (CI)
@@ -162,10 +164,17 @@ def main():
             continue
         check_file(path, baseline_path, args, failures, notes)
 
+    produced_names = {os.path.basename(path) for path in args.files}
+    for name in sorted(os.listdir(args.baseline_dir)):
+        if (name.startswith("BENCH_") and name.endswith(".json")
+                and name not in produced_names):
+            failures.append(f"{name}: committed baseline has no produced "
+                            f"file (phase renamed, skipped or crashed)")
+
     for note in notes:
         print(f"note: {note}")
     if failures:
-        print(f"\n{len(failures)} perf regression(s) against "
+        print(f"\n{len(failures)} perf gate failure(s) against "
               f"{os.path.normpath(args.baseline_dir)}:")
         for failure in failures:
             print(f"  FAIL {failure}")
