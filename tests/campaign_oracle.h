@@ -9,8 +9,8 @@
 //  * Ctmc + solve_transient — a transition-list CTMC and its transient
 //    distribution at increasing times. Between consecutive times the
 //    solver sums the Poisson-weighted powers of the uniformized matrix
-//    P = I + Q / Λ and cuts each sum once the Poisson tail is below a
-//    per-step tolerance. The dropped tail masses are summed into
+//    P = I + Q / Λ and cuts each sum once the Poisson tail is below
+//    kStepTolerance. The dropped tail masses are summed into
 //    `truncation_bound`, an upper bound on the L1 error of every returned
 //    distribution (stochastic matrices do not expand L1 errors), hence on
 //    the error of every expectation of a reward in [0, 1].
@@ -75,7 +75,8 @@
 namespace divsec::oracle {
 
 /// A finite CTMC as a list of (from, to, rate) transitions; parallel
-/// transitions add.
+/// transitions add. solve_transient checks every transition: states in
+/// range, from != to, rate positive and finite.
 struct Ctmc {
   struct Transition {
     std::uint32_t from = 0;
@@ -84,13 +85,6 @@ struct Ctmc {
   };
   std::size_t states = 0;
   std::vector<Transition> transitions;
-
-  void add(std::uint32_t from, std::uint32_t to, double rate) {
-    if (from >= states || to >= states)
-      throw std::out_of_range("Ctmc: state out of range");
-    if (!(rate >= 0.0)) throw std::invalid_argument("Ctmc: negative rate");
-    if (rate > 0.0 && from != to) transitions.push_back({from, to, rate});
-  }
 };
 
 /// Distributions at the requested times, plus the bound on their L1
@@ -100,16 +94,25 @@ struct Transient {
   double truncation_bound = 0.0;
 };
 
+/// The Poisson tail mass solve_transient may drop per time step.
+inline constexpr double kStepTolerance = 1e-12;
+
 /// Transient distributions at increasing times >= 0, starting from `p0`
-/// at time 0. `step_tolerance` caps the Poisson tail dropped per time
-/// step; the sum over steps is reported as `truncation_bound`.
+/// at time 0. Each step drops at most kStepTolerance of Poisson tail; the
+/// sum over steps is reported as `truncation_bound`.
 inline Transient solve_transient(const Ctmc& chain, std::vector<double> p0,
-                                 std::span<const double> times,
-                                 double step_tolerance = 1e-12) {
+                                 std::span<const double> times) {
   if (p0.size() != chain.states)
     throw std::invalid_argument("solve_transient: p0 size != states");
   std::vector<double> exit(chain.states, 0.0);
-  for (const auto& t : chain.transitions) exit[t.from] += t.rate;
+  for (const auto& t : chain.transitions) {
+    if (t.from >= chain.states || t.to >= chain.states)
+      throw std::out_of_range("solve_transient: state out of range");
+    if (t.from == t.to) throw std::invalid_argument("solve_transient: self-loop");
+    if (!(t.rate > 0.0 && std::isfinite(t.rate)))
+      throw std::invalid_argument("solve_transient: rate not positive and finite");
+    exit[t.from] += t.rate;
+  }
   const double lambda =
       exit.empty() ? 0.0 : *std::max_element(exit.begin(), exit.end());
 
@@ -136,7 +139,7 @@ inline Transient solve_transient(const Ctmc& chain, std::vector<double> p0,
         const double k = static_cast<double>(j);
         if (k >= mean) {
           const double tail = weight(j + 1) / (1.0 - mean / (k + 2.0));
-          if (tail <= step_tolerance) {
+          if (tail <= kStepTolerance) {
             out.truncation_bound += tail;
             break;
           }

@@ -18,11 +18,13 @@
 // chain value also carries the solver's truncation bound (<= 1e-10).
 //
 // The scenarios cover every transition of the law: the paper's two
-// machines; scenario A (a USB pair, an unexploitable server that burns
-// scan attempts, an HMI behind a firewall-denied link that only a tunnel
-// reaches, an engineering station driving one PLC over project files),
-// with and without detection halting the attack; and scenario B (a
-// SCADA server that reaches two target PLCs over Modbus only). The
+// machines; scenario A (a USB pair that are both entry points, an
+// unexploitable server that burns scan attempts, an HMI behind a
+// firewall-denied link that only a tunnel reaches, an engineering station
+// driving one PLC over project files), with and without detection halting
+// the attack; and scenario B (a SCADA server that reaches two target PLCs
+// over Modbus only, next to an engineering station that reaches one of
+// them, so two payload sources with different routes are live). The
 // solver itself is first checked against closed forms.
 //
 // Tier-1 runs 2^15 replications per scenario; the DISABLED_ variant runs
@@ -32,6 +34,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "campaign_oracle.h"
@@ -53,10 +56,7 @@ constexpr double kClosedFormTol = 1e-9;
 TEST(CtmcSolver, TwoStateAvailabilityTransient) {
   // Up (0) fails at rate f, down (1) is repaired at rate r.
   const double f = 0.3, r = 2.0;
-  oracle::Ctmc chain;
-  chain.states = 2;
-  chain.add(0, 1, f);
-  chain.add(1, 0, r);
+  const oracle::Ctmc chain{2, {{0, 1, f}, {1, 0, r}}};
   const std::vector<double> times{0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 40.0};
   const auto tr = oracle::solve_transient(chain, {1.0, 0.0}, times);
   EXPECT_LE(tr.truncation_bound, 1e-10);
@@ -71,9 +71,8 @@ TEST(CtmcSolver, ErlangCdfFromPureBirthChain) {
   // k exponential stages of rate l in series: absorption is Erlang(k, l).
   const std::size_t k = 4;
   const double l = 1.5;
-  oracle::Ctmc chain;
-  chain.states = k + 1;
-  for (std::uint32_t s = 0; s < k; ++s) chain.add(s, s + 1, l);
+  oracle::Ctmc chain{k + 1, {}};
+  for (std::uint32_t s = 0; s < k; ++s) chain.transitions.push_back({s, s + 1, l});
   std::vector<double> p0(k + 1, 0.0);
   p0[0] = 1.0;
   const std::vector<double> times{0.5, 1.0, 2.0, 4.0, 8.0, 40.0, 400.0};
@@ -90,13 +89,23 @@ TEST(CtmcSolver, ErlangCdfFromPureBirthChain) {
   }
 }
 
+TEST(CtmcSolver, RejectsMalformedTransitions) {
+  const std::vector<double> times{1.0};
+  const auto solve = [&](oracle::Ctmc::Transition t) {
+    return oracle::solve_transient(oracle::Ctmc{2, {t}}, {1.0, 0.0}, times);
+  };
+  EXPECT_THROW(solve({0, 2, 1.0}), std::out_of_range);
+  EXPECT_THROW(solve({0, 0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(solve({0, 1, 0.0}), std::invalid_argument);
+  EXPECT_THROW(solve({0, 1, -1.0}), std::invalid_argument);
+  EXPECT_THROW(solve({0, 1, std::nan("")}), std::invalid_argument);
+  EXPECT_NO_THROW(solve({0, 1, 1.0}));
+}
+
 TEST(CtmcSolver, RaceOfTwoExponentials) {
   // From 0, A wins at rate a (state 1), B at rate b (state 2).
   const double a = 0.7, b = 0.2;
-  oracle::Ctmc chain;
-  chain.states = 3;
-  chain.add(0, 1, a);
-  chain.add(0, 2, b);
+  const oracle::Ctmc chain{3, {{0, 1, a}, {0, 2, b}}};
   const std::vector<double> times{0.25, 1.0, 2.5, 10.0, 50.0};
   const auto tr = oracle::solve_transient(chain, {1.0, 0.0, 0.0}, times);
   EXPECT_LE(tr.truncation_bound, 1e-10);
@@ -109,11 +118,12 @@ TEST(CtmcSolver, RaceOfTwoExponentials) {
 
 // --- The scenarios ---------------------------------------------------------
 
-/// Scenario A: corporate workstation (entry, USB) with an unexploitable
-/// server beside it; engineering station (USB) programming one PLC over
-/// project files; an HMI linked to the workstation across the
-/// corporate/control boundary, which the firewall denies on every
-/// channel, so only a tunnel reaches it.
+/// Scenario A: corporate workstation (USB) with an unexploitable server
+/// beside it; engineering station (USB) programming one PLC over project
+/// files; an HMI linked to the workstation across the corporate/control
+/// boundary, which the firewall denies on every channel, so only a tunnel
+/// reaches it. Both USB nodes are entry points, so the entry pick matters:
+/// an entry at the engineering station skips the lateral step.
 Scenario scenario_a() {
   Scenario sc;
   auto& t = sc.topology;
@@ -131,24 +141,28 @@ Scenario scenario_a() {
   sc.software[srv].os = 1;  // patched: the lateral exploit always fails
   sc.software[hmi].hmi = 0;
   sc.software[plc].plc_firmware = 1;
-  sc.entry_nodes = {ws};
+  sc.entry_nodes = {ws, eng};
   sc.target_plcs = {plc};
   return sc;
 }
 
-/// Scenario B: a workstation (entry, USB) and a SCADA server (USB) that
-/// reaches two target PLCs over Modbus only: the firewall denies project
+/// Scenario B: a workstation (entry, USB), a SCADA server (USB) that
+/// reaches two target PLCs over Modbus only, and an engineering station
+/// (USB) linked to the first PLC alone: the firewall denies project
 /// files into the field and its variant resists the tunnel exploit. The
-/// PLCs differ in firmware and protocol stack.
+/// PLCs differ in firmware and protocol stack, and the two payload
+/// sources differ in which PLCs they can reach, so the source pick matters.
 Scenario scenario_b() {
   Scenario sc;
   auto& t = sc.topology;
   const auto ws = t.add_node("corp.ws", Zone::kCorporate, Role::kWorkstation, true);
   const auto scada = t.add_node("ctl.scada", Zone::kControl, Role::kScadaServer, true);
+  const auto eng = t.add_node("ctl.eng", Zone::kControl, Role::kEngineering, true);
   const auto plc1 = t.add_node("fld.plc1", Zone::kField, Role::kPlc, false);
   const auto plc2 = t.add_node("fld.plc2", Zone::kField, Role::kPlc, false);
   t.connect(scada, plc1);
   t.connect(scada, plc2);
+  t.connect(eng, plc1);
   sc.firewall = net::Firewall(net::Action::kDeny);
   sc.firewall.add_rule({Zone::kControl, Zone::kField, net::Channel::kModbus,
                         net::Action::kAllow, "SCADA polling of PLCs"});

@@ -165,7 +165,9 @@ def main():
         check_file(path, baseline_path, args, failures, notes)
 
     produced_names = {os.path.basename(path) for path in args.files}
-    for name in sorted(os.listdir(args.baseline_dir)):
+    committed = (sorted(os.listdir(args.baseline_dir))
+                 if os.path.isdir(args.baseline_dir) else [])
+    for name in committed:
         if (name.startswith("BENCH_") and name.endswith(".json")
                 and name not in produced_names):
             failures.append(f"{name}: committed baseline has no produced "
