@@ -269,21 +269,27 @@ struct QLater {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
+/// Marks an unowned-pool position that still holds its scenario value.
+constexpr NodeId kNoOverride = std::numeric_limits<NodeId>::max();
+
 /// The mutable buffers a run borrows, one set per thread. Invariant at
-/// rest (between runs): every `state` byte is kClean and every pool is
-/// empty — whichever simulator, of whatever size or topology, ran last.
-/// `state` only ever grows (to the largest node_count seen), so a run
-/// costs O(nodes it touches), not O(node_count), and after warm-up no
-/// buffer here allocates.
+/// rest (between runs): every `state` byte is kClean, every
+/// `pool_override` entry is kNoOverride and every pool is empty —
+/// whichever simulator, of whatever size or topology, ran last. `state`
+/// and `pool_override` only ever grow (to the largest node_count and
+/// target count seen), so a run costs O(nodes and targets it touches),
+/// not O(node_count) or O(target_plcs), and after warm-up no buffer here
+/// allocates.
 struct RunScratch {
   std::vector<NodeState> state;
   std::vector<NodeId> touched;  // nodes moved out of kClean this run
+  std::vector<NodeId> pool_override;     // unowned pool over target_plcs
+  std::vector<std::size_t> pool_touched;  // positions overridden this run
   std::vector<QEvent> heap;
   std::vector<NodeId> roots;
   std::vector<std::uint64_t> root_cum;
   std::vector<NodeId> payload_sources;
   std::vector<NodeId> owned_plcs;
-  std::vector<NodeId> unowned_targets;
 };
 
 RunScratch& thread_scratch() {
@@ -302,9 +308,12 @@ RunScratch& thread_scratch() {
 ///
 /// The per-node array and the pools are borrowed from the calling
 /// thread's RunScratch. deliver() is the only transition out of kClean
-/// and logs the node in `touched`; the destructor restores exactly those
-/// nodes and empties the pools, so even a throw mid-run hands the next
-/// run a clean scratch.
+/// and logs the node in `touched`. The unowned pool is never copied: its
+/// first `unowned` positions read `pool_override[i]`, or
+/// `sc.target_plcs[i]` while that is kNoOverride, and a capture logs the
+/// position it overrides in `pool_touched`. The destructor restores
+/// exactly the logged nodes and positions and empties the pools, so even
+/// a throw mid-run hands the next run a clean scratch.
 struct RunState {
   const Scenario& sc;
   const ThreatProfile& pr;
@@ -336,7 +345,8 @@ struct RunState {
   std::uint64_t scan_slots = 0;         // == root_cum.back() (0 when no roots)
   std::vector<NodeId>& payload_sources;  // rooted engineering/SCADA nodes
   std::vector<NodeId>& owned_plcs;       // owned targets, in capture order
-  std::vector<NodeId>& unowned_targets;  // target_plcs minus owned (swap-remove)
+  NodeId* pool = nullptr;  // scratch.pool_override.data(), >= target count
+  std::size_t unowned = 0;  // live size of the unowned-target pool
   std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
 
@@ -355,26 +365,29 @@ struct RunState {
         root_cum(scr.root_cum),
         payload_sources(scr.payload_sources),
         owned_plcs(scr.owned_plcs),
-        unowned_targets(scr.unowned_targets) {
-    // Growth keeps the invariant (new bytes are kClean), and both
-    // throwing steps leave the scratch as they found it, so a throw here
-    // (where no destructor runs) cannot dirty it either.
+        unowned(s.target_plcs.size()) {
+    // Growth keeps the invariant (new entries are kClean / kNoOverride),
+    // and every throwing step leaves the scratch as it found it, so a
+    // throw here (where no destructor runs) cannot dirty it either.
     if (scratch.state.size() < tb.node_count)
       scratch.state.resize(tb.node_count, NodeState::kClean);
+    if (scratch.pool_override.size() < unowned)
+      scratch.pool_override.resize(unowned, kNoOverride);
     state = scratch.state.data();
+    pool = scratch.pool_override.data();
     result.compromised_ratio.emplace_back(0.0, 0.0);
-    unowned_targets.assign(sc.target_plcs.begin(), sc.target_plcs.end());
   }
 
   ~RunState() {
     for (const NodeId n : scratch.touched) state[n] = NodeState::kClean;
     scratch.touched.clear();
+    for (const std::size_t i : scratch.pool_touched) pool[i] = kNoOverride;
+    scratch.pool_touched.clear();
     heap.clear();
     roots.clear();
     root_cum.clear();
     payload_sources.clear();
     owned_plcs.clear();
-    unowned_targets.clear();
   }
 
   RunState(const RunState&) = delete;  // a copy would restore twice
@@ -452,6 +465,22 @@ struct RunState {
     return rng.bernoulli(c, tb.firewall_bypass_p);
   }
 
+  /// Position i of the unowned-target pool, i < unowned.
+  [[nodiscard]] NodeId unowned_at(std::size_t i) const {
+    const NodeId o = pool[i];
+    return o == kNoOverride ? sc.target_plcs[i] : o;
+  }
+
+  /// Swap-remove position i from the unowned pool: the last live entry
+  /// moves into i. The first override of a position is logged so the
+  /// destructor can restore it.
+  void remove_unowned(std::size_t i) {
+    const NodeId last = unowned_at(unowned - 1);
+    if (pool[i] == kNoOverride) scratch.pool_touched.push_back(i);
+    pool[i] = last;
+    --unowned;
+  }
+
   void deliver(NodeId n, CampaignEventKind kind) {
     scratch.touched.push_back(n);  // first: a throw leaves `n` clean
     state[n] = NodeState::kDelivered;
@@ -503,7 +532,7 @@ struct RunState {
                           tb.scan_norm);
       if (tb.flags[n] & CampaignTables::kFlagPayloadSource) {
         payload_sources.push_back(n);
-        if (!unowned_targets.empty())
+        if (unowned > 0)
           t_payload =
               exp_in(DrawClass::kPayload,
                      pr.payload_rate *
@@ -569,12 +598,11 @@ struct RunState {
     // engineering or fieldbus channel. Once every target is owned the
     // process disarms — targets never refill, so later firings could
     // only ever be no-ops.
-    if (!unowned_targets.empty()) {
+    if (unowned > 0) {
       const NodeId n = payload_sources[rng.below(
           DrawClass::kPayload, payload_sources.size())];
-      const std::size_t pick =
-          rng.below(DrawClass::kPayload, unowned_targets.size());
-      const NodeId plc = unowned_targets[pick];
+      const std::size_t pick = rng.below(DrawClass::kPayload, unowned);
+      const NodeId plc = unowned_at(pick);
       const bool via_project =
           effective_reach(DrawClass::kPayload, n, plc, net::Channel::kProjectFile);
       const bool via_modbus =
@@ -585,8 +613,7 @@ struct RunState {
         if (rng.bernoulli(DrawClass::kPayload, p)) {
           owned_plcs.push_back(plc);
           // Swap-remove (contract): the pool order feeds later picks.
-          unowned_targets[pick] = unowned_targets.back();
-          unowned_targets.pop_back();
+          remove_unowned(pick);
           if (!result.first_plc_compromise) result.first_plc_compromise = now;
           note(plc, CampaignEventKind::kPlcCompromised);
           record_ratio();
@@ -601,7 +628,7 @@ struct RunState {
         }
       }
     }
-    t_payload = unowned_targets.empty()
+    t_payload = unowned == 0
                     ? kNever
                     : exp_in(DrawClass::kPayload,
                              pr.payload_rate *

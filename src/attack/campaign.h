@@ -27,8 +27,12 @@
 // simulator serves any number of concurrent replications. A run's own
 // mutable state (per-node state, event heap, membership pools) lives in
 // a per-thread scratch that each run hands back clean by restoring only
-// the nodes it touched: a replication costs O(nodes touched), not
-// O(node_count), and allocates no fleet-sized buffer once warm.
+// the nodes it touched. The unowned-target pool is never copied from
+// the scenario: it reads the immutable target list through a sparse
+// override array, and a capture swap-removes by overriding one position,
+// which the run restores on exit. So a replication costs O(nodes and
+// targets touched), not O(node_count) or O(target count), and allocates
+// no fleet-sized buffer once warm.
 #pragma once
 
 #include <memory>

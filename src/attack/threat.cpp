@@ -1,5 +1,6 @@
 #include "attack/threat.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -9,8 +10,8 @@ namespace divsec::attack {
 namespace {
 
 void check_rate(double r, const char* what, const std::string& name) {
-  if (!(r > 0.0))
-    throw std::invalid_argument(name + ": " + what + " must be > 0");
+  if (!(r > 0.0) || !std::isfinite(r))
+    throw std::invalid_argument(name + ": " + what + " must be finite and > 0");
 }
 
 struct ChannelToken {
@@ -66,9 +67,10 @@ std::string format_double(double v) {
 double parse_threat_double(const std::string& key, const std::string& text) {
   char* end = nullptr;
   const double v = text.empty() ? 0.0 : std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0')
+  // `end` must reach the string's end, not just a NUL inside it.
+  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v))
     throw std::invalid_argument("ThreatTuning: parameter '" + key +
-                                "' needs a number, got '" + text + "'");
+                                "' needs a finite number, got '" + text + "'");
   return v;
 }
 
@@ -134,7 +136,7 @@ ThreatTuning ThreatTuning::parse(const std::string& spec) {
           if (v < 0.0 || v >= 1.0)
             throw std::invalid_argument(
                 "ThreatTuning: stealth must be in [0,1), got " + value);
-          t.stealth = v;
+          t.stealth = v + 0.0;  // -0 is 0: one canonical spelling
         } else {
           const double v = parse_threat_double(key, value);
           if (!(v > 0.0))
@@ -218,9 +220,9 @@ void ThreatProfile::validate() const {
   check_rate(propagation_rate, "propagation_rate", name);
   check_rate(payload_rate, "payload_rate", name);
   check_rate(sabotage_mean_hours, "sabotage_mean_hours", name);
-  if (stealth < 0.0 || stealth >= 1.0)
+  if (!(stealth >= 0.0 && stealth < 1.0))
     throw std::invalid_argument(name + ": stealth must be in [0,1)");
-  if (spoof_effectiveness < 0.0 || spoof_effectiveness > 1.0)
+  if (!(spoof_effectiveness >= 0.0 && spoof_effectiveness <= 1.0))
     throw std::invalid_argument(name + ": spoof_effectiveness must be in [0,1]");
 }
 

@@ -89,7 +89,7 @@ struct ThreatTuning {
 
   /// Parse "BASE[:k=v,...]" (k in scan, entry, payload, dwell, stealth,
   /// channels). Throws std::invalid_argument listing bases / keys /
-  /// channel tokens on anything unknown or out of range.
+  /// channel tokens on anything unknown, non-finite or out of range.
   [[nodiscard]] static ThreatTuning parse(const std::string& spec);
 
   /// One spelling per tuning: base name, then only the non-default

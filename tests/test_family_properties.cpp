@@ -19,18 +19,26 @@
 //     collision guard), and golden digests pin the expansion bytes
 //     across processes and compilers.
 //
+// The file also replays seeded mutations of in-tree threat specs through
+// attack::ThreatTuning::parse (ThreatTuningMutation).
+//
 // The random-spec seed base rotates in CI (DIVSEC_FAMILY_SEED_BASE,
 // derived from the run number and echoed below) so successive runs
 // explore fresh corners of the spec space while any failure stays
 // reproducible locally by exporting the echoed value.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/threat.h"
 #include "dist/sweep.h"
 #include "scenario/family_spec.h"
 #include "scenario/presets.h"
@@ -414,6 +422,18 @@ TEST(ThreatTuning, SpecsParseCanonicalizeAndTuneTheProfile) {
                std::invalid_argument);
   EXPECT_THROW((void)attack::threat_profile_from_spec("stuxnet:channels=carrier-pigeon"),
                std::invalid_argument);
+  // Inputs that used to parse: bytes after an embedded NUL and
+  // non-finite values (both found by the mutation replayer below), and
+  // stealth=-0, a second canonical spelling of stealth=0.
+  EXPECT_THROW((void)ThreatTuning::parse(std::string("stuxnet:scan=2\0x", 16)),
+               std::invalid_argument);
+  EXPECT_THROW((void)ThreatTuning::parse("stuxnet:dwell=1e999"), std::invalid_argument);
+  EXPECT_THROW((void)ThreatTuning::parse("stuxnet:scan=inf"), std::invalid_argument);
+  EXPECT_THROW((void)ThreatTuning::parse("stuxnet:stealth=nan"), std::invalid_argument);
+  EXPECT_EQ(attack::canonical_threat_spec("stuxnet:stealth=-0"), "stuxnet:stealth=0");
+  attack::ThreatProfile nan_stealth = base;
+  nan_stealth.stealth = std::nan("");
+  EXPECT_THROW(nan_stealth.validate(), std::invalid_argument);
   try {
     (void)attack::threat_profile_from_spec("mirai");
     FAIL() << "expected invalid_argument";
@@ -421,6 +441,129 @@ TEST(ThreatTuning, SpecsParseCanonicalizeAndTuneTheProfile) {
     EXPECT_NE(std::string(e.what()).find("stuxnet"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("flame"), std::string::npos);
   }
+}
+
+// ---- ThreatTuning mutation replay ------------------------------------------
+
+/// In-tree threat specs: the spellings the tests above, the CLI help and
+/// CI use.
+const char* const kThreatSeeds[] = {
+    "stuxnet",
+    "stuxnet:scan=2,dwell=0.5,stealth=0.8,channels=usb+http",
+    "stuxnet:channels=usb+http,scan=2.0,dwell=0.5",
+    "stuxnet:scan=2,entry=1.5,payload=2,dwell=0.5,stealth=0.8,"
+    "channels=usb+modbus",
+    "stuxnet:scan=1,entry=1",
+    "stuxnet:scan=1.5",
+    "stuxnet:channels=carrier-pigeon",
+};
+
+/// Spec-shaped fragments for insertions: number spellings strtod
+/// accepts, separators, key and channel names, and a NUL byte, so
+/// mutants get past the tokenizer into the value parsers.
+const std::string kThreatFragments[] = {
+    "inf", "nan", "-0", "1e-320", "1e308", "0x1p3", " ", ",", "=", "+", ":",
+    ".", "e", "-", "scan=", "stealth=", "channels=", "usb", "duqu",
+    std::string(1, '\0'),
+};
+
+/// One to three stacked mutations of a seed spec: bit flip, byte
+/// overwrite, truncation, insertion (random bytes or a fragment) or
+/// deletion.
+std::string mutate_spec(std::string s, stats::Rng& rng) {
+  for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+    const std::size_t at = rng.below(s.size() + 1);
+    const bool inside = at < s.size();
+    switch (rng.below(5)) {
+      case 0:  // bit flip
+        if (inside) s[at] = static_cast<char>(s[at] ^ (1 << rng.below(8)));
+        break;
+      case 1:  // byte overwrite
+        if (inside) s[at] = static_cast<char>(rng.below(256));
+        break;
+      case 2:  // truncation
+        s.resize(at);
+        break;
+      case 3:  // insertion: 1-4 random bytes, or one fragment
+        if (rng.below(2)) {
+          s.insert(at, kThreatFragments[rng.below(std::size(kThreatFragments))]);
+        } else {
+          for (std::uint64_t n = 1 + rng.below(4); n > 0; --n)
+            s.insert(s.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>(rng.below(256)));
+        }
+        break;
+      default:  // deletion of 1-8 bytes
+        s.erase(at, 1 + rng.below(8));
+    }
+  }
+  return s;
+}
+
+/// Each mutant must throw std::invalid_argument or parse to a tuning
+/// whose canonical spelling parses back to itself; its profile must then
+/// validate with finite positive rates and stealth in [0,1), or throw
+/// std::invalid_argument.
+void replay_threat_mutations(std::size_t count, std::uint64_t seed) {
+  using attack::ThreatTuning;
+  stats::Rng rng(seed);
+  std::size_t parsed = 0, profiled = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string spec =
+        mutate_spec(kThreatSeeds[rng.below(std::size(kThreatSeeds))], rng);
+    const auto where = [&] {
+      return ::testing::Message() << "mutation " << i << " '" << spec << "'";
+    };
+    ThreatTuning t;
+    try {
+      t = ThreatTuning::parse(spec);
+    } catch (const std::invalid_argument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << where() << ": parse threw a non-invalid_argument: " << e.what();
+    }
+    ++parsed;
+    // No spec token contains a NUL byte, so no spec that has one parses.
+    ASSERT_EQ(spec.find('\0'), std::string::npos) << where();
+    const std::string canonical = t.canonical();
+    std::string again;
+    try {
+      again = ThreatTuning::parse(canonical).canonical();
+    } catch (const std::exception& e) {
+      FAIL() << where() << ": its canonical form '" << canonical
+             << "' does not parse: " << e.what();
+    }
+    ASSERT_EQ(again, canonical) << where();
+    attack::ThreatProfile p;
+    try {
+      p = t.profile();
+    } catch (const std::invalid_argument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << where() << ": profile threw a non-invalid_argument: " << e.what();
+    }
+    ++profiled;
+    ASSERT_EQ(p.name, canonical) << where();
+    for (const double rate : {p.entry_rate, p.activation_rate, p.privesc_rate,
+                              p.propagation_rate, p.payload_rate,
+                              p.sabotage_mean_hours})
+      ASSERT_TRUE(std::isfinite(rate) && rate > 0.0) << where() << ": rate " << rate;
+    ASSERT_TRUE(p.stealth >= 0.0 && p.stealth < 1.0) << where();
+  }
+  std::printf("%zu of %zu threat-spec mutations parsed, %zu gave a profile\n",
+              parsed, count, profiled);
+  // Some mutations (a digit changed, a parameter dropped) are valid
+  // specs; the round-trip check must have seen them.
+  EXPECT_GT(profiled, 0u);
+}
+
+TEST(ThreatTuningMutation, TenThousandSeededMutations) {
+  replay_threat_mutations(10'000, 0x7E2EA701);
+}
+
+// Nightly scale (nightly.yml runs it with --gtest_also_run_disabled_tests).
+TEST(ThreatTuningMutation, DISABLED_OneMillionSeededMutations) {
+  replay_threat_mutations(1'000'000, 0x7E2EA702);
 }
 
 TEST(BalancedRotation, DealsEveryKindMaximallyEvenly) {

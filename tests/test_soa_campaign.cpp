@@ -342,6 +342,7 @@ TEST_F(SoaKernelFixture, ScratchReuseAcrossFleetSizesChangesNoBits) {
       {{&big, 0}, {&small, 0}, {&big, 1}, {&mid, 0}, {&big, 0}, {&small, 0},
        {&mid, 1}, {&big, 1},   {&small, 1}, {&mid, 0}, {&big, 2}, {&small, 1}};
   std::size_t most_owned = 0;
+  std::size_t most_big_plcs = 0;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const auto& [sim, rep] = steps[i];
     stats::Rng here(2013, rep);
@@ -355,9 +356,14 @@ TEST_F(SoaKernelFixture, ScratchReuseAcrossFleetSizesChangesNoBits) {
     SCOPED_TRACE(::testing::Message() << "step " << i);
     expect_same_result(got, fresh);
     most_owned = std::max(most_owned, got.hosts_compromised);
+    if (i > 0 && sim == &big)
+      most_big_plcs = std::max(most_big_plcs, got.plcs_compromised);
   }
   // The big runs really did leave many nodes to restore.
   EXPECT_GE(most_owned, 20u);
+  // ... and a reused-scratch big run captured >= 2 PLCs, so the unowned
+  // pool was overridden (swap-removed) and had positions to restore.
+  EXPECT_GE(most_big_plcs, 2u);
 }
 
 TEST_F(SoaKernelFixture, MixedSizeSweepBitIdenticalAcrossThreads) {
