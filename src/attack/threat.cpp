@@ -1,9 +1,10 @@
 #include "attack/threat.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/strict_text.h"
 
 namespace divsec::attack {
 
@@ -53,50 +54,17 @@ const char* channel_token(net::Channel c) {
   return "?";
 }
 
-/// Shortest decimal string that round-trips to exactly `v` (canonical
-/// specs are sweep-fingerprint material; same rule as FamilySpec).
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-double parse_threat_double(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = text.empty() ? 0.0 : std::strtod(text.c_str(), &end);
-  // `end` must reach the string's end, not just a NUL inside it.
-  if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(v))
-    throw std::invalid_argument("ThreatTuning: parameter '" + key +
-                                "' needs a finite number, got '" + text + "'");
-  return v;
-}
-
-std::vector<net::Channel> parse_channel_list(const std::string& text) {
+std::vector<net::Channel> parse_channel_list(std::string_view text) {
   std::vector<net::Channel> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t plus = text.find('+', pos);
-    const std::string token = text.substr(
-        pos, plus == std::string::npos ? std::string::npos : plus - pos);
-    bool found = false;
-    for (const ChannelToken& t : kChannelTokens) {
-      if (token == t.token) {
-        out.push_back(t.channel);
-        found = true;
-        break;
-      }
-    }
-    if (!found)
-      throw std::invalid_argument("ThreatTuning: unknown channel '" + token +
+  for (const std::string_view token : util::split(text, '+')) {
+    const ChannelToken* match = nullptr;
+    for (const ChannelToken& t : kChannelTokens)
+      if (token == t.token) match = &t;
+    if (match == nullptr)
+      throw std::invalid_argument("ThreatTuning: unknown channel '" + std::string(token) +
                                   "' (channels: " + joined_channel_tokens() + ")");
-    if (plus == std::string::npos) break;
-    pos = plus + 1;
+    out.push_back(match->channel);
   }
-  if (out.empty())
-    throw std::invalid_argument("ThreatTuning: channels override must name >= 1");
   return out;
 }
 
@@ -115,45 +83,38 @@ ThreatTuning ThreatTuning::parse(const std::string& spec) {
     throw std::invalid_argument("ThreatTuning: unknown threat '" + t.base +
                                 "' (threats: " + joined_threat_names() + ")");
 
-  if (colon != std::string::npos) {
-    const std::string params = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos <= params.size()) {
-      const std::size_t comma = params.find(',', pos);
-      const std::string item = params.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (!item.empty()) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-          throw std::invalid_argument(
-              "ThreatTuning: expected key=value, got '" + item + "'");
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        if (key == "channels") {
-          t.channels = parse_channel_list(value);
-        } else if (key == "stealth") {
-          const double v = parse_threat_double(key, value);
-          if (v < 0.0 || v >= 1.0)
-            throw std::invalid_argument(
-                "ThreatTuning: stealth must be in [0,1), got " + value);
-          t.stealth = v + 0.0;  // -0 is 0: one canonical spelling
-        } else {
-          const double v = parse_threat_double(key, value);
-          if (!(v > 0.0))
-            throw std::invalid_argument("ThreatTuning: parameter '" + key +
-                                        "' must be > 0, got " + value);
-          if (key == "scan") t.scan = v;
-          else if (key == "entry") t.entry = v;
-          else if (key == "payload") t.payload = v;
-          else if (key == "dwell") t.dwell = v;
-          else
-            throw std::invalid_argument(
-                "ThreatTuning: unknown parameter '" + key +
-                "' (known: scan, entry, payload, dwell, stealth, channels)");
-        }
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+  if (colon == std::string::npos) return t;
+  for (const auto& [key, value] : util::key_values<std::invalid_argument>(
+           std::string_view(spec).substr(colon + 1), "ThreatTuning")) {
+    if (key == "channels") {
+      t.channels = parse_channel_list(value);
+      continue;
+    }
+    const std::string what = "ThreatTuning: parameter '" + std::string(key) + "'";
+    const double v = util::require_double<std::invalid_argument>(value, what);
+    double* const tempo = key == "scan"      ? &t.scan
+                          : key == "entry"   ? &t.entry
+                          : key == "payload" ? &t.payload
+                                             : nullptr;
+    if (tempo != nullptr) {
+      if (!(v > 0.0 && v <= kMaxThreatTempo))
+        throw std::invalid_argument(what + " must be in (0, " +
+                                    util::format_double(kMaxThreatTempo) +
+                                    "], got " + std::string(value));
+      *tempo = v;
+    } else if (key == "dwell") {
+      if (!(v > 0.0))
+        throw std::invalid_argument(what + " must be > 0, got " + std::string(value));
+      t.dwell = v;
+    } else if (key == "stealth") {
+      if (v < 0.0 || v >= 1.0)
+        throw std::invalid_argument("ThreatTuning: stealth must be in [0,1), got " +
+                                    std::string(value));
+      t.stealth = v;
+    } else {
+      throw std::invalid_argument(
+          "ThreatTuning: unknown parameter '" + std::string(key) +
+          "' (known: scan, entry, payload, dwell, stealth, channels)");
     }
   }
   return t;
@@ -166,11 +127,11 @@ std::string ThreatTuning::canonical() const {
     if (!params.empty()) params += ",";
     params += kv;
   };
-  if (scan != 1.0) add("scan=" + format_double(scan));
-  if (entry != 1.0) add("entry=" + format_double(entry));
-  if (payload != 1.0) add("payload=" + format_double(payload));
-  if (dwell != 1.0) add("dwell=" + format_double(dwell));
-  if (stealth) add("stealth=" + format_double(*stealth));
+  if (scan != 1.0) add("scan=" + util::format_double(scan));
+  if (entry != 1.0) add("entry=" + util::format_double(entry));
+  if (payload != 1.0) add("payload=" + util::format_double(payload));
+  if (dwell != 1.0) add("dwell=" + util::format_double(dwell));
+  if (stealth) add("stealth=" + util::format_double(*stealth));
   if (channels) {
     std::string list;
     for (net::Channel c : *channels) {

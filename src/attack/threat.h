@@ -72,6 +72,12 @@ struct ThreatProfile {
 /// listings and --help print.
 [[nodiscard]] std::vector<std::string> threat_names();
 
+/// Upper bound on the scan, entry and payload tempo factors. The largest
+/// in-tree value is 2; at 10^3 a scope_cooling replication still ends
+/// after ~5k-190k events, while a factor like 1e300 drives a rate so
+/// high that `now + delay == now` and simulated time stops advancing.
+inline constexpr double kMaxThreatTempo = 1e3;
+
 /// One tuned point on the threat-model axis: multiplicative tempo knobs
 /// over a named base profile plus optional absolute overrides. The
 /// identity tuning (all 1.0, no overrides) is the base profile itself.
@@ -88,8 +94,10 @@ struct ThreatTuning {
   std::optional<std::vector<net::Channel>> channels;
 
   /// Parse "BASE[:k=v,...]" (k in scan, entry, payload, dwell, stealth,
-  /// channels). Throws std::invalid_argument listing bases / keys /
-  /// channel tokens on anything unknown, non-finite or out of range.
+  /// channels; values in util/strict_text.h's number grammar). scan,
+  /// entry and payload must lie in (0, kMaxThreatTempo], dwell > 0,
+  /// stealth in [0,1). Throws std::invalid_argument listing bases / keys
+  /// / channel tokens on anything unknown, non-finite or out of range.
   [[nodiscard]] static ThreatTuning parse(const std::string& spec);
 
   /// One spelling per tuning: base name, then only the non-default

@@ -4,13 +4,14 @@
 #include <bit>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <queue>
-#include <sstream>
 #include <stdexcept>
 
 #include "dist/fnv.h"
 #include "dist/state_codec.h"
 #include "util/file.h"
+#include "util/strict_text.h"
 
 namespace divsec::dist {
 
@@ -139,69 +140,68 @@ std::string encode_task_plan(const TaskPlan& plan) {
 }
 
 TaskPlan decode_task_plan(std::string_view text) {
-  std::istringstream in{std::string(text)};
   const auto fail = [](const std::string& why) -> void {
     throw std::runtime_error("task plan: " + why);
   };
 
-  std::string line;
-  if (!std::getline(in, line) || line != "divsec-tasks v1")
+  // Every line ends in '\n', so the last piece is empty.
+  const std::vector<std::string_view> lines = util::split(text, '\n');
+  if (lines[0] != "divsec-tasks v1")
     fail("not a divsec task-plan file (missing 'divsec-tasks v1' header)");
+  // Header line i is "<key> <value>".
+  const auto header = [&lines](std::size_t i, std::string_view key,
+                               int base) -> std::optional<std::uint64_t> {
+    if (i >= lines.size()) return std::nullopt;
+    const std::vector<std::string_view> words = util::split(lines[i], ' ');
+    if (words.size() != 2 || words[0] != key) return std::nullopt;
+    return util::to_u64(words[1], base);
+  };
 
   TaskPlan plan;
-  std::string word, hex;
-  if (!(in >> word >> hex) || word != "fingerprint" || hex.size() != 16)
-    fail("malformed fingerprint line");
-  std::size_t used = 0;
-  try {
-    plan.fingerprint = std::stoull(hex, &used, 16);
-  } catch (const std::exception&) {
-    fail("malformed fingerprint value");
-  }
-  if (used != hex.size()) fail("malformed fingerprint value");
+  const auto fingerprint = header(1, "fingerprint", 16);
+  if (!fingerprint) fail("malformed fingerprint line");
+  plan.fingerprint = *fingerprint;
+  const auto shards = header(2, "shards", 10);
+  if (!shards || *shards == 0) fail("malformed shard count");
+  // Bounds before any allocation: one line per shard, and no more tasks
+  // than bytes, so a forged count cannot drive resize() into bad_alloc.
+  if (lines.size() < 6 || *shards != lines.size() - 5)
+    fail("shard count does not match the file's shard lines");
+  const auto tasks = header(3, "tasks", 10);
+  if (!tasks) fail("malformed task count");
+  if (*tasks > text.size()) fail("task count exceeds the file size");
 
-  std::uint64_t shards = 0, tasks = 0;
-  if (!(in >> word >> shards) || word != "shards" || shards == 0)
-    fail("malformed shard count");
-  // Plausibility bounds before any allocation: every shard contributes a
-  // "shard i n" line (>= 8 bytes) and every assigned task >= 2 bytes of
-  // text, so counts the file cannot possibly hold are corruption — fail
-  // cleanly instead of letting a forged count drive resize()/reserve()
-  // into bad_alloc.
-  if (shards > text.size() / 8)
-    fail("shard count exceeds the file size");
-  if (!(in >> word >> tasks) || word != "tasks")
-    fail("malformed task count");
-  if (tasks > text.size())
-    fail("task count exceeds the file size");
-
-  std::vector<bool> seen(tasks, false);
-  plan.shards.resize(shards);
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    std::uint64_t index = 0, count = 0;
-    if (!(in >> word >> index >> count) || word != "shard" || index != s)
+  std::vector<bool> seen(*tasks, false);
+  plan.shards.resize(*shards);
+  for (std::uint64_t s = 0; s < *shards; ++s) {
+    // "shard <s> <count> <task>..."
+    const std::vector<std::string_view> words = util::split(lines[4 + s], ' ');
+    if (words.size() < 3 || words[0] != "shard" || util::to_u64(words[1]) != s ||
+        util::to_u64(words[2]) != words.size() - 3)
       fail("malformed shard line " + std::to_string(s));
-    if (count > tasks)
-      fail("shard " + std::to_string(s) + " claims more tasks than the sweep");
     auto& list = plan.shards[s];
-    list.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t t = 0;
-      if (!(in >> t)) fail("truncated task list of shard " + std::to_string(s));
-      if (t >= tasks) fail("task " + std::to_string(t) + " outside the sweep");
-      if (!list.empty() && t <= list.back())
+    list.reserve(words.size() - 3);
+    for (std::size_t w = 3; w < words.size(); ++w) {
+      const auto t = util::to_u64(words[w]);
+      if (!t) fail("malformed task id in shard line " + std::to_string(s));
+      if (*t >= *tasks) fail("task " + std::to_string(*t) + " outside the sweep");
+      if (!list.empty() && *t <= list.back())
         fail("task list of shard " + std::to_string(s) +
              " is not strictly ascending");
-      if (seen[t])
-        fail("task " + std::to_string(t) + " assigned to more than one shard");
-      seen[t] = true;
-      list.push_back(t);
+      if (seen[*t])
+        fail("task " + std::to_string(*t) + " assigned to more than one shard");
+      seen[*t] = true;
+      list.push_back(*t);
     }
   }
-  for (std::uint64_t t = 0; t < tasks; ++t)
+  for (std::uint64_t t = 0; t < *tasks; ++t)
     if (!seen[t])
       fail("task " + std::to_string(t) + " is not assigned to any shard");
-  if (in >> word) fail("trailing content after the last shard line");
+  // Byte-canonical, like the state codec: any other spelling of the same
+  // plan (leading zeros, upper-case hex, trailing bytes, a missing final
+  // newline) is rejected, so one plan has one file.
+  if (encode_task_plan(plan) != text)
+    fail("not in canonical form (re-encoding differs)");
   return plan;
 }
 

@@ -111,8 +111,9 @@ struct TaskPlan {
 /// Plain-text task-plan codec ("divsec-tasks v1": header, fingerprint,
 /// one line per shard). decode validates structure AND exact coverage —
 /// every task in [0, task count) exactly once, each list strictly
-/// ascending — and throws std::runtime_error otherwise; a plan that
-/// would under- or over-run the sweep never reaches the engine.
+/// ascending — and accepts only canonical bytes, encode(decode(x)) == x;
+/// it throws std::runtime_error otherwise, so a plan that would under-
+/// or over-run the sweep never reaches the engine.
 [[nodiscard]] std::string encode_task_plan(const TaskPlan& plan);
 [[nodiscard]] TaskPlan decode_task_plan(std::string_view text);
 

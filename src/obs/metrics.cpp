@@ -5,6 +5,7 @@
 
 #include "util/file.h"
 #include "util/json.h"
+#include "util/strict_text.h"
 
 #if DIVSEC_OBS
 #include <map>
@@ -182,140 +183,81 @@ std::string metrics_json(const Snapshot& snap) {
 
 namespace {
 
-/// Minimal strict parser for the sidecar shape emitted above. Metric
-/// names are dotted-lowercase identifiers, so escape sequences inside
-/// strings are rejected rather than decoded.
-struct SidecarParser {
-  std::string_view text;
-  std::size_t pos = 0;
+/// Sorted order is part of the format, but a hand-edited sidecar
+/// shouldn't break lookups: restore it. A name listed twice has no one
+/// value, so it is rejected.
+template <typename Vec>
+void sort_unique(Vec& v, const char* kind) {
+  std::sort(v.begin(), v.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  for (std::size_t i = 1; i < v.size(); ++i)
+    if (v[i].name == v[i - 1].name)
+      throw std::runtime_error(std::string("metrics sidecar: duplicate ") + kind +
+                               " '" + v[i].name + "'");
+}
 
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("metrics sidecar: " + what + " at byte " +
-                             std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\n' || text[pos] == '\r' ||
-            text[pos] == '\t'))
-      ++pos;
-  }
-  char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos;
-  }
-  bool consume(char c) {
-    if (pos < text.size() && peek() == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') fail("escape sequences not supported");
-      s += text[pos++];
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;
-    return s;
-  }
-  std::uint64_t parse_u64() {
-    skip_ws();
-    if (pos >= text.size() || text[pos] < '0' || text[pos] > '9')
-      fail("expected unsigned integer");
-    std::uint64_t v = 0;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(text[pos] - '0');
-      if (v > (UINT64_MAX - digit) / 10) fail("integer overflow");
-      v = v * 10 + digit;
-      ++pos;
-    }
-    return v;
-  }
-  void expect_key(const std::string& key) {
-    if (parse_string() != key) fail("expected key \"" + key + "\"");
-    expect(':');
-  }
-};
+/// A `{"name": value, ...}` object of counters or gauges.
+template <typename Vec>
+void read_values(util::JsonCursor<std::runtime_error>& p, Vec& out) {
+  p.expect('{');
+  if (p.consume('}')) return;
+  do {
+    auto& v = out.emplace_back();
+    v.name = p.string();
+    p.expect(':');
+    v.value = p.u64();
+  } while (p.consume(','));
+  p.expect('}');
+}
 
 }  // namespace
 
 Snapshot parse_metrics_json(std::string_view text) {
-  SidecarParser p{text};
+  // Metric names are dotted-lowercase identifiers, so the cursor's
+  // no-escapes strings cover every sidecar metrics_json writes.
+  util::JsonCursor<std::runtime_error> p{text, "metrics sidecar"};
   Snapshot snap;
   p.expect('{');
   p.expect_key("divsec_metrics");
-  if (p.parse_u64() != 1)
+  if (p.u64() != 1)
     throw std::runtime_error("metrics sidecar: unsupported version");
   p.expect(',');
   p.expect_key("counters");
-  p.expect('{');
-  if (!p.consume('}')) {
-    do {
-      CounterValue c;
-      c.name = p.parse_string();
-      p.expect(':');
-      c.value = p.parse_u64();
-      snap.counters.push_back(std::move(c));
-    } while (p.consume(','));
-    p.expect('}');
-  }
+  read_values(p, snap.counters);
   p.expect(',');
   p.expect_key("gauges");
-  p.expect('{');
-  if (!p.consume('}')) {
-    do {
-      GaugeValue g;
-      g.name = p.parse_string();
-      p.expect(':');
-      g.value = p.parse_u64();
-      snap.gauges.push_back(std::move(g));
-    } while (p.consume(','));
-    p.expect('}');
-  }
+  read_values(p, snap.gauges);
   p.expect(',');
   p.expect_key("histograms");
   p.expect('{');
   if (!p.consume('}')) {
     do {
-      HistogramValue h;
-      h.name = p.parse_string();
+      HistogramValue& h = snap.histograms.emplace_back();
+      h.name = p.string();
       p.expect(':');
       p.expect('{');
       p.expect_key("count");
-      h.count = p.parse_u64();
+      h.count = p.u64();
       p.expect(',');
       p.expect_key("sum");
-      h.sum = p.parse_u64();
+      h.sum = p.u64();
       p.expect(',');
       p.expect_key("buckets");
       p.expect('[');
       for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
         if (b) p.expect(',');
-        h.buckets[b] = p.parse_u64();
+        h.buckets[b] = p.u64();
       }
       p.expect(']');
       p.expect('}');
-      snap.histograms.push_back(std::move(h));
     } while (p.consume(','));
     p.expect('}');
   }
   p.expect('}');
-  // Sorted order is part of the format, but a hand-edited sidecar
-  // shouldn't break lookups — restore the invariant instead.
-  const auto by_name = [](const auto& a, const auto& b) {
-    return a.name < b.name;
-  };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
+  if (!p.at_end()) p.fail("trailing content after the sidecar object");
+  sort_unique(snap.counters, "counter");
+  sort_unique(snap.gauges, "gauge");
+  sort_unique(snap.histograms, "histogram");
   return snap;
 }
 

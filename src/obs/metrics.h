@@ -94,9 +94,11 @@ struct Snapshot {
 /// Deterministic JSON export (sorted names, exact integer values).
 [[nodiscard]] std::string metrics_json(const Snapshot& snap);
 
-/// Parse a sidecar produced by metrics_json. This is the one JSON the
-/// project reads back, and the parser accepts exactly that shape (the
-/// codec-owns-its-own-format rule from util/json.h). Throws
+/// Parse a sidecar produced by metrics_json, strictly: exactly that
+/// shape, read through util::JsonCursor (no escapes, no leading zeros,
+/// nothing after the closing brace), and no metric name listed twice
+/// within a kind. Names may come in any order; the result is sorted, so
+/// metrics_json(parse_metrics_json(x)) is a fixed point. Throws
 /// std::runtime_error on malformed input.
 [[nodiscard]] Snapshot parse_metrics_json(std::string_view text);
 

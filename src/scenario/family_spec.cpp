@@ -1,11 +1,9 @@
 #include "scenario/family_spec.h"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/strict_text.h"
 
 namespace divsec::scenario {
 namespace {
@@ -38,55 +36,23 @@ bool lookup_family(const std::string& name, TopologyFamily& out) {
   return false;
 }
 
-/// Shortest decimal string that round-trips to exactly `v` through
-/// strtod. Canonical strings are fingerprint material: the rendering
-/// must be a pure function of the value, with no trailing-digit noise.
-std::string format_double(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-std::size_t parse_size_value(const std::string& key, const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-    throw std::invalid_argument("FamilySpec: parameter '" + key +
-                                "' needs a non-negative integer, got '" + text + "'");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
-    throw std::invalid_argument("FamilySpec: parameter '" + key +
-                                "' needs a non-negative integer, got '" + text + "'");
-  return static_cast<std::size_t>(v);
-}
-
-double parse_double_value(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = text.empty() ? 0.0 : std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0')
-    throw std::invalid_argument("FamilySpec: parameter '" + key +
-                                "' needs a number, got '" + text + "'");
-  return v;
-}
-
-void apply_param(FamilySpec& spec, const std::string& key, const std::string& value) {
+void apply_param(FamilySpec& spec, std::string_view key, std::string_view value) {
+  const std::string what = "FamilySpec: parameter '" + std::string(key) + "'";
   if (key == "nodes") {
-    spec.nodes = parse_size_value(key, value);
+    spec.nodes = util::require_u64<std::invalid_argument>(value, what);
   } else if (key == "sites") {
-    spec.sites = parse_size_value(key, value);
+    spec.sites = util::require_u64<std::invalid_argument>(value, what);
   } else if (key == "depth") {
-    spec.depth = parse_size_value(key, value);
+    spec.depth = util::require_u64<std::invalid_argument>(value, what);
   } else if (key == "density") {
-    spec.density = parse_double_value(key, value);
+    spec.density = util::require_double<std::invalid_argument>(value, what);
   } else if (key == "segmentation") {
-    spec.segmentation = parse_double_value(key, value);
+    spec.segmentation = util::require_double<std::invalid_argument>(value, what);
   } else if (key == "usb") {
-    spec.usb_fraction = parse_double_value(key, value);
+    spec.usb_fraction = util::require_double<std::invalid_argument>(value, what);
   } else {
     throw std::invalid_argument(
-        "FamilySpec: unknown parameter '" + key +
+        "FamilySpec: unknown parameter '" + std::string(key) +
         "' (known: nodes, sites, depth, density, segmentation, usb)");
   }
 }
@@ -94,7 +60,7 @@ void apply_param(FamilySpec& spec, const std::string& key, const std::string& va
 void check_fraction(const char* field, double v) {
   if (!(v >= 0.0 && v <= 1.0))
     throw std::invalid_argument(std::string("FamilySpec: ") + field +
-                                " must be in [0,1], got " + format_double(v));
+                                " must be in [0,1], got " + util::format_double(v));
 }
 
 }  // namespace
@@ -183,9 +149,9 @@ std::string FamilySpec::canonical() const {
   out += ":nodes=" + std::to_string(nodes);
   out += ",sites=" + std::to_string(resolved_sites());
   out += ",depth=" + std::to_string(depth);
-  out += ",density=" + format_double(density);
-  out += ",segmentation=" + format_double(segmentation);
-  out += ",usb=" + format_double(usb_fraction);
+  out += ",density=" + util::format_double(density);
+  out += ",segmentation=" + util::format_double(segmentation);
+  out += ",usb=" + util::format_double(usb_fraction);
   return out;
 }
 
@@ -221,112 +187,42 @@ FamilySpec FamilySpec::parse(const std::string& name) {
     throw std::invalid_argument("FamilySpec: unknown family '" + fam_name +
                                 "' (families: " + joined_family_names() + ")");
 
-  if (colon != std::string::npos) {
-    std::string params = rest.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos <= params.size()) {
-      const std::size_t comma = params.find(',', pos);
-      const std::string item = params.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (!item.empty()) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-          throw std::invalid_argument(
-              "FamilySpec: expected key=value, got '" + item + "'");
-        apply_param(spec, item.substr(0, eq), item.substr(eq + 1));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
+  if (colon != std::string::npos)
+    for (const auto& [key, value] : util::key_values<std::invalid_argument>(
+             std::string_view(rest).substr(colon + 1), "FamilySpec"))
+      apply_param(spec, key, value);
 
   spec.validate();
   return spec;
 }
 
-// ---------------------------------------------------------------------------
-// from_json — a deliberately minimal reader for one flat object of string
-// and number values. The repo's util/json.h is writer-only by design;
-// this is the narrow inverse the --family-json flag needs, not a general
-// JSON library.
-
-namespace {
-
-struct JsonCursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-      ++pos;
-  }
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("FamilySpec: bad JSON at offset " +
-                                std::to_string(pos) + ": " + what);
-  }
-  char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos;
-  }
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') fail("escapes are not supported in family specs");
-      out += text[pos++];
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;  // closing quote
-    return out;
-  }
-  std::string number_token() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E'))
-      ++pos;
-    if (pos == start) fail("expected a number");
-    return text.substr(start, pos - start);
-  }
-};
-
-}  // namespace
-
+// One flat object of string and number values, read through
+// util::JsonCursor: the narrow inverse the --family-json flag needs, not
+// a general JSON library.
 FamilySpec FamilySpec::from_json(const std::string& text) {
-  JsonCursor c{text};
+  util::JsonCursor<std::invalid_argument> c{text, "FamilySpec"};
   FamilySpec spec;
   bool have_family = false;
 
   c.expect('{');
-  if (c.peek() != '}') {
-    for (;;) {
-      const std::string key = c.string_value();
+  if (!c.consume('}')) {
+    do {
+      const std::string key = c.string();
       c.expect(':');
       if (key == "family") {
-        const std::string fam = c.string_value();
+        const std::string fam = c.string();
         if (!lookup_family(fam, spec.family))
           throw std::invalid_argument("FamilySpec: unknown family '" + fam +
                                       "' (families: " + joined_family_names() +
                                       ")");
         have_family = true;
       } else {
-        apply_param(spec, key, c.number_token());
+        apply_param(spec, key, c.number());
       }
-      if (c.peek() != ',') break;
-      ++c.pos;
-    }
+    } while (c.consume(','));
+    c.expect('}');
   }
-  c.expect('}');
-  c.skip_ws();
-  if (c.pos != text.size()) c.fail("trailing content after object");
+  if (!c.at_end()) c.fail("trailing content after object");
   if (!have_family)
     throw std::invalid_argument(
         "FamilySpec: JSON spec needs a \"family\" key (families: " +

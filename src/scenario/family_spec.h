@@ -131,7 +131,8 @@ struct FamilySpec {
   [[nodiscard]] static bool is_family_name(const std::string& name);
 
   /// Parse "familyv1:FAMILY[:k=v,...]", "FAMILY[:k=v,...]" or a bare
-  /// family name. Unlisted parameters keep their defaults. Throws
+  /// family name; values follow util/strict_text.h's number grammar.
+  /// Unlisted parameters keep their defaults. Throws
   /// std::invalid_argument (listing families / parameter names) on
   /// unknown families, unknown keys, malformed or out-of-range values.
   [[nodiscard]] static FamilySpec parse(const std::string& name);

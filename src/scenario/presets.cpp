@@ -1,7 +1,9 @@
 #include "scenario/presets.h"
 
-#include <charconv>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/strict_text.h"
 
 namespace divsec::scenario {
 
@@ -10,19 +12,18 @@ using net::Zone;
 
 namespace {
 
-constexpr const char* kEnterprisePrefix = "enterprise";
+constexpr std::string_view kEnterprisePrefix = "enterprise";
 
-/// Parse "enterprise{N}"; returns 0 when `name` is not of that form.
-std::size_t parse_enterprise(const std::string& name) {
-  const std::string_view prefix(kEnterprisePrefix);
-  if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0)
-    return 0;
-  std::size_t n = 0;
-  const char* first = name.data() + prefix.size();
-  const char* last = name.data() + name.size();
-  const auto [ptr, ec] = std::from_chars(first, last, n);
-  if (ec != std::errc{} || ptr != last) return 0;
-  return n;
+/// N of "enterprise{N}" (N in util::to_u64's grammar); 0 when `name` is
+/// not of that form.
+std::size_t parse_enterprise(std::string_view name) {
+  if (!name.starts_with(kEnterprisePrefix)) return 0;
+  return util::to_u64(name.substr(kEnterprisePrefix.size())).value_or(0);
+}
+
+/// The one spelling of enterprise{N}: "enterprise0256" is enterprise256.
+std::string enterprise_name(std::size_t n) {
+  return std::string(kEnterprisePrefix) + std::to_string(n);
 }
 
 net::Topology two_machine_topology() {
@@ -129,6 +130,8 @@ bool has_preset(const std::string& name) {
 
 std::string resolve_preset_name(const std::string& name) {
   if (FamilySpec::is_family_name(name)) return FamilySpec::parse(name).canonical();
+  if (const std::size_t n = parse_enterprise(name); n >= kMinEnterpriseNodes)
+    return enterprise_name(n);
   if (has_preset(name)) return name;
   throw std::out_of_range(unknown_preset_message(name));
 }
@@ -161,18 +164,20 @@ GeneratedScenario make_preset(const std::string& name,
         .build(fspec.canonical(), seed);
   }
   FleetSpec spec;
+  std::string label = name;
   if (name == "plant_small") {
     spec = plant_small_spec();
   } else if (name == "plant_medium") {
     spec = plant_medium_spec();
   } else if (const std::size_t n = parse_enterprise(name); n > 0) {
     spec = enterprise_spec(n);
+    label = enterprise_name(n);
   } else {
     throw std::out_of_range(unknown_preset_message(name));
   }
   return ScenarioBuilder(TopologyGenerator(spec).generate(seed), catalog)
       .variant_policy(policy)
-      .build(name, seed);
+      .build(label, seed);
 }
 
 }  // namespace divsec::scenario

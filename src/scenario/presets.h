@@ -47,9 +47,11 @@ inline constexpr std::size_t kMinEnterpriseNodes = 24;
 /// valid family specs.
 [[nodiscard]] bool has_preset(const std::string& name);
 
-/// Canonicalize a preset name: fixed presets and enterprise{N} pass
-/// through unchanged; family specs come back in FamilySpec::canonical()
-/// form (so two spellings of the same spec fingerprint identically).
+/// Canonicalize a preset name: fixed presets pass through unchanged,
+/// enterprise{N} comes back rendered from the parsed N (enterprise0256
+/// is enterprise256), and family specs come back in
+/// FamilySpec::canonical() form — so two spellings of the same preset
+/// fingerprint identically.
 /// Throws std::out_of_range listing presets and families for unknown
 /// names, std::invalid_argument for malformed family parameters.
 [[nodiscard]] std::string resolve_preset_name(const std::string& name);

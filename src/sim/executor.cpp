@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "util/strict_text.h"
 
 namespace divsec::sim {
 
@@ -198,14 +199,10 @@ void Executor::parallel_for(std::size_t begin, std::size_t end,
 }
 
 std::size_t Executor::default_thread_count() {
-  if (const char* env = std::getenv("DIVSEC_THREADS")) {
-    try {
-      const long v = std::stol(env);
-      if (v >= 1) return static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-      // Malformed value: fall through to the hardware default.
-    }
-  }
+  // A malformed or zero value falls through to the hardware default.
+  if (const char* env = std::getenv("DIVSEC_THREADS"))
+    if (const auto v = util::to_u64(env); v && *v >= 1)
+      return static_cast<std::size_t>(*v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;
 }

@@ -4,8 +4,10 @@
 // trajectory records, the distributed-sweep state-file headers, and the
 // merged-summary exports — goes through these helpers, so string
 // escaping and non-finite-number handling exist exactly once. Emission
-// only: the binary state codec (dist/state_codec.h) owns parsing of its
-// own format, and nothing in the project consumes free-form JSON.
+// only: the JSON the project reads back (metrics sidecars, --family-json
+// specs) goes through util::JsonCursor in util/strict_text.h, a strict
+// no-escapes subset, and the binary state codec (dist/state_codec.h)
+// owns parsing of its own format.
 #pragma once
 
 #include <cmath>

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -363,6 +364,18 @@ TEST(TaskPlanFile, RoundTripsAndValidates) {
   EXPECT_THROW((void)dist::decode_task_plan(dup), std::runtime_error);
   EXPECT_THROW((void)dist::decode_task_plan(text + "extra"),
                std::runtime_error);
+  // Other spellings of the same plan used to decode: plans are
+  // byte-canonical, encode(decode(x)) == x.
+  const auto variant = [&text](const std::string& from, const std::string& to) {
+    std::string s = text;
+    s.replace(s.find(from), from.size(), to);
+    return s;
+  };
+  for (const std::string& other :
+       {variant("deadbeefcafef00d", "DEADBEEFCAFEF00D"),
+        variant("shards 3", "shards +03"), variant("tasks 6", "tasks\t6"),
+        variant("shard 2 1 4", "shard 2 1\n4")})
+    EXPECT_THROW((void)dist::decode_task_plan(other), std::runtime_error) << other;
 }
 
 TEST(TaskPlanFile, ForeignFingerprintIsRejectedLoudly) {

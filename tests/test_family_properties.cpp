@@ -19,8 +19,8 @@
 //     collision guard), and golden digests pin the expansion bytes
 //     across processes and compilers.
 //
-// The file also replays seeded mutations of in-tree threat specs through
-// attack::ThreatTuning::parse (ThreatTuningMutation).
+// The file also replays seeded mutations of in-tree inputs through every
+// text parser (ParserMutation).
 //
 // The random-spec seed base rotates in CI (DIVSEC_FAMILY_SEED_BASE,
 // derived from the run number and echoed below) so successive runs
@@ -39,7 +39,9 @@
 #include <vector>
 
 #include "attack/threat.h"
+#include "dist/cost_model.h"
 #include "dist/sweep.h"
+#include "obs/metrics.h"
 #include "scenario/family_spec.h"
 #include "scenario/presets.h"
 #include "scenario/scenario_builder.h"
@@ -327,11 +329,33 @@ TEST(FamilySpecParsing, CanonicalFormAndSpellingVariants) {
   EXPECT_THROW((void)FamilySpec::from_json("not json"), std::invalid_argument);
 }
 
+TEST(FamilySpecParsing, NulBytesAndNegativeZeroHaveNoSpelling) {
+  // Bytes after an embedded NUL used to be ignored, and -0 used to
+  // canonicalize to "-0", a second spelling (and fingerprint) of 0.
+  EXPECT_THROW((void)FamilySpec::parse(std::string("mesh-flat:nodes=128\0x", 21)),
+               std::invalid_argument);
+  const std::string zero = FamilySpec::parse("mesh-flat:density=0").canonical();
+  EXPECT_EQ(FamilySpec::parse("mesh-flat:density=-0").canonical(), zero);
+  EXPECT_EQ(FamilySpec::from_json("{\"family\": \"mesh-flat\", \"density\": -0}")
+                .canonical(),
+            zero);
+}
+
 TEST(FamilySpecParsing, PresetRegistryIntegration) {
   EXPECT_TRUE(has_preset("brownfield"));
   EXPECT_TRUE(has_preset("hub-spoke:nodes=128"));
   EXPECT_FALSE(has_preset("hub-spoke:nodes=7"));  // infeasible
   EXPECT_EQ(resolve_preset_name("enterprise64"), "enterprise64");
+  // One spelling per enterprise preset: leading zeros name the same
+  // fleet, so they resolve to the same name and sweep fingerprint.
+  EXPECT_EQ(resolve_preset_name("enterprise0256"), "enterprise256");
+  const auto fingerprint_of = [](const std::string& preset) {
+    dist::SweepSpec spec;
+    spec.preset = preset;
+    spec.replications = 64;
+    return dist::sweep_fingerprint(dist::make_meta(spec));
+  };
+  EXPECT_EQ(fingerprint_of("enterprise0256"), fingerprint_of("enterprise256"));
   EXPECT_EQ(resolve_preset_name("brownfield"),
             FamilySpec::parse("brownfield").canonical());
   // The unknown-preset error lists presets AND families.
@@ -431,6 +455,12 @@ TEST(ThreatTuning, SpecsParseCanonicalizeAndTuneTheProfile) {
   EXPECT_THROW((void)ThreatTuning::parse("stuxnet:scan=inf"), std::invalid_argument);
   EXPECT_THROW((void)ThreatTuning::parse("stuxnet:stealth=nan"), std::invalid_argument);
   EXPECT_EQ(attack::canonical_threat_spec("stuxnet:stealth=-0"), "stuxnet:stealth=0");
+  // Tempo factors are capped at 10^3: at 1e300 a replication never ends.
+  for (const char* spec : {"stuxnet:scan=1e300", "stuxnet:entry=1e300",
+                           "stuxnet:payload=1e300", "stuxnet:scan=1000.5"})
+    EXPECT_THROW((void)ThreatTuning::parse(spec), std::invalid_argument) << spec;
+  EXPECT_EQ(attack::canonical_threat_spec("stuxnet:scan=1e3,entry=1e3,payload=1e3"),
+            "stuxnet:scan=1e+03,entry=1e+03,payload=1e+03");
   attack::ThreatProfile nan_stealth = base;
   nan_stealth.stealth = std::nan("");
   EXPECT_THROW(nan_stealth.validate(), std::invalid_argument);
@@ -443,34 +473,31 @@ TEST(ThreatTuning, SpecsParseCanonicalizeAndTuneTheProfile) {
   }
 }
 
-// ---- ThreatTuning mutation replay ------------------------------------------
+// ---- Parser mutation replay ------------------------------------------------
+//
+// One seeded replayer over every text parser. Each mutant of an in-tree
+// input must either throw the parser's documented exception type or
+// meet the parser's canonical property:
+//   * specs: canonical(parse(canonical(parse(s)))) == canonical(parse(s));
+//   * sidecars: metrics_json(parse(x)) is a fixed point, nothing may
+//     follow the object, and no metric name appears twice;
+//   * task plans: encode(decode(x)) == x, byte for byte.
 
-/// In-tree threat specs: the spellings the tests above, the CLI help and
-/// CI use.
-const char* const kThreatSeeds[] = {
-    "stuxnet",
-    "stuxnet:scan=2,dwell=0.5,stealth=0.8,channels=usb+http",
-    "stuxnet:channels=usb+http,scan=2.0,dwell=0.5",
-    "stuxnet:scan=2,entry=1.5,payload=2,dwell=0.5,stealth=0.8,"
-    "channels=usb+modbus",
-    "stuxnet:scan=1,entry=1",
-    "stuxnet:scan=1.5",
-    "stuxnet:channels=carrier-pigeon",
+/// Spec-, JSON- and plan-shaped fragments for insertions: number
+/// spellings strtod or a lax reader would take, separators, key and
+/// channel names, and a NUL byte, so mutants get past the tokenizers
+/// into the value readers.
+const std::string kFragments[] = {
+    "inf", "nan", "-0", "1e-320", "1e308", "1e300", "0x1p3", "007", "+02",
+    "18446744073709551616", " ", "\t", "\n", ",", "=", "+", ":", ".", "e",
+    "-", "\"", "{", "}", "[", "]", "0", "A", "scan=", "stealth=",
+    "channels=", "usb", "duqu", "nodes=", "density=", "familyv1:",
+    "\"nodes\": ", "\"family\": ", "shard ", std::string(1, '\0'),
 };
 
-/// Spec-shaped fragments for insertions: number spellings strtod
-/// accepts, separators, key and channel names, and a NUL byte, so
-/// mutants get past the tokenizer into the value parsers.
-const std::string kThreatFragments[] = {
-    "inf", "nan", "-0", "1e-320", "1e308", "0x1p3", " ", ",", "=", "+", ":",
-    ".", "e", "-", "scan=", "stealth=", "channels=", "usb", "duqu",
-    std::string(1, '\0'),
-};
-
-/// One to three stacked mutations of a seed spec: bit flip, byte
-/// overwrite, truncation, insertion (random bytes or a fragment) or
-/// deletion.
-std::string mutate_spec(std::string s, stats::Rng& rng) {
+/// One to three stacked mutations of a seed: bit flip, byte overwrite,
+/// truncation, insertion (random bytes or a fragment) or deletion.
+std::string mutate(std::string s, stats::Rng& rng) {
   for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
     const std::size_t at = rng.below(s.size() + 1);
     const bool inside = at < s.size();
@@ -486,7 +513,7 @@ std::string mutate_spec(std::string s, stats::Rng& rng) {
         break;
       case 3:  // insertion: 1-4 random bytes, or one fragment
         if (rng.below(2)) {
-          s.insert(at, kThreatFragments[rng.below(std::size(kThreatFragments))]);
+          s.insert(at, kFragments[rng.below(std::size(kFragments))]);
         } else {
           for (std::uint64_t n = 1 + rng.below(4); n > 0; --n)
             s.insert(s.begin() + static_cast<std::ptrdiff_t>(at),
@@ -500,70 +527,183 @@ std::string mutate_spec(std::string s, stats::Rng& rng) {
   return s;
 }
 
-/// Each mutant must throw std::invalid_argument or parse to a tuning
-/// whose canonical spelling parses back to itself; its profile must then
-/// validate with finite positive rates and stealth in [0,1), or throw
-/// std::invalid_argument.
-void replay_threat_mutations(std::size_t count, std::uint64_t seed) {
-  using attack::ThreatTuning;
-  stats::Rng rng(seed);
-  std::size_t parsed = 0, profiled = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string spec =
-        mutate_spec(kThreatSeeds[rng.below(std::size(kThreatSeeds))], rng);
-    const auto where = [&] {
-      return ::testing::Message() << "mutation " << i << " '" << spec << "'";
-    };
-    ThreatTuning t;
-    try {
-      t = ThreatTuning::parse(spec);
-    } catch (const std::invalid_argument&) {
-      continue;
-    } catch (const std::exception& e) {
-      FAIL() << where() << ": parse threw a non-invalid_argument: " << e.what();
-    }
-    ++parsed;
-    // No spec token contains a NUL byte, so no spec that has one parses.
-    ASSERT_EQ(spec.find('\0'), std::string::npos) << where();
-    const std::string canonical = t.canonical();
-    std::string again;
-    try {
-      again = ThreatTuning::parse(canonical).canonical();
-    } catch (const std::exception& e) {
-      FAIL() << where() << ": its canonical form '" << canonical
-             << "' does not parse: " << e.what();
-    }
-    ASSERT_EQ(again, canonical) << where();
-    attack::ThreatProfile p;
-    try {
-      p = t.profile();
-    } catch (const std::invalid_argument&) {
-      continue;
-    } catch (const std::exception& e) {
-      FAIL() << where() << ": profile threw a non-invalid_argument: " << e.what();
-    }
-    ++profiled;
-    ASSERT_EQ(p.name, canonical) << where();
-    for (const double rate : {p.entry_rate, p.activation_rate, p.privesc_rate,
-                              p.propagation_rate, p.payload_rate,
-                              p.sabotage_mean_hours})
-      ASSERT_TRUE(std::isfinite(rate) && rate > 0.0) << where() << ": rate " << rate;
-    ASSERT_TRUE(p.stealth >= 0.0 && p.stealth < 1.0) << where();
+enum class Outcome { kRejected, kAccepted };
+
+/// Runs `check` (a parse plus the canonical-property assertions) on
+/// `input`: kRejected when the parser throws its documented type, else
+/// kAccepted. Any other exception escapes to the replayer, which fails.
+template <class Documented, class Check>
+Outcome run_parser(Check check, const std::string& input) {
+  try {
+    check(input);
+  } catch (const Documented&) {
+    return Outcome::kRejected;
   }
-  std::printf("%zu of %zu threat-spec mutations parsed, %zu gave a profile\n",
-              parsed, count, profiled);
-  // Some mutations (a digit changed, a parameter dropped) are valid
-  // specs; the round-trip check must have seen them.
-  EXPECT_GT(profiled, 0u);
+  return Outcome::kAccepted;
 }
 
-TEST(ThreatTuningMutation, TenThousandSeededMutations) {
-  replay_threat_mutations(10'000, 0x7E2EA701);
+void check_threat_spec(const std::string& spec) {
+  const attack::ThreatTuning t = attack::ThreatTuning::parse(spec);
+  // No spec token contains a NUL byte, so no spec that has one parses.
+  EXPECT_EQ(spec.find('\0'), std::string::npos);
+  for (const double f : {t.scan, t.entry, t.payload})
+    EXPECT_TRUE(f > 0.0 && f <= 1e3) << "tempo factor " << f;
+  const std::string canonical = t.canonical();
+  EXPECT_EQ(attack::canonical_threat_spec(canonical), canonical);
+  EXPECT_EQ(canonical.find("=-"), std::string::npos) << canonical;
+  attack::ThreatProfile p;
+  try {
+    p = t.profile();
+  } catch (const std::invalid_argument&) {
+    return;  // a tuning may drive a rate out of range; profile() says so
+  }
+  EXPECT_EQ(p.name, canonical);
+  for (const double rate : {p.entry_rate, p.activation_rate, p.privesc_rate,
+                            p.propagation_rate, p.payload_rate,
+                            p.sabotage_mean_hours})
+    EXPECT_TRUE(std::isfinite(rate) && rate > 0.0) << "rate " << rate;
+  EXPECT_TRUE(p.stealth >= 0.0 && p.stealth < 1.0);
+}
+
+void check_family_canonical(const FamilySpec& spec) {
+  const std::string canonical = spec.canonical();
+  EXPECT_EQ(FamilySpec::parse(canonical).canonical(), canonical);
+  // Every field is non-negative, so "-" (as in "-0") has no place in it.
+  EXPECT_EQ(canonical.find("=-"), std::string::npos) << canonical;
+}
+
+void check_sidecar(const std::string& text) {
+  const obs::Snapshot snap = obs::parse_metrics_json(text);
+  const std::string json = obs::metrics_json(snap);
+  EXPECT_EQ(obs::metrics_json(obs::parse_metrics_json(json)), json);
+  const auto strictly_sorted = [](const auto& v) {
+    for (std::size_t i = 1; i < v.size(); ++i)
+      if (!(v[i - 1].name < v[i].name)) return false;
+    return true;
+  };
+  EXPECT_TRUE(strictly_sorted(snap.counters));
+  EXPECT_TRUE(strictly_sorted(snap.gauges));
+  EXPECT_TRUE(strictly_sorted(snap.histograms));
+  EXPECT_THROW((void)obs::parse_metrics_json(text + "}"), std::runtime_error);
+}
+
+void check_task_plan(const std::string& text) {
+  EXPECT_EQ(dist::encode_task_plan(dist::decode_task_plan(text)), text);
+}
+
+obs::Snapshot sidecar_fixture() {
+  obs::Snapshot snap;
+  snap.counters.push_back({"a.count", 42});
+  snap.counters.push_back({"b.count", ~std::uint64_t{0}});
+  snap.gauges.push_back({"a.peak", 7});
+  obs::HistogramValue h;
+  h.name = "a.hist";
+  h.count = 3;
+  h.sum = 1002;
+  h.buckets[0] = 1;
+  h.buckets[1] = 1;
+  h.buckets[10] = 1;
+  snap.histograms.push_back(h);
+  return snap;
+}
+
+dist::TaskPlan plan_fixture(std::vector<std::vector<std::uint64_t>> shards) {
+  dist::TaskPlan plan;
+  plan.fingerprint = 0xDEADBEEFCAFEF00DULL;
+  plan.shards = std::move(shards);
+  return plan;
+}
+
+/// The replayer's table: each parser, its in-tree seeds, and a runner
+/// that rejects with the documented type or checks the canonical
+/// property.
+struct ParserTarget {
+  const char* name;
+  std::vector<std::string> seeds;
+  Outcome (*run)(const std::string&);
+};
+
+const std::vector<ParserTarget>& parser_targets() {
+  static const std::vector<ParserTarget> targets = {
+      {"ThreatTuning::parse",
+       {"stuxnet", "stuxnet:scan=2,dwell=0.5,stealth=0.8,channels=usb+http",
+        "stuxnet:channels=usb+http,scan=2.0,dwell=0.5",
+        "stuxnet:scan=2,entry=1.5,payload=2,dwell=0.5,stealth=0.8,"
+        "channels=usb+modbus",
+        "stuxnet:scan=1,entry=1", "stuxnet:scan=1.5", "stuxnet:stealth=-0",
+        "stuxnet:channels=carrier-pigeon"},
+       [](const std::string& s) {
+         return run_parser<std::invalid_argument>(check_threat_spec, s);
+       }},
+      {"FamilySpec::parse",
+       {"purdue-deep", "hub-spoke:nodes=128", "mesh-flat:nodes=64",
+        "familyv1:purdue-deep:nodes=256,sites=5,depth=2,density=0.15,"
+        "segmentation=0.5,usb=0.35",
+        "brownfield:nodes=256,sites=4,depth=2,density=0.2,segmentation=0.5,"
+        "usb=0.4",
+        "mesh-flat:density=-0"},
+       [](const std::string& s) {
+         return run_parser<std::invalid_argument>(
+             [](const std::string& x) { check_family_canonical(FamilySpec::parse(x)); }, s);
+       }},
+      {"FamilySpec::from_json",
+       {"{\"family\": \"purdue-deep\", \"nodes\": 256, \"sites\": 5}",
+        "{\"family\": \"brownfield\", \"nodes\": 512, \"segmentation\": 0.75}",
+        "{\"family\": \"mesh-flat\", \"nodes\": 64, \"density\": 0.2, \"usb\": 0.5}"},
+       [](const std::string& s) {
+         return run_parser<std::invalid_argument>(
+             [](const std::string& x) { check_family_canonical(FamilySpec::from_json(x)); }, s);
+       }},
+      {"obs::parse_metrics_json",
+       {obs::metrics_json(sidecar_fixture()), obs::metrics_json(obs::Snapshot{})},
+       [](const std::string& s) {
+         return run_parser<std::runtime_error>(check_sidecar, s);
+       }},
+      {"dist::decode_task_plan",
+       {dist::encode_task_plan(plan_fixture({{0, 2, 5}, {1, 3}, {4}})),
+        dist::encode_task_plan(plan_fixture({{0, 1, 2, 3}})),
+        dist::encode_task_plan(plan_fixture({{}, {0}}))},
+       [](const std::string& s) {
+         return run_parser<std::runtime_error>(check_task_plan, s);
+       }},
+  };
+  return targets;
+}
+
+void replay_parser_mutations(std::size_t per_parser, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  for (const ParserTarget& target : parser_targets()) {
+    std::size_t accepted = 0;
+    // The seeds themselves first, then the mutants.
+    for (std::size_t i = 0; i < target.seeds.size() + per_parser; ++i) {
+      const std::string input =
+          i < target.seeds.size()
+              ? target.seeds[i]
+              : mutate(target.seeds[rng.below(target.seeds.size())], rng);
+      try {
+        accepted += target.run(input) == Outcome::kAccepted;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "threw an undocumented exception type: " << e.what();
+      }
+      if (::testing::Test::HasFailure())
+        FAIL() << target.name << " input " << i << " '" << input
+               << "' is neither rejected nor canonical";
+    }
+    std::printf("%s: %zu of %zu inputs accepted\n", target.name, accepted,
+                target.seeds.size() + per_parser);
+    // Some mutations (a digit changed, a parameter dropped) are valid
+    // inputs; the canonical check must have seen them.
+    EXPECT_GT(accepted, target.seeds.size()) << target.name;
+  }
+}
+
+TEST(ParserMutation, TenThousandSeededMutationsPerParser) {
+  replay_parser_mutations(10'000, 0x7E2EA701);
 }
 
 // Nightly scale (nightly.yml runs it with --gtest_also_run_disabled_tests).
-TEST(ThreatTuningMutation, DISABLED_OneMillionSeededMutations) {
-  replay_threat_mutations(1'000'000, 0x7E2EA702);
+TEST(ParserMutation, DISABLED_OneMillionSeededMutationsPerParser) {
+  replay_parser_mutations(1'000'000, 0x7E2EA702);
 }
 
 TEST(BalancedRotation, DealsEveryKindMaximallyEvenly) {

@@ -234,6 +234,24 @@ TEST(ObsSidecar, RejectsMalformedInput) {
   EXPECT_THROW((void)obs::parse_metrics_json(
                    "{\"divsec_metrics\": 1, \"counters\": {\"a\": "),
                std::runtime_error);
+  // Inputs that used to parse: leading zeros, bytes after the object, a
+  // metric listed twice.
+  obs::Snapshot snap;
+  snap.counters.push_back({"a.count", 42});
+  snap.counters.push_back({"b.count", 1});
+  snap.gauges.push_back({"a.peak", 7});
+  const std::string json = obs::metrics_json(snap);
+  const auto edit = [&json](const std::string& from, const std::string& to) {
+    std::string s = json;
+    s.replace(s.find(from), from.size(), to);
+    return s;
+  };
+  EXPECT_EQ(obs::metrics_json(obs::parse_metrics_json(json)), json);
+  for (const std::string& bad :
+       {edit("\"divsec_metrics\": 1", "\"divsec_metrics\": 01"),
+        edit("\"a.peak\": 7", "\"a.peak\": 007"), json + "x",
+        edit("\"b.count\"", "\"a.count\"")})
+    EXPECT_THROW((void)obs::parse_metrics_json(bad), std::runtime_error) << bad;
 }
 
 TEST(ObsSidecar, FileRoundTripAndMissingFileThrows) {

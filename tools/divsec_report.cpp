@@ -27,13 +27,13 @@
 //   divsec_report --from-merged FILE_merged.state [--out prefix]
 //   divsec_report --help | --version
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.h"
 #include "dist/sweep.h"
+#include "util/strict_text.h"
 #include "util/version.h"
 
 using namespace divsec;
@@ -43,28 +43,13 @@ namespace {
 struct Args {
   std::string threat = "stuxnet";
   std::string engine = "san";
-  std::size_t replications = 400;
+  std::uint64_t replications = 400;
   std::uint64_t seed = 2013;
-  std::size_t levels = 0;  // 0 = all variant levels
+  std::uint64_t levels = 0;  // 0 = all variant levels
   std::vector<std::string> components{"os.control", "plc.firmware", "firewall"};
   std::string out = "divsec";
   std::string from_merged;  // merged sweep state to report on instead
 };
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < s.size()) out.push_back(s.substr(start));
-      break;
-    }
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
 
 enum class ParseResult { kRun, kHelp, kVersion, kError };
 
@@ -78,6 +63,15 @@ ParseResult parse(int argc, char** argv, Args& args) {
       }
       return argv[++i];
     };
+    // A count in util/strict_text.h's grammar; false (after saying why)
+    // when it is missing or malformed.
+    const auto need_count = [&](std::uint64_t& out) {
+      const char* v = need_value();
+      const auto n = v ? util::to_u64(v) : std::nullopt;
+      if (v && !n) std::fprintf(stderr, "bad number for %s: %s\n", flag.c_str(), v);
+      out = n.value_or(out);
+      return n.has_value();
+    };
     if (flag == "--threat") {
       const char* v = need_value();
       if (!v) return ParseResult::kError;
@@ -87,21 +81,17 @@ ParseResult parse(int argc, char** argv, Args& args) {
       if (!v) return ParseResult::kError;
       args.engine = v;
     } else if (flag == "--replications") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.replications = std::strtoull(v, nullptr, 10);
+      if (!need_count(args.replications)) return ParseResult::kError;
     } else if (flag == "--seed") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!need_count(args.seed)) return ParseResult::kError;
     } else if (flag == "--levels") {
-      const char* v = need_value();
-      if (!v) return ParseResult::kError;
-      args.levels = std::strtoull(v, nullptr, 10);
+      if (!need_count(args.levels)) return ParseResult::kError;
     } else if (flag == "--components") {
       const char* v = need_value();
       if (!v) return ParseResult::kError;
-      args.components = split_csv(v);
+      args.components.clear();
+      for (const std::string_view c : util::split(v, ','))
+        if (!c.empty()) args.components.emplace_back(c);
     } else if (flag == "--out") {
       const char* v = need_value();
       if (!v) return ParseResult::kError;

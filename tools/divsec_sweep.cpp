@@ -61,6 +61,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -76,6 +77,7 @@
 #include "sim/executor.h"
 #include "util/file.h"
 #include "util/json.h"
+#include "util/strict_text.h"
 #include "util/version.h"
 
 using namespace divsec;
@@ -195,21 +197,6 @@ void usage(std::FILE* to) {
   std::exit(2);
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < s.size()) out.push_back(s.substr(start));
-      break;
-    }
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 scenario::VariantPolicy parse_policy(const std::string& name) {
   if (name == "monoculture" || name == "mono")
     return scenario::VariantPolicy::kMonoculture;
@@ -224,20 +211,16 @@ scenario::VariantPolicy parse_policy(const std::string& name) {
       "balanced-rotation)");
 }
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    die("bad number for " + flag + ": " + value);
-  return v;
+/// A count or a finite real in util/strict_text.h's grammar, or die
+/// naming the flag.
+std::uint64_t u64_flag(const std::string& flag, std::string_view value) {
+  if (const auto v = util::to_u64(value)) return *v;
+  die("bad number for " + flag + ": " + std::string(value));
 }
 
-double parse_f64(const std::string& flag, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    die("bad number for " + flag + ": " + value);
-  return v;
+double f64_flag(const std::string& flag, std::string_view value) {
+  if (const auto v = util::to_double(value)) return *v;
+  die("bad number for " + flag + ": " + std::string(value));
 }
 
 /// "i/K" with i < K.
@@ -245,8 +228,8 @@ std::pair<std::size_t, std::size_t> parse_shard(const std::string& value) {
   const std::size_t slash = value.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= value.size())
     die("--shard wants i/K, e.g. 0/4; got: " + value);
-  const std::uint64_t i = parse_u64("--shard", value.substr(0, slash));
-  const std::uint64_t k = parse_u64("--shard", value.substr(slash + 1));
+  const std::uint64_t i = u64_flag("--shard", std::string_view(value).substr(0, slash));
+  const std::uint64_t k = u64_flag("--shard", std::string_view(value).substr(slash + 1));
   if (k == 0 || i >= k) die("--shard wants i < K; got: " + value);
   return {static_cast<std::size_t>(i), static_cast<std::size_t>(k)};
 }
@@ -340,20 +323,21 @@ bool parse_sweep_flag(ArgReader& args, const std::string& flag,
     }
   } else if (flag == "--policies") {
     spec.policies.clear();
-    for (const auto& p : split_csv(args.value(flag)))
-      spec.policies.push_back(parse_policy(p));
+    const std::string list = args.value(flag);
+    for (const std::string_view p : util::split(list, ','))
+      if (!p.empty()) spec.policies.push_back(parse_policy(std::string(p)));
   } else if (flag == "--threat") spec.threat = args.value(flag);
-  else if (flag == "--seed") spec.seed = parse_u64(flag, args.value(flag));
+  else if (flag == "--seed") spec.seed = u64_flag(flag, args.value(flag));
   else if (flag == "--replications")
-    spec.replications = parse_u64(flag, args.value(flag));
+    spec.replications = u64_flag(flag, args.value(flag));
   else if (flag == "--block")
-    spec.replication_block = parse_u64(flag, args.value(flag));
+    spec.replication_block = u64_flag(flag, args.value(flag));
   else if (flag == "--superblock")
-    spec.superblock = parse_u64(flag, args.value(flag));
+    spec.superblock = u64_flag(flag, args.value(flag));
   else if (flag == "--bins")
-    spec.survival_bins = parse_u64(flag, args.value(flag));
+    spec.survival_bins = u64_flag(flag, args.value(flag));
   else if (flag == "--horizon")
-    spec.horizon_hours = parse_f64(flag, args.value(flag));
+    spec.horizon_hours = f64_flag(flag, args.value(flag));
   else return false;
   return true;
 }
@@ -374,7 +358,7 @@ int cmd_run(int argc, char** argv) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
     else if (flag == "--threads")
-      threads = parse_u64(flag, args.value(flag));
+      threads = u64_flag(flag, args.value(flag));
     else if (flag == "--shard") {
       shard_value = args.value(flag);
       sharded = true;
@@ -451,7 +435,7 @@ int cmd_run(int argc, char** argv) {
       die("with --tasks, --shard wants a bare index i (K comes from the "
           "plan file); got: " + shard_value);
     const std::size_t shard =
-        static_cast<std::size_t>(parse_u64("--shard", shard_value));
+        static_cast<std::size_t>(u64_flag("--shard", shard_value));
     const dist::TaskPlan plan = dist::read_task_plan(tasks_path);
     // The PR-4 fingerprint rule, reused: a task assignment is only valid
     // for the exact sweep it was planned for — running it against other
@@ -524,7 +508,7 @@ int cmd_plan(int argc, char** argv) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
     else if (flag == "--shards")
-      shards = parse_u64(flag, args.value(flag));
+      shards = u64_flag(flag, args.value(flag));
     else if (flag == "--weights") weights.push_back(args.value(flag));
     else if (flag == "--out") out = args.value(flag);
     else die_unknown(flag);
@@ -688,19 +672,19 @@ int cmd_adapt(int argc, char** argv) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
     else if (flag == "--precision")
-      options.relative_precision = parse_f64(flag, args.value(flag));
+      options.relative_precision = f64_flag(flag, args.value(flag));
     else if (flag == "--abs-floor")
-      options.absolute_precision = parse_f64(flag, args.value(flag));
+      options.absolute_precision = f64_flag(flag, args.value(flag));
     else if (flag == "--confidence")
-      options.confidence_level = parse_f64(flag, args.value(flag));
+      options.confidence_level = f64_flag(flag, args.value(flag));
     else if (flag == "--min")
-      options.min_replications = parse_u64(flag, args.value(flag));
+      options.min_replications = u64_flag(flag, args.value(flag));
     else if (flag == "--max")
-      options.max_replications = parse_u64(flag, args.value(flag));
+      options.max_replications = u64_flag(flag, args.value(flag));
     else if (flag == "--round")
-      options.round_replications = parse_u64(flag, args.value(flag));
+      options.round_replications = u64_flag(flag, args.value(flag));
     else if (flag == "--threads")
-      threads = parse_u64(flag, args.value(flag));
+      threads = u64_flag(flag, args.value(flag));
     else if (flag == "--out") out = args.value(flag);
     else if (flag == "--metrics") metrics_path = args.value(flag);
     else if (flag == "--trace") trace_path = args.value(flag);
