@@ -198,7 +198,7 @@ void sort_unique(Vec& v, const char* kind) {
 
 /// A `{"name": value, ...}` object of counters or gauges.
 template <typename Vec>
-void read_values(util::JsonCursor<std::runtime_error>& p, Vec& out) {
+void read_values(util::JsonReader<std::runtime_error>& p, Vec& out) {
   p.expect('{');
   if (p.consume('}')) return;
   do {
@@ -215,7 +215,7 @@ void read_values(util::JsonCursor<std::runtime_error>& p, Vec& out) {
 Snapshot parse_metrics_json(std::string_view text) {
   // Metric names are dotted-lowercase identifiers, so the cursor's
   // no-escapes strings cover every sidecar metrics_json writes.
-  util::JsonCursor<std::runtime_error> p{text, "metrics sidecar"};
+  util::JsonReader<std::runtime_error> p{text, "metrics sidecar"};
   Snapshot snap;
   p.expect('{');
   p.expect_key("divsec_metrics");

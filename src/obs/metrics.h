@@ -95,7 +95,7 @@ struct Snapshot {
 [[nodiscard]] std::string metrics_json(const Snapshot& snap);
 
 /// Parse a sidecar produced by metrics_json, strictly: exactly that
-/// shape, read through util::JsonCursor (no escapes, no leading zeros,
+/// shape, read through util::JsonReader (no escapes, no leading zeros,
 /// nothing after the closing brace), and no metric name listed twice
 /// within a kind. Names may come in any order; the result is sorted, so
 /// metrics_json(parse_metrics_json(x)) is a fixed point. Throws

@@ -80,10 +80,13 @@ FamilyBudget FamilySpec::budget() const {
     throw std::invalid_argument(
         "FamilySpec: nodes must be in [" + std::to_string(kMinFamilyNodes) + ", " +
         std::to_string(kMaxFamilyNodes) + "], got " + std::to_string(nodes));
-  if (sites > kMaxFamilySites)
+  // The bound holds for the derived count too: canonical() spells it
+  // out, and a spelled-out sites above the bound would not parse back.
+  if (resolved_sites() > kMaxFamilySites)
     throw std::invalid_argument("FamilySpec: sites must be <= " +
                                 std::to_string(kMaxFamilySites) + ", got " +
-                                std::to_string(sites));
+                                std::to_string(resolved_sites()) +
+                                (sites == 0 ? " (nodes/48; set sites explicitly)" : ""));
   if (depth > kMaxFamilyDepth)
     throw std::invalid_argument("FamilySpec: depth must be <= " +
                                 std::to_string(kMaxFamilyDepth) + ", got " +
@@ -197,10 +200,10 @@ FamilySpec FamilySpec::parse(const std::string& name) {
 }
 
 // One flat object of string and number values, read through
-// util::JsonCursor: the narrow inverse the --family-json flag needs, not
+// util::JsonReader: the narrow inverse the --family-json flag needs, not
 // a general JSON library.
 FamilySpec FamilySpec::from_json(const std::string& text) {
-  util::JsonCursor<std::invalid_argument> c{text, "FamilySpec"};
+  util::JsonReader<std::invalid_argument> c{text, "FamilySpec"};
   FamilySpec spec;
   bool have_family = false;
 

@@ -93,7 +93,8 @@ struct FamilySpec {
   /// Total node count; generation hits it exactly.
   std::size_t nodes = 256;
   /// Site (purdue/brownfield) or spoke (hub-spoke) count; 0 = auto
-  /// (max(1, nodes / 48)). canonical() always prints the resolved value.
+  /// (max(1, nodes / 48)). canonical() always prints the resolved value,
+  /// so the resolved value must be <= kMaxFamilySites too.
   std::size_t sites = 0;
   /// purdue-deep: field aggregation tiers between SCADA and the PLCs.
   std::size_t depth = 2;

@@ -1,5 +1,6 @@
 #include "scenario/presets.h"
 
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -24,6 +25,17 @@ std::size_t parse_enterprise(std::string_view name) {
 /// The one spelling of enterprise{N}: "enterprise0256" is enterprise256.
 std::string enterprise_name(std::size_t n) {
   return std::string(kEnterprisePrefix) + std::to_string(n);
+}
+
+/// The one spelling of a fixed or enterprise{N} preset name; nullopt
+/// when `name` is neither.
+std::optional<std::string> canonical_builtin_name(const std::string& name) {
+  if (name == "paper_two_machines" || name == "scope_cooling" ||
+      name == "plant_small" || name == "plant_medium")
+    return name;
+  if (const std::size_t n = parse_enterprise(name); n >= kMinEnterpriseNodes)
+    return enterprise_name(n);
+  return std::nullopt;
 }
 
 net::Topology two_machine_topology() {
@@ -113,10 +125,7 @@ std::vector<std::string> preset_names() {
 }
 
 bool has_preset(const std::string& name) {
-  if (name == "paper_two_machines" || name == "scope_cooling" ||
-      name == "plant_small" || name == "plant_medium")
-    return true;
-  if (parse_enterprise(name) >= kMinEnterpriseNodes) return true;
+  if (canonical_builtin_name(name)) return true;
   if (FamilySpec::is_family_name(name)) {
     try {
       (void)FamilySpec::parse(name);
@@ -130,9 +139,8 @@ bool has_preset(const std::string& name) {
 
 std::string resolve_preset_name(const std::string& name) {
   if (FamilySpec::is_family_name(name)) return FamilySpec::parse(name).canonical();
-  if (const std::size_t n = parse_enterprise(name); n >= kMinEnterpriseNodes)
-    return enterprise_name(n);
-  if (has_preset(name)) return name;
+  if (std::optional<std::string> canonical = canonical_builtin_name(name))
+    return *std::move(canonical);
   throw std::out_of_range(unknown_preset_message(name));
 }
 

@@ -5,7 +5,7 @@
 // merged-summary exports — goes through these helpers, so string
 // escaping and non-finite-number handling exist exactly once. Emission
 // only: the JSON the project reads back (metrics sidecars, --family-json
-// specs) goes through util::JsonCursor in util/strict_text.h, a strict
+// specs) goes through util::JsonReader in util/strict_text.h, a strict
 // no-escapes subset, and the binary state codec (dist/state_codec.h)
 // owns parsing of its own format.
 #pragma once

@@ -74,7 +74,7 @@ std::vector<std::pair<std::string_view, std::string_view>> key_values(
 /// A cursor over a strict JSON subset (see the file comment). Every
 /// failure throws Error("<context>: <what> at byte <offset>").
 template <class Error>
-struct JsonCursor {
+struct JsonReader {
   std::string_view text;
   std::string context;
   std::size_t pos = 0;

@@ -33,9 +33,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "attack/threat.h"
@@ -339,6 +341,14 @@ TEST(FamilySpecParsing, NulBytesAndNegativeZeroHaveNoSpelling) {
   EXPECT_EQ(FamilySpec::from_json("{\"family\": \"mesh-flat\", \"density\": -0}")
                 .canonical(),
             zero);
+  // Auto sites (nodes/48) above the sites bound used to pass validation
+  // and canonicalize to a sites= value that does not parse back (found
+  // by the mutation replayer).
+  EXPECT_THROW((void)FamilySpec::parse("brownfield:nodes=500000"), std::invalid_argument);
+  EXPECT_THROW((void)FamilySpec::from_json("{\"family\": \"brownfield\", \"nodes\": 510072}"),
+               std::invalid_argument);
+  const std::string big = FamilySpec::parse("brownfield:nodes=500000,sites=4096").canonical();
+  EXPECT_EQ(FamilySpec::parse(big).canonical(), big);
 }
 
 TEST(FamilySpecParsing, PresetRegistryIntegration) {
@@ -527,23 +537,24 @@ std::string mutate(std::string s, stats::Rng& rng) {
   return s;
 }
 
-enum class Outcome { kRejected, kAccepted };
-
-/// Runs `check` (a parse plus the canonical-property assertions) on
-/// `input`: kRejected when the parser throws its documented type, else
-/// kAccepted. Any other exception escapes to the replayer, which fails.
-template <class Documented, class Check>
-Outcome run_parser(Check check, const std::string& input) {
+/// Parses `input` and, if that succeeds, runs `check` on the input and
+/// the result. Returns false when the parse throws the parser's
+/// documented type. Only the first parse may reject: `check` runs
+/// outside the try, so any exception from it, including one from
+/// re-parsing the canonical form, escapes to the replayer and fails it.
+template <class Documented, class Parse, class Check>
+bool parse_then_check(const std::string& input, Parse parse, Check check) {
+  std::optional<std::invoke_result_t<Parse, const std::string&>> parsed;
   try {
-    check(input);
+    parsed.emplace(parse(input));
   } catch (const Documented&) {
-    return Outcome::kRejected;
+    return false;
   }
-  return Outcome::kAccepted;
+  check(input, *parsed);
+  return true;
 }
 
-void check_threat_spec(const std::string& spec) {
-  const attack::ThreatTuning t = attack::ThreatTuning::parse(spec);
+void check_threat_spec(const std::string& spec, const attack::ThreatTuning& t) {
   // No spec token contains a NUL byte, so no spec that has one parses.
   EXPECT_EQ(spec.find('\0'), std::string::npos);
   for (const double f : {t.scan, t.entry, t.payload})
@@ -565,15 +576,14 @@ void check_threat_spec(const std::string& spec) {
   EXPECT_TRUE(p.stealth >= 0.0 && p.stealth < 1.0);
 }
 
-void check_family_canonical(const FamilySpec& spec) {
+void check_family_canonical(const std::string&, const FamilySpec& spec) {
   const std::string canonical = spec.canonical();
   EXPECT_EQ(FamilySpec::parse(canonical).canonical(), canonical);
   // Every field is non-negative, so "-" (as in "-0") has no place in it.
   EXPECT_EQ(canonical.find("=-"), std::string::npos) << canonical;
 }
 
-void check_sidecar(const std::string& text) {
-  const obs::Snapshot snap = obs::parse_metrics_json(text);
+void check_sidecar(const std::string& text, const obs::Snapshot& snap) {
   const std::string json = obs::metrics_json(snap);
   EXPECT_EQ(obs::metrics_json(obs::parse_metrics_json(json)), json);
   const auto strictly_sorted = [](const auto& v) {
@@ -587,8 +597,8 @@ void check_sidecar(const std::string& text) {
   EXPECT_THROW((void)obs::parse_metrics_json(text + "}"), std::runtime_error);
 }
 
-void check_task_plan(const std::string& text) {
-  EXPECT_EQ(dist::encode_task_plan(dist::decode_task_plan(text)), text);
+void check_task_plan(const std::string& text, const dist::TaskPlan& plan) {
+  EXPECT_EQ(dist::encode_task_plan(plan), text);
 }
 
 obs::Snapshot sidecar_fixture() {
@@ -614,13 +624,13 @@ dist::TaskPlan plan_fixture(std::vector<std::vector<std::uint64_t>> shards) {
   return plan;
 }
 
-/// The replayer's table: each parser, its in-tree seeds, and a runner
-/// that rejects with the documented type or checks the canonical
-/// property.
+/// The replayer's table: each parser, its in-tree seeds, and `accepts`,
+/// which returns false when the parser rejects the input with its
+/// documented type and otherwise checks the canonical property.
 struct ParserTarget {
   const char* name;
   std::vector<std::string> seeds;
-  Outcome (*run)(const std::string&);
+  bool (*accepts)(const std::string&);
 };
 
 const std::vector<ParserTarget>& parser_targets() {
@@ -633,7 +643,9 @@ const std::vector<ParserTarget>& parser_targets() {
         "stuxnet:scan=1,entry=1", "stuxnet:scan=1.5", "stuxnet:stealth=-0",
         "stuxnet:channels=carrier-pigeon"},
        [](const std::string& s) {
-         return run_parser<std::invalid_argument>(check_threat_spec, s);
+         return parse_then_check<std::invalid_argument>(
+             s, [](const std::string& x) { return attack::ThreatTuning::parse(x); },
+             check_threat_spec);
        }},
       {"FamilySpec::parse",
        {"purdue-deep", "hub-spoke:nodes=128", "mesh-flat:nodes=64",
@@ -643,28 +655,34 @@ const std::vector<ParserTarget>& parser_targets() {
         "usb=0.4",
         "mesh-flat:density=-0"},
        [](const std::string& s) {
-         return run_parser<std::invalid_argument>(
-             [](const std::string& x) { check_family_canonical(FamilySpec::parse(x)); }, s);
+         return parse_then_check<std::invalid_argument>(
+             s, [](const std::string& x) { return FamilySpec::parse(x); },
+             check_family_canonical);
        }},
       {"FamilySpec::from_json",
        {"{\"family\": \"purdue-deep\", \"nodes\": 256, \"sites\": 5}",
         "{\"family\": \"brownfield\", \"nodes\": 512, \"segmentation\": 0.75}",
         "{\"family\": \"mesh-flat\", \"nodes\": 64, \"density\": 0.2, \"usb\": 0.5}"},
        [](const std::string& s) {
-         return run_parser<std::invalid_argument>(
-             [](const std::string& x) { check_family_canonical(FamilySpec::from_json(x)); }, s);
+         return parse_then_check<std::invalid_argument>(
+             s, [](const std::string& x) { return FamilySpec::from_json(x); },
+             check_family_canonical);
        }},
       {"obs::parse_metrics_json",
        {obs::metrics_json(sidecar_fixture()), obs::metrics_json(obs::Snapshot{})},
        [](const std::string& s) {
-         return run_parser<std::runtime_error>(check_sidecar, s);
+         return parse_then_check<std::runtime_error>(
+             s, [](const std::string& x) { return obs::parse_metrics_json(x); },
+             check_sidecar);
        }},
       {"dist::decode_task_plan",
        {dist::encode_task_plan(plan_fixture({{0, 2, 5}, {1, 3}, {4}})),
         dist::encode_task_plan(plan_fixture({{0, 1, 2, 3}})),
         dist::encode_task_plan(plan_fixture({{}, {0}}))},
        [](const std::string& s) {
-         return run_parser<std::runtime_error>(check_task_plan, s);
+         return parse_then_check<std::runtime_error>(
+             s, [](const std::string& x) { return dist::decode_task_plan(x); },
+             check_task_plan);
        }},
   };
   return targets;
@@ -681,9 +699,11 @@ void replay_parser_mutations(std::size_t per_parser, std::uint64_t seed) {
               ? target.seeds[i]
               : mutate(target.seeds[rng.below(target.seeds.size())], rng);
       try {
-        accepted += target.run(input) == Outcome::kAccepted;
+        accepted += target.accepts(input);
       } catch (const std::exception& e) {
-        ADD_FAILURE() << "threw an undocumented exception type: " << e.what();
+        ADD_FAILURE() << "the parser threw an undocumented type, or the "
+                         "canonical check threw: "
+                      << e.what();
       }
       if (::testing::Test::HasFailure())
         FAIL() << target.name << " input " << i << " '" << input
