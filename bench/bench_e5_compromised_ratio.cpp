@@ -76,17 +76,14 @@ bool streaming_aggregation_phase(std::size_t reps) {
   const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
   const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
 
+  const scenario::VariantPolicy policies[] = {
+      scenario::VariantPolicy::kMonoculture,
+      scenario::VariantPolicy::kZoneStratified,
+  };
+  const auto arms = scenario::make_preset_arms(preset, cat, kSeed, policies);
   core::ScenarioSweepPlan plan;
-  plan.cells.push_back(
-      {scenario::make_preset(preset, cat, kSeed,
-                             scenario::VariantPolicy::kMonoculture)
-           .scenario,
-       kSeed});
-  plan.cells.push_back(
-      {scenario::make_preset(preset, cat, kSeed,
-                             scenario::VariantPolicy::kZoneStratified)
-           .scenario,
-       kSeed + 1});
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    plan.cells.push_back({arms[i].scenario, kSeed + i});
 
   core::MeasurementOptions mo;
   mo.engine = core::Engine::kCampaign;
@@ -452,7 +449,8 @@ bool adaptive_sweep_phase() {
 /// through measure_scenarios with streaming aggregation. The engine
 /// builds contexts lazily per scheduling round and shares the one
 /// reachability index, so the sweep's peak-RSS delta — measured AFTER
-/// plan construction, whose 10^4 Scenario copies are the caller's own
+/// plan construction, whose 10^4 Scenario copies (one shared topology
+/// storage, per-copy software and target lists) are the caller's own
 /// storage — must stay far below what 10^4 eager contexts would cost
 /// (the pre-SoA path held every context for the whole call). Gates:
 /// one reachability build, peak residency a small multiple of the round

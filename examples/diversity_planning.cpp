@@ -6,15 +6,15 @@
 //
 //   ./diversity_planning [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/optimizer.h"
 #include "core/pipeline.h"
+#include "example_args.h"
 
 using namespace divsec;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2013;
+  const std::uint64_t seed = examples::u64_arg(argc, argv, 1, "seed", 2013);
 
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(seed);
   const core::SystemDescription desc = core::make_scope_description(catalog);

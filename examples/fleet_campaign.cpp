@@ -6,10 +6,10 @@
 //
 //   ./example_fleet_campaign [nodes] [seed]      (default: 256 2013)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/measurement.h"
+#include "example_args.h"
 #include "net/epidemic.h"
 #include "net/reachability_index.h"
 #include "scenario/presets.h"
@@ -17,25 +17,25 @@
 using namespace divsec;
 
 int main(int argc, char** argv) {
-  const std::size_t nodes = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2013;
+  const std::uint64_t nodes = examples::u64_arg(argc, argv, 1, "nodes", 256);
+  const std::uint64_t seed = examples::u64_arg(argc, argv, 2, "seed", 2013);
   const std::string preset = "enterprise" + std::to_string(nodes);
 
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
   const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
 
   // One fleet, three deployment policies: the sweep cells differ only in
-  // the seeded variant assignment.
+  // the seeded variant assignment. The fleet is generated once and the
+  // arms share its topology, so the engine builds one reachability index.
   const scenario::VariantPolicy policies[] = {
       scenario::VariantPolicy::kMonoculture,
       scenario::VariantPolicy::kZoneStratified,
       scenario::VariantPolicy::kRandomPerNode,
   };
+  const auto arms = scenario::make_preset_arms(preset, catalog, seed, policies);
   core::ScenarioSweepPlan plan;
-  for (std::size_t i = 0; i < 3; ++i)
-    plan.cells.push_back(
-        {scenario::make_preset(preset, catalog, seed, policies[i]).scenario,
-         seed + i});
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    plan.cells.push_back({arms[i].scenario, seed + i});
 
   const attack::Scenario& fleet = plan.cells[0].scenario;
   std::printf("== %s: %zu nodes, %zu links, %zu entry nodes, %zu target PLCs ==\n",

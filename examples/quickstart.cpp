@@ -7,7 +7,6 @@
 // DoE & measurement -> ANOVA assessment) on a small component subset.
 //
 //   ./quickstart [seed]
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -15,6 +14,7 @@
 #include "core/configuration.h"
 #include "core/indicators.h"
 #include "core/pipeline.h"
+#include "example_args.h"
 
 using namespace divsec;
 
@@ -45,7 +45,7 @@ void print_summary(const char* label, const core::IndicatorSummary& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2013;
+  const std::uint64_t seed = examples::u64_arg(argc, argv, 1, "seed", 2013);
 
   // 1. Substrate: component variants with real (toy-ISA) binaries.
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(seed);

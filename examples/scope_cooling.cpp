@@ -11,8 +11,8 @@
 //
 //   ./scope_cooling [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "scada/cooling_system.h"
 
 using namespace divsec::scada;
@@ -71,7 +71,7 @@ void timeline(const char* title, bool sabotage, SpoofMode spoof, bool redundant,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  const std::uint64_t seed = divsec::examples::u64_arg(argc, argv, 1, "seed", 11);
   std::printf("== SCoPE cooling system: physical-level Stuxnet scenarios ==\n");
   timeline("1. normal operation", false, SpoofMode::kNone, false, seed);
   timeline("2. sabotage, honest reporting (alarms catch it)", true,

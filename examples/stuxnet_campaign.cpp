@@ -8,10 +8,10 @@
 //
 //   ./stuxnet_campaign [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "attack/campaign.h"
 #include "core/configuration.h"
+#include "example_args.h"
 
 using namespace divsec;
 
@@ -46,7 +46,7 @@ void trace_campaign(const char* title, const attack::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+  const std::uint64_t seed = examples::u64_arg(argc, argv, 1, "seed", 5);
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
   const core::SystemDescription desc = core::make_scope_description(catalog);
 

@@ -5,11 +5,11 @@
 #include <cinttypes>
 #include <cmath>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/indicator_accumulator.h"
@@ -127,17 +127,19 @@ void run_job(const CellContext& ctx, double horizon,
 /// eager construction loop; they now all go through this factory, which
 /// run_tasks drives lazily one scheduling round at a time.
 ///
-/// Campaign contexts from structurally identical topologies share one
-/// net::ReachabilityIndex: the cache is keyed on the FULL structural
-/// input (ReachabilityIndex::StructuralKey, compared on fingerprint
-/// hits — a hash collision can cost a lookup, never alias an index).
-/// Concurrent builders of the same key deduplicate through a
+/// Campaign contexts whose topologies are copies of one value (one
+/// net::Topology::identity(), e.g. the arms scenario::make_preset_arms
+/// builds over one generated fleet) under the same firewall verdicts
+/// share one net::ReachabilityIndex. The key is an address, not the
+/// structure, so finding the index costs O(1) whatever the fleet size;
+/// separately built topologies that happen to be equal get one index
+/// each. Concurrent builders of the same key deduplicate through a
 /// shared_future, so a fleet of same-topology cells builds its index
-/// exactly once. Construction consumes no randomness, so sharing
-/// and laziness leave results bit-identical.
+/// exactly once. Construction consumes no randomness, so sharing and
+/// laziness leave results bit-identical.
 ///
 /// Thread-safe; one instance per measurement call (the cache — and the
-/// indexes it pins — lives exactly that long).
+/// indexes and topologies it pins — lives exactly that long).
 class MeasurementEngine::ContextFactory {
  public:
   /// Configuration-plan cells (instantiated through the description).
@@ -206,24 +208,16 @@ class MeasurementEngine::ContextFactory {
 
   [[nodiscard]] IndexPtr shared_reach(const net::Topology& topo,
                                       const net::Firewall& fw) {
-    auto key = net::ReachabilityIndex::structural_key(topo, fw);
-    const std::uint64_t fp = key.fingerprint();
     std::promise<IndexPtr> promise;
     std::shared_future<IndexPtr> future;
     bool builder = false;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      auto& bucket = reach_cache_[fp];
-      for (const auto& entry : bucket)
-        if (entry.key == key) {
-          future = entry.future;
-          break;
-        }
-      if (!future.valid()) {
-        future = promise.get_future().share();
-        bucket.push_back(Entry{std::move(key), future});
-        builder = true;
-      }
+      auto [it, inserted] = reach_cache_.try_emplace(
+          Key{topo.identity(), net::ReachabilityIndex::verdicts(fw)});
+      if (inserted) it->second = Entry{topo, promise.get_future().share()};
+      future = it->second.future;
+      builder = inserted;
     }
     if (builder)
       reach_builds_counter().add(1);
@@ -246,12 +240,13 @@ class MeasurementEngine::ContextFactory {
   std::span<const MeasurementCell> config_cells_;
   std::span<const ScenarioCell> scenario_cells_;
 
+  using Key = std::pair<const void*, net::ReachabilityIndex::Verdicts>;
   struct Entry {
-    net::ReachabilityIndex::StructuralKey key;
+    net::Topology pin;  // keeps Key's storage address from being reused
     std::shared_future<IndexPtr> future;
   };
   std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> reach_cache_;
+  std::map<Key, Entry> reach_cache_;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
 };

@@ -23,10 +23,12 @@
 // one scheduling round of superblock tasks at a time, shared read-only by
 // that cell's jobs and dropped once the ascending task order has moved
 // past the cell — a 10^4-cell sweep holds O(round) contexts, not 10^4.
-// Structurally identical topologies share one net::ReachabilityIndex
-// (keyed on the full structural input, not just a hash). Construction
-// consumes no randomness, so laziness and sharing leave every bit of the
-// results unchanged (the obs:: registry exposes the counters as
+// Cells whose topologies are copies of one value (one
+// net::Topology::identity(), as the arms of scenario::make_preset_arms
+// are) under the same firewall verdicts share one net::ReachabilityIndex;
+// separately built equal topologies get one each. Construction consumes
+// no randomness, so laziness and sharing leave every bit of the results
+// unchanged (the obs:: registry exposes the counters as
 // core.context.built / peak_live / reach_builds / reach_dedup_hits).
 //
 // Aggregation is streaming, block-sharded, and two-level: each cell's
@@ -81,7 +83,9 @@ struct MeasurementPlan {
 };
 
 /// One explicit-scenario cell: a concrete system (typically generated by
-/// scenario::make_preset or a ScenarioBuilder) plus its seed block.
+/// scenario::make_preset_arms or a ScenarioBuilder) plus its seed block.
+/// Cells that should share a reachability index hold copies of one
+/// topology value.
 struct ScenarioCell {
   attack::Scenario scenario;
   std::uint64_t seed = 0;

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <concepts>
 #include <limits>
 #include <stdexcept>
@@ -829,6 +830,10 @@ ShardState decode_shard_state(std::string_view bytes) {
   }
   if (r.remaining() != 0)
     throw std::runtime_error("shard state: trailing bytes after payload");
+  // A sweep never runs without a positive horizon (make_meta), so a state
+  // recording another one is corrupt, not a default.
+  if (!(std::isfinite(state.meta.horizon_hours) && state.meta.horizon_hours > 0.0))
+    throw std::runtime_error("shard state: horizon_hours: must be finite and > 0");
   counters.decode_calls.add(1);
   counters.decode_bytes.add(bytes.size());
   counters.decode_ns.add(codec_elapsed_ns(started));

@@ -1,6 +1,7 @@
 #include "dist/sweep.h"
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -94,9 +95,10 @@ SweepMeta make_meta(const SweepSpec& spec) {
   meta.replication_block = plan.block();
   meta.superblock = plan.superblock();
   meta.survival_bins = spec.survival_bins;
-  meta.horizon_hours = spec.horizon_hours > 0.0
-                           ? spec.horizon_hours
-                           : attack::CampaignOptions{}.t_max_hours;
+  meta.horizon_hours =
+      spec.horizon_hours.value_or(attack::CampaignOptions{}.t_max_hours);
+  if (!(std::isfinite(meta.horizon_hours) && meta.horizon_hours > 0.0))
+    throw std::invalid_argument("sweep: horizon must be finite and > 0 hours");
   meta.cells = spec.policies.size();
   if (!spec.achieved.empty()) {
     if (spec.achieved.size() != spec.policies.size())
@@ -135,13 +137,9 @@ core::ScenarioSweepPlan expand_plan(const SweepSpec& spec,
                                     const divers::VariantCatalog& catalog) {
   core::ScenarioSweepPlan plan;
   std::uint64_t sm = spec.seed;  // iterated SplitMix64 seed chain
-  for (const auto policy : spec.policies) {
-    core::ScenarioCell cell;
-    cell.scenario =
-        scenario::make_preset(spec.preset, catalog, spec.seed, policy).scenario;
-    cell.seed = stats::splitmix64(sm);
-    plan.cells.push_back(std::move(cell));
-  }
+  for (auto& arm : scenario::make_preset_arms(spec.preset, catalog, spec.seed,
+                                              spec.policies))
+    plan.cells.push_back({std::move(arm.scenario), stats::splitmix64(sm)});
   return plan;
 }
 
@@ -162,7 +160,7 @@ core::MeasurementOptions sweep_options(const SweepSpec& spec,
   mo.replication_block = spec.replication_block;
   mo.superblock = spec.superblock;
   mo.survival_bins = spec.survival_bins;
-  if (spec.horizon_hours > 0.0) mo.campaign.t_max_hours = spec.horizon_hours;
+  if (spec.horizon_hours) mo.campaign.t_max_hours = *spec.horizon_hours;
   mo.executor = executor;
   return mo;
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,7 +54,9 @@ struct SweepSpec {
   std::size_t replication_block = 0;  // 0 = sim::kDefaultReductionBlock
   std::size_t superblock = 0;         // 0 = sim::kDefaultSuperblockReps
   std::size_t survival_bins = stats::kDefaultSurvivalBins;
-  double horizon_hours = 0.0;  // 0 = attack::CampaignOptions default
+  /// Unset = attack::CampaignOptions default; a set value must be
+  /// finite and > 0 (make_meta rejects anything else).
+  std::optional<double> horizon_hours;
   /// Per-cell achieved replication counts recorded by an adaptive run
   /// (SweepMeta::achieved): empty for fixed-budget sweeps. A non-empty
   /// list restricts the sweep's task space to each cell's prefix — the
@@ -63,8 +66,8 @@ struct SweepSpec {
 
 /// Resolve a spec into the authoritative meta block (defaults filled in,
 /// cells = policies.size()). Throws std::invalid_argument for empty
-/// policy lists, unknown threats, unknown presets, or misaligned
-/// block/superblock sizes.
+/// policy lists, unknown threats, unknown presets, a set horizon that is
+/// not finite and > 0, or misaligned block/superblock sizes.
 [[nodiscard]] SweepMeta make_meta(const SweepSpec& spec);
 
 /// Inverse of make_meta (resolved values stay explicit).
@@ -75,11 +78,13 @@ struct SweepSpec {
 /// std::invalid_argument otherwise.
 [[nodiscard]] attack::ThreatProfile threat_profile(const std::string& name);
 
-/// Deterministic plan re-expansion: cell c is make_preset(spec.preset,
-/// catalog, spec.seed, spec.policies[c]) with a seed block derived from
-/// spec.seed by iterated SplitMix64 — the (c+1)-th output. The catalog
-/// must itself be VariantCatalog::standard(spec.seed) for two processes
-/// to agree; sharded entry points construct it that way internally.
+/// Deterministic plan re-expansion: cell c is arm c of
+/// make_preset_arms(spec.preset, catalog, spec.seed, spec.policies) (the
+/// topology is generated once and the cells share it) with a seed block
+/// derived from spec.seed by iterated SplitMix64 — the (c+1)-th output.
+/// The catalog must itself be VariantCatalog::standard(spec.seed) for two
+/// processes to agree; sharded entry points construct it that way
+/// internally.
 [[nodiscard]] core::ScenarioSweepPlan expand_plan(
     const SweepSpec& spec, const divers::VariantCatalog& catalog);
 

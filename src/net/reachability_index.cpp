@@ -47,11 +47,8 @@ ReachabilityIndex::ReachabilityIndex(const Topology& topo, const Firewall& fw)
 
   // Policy is a pure (zone, zone, channel) relation: evaluate the rule
   // list once per triple instead of once per node pair.
-  for (std::size_t za = 0; za < kZoneCount; ++za)
-    for (std::size_t zb = 0; zb < kZoneCount; ++zb)
-      for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-        allow_[za][zb][ch] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
-                                       static_cast<Channel>(ch));
+  const Verdicts v = verdicts(fw);
+  std::copy(v.begin(), v.end(), &allow_[0][0][0]);
 
   // Scan / tunnel target lists of each link channel: every adjacency row
   // partitioned into its allowed targets, then its denied ones.
@@ -147,31 +144,19 @@ ReachabilityIndex::StructuralKey ReachabilityIndex::structural_key(
   std::sort(key.links.begin(), key.links.end());
   key.links.erase(std::unique(key.links.begin(), key.links.end()),
                   key.links.end());
+  key.allow = verdicts(fw);
+  return key;
+}
+
+ReachabilityIndex::Verdicts ReachabilityIndex::verdicts(const Firewall& fw) {
+  Verdicts out{};
   std::size_t i = 0;
   for (std::size_t za = 0; za < kZoneCount; ++za)
     for (std::size_t zb = 0; zb < kZoneCount; ++zb)
       for (std::size_t ch = 0; ch < kChannelCount; ++ch)
-        key.allow[i++] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
-                                   static_cast<Channel>(ch));
-  return key;
-}
-
-std::uint64_t ReachabilityIndex::StructuralKey::fingerprint() const noexcept {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(node_count);
-  for (std::uint8_t b : nodes) mix(b);
-  for (const auto& [a, b] : links) {
-    mix(a);
-    mix(b);
-  }
-  for (bool v : allow) mix(v ? 1 : 0);
-  return h;
+        out[i++] = fw.allows(static_cast<Zone>(za), static_cast<Zone>(zb),
+                             static_cast<Channel>(ch));
+  return out;
 }
 
 }  // namespace divsec::net

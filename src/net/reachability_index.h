@@ -95,11 +95,14 @@ class ReachabilityIndex {
     return split_adj_[ch][adj_off_[a] + (direct ? 0 : split_[ch][a]) + k];
   }
 
+  /// Firewall verdicts over (zone, zone, channel), flattened zone-major:
+  /// all the constructor reads of the firewall.
+  using Verdicts = std::array<bool, kZoneCount * kZoneCount * kChannelCount>;
+  [[nodiscard]] static Verdicts verdicts(const Firewall& fw);
+
   /// The exact structural input the constructor reads, in canonical form:
   /// two topologies/firewalls with equal keys produce identical indexes,
-  /// so an index built for one may be shared with the other. This is the
-  /// cache key of core::MeasurementEngine's shared-context path (compared
-  /// in full on fingerprint hits — hashes alone never alias contexts).
+  /// so an index built for one may be shared with the other.
   struct StructuralKey {
     std::size_t node_count = 0;
     /// Per node: zone in the low bits, usb_exposure in bit 7.
@@ -107,13 +110,9 @@ class ReachabilityIndex {
     /// Undirected links as (min, max) pairs, sorted (link order and
     /// endpoint order in the Topology are not structural).
     std::vector<std::pair<NodeId, NodeId>> links;
-    /// Firewall verdicts over (zone, zone, channel), flattened.
-    std::array<bool, kZoneCount * kZoneCount * kChannelCount> allow{};
+    Verdicts allow{};
 
     bool operator==(const StructuralKey&) const = default;
-
-    /// FNV-1a digest over the canonical form, for bucketing only.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept;
   };
   [[nodiscard]] static StructuralKey structural_key(const Topology& topo,
                                                    const Firewall& fw);

@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace divsec::net {
@@ -41,57 +42,76 @@ const char* to_string(Channel c) noexcept {
   return "?";
 }
 
+const Topology::Storage& Topology::empty_storage() noexcept {
+  static const Storage empty;
+  return empty;
+}
+
+Topology::Storage& Topology::mutable_data() {
+  if (!storage_)
+    storage_ = std::make_shared<Storage>();
+  else if (storage_.use_count() > 1)
+    storage_ = std::make_shared<Storage>(*storage_);
+  return *storage_;
+}
+
 NodeId Topology::add_node(std::string name, Zone zone, Role role, bool usb_exposure) {
   if (name.empty()) throw std::invalid_argument("add_node: empty name");
-  const NodeId id = nodes_.size();
-  if (!name_index_.emplace(name, id).second)
+  Storage& s = mutable_data();
+  const NodeId id = s.nodes.size();
+  if (!s.name_index.emplace(name, id).second)
     throw std::invalid_argument("add_node: duplicate node name '" + name + "'");
-  nodes_.push_back(Node{std::move(name), zone, role, usb_exposure});
-  adjacency_.emplace_back();
+  s.nodes.push_back(Node{std::move(name), zone, role, usb_exposure});
+  s.adjacency.emplace_back();
   return id;
 }
 
 void Topology::reserve(std::size_t nodes) {
-  nodes_.reserve(nodes);
-  adjacency_.reserve(nodes);
-  name_index_.reserve(nodes);
+  Storage& s = mutable_data();
+  s.nodes.reserve(nodes);
+  s.adjacency.reserve(nodes);
+  s.name_index.reserve(nodes);
 }
 
 void Topology::connect(NodeId a, NodeId b) {
-  if (a >= nodes_.size() || b >= nodes_.size())
+  if (a >= node_count() || b >= node_count())
     throw std::out_of_range("connect: invalid node id");
   if (a == b) throw std::invalid_argument("connect: self-link rejected");
   if (linked(a, b)) return;  // idempotent
-  links_.push_back(Link{a, b});
-  adjacency_[a].push_back(b);
-  adjacency_[b].push_back(a);
+  Storage& s = mutable_data();
+  s.links.push_back(Link{a, b});
+  s.adjacency[a].push_back(b);
+  s.adjacency[b].push_back(a);
 }
 
 bool Topology::linked(NodeId a, NodeId b) const {
-  if (a >= nodes_.size() || b >= nodes_.size())
+  if (a >= node_count() || b >= node_count())
     throw std::out_of_range("linked: invalid node id");
-  const auto& adj = adjacency_[a];
+  const auto& adj = data().adjacency[a];
   return std::find(adj.begin(), adj.end(), b) != adj.end();
 }
 
 NodeId Topology::node_by_name(const std::string& name) const {
-  const auto it = name_index_.find(name);
-  if (it == name_index_.end())
+  const auto& index = data().name_index;
+  const auto it = index.find(name);
+  if (it == index.end())
     throw std::out_of_range("node_by_name: no node named '" + name + "'");
   return it->second;
 }
 
 std::vector<NodeId> Topology::nodes_with_role(Role r) const {
+  const std::vector<Node>& nodes = data().nodes;
   std::vector<NodeId> out;
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].role == r) out.push_back(i);
+  for (NodeId i = 0; i < nodes.size(); ++i)
+    if (nodes[i].role == r) out.push_back(i);
   return out;
 }
 
 std::vector<NodeId> Topology::nodes_in_zone(Zone z) const {
+  const std::vector<Node>& nodes = data().nodes;
   std::vector<NodeId> out;
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].zone == z) out.push_back(i);
+  for (NodeId i = 0; i < nodes.size(); ++i)
+    if (nodes[i].zone == z) out.push_back(i);
   return out;
 }
 

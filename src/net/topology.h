@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,7 +72,14 @@ struct Link {
   NodeId b = 0;
 };
 
-/// Undirected multigraph of nodes and links. Value type; cheap to copy.
+/// Undirected multigraph of nodes and links. Value type; cheap to copy:
+/// copies share one storage, and add_node / connect / reserve
+/// clone it first when it is shared (copy-on-write), so mutating a copy
+/// never shows through another. A default-constructed or moved-from
+/// topology reads as empty. Sharing is what lets a sweep's arms, which
+/// differ only in their variant assignment, hold one structure: copies
+/// of one value report the same identity(), and the measurement engine
+/// shares one reachability index per identity.
 class Topology {
  public:
   NodeId add_node(std::string name, Zone zone, Role role, bool usb_exposure = false);
@@ -82,13 +90,13 @@ class Topology {
   /// Undirected link; both endpoints must exist; self-links are rejected.
   void connect(NodeId a, NodeId b);
 
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] std::size_t link_count() const noexcept { return links_.size(); }
-  [[nodiscard]] const Node& node(NodeId n) const { return nodes_.at(n); }
-  [[nodiscard]] const std::vector<Link>& links() const noexcept { return links_; }
+  [[nodiscard]] std::size_t node_count() const noexcept { return data().nodes.size(); }
+  [[nodiscard]] std::size_t link_count() const noexcept { return data().links.size(); }
+  [[nodiscard]] const Node& node(NodeId n) const { return data().nodes.at(n); }
+  [[nodiscard]] const std::vector<Link>& links() const noexcept { return data().links; }
 
   [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId n) const {
-    return adjacency_.at(n);
+    return data().adjacency.at(n);
   }
 
   [[nodiscard]] bool linked(NodeId a, NodeId b) const;
@@ -102,11 +110,27 @@ class Topology {
   /// All nodes in the given zone.
   [[nodiscard]] std::vector<NodeId> nodes_in_zone(Zone z) const;
 
+  /// The address of the shared storage: equal for copies of one value
+  /// until one of them is mutated, null for a topology that never held
+  /// a node. Separately built topologies differ even when equal.
+  [[nodiscard]] const void* identity() const noexcept { return storage_.get(); }
+
  private:
-  std::vector<Node> nodes_;
-  std::vector<Link> links_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::unordered_map<std::string, NodeId> name_index_;  // O(1) name lookup
+  struct Storage {
+    std::vector<Node> nodes;
+    std::vector<Link> links;
+    std::vector<std::vector<NodeId>> adjacency;
+    std::unordered_map<std::string, NodeId> name_index;  // O(1) name lookup
+  };
+
+  [[nodiscard]] const Storage& data() const noexcept {
+    return storage_ ? *storage_ : empty_storage();
+  }
+  [[nodiscard]] static const Storage& empty_storage() noexcept;
+  /// The storage to mutate: created when absent, cloned when shared.
+  [[nodiscard]] Storage& mutable_data();
+
+  std::shared_ptr<Storage> storage_;
 };
 
 }  // namespace divsec::net

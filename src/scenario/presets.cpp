@@ -3,6 +3,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "util/strict_text.h"
 
@@ -144,48 +145,55 @@ std::string resolve_preset_name(const std::string& name) {
   throw std::out_of_range(unknown_preset_message(name));
 }
 
-GeneratedScenario make_preset(const std::string& name,
-                              const divers::VariantCatalog& catalog,
-                              std::uint64_t seed, VariantPolicy policy) {
-  if (name == "paper_two_machines") {
-    return ScenarioBuilder(two_machine_topology(), catalog)
-        .variant_policy(policy)
-        .build(name, seed);
-  }
-  if (name == "scope_cooling") {
-    if (policy == VariantPolicy::kMonoculture) {
-      // The curated case-study description: hand-picked component
-      // grouping over the hand-built plant, all-baseline variants.
-      const core::SystemDescription desc = core::make_scope_description(catalog);
-      return GeneratedScenario{name, desc.baseline(), desc.components()};
+std::vector<GeneratedScenario> make_preset_arms(
+    const std::string& name, const divers::VariantCatalog& catalog,
+    std::uint64_t seed, std::span<const VariantPolicy> policies) {
+  std::vector<GeneratedScenario> arms;
+  arms.reserve(policies.size());
+  // Every arm copies the one topology value, so all arms share its
+  // storage (and the measurement engine one reachability index). With
+  // `curated`, the monoculture arm is the curated case-study description
+  // instead: hand-picked component grouping over the same plant,
+  // all-baseline variants.
+  const auto build_arms = [&](const net::Topology& topology,
+                              const std::string& label,
+                              const core::SystemDescription* curated = nullptr) {
+    for (const VariantPolicy policy : policies) {
+      if (curated && policy == VariantPolicy::kMonoculture)
+        arms.push_back({label, curated->baseline(), curated->components()});
+      else
+        arms.push_back(ScenarioBuilder(topology, catalog)
+                           .variant_policy(policy)
+                           .build(label, seed));
     }
-    return ScenarioBuilder(attack::make_scope_cooling_scenario().topology, catalog)
-        .variant_policy(policy)
-        .build(name, seed);
-  }
-  if (FamilySpec::is_family_name(name)) {
+  };
+  if (name == "paper_two_machines") {
+    build_arms(two_machine_topology(), name);
+  } else if (name == "scope_cooling") {
+    const core::SystemDescription desc = core::make_scope_description(catalog);
+    build_arms(desc.baseline().topology, name, &desc);
+  } else if (FamilySpec::is_family_name(name)) {
     // Build under the canonical spelling so re-expansion from a shard's
     // recorded name reproduces the same scenario label bit-for-bit.
     const FamilySpec fspec = FamilySpec::parse(name);
-    return ScenarioBuilder(TopologyGenerator(fspec).generate(seed), catalog)
-        .variant_policy(policy)
-        .build(fspec.canonical(), seed);
-  }
-  FleetSpec spec;
-  std::string label = name;
-  if (name == "plant_small") {
-    spec = plant_small_spec();
+    build_arms(TopologyGenerator(fspec).generate(seed), fspec.canonical());
+  } else if (name == "plant_small") {
+    build_arms(TopologyGenerator(plant_small_spec()).generate(seed), name);
   } else if (name == "plant_medium") {
-    spec = plant_medium_spec();
+    build_arms(TopologyGenerator(plant_medium_spec()).generate(seed), name);
   } else if (const std::size_t n = parse_enterprise(name); n > 0) {
-    spec = enterprise_spec(n);
-    label = enterprise_name(n);
+    build_arms(TopologyGenerator(enterprise_spec(n)).generate(seed),
+               enterprise_name(n));
   } else {
     throw std::out_of_range(unknown_preset_message(name));
   }
-  return ScenarioBuilder(TopologyGenerator(spec).generate(seed), catalog)
-      .variant_policy(policy)
-      .build(label, seed);
+  return arms;
+}
+
+GeneratedScenario make_preset(const std::string& name,
+                              const divers::VariantCatalog& catalog,
+                              std::uint64_t seed, VariantPolicy policy) {
+  return std::move(make_preset_arms(name, catalog, seed, {&policy, 1}).front());
 }
 
 }  // namespace divsec::scenario

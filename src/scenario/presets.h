@@ -4,6 +4,11 @@
 //
 //   auto fleet = scenario::make_preset("enterprise1024", catalog, seed);
 //
+// and one call into a sweep's arms over one shared topology:
+//
+//   auto arms = scenario::make_preset_arms("enterprise1024", catalog, seed,
+//                                          policies);
+//
 // Fixed presets:
 //   * paper_two_machines — the paper's minimal case study: one
 //     engineering workstation driving one PLC;
@@ -29,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,11 +67,20 @@ inline constexpr std::size_t kMinEnterpriseNodes = 24;
 /// remainder so the total is exactly N.
 [[nodiscard]] FleetSpec enterprise_spec(std::size_t total_nodes);
 
-/// Build a preset. Throws std::out_of_range for unknown names (the
-/// message lists every preset and family), and std::invalid_argument
-/// for a recognizable-but-unsatisfiable request (enterprise{N} with N
-/// below kMinEnterpriseNodes, a family spec with bad parameters) — the
-/// more informative error wins.
+/// Build a preset's arms, one per policy, in `policies` order. The
+/// topology is generated once and every arm holds a copy of it, so the
+/// arms share one topology storage (net::Topology::identity()) and a
+/// measurement over them builds one reachability index. Throws
+/// std::out_of_range for unknown names (the message lists every preset
+/// and family), and std::invalid_argument for a
+/// recognizable-but-unsatisfiable request (enterprise{N} with N below
+/// kMinEnterpriseNodes, a family spec with bad parameters) — the more
+/// informative error wins.
+[[nodiscard]] std::vector<GeneratedScenario> make_preset_arms(
+    const std::string& name, const divers::VariantCatalog& catalog,
+    std::uint64_t seed, std::span<const VariantPolicy> policies);
+
+/// One arm of make_preset_arms: build a preset under one policy.
 [[nodiscard]] GeneratedScenario make_preset(
     const std::string& name, const divers::VariantCatalog& catalog,
     std::uint64_t seed, VariantPolicy policy = VariantPolicy::kMonoculture);

@@ -5,6 +5,7 @@
 // including 1, and regardless of the thread count each shard used.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "codec_fixtures.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
+#include "obs/metrics.h"
 #include "sim/executor.h"
 #include "sim/shard_plan.h"
 
@@ -403,6 +405,64 @@ TEST(DistributedSweep, SpecValidation) {
   bad = small_spec();
   bad.superblock = 12;  // not a multiple of block 8
   EXPECT_THROW((void)make_meta(bad), std::invalid_argument);
+}
+
+TEST(DistributedSweep, HorizonIsUnsetOrPositive) {
+  // Unset means the campaign default; a set horizon is taken as given or
+  // rejected, never silently replaced by the default.
+  SweepSpec spec = small_spec();
+  EXPECT_EQ(make_meta(spec).horizon_hours, attack::CampaignOptions{}.t_max_hours);
+  spec.horizon_hours = 24.0;
+  EXPECT_EQ(make_meta(spec).horizon_hours, 24.0);
+  EXPECT_EQ(sweep_options(spec).campaign.t_max_hours, 24.0);
+  for (const double bad : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
+    spec.horizon_hours = bad;
+    EXPECT_THROW((void)make_meta(spec), std::invalid_argument) << bad;
+  }
+}
+
+TEST(StateCodec, RejectsNonPositiveHorizon) {
+  // Encode is as lenient as validate_state; decode refuses a horizon no
+  // sweep could have run with.
+  for (const double bad : {0.0, -5.0, std::nan("")}) {
+    ShardState state;
+    state.meta = make_meta(small_spec());
+    state.meta.horizon_hours = bad;
+    EXPECT_THROW((void)decode_shard_state(encode_shard_state(state)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
+TEST(DistributedSweep, ArmsShareOneTopology) {
+  // expand_plan generates the structure once: every arm holds a copy of
+  // one topology value, the curated scope_cooling monoculture arm too.
+  const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
+  for (const char* preset :
+       {"enterprise256", "scope_cooling", "hub-spoke:nodes=192,sites=6"}) {
+    SweepSpec spec;
+    spec.preset = preset;
+    const core::ScenarioSweepPlan plan = expand_plan(spec, catalog);
+    ASSERT_EQ(plan.cell_count(), 3u) << preset;
+    const void* shared = plan.cells[0].scenario.topology.identity();
+    EXPECT_NE(shared, nullptr) << preset;
+    for (const core::ScenarioCell& cell : plan.cells)
+      EXPECT_EQ(cell.scenario.topology.identity(), shared) << preset;
+  }
+}
+
+TEST(DistributedSweep, ThreeArmSweepBuildsOneIndex) {
+  const SweepSpec spec = small_spec();
+  ASSERT_EQ(spec.policies.size(), 3u);
+  const sim::Executor serial(1);
+  obs::reset();
+  EXPECT_EQ(run_in_process(spec, &serial).size(), 3u);
+#if DIVSEC_OBS
+  const obs::Snapshot snap = obs::snapshot();
+  EXPECT_EQ(snap.counter("core.context.built"), 3u);
+  EXPECT_EQ(snap.counter("core.context.reach_builds"), 1u);
+  EXPECT_EQ(snap.counter("core.context.reach_dedup_hits"), 2u);
+#endif
 }
 
 }  // namespace

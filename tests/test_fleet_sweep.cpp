@@ -41,18 +41,17 @@ class FleetSweepFixture : public ::testing::Test {
   }
 
   [[nodiscard]] ScenarioSweepPlan enterprise_plan(const char* preset) const {
-    // Two arms of the fleet experiment: monoculture vs zone-stratified
-    // diversity, each its own sweep cell with its own seed block.
+    // Two arms of the fleet experiment over one generated fleet:
+    // monoculture vs zone-stratified diversity, each its own sweep cell
+    // with its own seed block.
+    const scenario::VariantPolicy policies[] = {
+        scenario::VariantPolicy::kMonoculture,
+        scenario::VariantPolicy::kZoneStratified,
+    };
+    const auto arms = scenario::make_preset_arms(preset, cat, 17, policies);
     ScenarioSweepPlan plan;
-    plan.cells.push_back(
-        {scenario::make_preset(preset, cat, 17, scenario::VariantPolicy::kMonoculture)
-             .scenario,
-         101});
-    plan.cells.push_back(
-        {scenario::make_preset(preset, cat, 17,
-                               scenario::VariantPolicy::kZoneStratified)
-             .scenario,
-         202});
+    plan.cells.push_back({arms[0].scenario, 101});
+    plan.cells.push_back({arms[1].scenario, 202});
     return plan;
   }
 

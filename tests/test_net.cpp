@@ -1,6 +1,11 @@
 // Tests for net/ — topology, firewall policy, reachability.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "net/firewall.h"
 #include "net/reachability.h"
 #include "net/topology.h"
@@ -51,6 +56,83 @@ TEST(Topology, RoleAndZoneQueries) {
   EXPECT_EQ(t.nodes_with_role(Role::kPlc), (std::vector<NodeId>{2}));
   EXPECT_EQ(t.nodes_in_zone(Zone::kControl), (std::vector<NodeId>{1}));
   EXPECT_EQ(t.neighbors(1).size(), 2u);
+}
+
+TEST(Topology, CopiesShareStorageUntilMutated) {
+  const Topology original = two_zone();
+  Topology copy = original;
+  EXPECT_NE(original.identity(), nullptr);
+  EXPECT_EQ(copy.identity(), original.identity());
+
+  // Copy-on-write: the copy clones before it changes, the original
+  // keeps its storage and its value.
+  const NodeId extra = copy.add_node("hmi", Zone::kControl, Role::kHmi);
+  copy.connect(extra, 1);
+  EXPECT_NE(copy.identity(), original.identity());
+  EXPECT_EQ(copy.node_count(), 4u);
+  EXPECT_EQ(copy.link_count(), 3u);
+  EXPECT_EQ(original.node_count(), 3u);
+  EXPECT_EQ(original.link_count(), 2u);
+  EXPECT_EQ(original.neighbors(1).size(), 2u);
+  EXPECT_THROW((void)original.node_by_name("hmi"), std::out_of_range);
+
+  // connect and reserve clone too.
+  Topology linked = original;
+  linked.connect(0, 2);
+  EXPECT_NE(linked.identity(), original.identity());
+  EXPECT_FALSE(original.linked(0, 2));
+  Topology reserved = original;
+  reserved.reserve(16);
+  EXPECT_NE(reserved.identity(), original.identity());
+
+  // A sole owner mutates in place.
+  const void* before = copy.identity();
+  copy.connect(0, 2);
+  EXPECT_EQ(copy.identity(), before);
+}
+
+TEST(Topology, ConcurrentCopiesMutateIndependently) {
+  // Workers copy one shared value, read it, and grow their own copies:
+  // each copy clones before it changes, so the shared storage is only
+  // ever read (the TSan leg runs this).
+  const Topology base = two_zone();
+  std::vector<std::size_t> sizes(4);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < sizes.size(); ++w)
+    workers.emplace_back([&base, &sizes, w] {
+      Topology mine = base;
+      for (std::size_t i = 0; i <= w; ++i)
+        mine.connect(mine.add_node("w" + std::to_string(w) + "." + std::to_string(i),
+                                   Zone::kControl, Role::kHmi),
+                     base.node_by_name("ctl"));
+      sizes[w] = mine.node_count();
+    });
+  for (std::thread& t : workers) t.join();
+  for (std::size_t w = 0; w < sizes.size(); ++w) EXPECT_EQ(sizes[w], 4 + w);
+  EXPECT_EQ(base.node_count(), 3u);
+  EXPECT_EQ(base.link_count(), 2u);
+}
+
+TEST(Topology, EmptyAndMovedFromReadAsEmpty) {
+  const Topology empty;
+  EXPECT_EQ(empty.identity(), nullptr);
+  EXPECT_EQ(empty.node_count(), 0u);
+  EXPECT_EQ(empty.link_count(), 0u);
+  EXPECT_TRUE(empty.links().empty());
+  EXPECT_THROW((void)empty.node(0), std::out_of_range);
+  EXPECT_THROW((void)empty.node_by_name("corp"), std::out_of_range);
+
+  Topology source = two_zone();
+  const void* storage = source.identity();
+  const Topology moved = std::move(source);
+  EXPECT_EQ(moved.identity(), storage);
+  EXPECT_EQ(moved.node_count(), 3u);
+  EXPECT_EQ(source.node_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.identity(), nullptr);
+  EXPECT_TRUE(source.nodes_with_role(Role::kPlc).empty());
+  // A moved-from topology is usable again.
+  EXPECT_EQ(source.add_node("fresh", Zone::kField, Role::kPlc), 0u);
+  EXPECT_EQ(moved.node_count(), 3u);
 }
 
 TEST(Topology, ToStringCoverage) {

@@ -5,6 +5,8 @@
 // reproducibility contract extends through scenario generation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "scenario/presets.h"
 #include "scenario/scenario_builder.h"
 #include "scenario/topology_generator.h"
@@ -207,6 +209,34 @@ TEST(PresetRegistry, GeneratedPresetIsDeterministicInSeed) {
   for (std::size_t i = 0; !differs && i < a.scenario.software.size(); ++i)
     differs = a.scenario.software[i].os != c.scenario.software[i].os;
   EXPECT_TRUE(differs);
+}
+
+TEST(PresetRegistry, ArmsEqualSingleArmBuildsAndShareOneTopology) {
+  // make_preset_arms generates once; each arm must still equal the
+  // make_preset call for its policy, which generates on its own.
+  const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
+  const VariantPolicy policies[] = {VariantPolicy::kRandomPerNode,
+                                    VariantPolicy::kMonoculture,
+                                    VariantPolicy::kBalancedRotation};
+  for (const char* preset : {"enterprise64", "scope_cooling", "brownfield:nodes=96"}) {
+    SCOPED_TRACE(preset);
+    const std::vector<GeneratedScenario> arms =
+        make_preset_arms(preset, cat, 11, policies);
+    ASSERT_EQ(arms.size(), 3u);
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      const GeneratedScenario alone = make_preset(preset, cat, 11, policies[i]);
+      EXPECT_EQ(arms[i].name, alone.name);
+      expect_identical_topology(arms[i].scenario.topology, alone.scenario.topology);
+      expect_identical_software(arms[i].scenario, alone.scenario);
+      ASSERT_EQ(arms[i].components.size(), alone.components.size());
+      for (std::size_t k = 0; k < alone.components.size(); ++k)
+        EXPECT_EQ(arms[i].components[k].nodes, alone.components[k].nodes);
+      EXPECT_EQ(arms[i].scenario.topology.identity(),
+                arms[0].scenario.topology.identity());
+    }
+  }
+  EXPECT_TRUE(make_preset_arms("enterprise64", cat, 11, {}).empty());
+  EXPECT_THROW((void)make_preset_arms("campus", cat, 1, policies), std::out_of_range);
 }
 
 TEST(ScenarioBuilderPolicies, MonocultureStratifiedAndRandomDiffer) {

@@ -229,22 +229,19 @@ TEST(StructuralKey, EqualForStructurallyIdenticalInputsOnly) {
   const auto kc = net::ReachabilityIndex::structural_key(c.scenario.topology,
                                                          c.scenario.firewall);
   EXPECT_TRUE(ka == kb);
-  EXPECT_EQ(ka.fingerprint(), kb.fingerprint());
   // Different generator seed: different link structure.
   EXPECT_FALSE(ka == kc);
 }
 
 TEST_F(SoaKernelFixture, LazyContextsShareIndexesAndBoundResidency) {
-  // 64 same-topology cells: the whole sweep must build exactly one
-  // reachability index, one context per cell, and never hold more than
-  // a few rounds' worth of contexts alive at once.
+  // 64 copies of one generated scenario: the whole sweep must build
+  // exactly one reachability index, one context per cell, and never hold
+  // more than a few rounds' worth of contexts alive at once.
+  const auto fleet = scenario::make_preset("plant_small", cat, 17,
+                                           scenario::VariantPolicy::kMonoculture);
   core::ScenarioSweepPlan plan;
   for (std::uint64_t c = 0; c < 64; ++c)
-    plan.cells.push_back(
-        {scenario::make_preset("plant_small", cat, 17,
-                               scenario::VariantPolicy::kMonoculture)
-             .scenario,
-         1000 + c});
+    plan.cells.push_back({fleet.scenario, 1000 + c});
   sim::Executor serial{1};
   core::MeasurementOptions mo;
   mo.replications = 4;
@@ -285,6 +282,38 @@ TEST_F(SoaKernelFixture, LazyContextsShareIndexesAndBoundResidency) {
     EXPECT_EQ(snap.counter("core.context.reach_builds"), 2u);
   }
 #endif
+}
+
+TEST_F(SoaKernelFixture, IndexesAreSharedByTopologyIdentity) {
+  // Cells share an index when they hold copies of one topology value.
+  // Two separately generated topologies are equal but distinct values,
+  // so each gets its own index; the results do not depend on it.
+  const auto made = [&] {
+    return scenario::make_preset("plant_small", cat, 17,
+                                 scenario::VariantPolicy::kMonoculture)
+        .scenario;
+  };
+  core::ScenarioSweepPlan plan;
+  plan.cells.push_back({made(), 1});
+  plan.cells.push_back({made(), 2});
+  ASSERT_NE(plan.cells[0].scenario.topology.identity(),
+            plan.cells[1].scenario.topology.identity());
+  sim::Executor serial{1};
+  core::MeasurementOptions mo;
+  mo.replications = 4;
+  mo.executor = &serial;
+  obs::reset();
+  const auto separate = core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
+#if DIVSEC_OBS
+  EXPECT_EQ(obs::snapshot().counter("core.context.reach_builds"), 2u);
+#endif
+  plan.cells[1].scenario = plan.cells[0].scenario;
+  obs::reset();
+  const auto shared = core::MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan);
+#if DIVSEC_OBS
+  EXPECT_EQ(obs::snapshot().counter("core.context.reach_builds"), 1u);
+#endif
+  for (std::size_t c = 0; c < 2; ++c) expect_bit_identical(separate[c], shared[c]);
 }
 
 TEST_F(SoaKernelFixture, LazySharedPathChangesNoBits) {

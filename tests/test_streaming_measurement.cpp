@@ -56,17 +56,14 @@ class StreamingMeasurementFixture : public ::testing::Test {
   }
 
   [[nodiscard]] ScenarioSweepPlan plant_medium_plan() const {
+    const scenario::VariantPolicy policies[] = {
+        scenario::VariantPolicy::kMonoculture,
+        scenario::VariantPolicy::kZoneStratified,
+    };
+    const auto arms = scenario::make_preset_arms("plant_medium", cat, 17, policies);
     ScenarioSweepPlan plan;
-    plan.cells.push_back(
-        {scenario::make_preset("plant_medium", cat, 17,
-                               scenario::VariantPolicy::kMonoculture)
-             .scenario,
-         101});
-    plan.cells.push_back(
-        {scenario::make_preset("plant_medium", cat, 17,
-                               scenario::VariantPolicy::kZoneStratified)
-             .scenario,
-         202});
+    plan.cells.push_back({arms[0].scenario, 101});
+    plan.cells.push_back({arms[1].scenario, 202});
     return plan;
   }
 

@@ -336,8 +336,12 @@ bool parse_sweep_flag(ArgReader& args, const std::string& flag,
     spec.superblock = u64_flag(flag, args.value(flag));
   else if (flag == "--bins")
     spec.survival_bins = u64_flag(flag, args.value(flag));
-  else if (flag == "--horizon")
-    spec.horizon_hours = f64_flag(flag, args.value(flag));
+  else if (flag == "--horizon") {
+    const std::string value = args.value(flag);
+    const double hours = f64_flag(flag, value);
+    if (!(hours > 0.0)) die("bad number for " + flag + ": " + value);
+    spec.horizon_hours = hours;
+  }
   else return false;
   return true;
 }
