@@ -20,6 +20,12 @@ int main(int argc, char** argv) {
   const std::uint64_t nodes = examples::u64_arg(argc, argv, 1, "nodes", 256);
   const std::uint64_t seed = examples::u64_arg(argc, argv, 2, "seed", 2013);
   const std::string preset = "enterprise" + std::to_string(nodes);
+  try {
+    (void)scenario::enterprise_spec(nodes);  // checks the size, builds nothing
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: bad fleet size: %s\n", argv[0], e.what());
+    return 2;
+  }
 
   const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
   const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();

@@ -71,8 +71,8 @@ const char* to_string(CampaignEventKind k) noexcept {
 
 double CampaignResult::ratio_at(double t) const noexcept {
   // The step curve is sorted by time: binary-search the first step past t.
-  // (Sampling a whole grid is one forward walk instead:
-  // core::sample_step_counts.)
+  // (The measurement engine never builds the curve: the kernel fills its
+  // bins directly, CampaignSimulator::run(rng, bins).)
   const auto it = std::upper_bound(
       compromised_ratio.begin(), compromised_ratio.end(), t,
       [](double value, const std::pair<double, double>& step) {
@@ -81,46 +81,71 @@ double CampaignResult::ratio_at(double t) const noexcept {
   return it == compromised_ratio.begin() ? 0.0 : std::prev(it)->second;
 }
 
-/// Everything run() reads per event, precomputed once per scenario into
-/// structure-of-arrays tables indexed by NodeId. Deeply immutable after
-/// construction: concurrent replications share one Tables instance
-/// read-only, and simulators of the same topology share one
-/// ReachabilityIndex through the shared_ptr.
+/// Everything run() reads per event, precomputed once per scenario.
+/// Deeply immutable after construction: concurrent replications share
+/// one Tables instance read-only, and simulators of the same topology
+/// share one ReachabilityIndex through the shared_ptr.
 struct CampaignTables {
-  // Role-derived per-node flags, fused into one byte per node so the
-  // hot loop touches a single contiguous array.
+  // Role-derived per-node flags.
   enum : std::uint8_t {
     kFlagPlc = 1,            // counts only when owned
     kFlagHostTarget = 2,     // valid lateral victim
     kFlagPayloadSource = 4,  // can push a PLC payload
   };
 
+  /// Everything an event reads about one node, packed into 12 bytes so
+  /// that reading a node touches one row, not one array per field. The
+  /// variant indices address the per-variant tables below.
+  ///
+  /// Thinned-scan weights: scan_w / tunnel_w count the node's (channel,
+  /// victim) scan slots over pr.channels — statically reachable targets
+  /// and linked-but-blocked (tunnel) targets respectively. A root's slot
+  /// range in the weighted victim pick is laid out [direct slots][tunnel
+  /// slots], channels in pr.channels order; the aggregate scan clock
+  /// fires at propagation_rate × total slots × scan_norm, the exact
+  /// Poisson thinning of per-root uniform (victim, channel) scanning.
+  struct NodeRow {
+    std::uint32_t scan_w = 0;
+    std::uint32_t tunnel_w = 0;
+    std::uint8_t flags = 0;
+    std::uint8_t os = 0;        // OS variant
+    std::uint8_t plc_fw = 0;    // PLC firmware variant (target PLCs only)
+    std::uint8_t protocol = 0;  // protocol-stack variant (target PLCs only)
+  };
+  static_assert(sizeof(NodeRow) == 12);
+
+  /// Host exploit parameters against one OS variant: per-session success
+  /// probability and exponential delay rate (the VariantCatalog walk,
+  /// paid once per variant in use).
+  struct OsExploit {
+    double activation_p = 0.0, activation_rate = 0.0;
+    double privesc_p = 0.0, privesc_rate = 0.0;
+    double lateral_p = 0.0;
+  };
+
   std::shared_ptr<const net::ReachabilityIndex> reach;
 
   std::size_t node_count = 0;
-
-  std::vector<std::uint8_t> flags;
-
-  // Exploit tables: per-session success probability and exponential
-  // delay rate per node (the VariantCatalog walk, paid once).
-  std::vector<double> activation_p, activation_rate;
-  std::vector<double> privesc_p, privesc_rate;
-  std::vector<double> lateral_p;
-  std::vector<double> plc_direct_p;  // project-file route
-  std::vector<double> plc_modbus_p;  // fieldbus route (x protocol stack)
+  std::vector<NodeRow> rows;
+  std::vector<OsExploit> os_exploits;  // by OS variant
+  // PLC payload success: the project-file route by firmware variant, and
+  // the fieldbus route, which also has to abuse the protocol stack, by
+  // (firmware, protocol) pair.
+  std::vector<double> plc_direct_p;
+  std::vector<double> plc_modbus_p;  // [firmware × protocol_count + protocol]
+  std::size_t protocol_count = 0;
   double firewall_bypass_p = 0.0;
   double host_detection_rate = 0.0;  // stealth-discounted
-
-  // Thinned-scan weights: scan_w[i] / tunnel_w[i] count node i's
-  // (channel, victim) scan slots over pr.channels — statically reachable
-  // targets and linked-but-blocked (tunnel) targets respectively. A
-  // root's slot range in the weighted victim pick is laid out
-  // [direct slots][tunnel slots], channels in pr.channels order; the
-  // aggregate scan clock fires at propagation_rate × total slots ×
-  // scan_norm, the exact Poisson thinning of per-root uniform
-  // (victim, channel) scanning.
-  std::vector<std::uint64_t> scan_w, tunnel_w;
   double scan_norm = 0.0;  // 1 / (node_count × |pr.channels|)
+
+  [[nodiscard]] const OsExploit& os(NodeId n) const noexcept {
+    return os_exploits[rows[n].os];
+  }
+  [[nodiscard]] double plc_p(NodeId plc, bool via_modbus) const noexcept {
+    const NodeRow& r = rows[plc];
+    return via_modbus ? plc_modbus_p[r.plc_fw * protocol_count + r.protocol]
+                      : plc_direct_p[r.plc_fw];
+  }
 
   CampaignTables(const Scenario& sc, const ThreatProfile& pr,
                  const divers::VariantCatalog& cat, const DetectionModel& det,
@@ -135,50 +160,72 @@ struct CampaignTables {
           "CampaignSimulator: shared ReachabilityIndex node count does not "
           "match the scenario topology");
     const std::size_t n = node_count;
-    flags.assign(n, 0);
-    activation_p.resize(n);
-    activation_rate.resize(n);
-    privesc_p.resize(n);
-    privesc_rate.resize(n);
-    lateral_p.resize(n);
-    plc_direct_p.assign(n, 0.0);
-    plc_modbus_p.assign(n, 0.0);
+    // Variant indices are packed into one byte each.
+    const auto variant_byte = [](std::size_t v) {
+      if (v > std::numeric_limits<std::uint8_t>::max())
+        throw std::length_error(
+            "CampaignSimulator: variant index above 255 cannot be packed");
+      return static_cast<std::uint8_t>(v);
+    };
+    rows.resize(n);
+    os_exploits.resize(cat.count(ComponentKind::kOs));
+    std::vector<std::uint8_t> os_done(os_exploits.size(), 0);
     for (NodeId i = 0; i < n; ++i) {
       const net::Role role = sc.topology.node(i).role;
-      std::uint8_t f = 0;
-      if (role == net::Role::kPlc) f |= kFlagPlc;
+      NodeRow& row = rows[i];
+      if (role == net::Role::kPlc) row.flags |= kFlagPlc;
       if (role != net::Role::kPlc && role != net::Role::kSensorGateway)
-        f |= kFlagHostTarget;
+        row.flags |= kFlagHostTarget;
       if (pr.has_sabotage_payload && (role == net::Role::kEngineering ||
                                       role == net::Role::kScadaServer))
-        f |= kFlagPayloadSource;
-      flags[i] = f;
-      const std::size_t os = sc.software[i].os;
-      activation_p[i] = cat.exploit_success(pr.activation_exploit, os);
-      activation_rate[i] =
-          pr.activation_rate / cat.exploit_work_factor(pr.activation_exploit, os);
-      privesc_p[i] = cat.exploit_success(pr.privesc_exploit, os);
-      privesc_rate[i] =
-          pr.privesc_rate / cat.exploit_work_factor(pr.privesc_exploit, os);
-      lateral_p[i] = cat.exploit_success(pr.lateral_exploit, os);
+        row.flags |= kFlagPayloadSource;
+      const std::size_t v = sc.software[i].os;
+      row.os = variant_byte(v);
+      if (os_done[v]) continue;
+      os_done[v] = 1;
+      OsExploit& e = os_exploits[v];
+      e.activation_p = cat.exploit_success(pr.activation_exploit, v);
+      e.activation_rate =
+          pr.activation_rate / cat.exploit_work_factor(pr.activation_exploit, v);
+      e.privesc_p = cat.exploit_success(pr.privesc_exploit, v);
+      e.privesc_rate =
+          pr.privesc_rate / cat.exploit_work_factor(pr.privesc_exploit, v);
+      e.lateral_p = cat.exploit_success(pr.lateral_exploit, v);
     }
+    plc_direct_p.resize(cat.count(ComponentKind::kPlcFirmware));
+    protocol_count = cat.count(ComponentKind::kProtocolStack);
+    plc_modbus_p.resize(plc_direct_p.size() * protocol_count);
+    std::vector<std::uint8_t> fw_done(plc_direct_p.size(), 0);
+    std::vector<std::uint8_t> pair_done(plc_modbus_p.size(), 0);
     for (NodeId plc : sc.target_plcs) {
-      plc_direct_p[plc] =
-          cat.exploit_success(pr.plc_exploit, *sc.software[plc].plc_firmware);
-      // The fieldbus route also has to abuse the protocol stack.
-      plc_modbus_p[plc] =
-          plc_direct_p[plc] *
-          cat.exploit_success(pr.protocol_exploit, sc.software[plc].protocol);
+      const std::size_t fw = *sc.software[plc].plc_firmware;
+      const std::size_t proto = sc.software[plc].protocol;
+      rows[plc].plc_fw = variant_byte(fw);
+      rows[plc].protocol = variant_byte(proto);
+      if (!fw_done[fw]) {
+        fw_done[fw] = 1;
+        plc_direct_p[fw] = cat.exploit_success(pr.plc_exploit, fw);
+      }
+      const std::size_t pair = fw * protocol_count + proto;
+      if (!pair_done[pair]) {
+        pair_done[pair] = 1;
+        plc_modbus_p[pair] =
+            plc_direct_p[fw] * cat.exploit_success(pr.protocol_exploit, proto);
+      }
     }
     firewall_bypass_p = cat.exploit_success(pr.firewall_exploit, sc.firewall_variant);
     host_detection_rate = det.host_detection_rate * (1.0 - pr.stealth);
-    scan_w.assign(n, 0);
-    tunnel_w.assign(n, 0);
     for (NodeId i = 0; i < n; ++i) {
+      std::uint64_t scan = 0, tunnel = 0;
       for (const net::Channel c : pr.channels) {
-        scan_w[i] += reach->target_count(c, i, true);
-        tunnel_w[i] += reach->target_count(c, i, false);
+        scan += reach->target_count(c, i, true);
+        tunnel += reach->target_count(c, i, false);
       }
+      if (std::max(scan, tunnel) > std::numeric_limits<std::uint32_t>::max())
+        throw std::length_error(
+            "CampaignSimulator: a node's scan weight does not fit 32 bits");
+      rows[i].scan_w = static_cast<std::uint32_t>(scan);
+      rows[i].tunnel_w = static_cast<std::uint32_t>(tunnel);
     }
     scan_norm = pr.channels.empty()
                     ? 0.0
@@ -272,6 +319,18 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 /// Marks an unowned-pool position that still holds its scenario value.
 constexpr NodeId kNoOverride = std::numeric_limits<NodeId>::max();
 
+/// Telemetry tallies of the runs a thread made since its last flush:
+/// plain counters, so the event loop never touches an atomic.
+/// Observation only — results do not depend on them.
+struct KernelTallies {
+  std::uint64_t runs = 0;
+  std::uint64_t events_executed = 0;
+  std::uint64_t scan_candidates = 0;  // thinned worm-scan firings
+  std::uint64_t scan_accepted = 0;    // ... that attempted a lateral
+  std::array<std::uint64_t, kEventKindCount> kinds{};
+  std::array<std::uint64_t, kDrawClassCount> rng_words{};
+};
+
 /// The mutable buffers a run borrows, one set per thread. Invariant at
 /// rest (between runs): every `state` byte is kClean, every
 /// `pool_override` entry is kNoOverride and every pool is empty —
@@ -279,8 +338,10 @@ constexpr NodeId kNoOverride = std::numeric_limits<NodeId>::max();
 /// and `pool_override` only ever grow (to the largest node_count and
 /// target count seen), so a run costs O(nodes and targets it touches),
 /// not O(node_count) or O(target_plcs), and after warm-up no buffer here
-/// allocates.
+/// allocates. `tallies` accumulate across runs until
+/// CampaignSimulator::flush_telemetry() publishes and zeroes them.
 struct RunScratch {
+  KernelTallies tallies;
   std::vector<NodeState> state;
   std::vector<NodeId> touched;  // nodes moved out of kClean this run
   std::vector<NodeId> pool_override;     // unowned pool over target_plcs
@@ -321,8 +382,20 @@ struct RunState {
   const CampaignOptions& opt;
   const CampaignTables& tb;
   RunScratch& scratch;
+  KernelTallies& tally;
   CampaignRng rng;
   CampaignResult result;
+
+  // c(t) hook state: run() keeps the step curve in `result`; the
+  // engine's run samples it at bin upper edges instead. `bin` is the
+  // first edge not yet written, `owned_count` the count since the last
+  // compromise.
+  const bool keep_curve;
+  const double* edges = nullptr;
+  std::uint32_t* counts = nullptr;
+  std::size_t bins = 0;
+  std::size_t bin = 0;
+  std::uint32_t owned_count = 0;
 
   double now = 0.0;
   bool stopped = false;  // both terminal indicators settled
@@ -352,14 +425,17 @@ struct RunState {
 
   RunState(const Scenario& s, const ThreatProfile& p,
            const CampaignTables& t, const DetectionModel& d,
-           const CampaignOptions& o, const stats::Rng& base, RunScratch& scr)
+           const CampaignOptions& o, const stats::Rng& base, RunScratch& scr,
+           const RatioBins* ratio_bins)
       : sc(s),
         pr(p),
         det(d),
         opt(o),
         tb(t),
         scratch(scr),
+        tally(scr.tallies),
         rng(base),
+        keep_curve(ratio_bins == nullptr),
         heap(scr.heap),
         roots(scr.roots),
         root_cum(scr.root_cum),
@@ -375,7 +451,13 @@ struct RunState {
       scratch.pool_override.resize(unowned, kNoOverride);
     state = scratch.state.data();
     pool = scratch.pool_override.data();
-    result.compromised_ratio.emplace_back(0.0, 0.0);
+    if (keep_curve) {
+      result.compromised_ratio.emplace_back(0.0, 0.0);
+    } else {
+      edges = ratio_bins->edges.data();
+      counts = ratio_bins->counts.data();
+      bins = ratio_bins->edges.size();
+    }
   }
 
   ~RunState() {
@@ -392,15 +474,8 @@ struct RunState {
 
   RunState(const RunState&) = delete;  // a copy would restore twice
 
-  // Telemetry tallies: plain locals, flushed to the striped obs::
-  // counters once per run (run_kernel), so the event loop never touches
-  // an atomic. Observation only — results do not depend on them.
-  std::array<std::uint64_t, kEventKindCount> kind_counts{};
-  std::uint64_t scan_candidates = 0;  // thinned worm-scan firings
-  std::uint64_t scan_accepted = 0;    // ... that attempted a lateral
-
   void note(NodeId n, CampaignEventKind kind) {
-    ++kind_counts[static_cast<std::size_t>(kind)];
+    ++tally.kinds[static_cast<std::size_t>(kind)];
     if (opt.record_events) result.events.push_back({now, n, kind});
   }
 
@@ -420,11 +495,20 @@ struct RunState {
     std::push_heap(heap.begin(), heap.end(), QLater{});
   }
 
+  /// The per-compromise hook. A bin edge reads the count of the last
+  /// compromise at or before it, so edges before `now` take the count
+  /// from before this compromise.
   void record_ratio() {
-    const double r = static_cast<double>(hosts_owned + owned_plcs.size()) /
-                     static_cast<double>(tb.node_count);
-    result.compromised_ratio.emplace_back(now, r);
+    const std::size_t owned = hosts_owned + owned_plcs.size();
+    if (keep_curve)
+      result.compromised_ratio.emplace_back(
+          now, static_cast<double>(owned) / static_cast<double>(tb.node_count));
+    while (bin < bins && edges[bin] < now) counts[bin++] = owned_count;
+    owned_count = static_cast<std::uint32_t>(owned);
   }
+
+  /// Edges past the last compromise read its count.
+  void finish_bins() { std::fill(counts + bin, counts + bins, owned_count); }
 
   void record_detection(CampaignEventKind what) {
     if (result.time_to_detection) return;
@@ -485,7 +569,7 @@ struct RunState {
     scratch.touched.push_back(n);  // first: a throw leaves `n` clean
     state[n] = NodeState::kDelivered;
     note(n, kind);
-    push(0, n, exp_delay(DrawClass::kActivation, tb.activation_rate[n]));
+    push(0, n, exp_delay(DrawClass::kActivation, tb.os(n).activation_rate));
   }
 
   void on_entry() {
@@ -501,9 +585,10 @@ struct RunState {
 
   void on_activation(NodeId n) {
     if (state[n] != NodeState::kDelivered) return;
-    if (rng.bernoulli(DrawClass::kActivation, tb.activation_p[n])) {
+    const CampaignTables::OsExploit& ex = tb.os(n);
+    if (rng.bernoulli(DrawClass::kActivation, ex.activation_p)) {
       state[n] = NodeState::kActivated;
-      if (!(tb.flags[n] & CampaignTables::kFlagPlc)) ++hosts_owned;
+      if (!(tb.rows[n].flags & CampaignTables::kFlagPlc)) ++hosts_owned;
       ++activated_count;
       if (!result.time_to_detection && tb.host_detection_rate > 0.0)
         t_host = exp_in(DrawClass::kHostIds,
@@ -511,26 +596,28 @@ struct RunState {
                             static_cast<double>(activated_count));
       note(n, CampaignEventKind::kActivated);
       record_ratio();
-      push(1, n, exp_delay(DrawClass::kPrivesc, tb.privesc_rate[n]));
+      push(1, n, exp_delay(DrawClass::kPrivesc, ex.privesc_rate));
     } else {
       failed_attempt(DrawClass::kActivation);
-      push(0, n, exp_delay(DrawClass::kActivation, tb.activation_rate[n]));
+      push(0, n, exp_delay(DrawClass::kActivation, ex.activation_rate));
     }
   }
 
   void on_privesc(NodeId n) {
     if (state[n] != NodeState::kActivated) return;
-    if (rng.bernoulli(DrawClass::kPrivesc, tb.privesc_p[n])) {
+    const CampaignTables::NodeRow& row = tb.rows[n];
+    const CampaignTables::OsExploit& ex = tb.os_exploits[row.os];
+    if (rng.bernoulli(DrawClass::kPrivesc, ex.privesc_p)) {
       state[n] = NodeState::kRoot;
       if (!result.first_root) result.first_root = now;
       note(n, CampaignEventKind::kRoot);
       roots.push_back(n);
-      scan_slots += tb.scan_w[n] + tb.tunnel_w[n];
+      scan_slots += std::uint64_t{row.scan_w} + row.tunnel_w;
       root_cum.push_back(scan_slots);
       t_prop = exp_in(DrawClass::kPropagation,
                       pr.propagation_rate * static_cast<double>(scan_slots) *
                           tb.scan_norm);
-      if (tb.flags[n] & CampaignTables::kFlagPayloadSource) {
+      if (row.flags & CampaignTables::kFlagPayloadSource) {
         payload_sources.push_back(n);
         if (unowned > 0)
           t_payload =
@@ -540,7 +627,7 @@ struct RunState {
       }
     } else {
       failed_attempt(DrawClass::kPrivesc);
-      push(1, n, exp_delay(DrawClass::kPrivesc, tb.privesc_rate[n]));
+      push(1, n, exp_delay(DrawClass::kPrivesc, ex.privesc_rate));
     }
   }
 
@@ -565,8 +652,9 @@ struct RunState {
                                  root_cum.begin());
     const NodeId n = roots[ri];
     std::uint64_t rem = x - (ri == 0 ? 0 : root_cum[ri - 1]);
-    const bool direct = rem < tb.scan_w[n];
-    if (!direct) rem -= tb.scan_w[n];
+    const std::uint32_t scan_w = tb.rows[n].scan_w;
+    const bool direct = rem < scan_w;
+    if (!direct) rem -= scan_w;
     NodeId v = 0;
     for (const net::Channel c : pr.channels) {
       const std::size_t count = tb.reach->target_count(c, n, direct);
@@ -576,12 +664,12 @@ struct RunState {
       }
       rem -= count;
     }
-    ++scan_candidates;
+    ++tally.scan_candidates;
     if (state[v] == NodeState::kClean &&
-        (tb.flags[v] & CampaignTables::kFlagHostTarget) &&
+        (tb.rows[v].flags & CampaignTables::kFlagHostTarget) &&
         (direct || rng.bernoulli(DrawClass::kPropagation, tb.firewall_bypass_p))) {
-      ++scan_accepted;
-      if (rng.bernoulli(DrawClass::kPropagation, tb.lateral_p[v])) {
+      ++tally.scan_accepted;
+      if (rng.bernoulli(DrawClass::kPropagation, tb.os(v).lateral_p)) {
         deliver(v, CampaignEventKind::kDeliveredLateral);
       } else {
         failed_attempt(DrawClass::kPropagation);
@@ -609,8 +697,7 @@ struct RunState {
           !via_project &&
           effective_reach(DrawClass::kPayload, n, plc, net::Channel::kModbus);
       if (via_project || via_modbus) {
-        const double p = via_modbus ? tb.plc_modbus_p[plc] : tb.plc_direct_p[plc];
-        if (rng.bernoulli(DrawClass::kPayload, p)) {
+        if (rng.bernoulli(DrawClass::kPayload, tb.plc_p(plc, via_modbus))) {
           owned_plcs.push_back(plc);
           // Swap-remove (contract): the pool order feeds later picks.
           remove_unowned(pick);
@@ -711,9 +798,7 @@ struct RunState {
   }
 };
 
-/// One striped registry add per tally per run — ~20 relaxed fetch_adds
-/// per replication, invisible next to the event loop itself (the
-/// bench_e5 obs phase gates this at <= 2% wall).
+/// The registry handles the tallies flush into.
 struct CampaignCounters {
   obs::Counter& runs = obs::counter("campaign.runs");
   obs::Counter& events_executed = obs::counter("campaign.events.executed");
@@ -740,24 +825,23 @@ struct CampaignCounters {
   }
 };
 
+/// One kernel run. `bins` selects the c(t) hook: null keeps the step
+/// curve, otherwise the kernel fills the bins.
 CampaignResult run_kernel(const Scenario& sc, const ThreatProfile& pr,
                           const CampaignTables& tb, const DetectionModel& det,
-                          const CampaignOptions& opt, const stats::Rng& base) {
-  RunState st(sc, pr, tb, det, opt, base, thread_scratch());
+                          const CampaignOptions& opt, const stats::Rng& base,
+                          const RatioBins* bins) {
+  RunState st(sc, pr, tb, det, opt, base, thread_scratch(), bins);
   st.run_until(opt.t_max_hours);
+  st.finish_bins();
   st.result.hosts_compromised = st.hosts_owned;
   st.result.plcs_compromised = st.owned_plcs.size();
 
-  const CampaignCounters& counters = CampaignCounters::instance();
-  counters.runs.add(1);
-  counters.events_executed.add(st.result.events_executed);
-  counters.scan_candidates.add(st.scan_candidates);
-  counters.scan_accepted.add(st.scan_accepted);
-  for (std::size_t k = 0; k < kEventKindCount; ++k)
-    if (st.kind_counts[k]) counters.kinds[k]->add(st.kind_counts[k]);
-  const auto words = st.rng.words_drawn();
-  for (std::size_t c = 0; c < kDrawClassCount; ++c)
-    if (words[c]) counters.rng_words[c]->add(words[c]);
+  KernelTallies& t = st.tally;
+  ++t.runs;
+  t.events_executed += st.result.events_executed;
+  const auto& words = st.rng.words_drawn();
+  for (std::size_t c = 0; c < kDrawClassCount; ++c) t.rng_words[c] += words[c];
   return std::move(st.result);
 }
 
@@ -767,7 +851,33 @@ CampaignResult CampaignSimulator::run(stats::Rng& rng) const {
   // The facade derives the class streams without consuming base state,
   // so run() leaves `rng` untouched — a (cell, rep) job stays a pure
   // function of Rng(cell.seed, rep).
-  return run_kernel(scenario_, profile_, *tables_, detection_, options_, rng);
+  CampaignResult r =
+      run_kernel(scenario_, profile_, *tables_, detection_, options_, rng, nullptr);
+  flush_telemetry();
+  return r;
+}
+
+CampaignResult CampaignSimulator::run(stats::Rng& rng, RatioBins bins) const {
+  if (bins.counts.size() != bins.edges.size())
+    throw std::invalid_argument(
+        "CampaignSimulator::run: ratio bin counts and edges differ in size");
+  return run_kernel(scenario_, profile_, *tables_, detection_, options_, rng,
+                    &bins);
+}
+
+void CampaignSimulator::flush_telemetry() {
+  KernelTallies& t = thread_scratch().tallies;
+  if (t.runs == 0) return;
+  const CampaignCounters& counters = CampaignCounters::instance();
+  counters.runs.add(t.runs);
+  counters.events_executed.add(t.events_executed);
+  counters.scan_candidates.add(t.scan_candidates);
+  counters.scan_accepted.add(t.scan_accepted);
+  for (std::size_t k = 0; k < kEventKindCount; ++k)
+    if (t.kinds[k]) counters.kinds[k]->add(t.kinds[k]);
+  for (std::size_t c = 0; c < kDrawClassCount; ++c)
+    if (t.rng_words[c]) counters.rng_words[c]->add(t.rng_words[c]);
+  t = KernelTallies{};
 }
 
 Scenario make_scope_cooling_scenario() {

@@ -16,27 +16,43 @@
 //
 // The simulator is built to run on generated enterprise fleets, not just
 // the paper's 11-node plant: construction precomputes a per-scenario
-// ReachabilityIndex and flat per-node exploit tables (success
-// probability, delay rate, role flags — all indexed by NodeId), and each
-// run() schedules the model's recurring Poisson processes as exact
-// superpositions (worm scanning at rate lambda*R(t) over R roots,
-// host-IDS first passage over the activated pool, and so on) next to a
-// small heap of per-node retry events. No string labels, no per-node
-// scans, no per-event catalog or firewall walks, no queue that grows
-// with fleet compromise. The precomputed state is read-only, so one
-// simulator serves any number of concurrent replications. A run's own
-// mutable state (per-node state, event heap, membership pools) lives in
-// a per-thread scratch that each run hands back clean by restoring only
-// the nodes it touched. The unowned-target pool is never copied from
-// the scenario: it reads the immutable target list through a sparse
+// ReachabilityIndex and one packed 12-byte row per node (role flags,
+// OS / PLC-firmware / protocol variant indices, 32-bit scan and tunnel
+// weights), next to tiny per-variant tables of exploit success
+// probabilities and delay rates. So an event touches one row per node it
+// reads, and a per-cell build copies bytes per node instead of walking
+// the VariantCatalog. Each run() schedules the model's recurring Poisson
+// processes as exact superpositions (worm scanning at rate lambda*R(t)
+// over R roots, host-IDS first passage over the activated pool, and so
+// on) next to a small heap of per-node retry events. No string labels,
+// no per-node scans, no per-event catalog or firewall walks, no queue
+// that grows with fleet compromise. The precomputed state is read-only,
+// so one simulator serves any number of concurrent replications. A run's
+// own mutable state (per-node state, event heap, membership pools) lives
+// in a per-thread scratch that each run hands back clean by restoring
+// only the nodes it touched. The unowned-target pool is never copied
+// from the scenario: it reads the immutable target list through a sparse
 // override array, and a capture swap-removes by overriding one position,
 // which the run restores on exit. So a replication costs O(nodes and
 // targets touched), not O(node_count) or O(target count), and allocates
 // no fleet-sized buffer once warm.
+//
+// c(t) leaves the kernel through one per-compromise hook. run() turns
+// it into the step curve CampaignResult::compromised_ratio; the
+// measurement engine's run(rng, bins) has it write the compromised count
+// straight into the sample's curve bins, so that path keeps no curve and
+// allocates nothing once warm. Telemetry (runs, events per kind, scan
+// thinning, RNG words per class) is tallied in plain per-thread counters
+// in the same scratch and published to the obs:: registry by
+// flush_telemetry(): run() flushes before it returns, and the engine
+// flushes once per replication block, so registry totals are exact
+// whenever run() or a measurement call returns.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "attack/threat.h"
@@ -134,7 +150,16 @@ struct CampaignOptions {
   bool detection_halts_attack = true;
 };
 
-/// Precomputed flat per-node campaign state (defined in campaign.cpp).
+/// The measurement engine's c(t) bins: counts[k] is the number of
+/// compromised nodes (hosts at >= activated plus owned PLCs) at the last
+/// compromise at time <= edges[k], 0 before the first. The ratio is
+/// counts[k] / node_count.
+struct RatioBins {
+  std::span<const double> edges;    // ascending bin upper edges
+  std::span<std::uint32_t> counts;  // out; same size as edges
+};
+
+/// Precomputed packed per-node campaign state (defined in campaign.cpp).
 struct CampaignTables;
 
 class CampaignSimulator {
@@ -159,7 +184,20 @@ class CampaignSimulator {
 
   /// Run one stochastic campaign; deterministic in `rng`. Thread-safe for
   /// concurrent calls on one simulator (all shared state is read-only).
+  /// Publishes the run's telemetry before it returns.
   [[nodiscard]] CampaignResult run(stats::Rng& rng) const;
+
+  /// The measurement engine's run: the same kernel and the same draws,
+  /// with c(t) written into `bins` at each compromise instead of into
+  /// compromised_ratio, which stays empty (the final ratio is
+  /// (hosts_compromised + plcs_compromised) / node_count). Allocates
+  /// nothing once warm unless record_events is set. Its telemetry stays
+  /// in the calling thread's tallies until flush_telemetry().
+  [[nodiscard]] CampaignResult run(stats::Rng& rng, RatioBins bins) const;
+
+  /// Publish the calling thread's kernel tallies to the obs:: registry
+  /// and zero them. Cheap when there is nothing to publish.
+  static void flush_telemetry();
 
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
   [[nodiscard]] const ThreatProfile& profile() const noexcept { return profile_; }

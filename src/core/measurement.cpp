@@ -86,23 +86,7 @@ void run_job(const CellContext& ctx, double horizon,
              std::span<const double> curve_edges, stats::Rng rng,
              IndicatorSample& s) {
   if (ctx.campaign) {
-    const attack::CampaignResult r = ctx.campaign->run(rng);
-    s.tta = r.time_to_attack.value_or(horizon);
-    s.tta_censored = !r.time_to_attack.has_value();
-    s.ttsf = r.time_to_detection.value_or(horizon);
-    s.ttsf_censored = !r.time_to_detection.has_value();
-    s.attack_succeeded = r.attack_succeeded();
-    s.final_ratio =
-        r.compromised_ratio.empty() ? 0.0 : r.compromised_ratio.back().second;
-    // The replication's step curve at the curve-grid bin upper edges, as
-    // integer compromised-component counts (the recorded ratio is
-    // count / node_count, so the llround recovers the count exactly);
-    // the curve accumulator sums these exactly across any merge order.
-    const std::size_t nodes = ctx.campaign->scenario().topology.node_count();
-    s.ratio_scale = static_cast<std::uint64_t>(nodes);
-    s.ratio_counts.resize(curve_edges.size());
-    sample_step_counts(r.compromised_ratio, curve_edges,
-                       static_cast<double>(nodes), s.ratio_counts);
+    campaign_sample(*ctx.campaign, horizon, curve_edges, rng, s);
   } else {
     san::SanSimulator sim(ctx.san->asan.model, rng);
     const auto t = sim.run_until_predicate(ctx.san->terminal, horizon);
@@ -121,6 +105,25 @@ void run_job(const CellContext& ctx, double horizon,
 }
 
 }  // namespace
+
+void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
+                     std::span<const double> curve_edges, stats::Rng rng,
+                     IndicatorSample& s) {
+  // The kernel bins c(t) at the curve-grid bin upper edges as integer
+  // compromised-node counts; the curve accumulator sums these exactly
+  // across any merge order.
+  s.ratio_counts.resize(curve_edges.size());
+  const attack::CampaignResult r = sim.run(rng, {curve_edges, s.ratio_counts});
+  s.tta = r.time_to_attack.value_or(horizon);
+  s.tta_censored = !r.time_to_attack.has_value();
+  s.ttsf = r.time_to_detection.value_or(horizon);
+  s.ttsf_censored = !r.time_to_detection.has_value();
+  s.attack_succeeded = r.attack_succeeded();
+  const std::size_t nodes = sim.scenario().topology.node_count();
+  s.final_ratio = static_cast<double>(r.hosts_compromised + r.plcs_compromised) /
+                  static_cast<double>(nodes);
+  s.ratio_scale = static_cast<std::uint64_t>(nodes);
+}
 
 /// The one place cell contexts come from — every entry point (measure,
 /// measure_scenarios, measure_scenario_tasks) used to carry its own
@@ -375,6 +378,10 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
               stats::Rng(seeds[task.group], rep), s);
       if (samples) (*samples)[task.group * reps + rep] = s;
       a.add(s);
+      // Kernel telemetry reaches the registry once per block (and at the
+      // task's end), so totals are exact when this call returns.
+      if ((i + 1) % shard.block() == 0 || rep + 1 == task.end)
+        attack::CampaignSimulator::flush_telemetry();
     };
     std::vector<double> part_seconds;
     std::vector<IndicatorAccumulator> part =

@@ -98,6 +98,15 @@ struct ScenarioSweepPlan {
   [[nodiscard]] std::size_t cell_count() const noexcept { return cells.size(); }
 };
 
+/// One campaign replication as the measurement engine records it: the
+/// kernel writes c(t) into s.ratio_counts at `curve_edges` directly (the
+/// buffer is sized once, then reused), so a warm call allocates nothing.
+/// The run's telemetry stays in the calling thread's tallies until
+/// attack::CampaignSimulator::flush_telemetry().
+void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
+                     std::span<const double> curve_edges, stats::Rng rng,
+                     IndicatorSample& s);
+
 /// What an adaptive sweep actually spent, per cell — the reproducibility
 /// record: replaying the achieved counts (dist layer: SweepMeta::achieved)
 /// reproduces the summaries bit-identically with any thread or shard

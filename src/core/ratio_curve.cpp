@@ -1,7 +1,6 @@
 #include "core/ratio_curve.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace divsec::core {
@@ -93,22 +92,6 @@ std::vector<double> curve_bin_edges(double horizon, std::size_t bins) {
   for (std::size_t k = 0; k < bins; ++k)
     edges[k] = horizon * static_cast<double>(k + 1) / static_cast<double>(bins);
   return edges;
-}
-
-void sample_step_counts(std::span<const std::pair<double, double>> steps,
-                        std::span<const double> edges, double scale,
-                        std::span<std::uint32_t> counts) {
-  std::size_t k = 0;
-  std::uint32_t count = 0;  // the implicit c(0) = 0 before any step
-  for (const auto& [t, ratio] : steps) {
-    // Edges before this step read the previous count; an edge equal to
-    // t reads this step's.
-    while (k < edges.size() && edges[k] < t) counts[k++] = count;
-    if (k == edges.size()) return;  // the rest of the curve is past the grid
-    count = static_cast<std::uint32_t>(std::llround(ratio * scale));
-  }
-  std::fill(counts.begin() + static_cast<std::ptrdiff_t>(k), counts.end(),
-            count);
 }
 
 double curve_value_at(std::span<const double> curve, double horizon, double t) {

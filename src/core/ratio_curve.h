@@ -8,7 +8,9 @@
 // retained trajectories. This accumulator streams it instead: every
 // replication is sampled at the upper edges of a fixed bin grid over
 // [0, horizon] as *integer* compromised-component counts (ratio ×
-// component count), and per-bin count sums accumulate as uint64. The
+// component count; the campaign kernel writes them at each compromise,
+// attack::CampaignSimulator::run(rng, bins)), and per-bin count sums
+// accumulate as uint64. The
 // merge adds count sums — exact and order-independent, exactly like
 // StreamingSurvival's bin merge — so the mean curve falls out of the
 // standard blocked reduction bit-identically for any DIVSEC_THREADS or
@@ -17,7 +19,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace divsec::core {
@@ -80,15 +81,6 @@ class RatioCurveAccumulator {
 /// horizon × (k + 1) / bins — the grid RatioCurveAccumulator sums over.
 [[nodiscard]] std::vector<double> curve_bin_edges(double horizon,
                                                   std::size_t bins);
-
-/// Sample one replication's step curve (time-ascending (time, ratio)
-/// steps) at ascending bin upper `edges`: counts[k] =
-/// llround(ratio × scale) of the last step at time <= edges[k], 0 before
-/// the first step. One forward walk that converts each step once, not
-/// each bin. counts.size() must equal edges.size().
-void sample_step_counts(std::span<const std::pair<double, double>> steps,
-                        std::span<const double> edges, double scale,
-                        std::span<std::uint32_t> counts);
 
 /// Evaluate a binned mean curve (values at the upper edges of
 /// curve.size() equal bins over [0, horizon]) at time t: linear

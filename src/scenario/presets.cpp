@@ -16,11 +16,20 @@ namespace {
 
 constexpr std::string_view kEnterprisePrefix = "enterprise";
 
+std::string enterprise_cap_message(std::uint64_t n) {
+  return "enterprise preset: N must be <= " + std::to_string(kMaxFamilyNodes) +
+         ", got " + std::to_string(n);
+}
+
 /// N of "enterprise{N}" (N in util::to_u64's grammar); 0 when `name` is
-/// not of that form.
+/// not of that form. Throws std::invalid_argument when N is above
+/// kMaxFamilyNodes, before anything is built.
 std::size_t parse_enterprise(std::string_view name) {
   if (!name.starts_with(kEnterprisePrefix)) return 0;
-  return util::to_u64(name.substr(kEnterprisePrefix.size())).value_or(0);
+  const std::uint64_t n =
+      util::to_u64(name.substr(kEnterprisePrefix.size())).value_or(0);
+  if (n > kMaxFamilyNodes) throw std::invalid_argument(enterprise_cap_message(n));
+  return static_cast<std::size_t>(n);
 }
 
 /// The one spelling of enterprise{N}: "enterprise0256" is enterprise256.
@@ -103,6 +112,8 @@ FleetSpec enterprise_spec(std::size_t total_nodes) {
   if (total_nodes < kMinEnterpriseNodes)
     throw std::invalid_argument("enterprise preset needs >= " +
                                 std::to_string(kMinEnterpriseNodes) + " nodes");
+  if (total_nodes > kMaxFamilyNodes)
+    throw std::invalid_argument(enterprise_cap_message(total_nodes));
   FleetSpec spec;
   spec.control_sites = std::max<std::size_t>(1, total_nodes / 32);
   spec.hmis_per_site = 2;
@@ -126,14 +137,13 @@ std::vector<std::string> preset_names() {
 }
 
 bool has_preset(const std::string& name) {
-  if (canonical_builtin_name(name)) return true;
-  if (FamilySpec::is_family_name(name)) {
-    try {
+  try {
+    if (canonical_builtin_name(name)) return true;
+    if (FamilySpec::is_family_name(name)) {
       (void)FamilySpec::parse(name);
       return true;
-    } catch (const std::invalid_argument&) {
-      return false;
     }
+  } catch (const std::invalid_argument&) {
   }
   return false;
 }

@@ -19,7 +19,9 @@
 //   * plant_medium       — a 54-node two-site plant.
 //
 // Parameterized family:
-//   * enterprise{N}      — an N-node fleet (N >= 24), e.g. enterprise64,
+//   * enterprise{N}      — an N-node fleet (24 <= N <= kMaxFamilyNodes,
+//     2^20; a larger N is rejected by name, before anything is built),
+//     e.g. enterprise64,
 //     enterprise256, enterprise1024: multi-site control zones with field
 //     cells, a DMZ historian tier and a corporate zone that absorbs the
 //     remaining headcount. node_count() == N exactly.
@@ -59,7 +61,8 @@ inline constexpr std::size_t kMinEnterpriseNodes = 24;
 /// FamilySpec::canonical() form — so two spellings of the same preset
 /// fingerprint identically.
 /// Throws std::out_of_range listing presets and families for unknown
-/// names, std::invalid_argument for malformed family parameters.
+/// names, std::invalid_argument for malformed family parameters and for
+/// enterprise{N} with N above kMaxFamilyNodes.
 [[nodiscard]] std::string resolve_preset_name(const std::string& name);
 
 /// The FleetSpec behind enterprise{N}: sites scale as N/32, servers as

@@ -47,7 +47,7 @@ class Rng {
   /// generator's seed material, id): derivation does not consume state.
   [[nodiscard]] Rng stream(std::uint64_t id) const noexcept {
     std::uint64_t sm = s_[0] ^ (s_[3] + 0x165667B19E3779F9ULL * (id + 1));
-    Rng child;
+    Rng child(Unseeded{});
     for (auto& w : child.s_) w = splitmix64(sm);
     return child;
   }
@@ -100,6 +100,11 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform() < p; }
 
  private:
+  /// For stream(), which overwrites the whole state: skips the default
+  /// seed expansion (half the cost of a campaign run's eight lanes).
+  struct Unseeded {};
+  explicit Rng(Unseeded) noexcept {}
+
   [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

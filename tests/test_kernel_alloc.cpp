@@ -1,7 +1,10 @@
 // The campaign kernel's per-replication cost must not scale with fleet
 // size: a run borrows its per-node state and event pools from a
 // per-thread scratch that is restored through a touched-node list, so
-// once warm it makes no allocation proportional to node_count. Nor may
+// once warm it makes no allocation proportional to node_count. On the
+// measurement engine's path — the kernel filling the sample's curve
+// bins in place, plus the per-block telemetry flush — a warm
+// replication makes no allocation at all. Nor may
 // the reachability index a fleet's runs share grow faster than the fleet:
 // its build allocates O(nodes + links) bytes, not an all-pairs relation.
 // This binary replaces the global operator new/delete (backed by
@@ -15,6 +18,8 @@
 #include <new>
 
 #include "attack/campaign.h"
+#include "core/measurement.h"
+#include "core/ratio_curve.h"
 #include "net/reachability_index.h"
 #include "scenario/presets.h"
 #include "stats/rng.h"
@@ -26,10 +31,13 @@ std::atomic<std::size_t> g_threshold{0};
 std::atomic<std::size_t> g_large{0};    // armed allocations >= threshold
 std::atomic<std::size_t> g_largest{0};  // biggest armed allocation
 std::atomic<std::size_t> g_bytes{0};    // sum of all armed allocations
+std::atomic<std::size_t> g_count{0};    // number of armed allocations
 
 void* counted_alloc(std::size_t size) {
-  if (g_armed.load(std::memory_order_relaxed))
+  if (g_armed.load(std::memory_order_relaxed)) {
     g_bytes.fetch_add(size, std::memory_order_relaxed);
+    g_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (g_armed.load(std::memory_order_relaxed) &&
       size >= g_threshold.load(std::memory_order_relaxed)) {
     g_large.fetch_add(1, std::memory_order_relaxed);
@@ -95,6 +103,43 @@ TEST(KernelAlloc, SteadyStateRunsMakeNoNodeCountSizedAllocation) {
   EXPECT_EQ(g_large.load(), 0u)
       << "largest allocation in the window: " << g_largest.load()
       << " bytes (node_count = " << nodes << ")";
+}
+
+TEST(KernelAlloc, WarmEnginePathReplicationsAllocateNothing) {
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const auto made = scenario::make_preset("enterprise4096", cat, 17,
+                                          scenario::VariantPolicy::kRandomPerNode);
+  const attack::CampaignSimulator sim(made.scenario,
+                                      attack::ThreatProfile::stuxnet(), cat);
+  ASSERT_EQ(made.scenario.topology.node_count(), 4096u);
+  const double horizon = attack::CampaignOptions{}.t_max_hours;
+  const std::vector<double> edges = core::curve_bin_edges(horizon, 64);
+  core::IndicatorSample s;
+  std::size_t compromised = 0;
+  // One block of replications the way the engine runs them. Warm means
+  // this thread has run these replications once: the sample's bins and
+  // the scratch pools have reached the sizes they need, and the
+  // telemetry handles are registered.
+  const auto block = [&] {
+    compromised = 0;
+    for (std::uint64_t rep = 0; rep < 256; ++rep) {
+      core::campaign_sample(sim, horizon, edges, stats::Rng(2013, rep), s);
+      if (s.final_ratio > 0.0) ++compromised;
+    }
+    attack::CampaignSimulator::flush_telemetry();
+  };
+  block();
+
+  g_count = 0;
+  g_bytes = 0;
+  g_armed = true;
+  block();
+  g_armed = false;
+
+  // The window did real work ...
+  EXPECT_GT(compromised, 16u);
+  // ... and allocated nothing: no step curve, no result vector, no pool.
+  EXPECT_EQ(g_count.load(), 0u) << g_bytes.load() << " bytes";
 }
 
 TEST(KernelAlloc, ReachabilityIndexBuildAllocatesLinearBytes) {

@@ -10,7 +10,9 @@
 //  3. Trace spans nest, flush as balanced Chrome trace-event JSON, and
 //     record nothing when no session is active.
 //  4. Fold, adaptive and campaign counters are schedule-independent;
-//     the kernel's per-class RNG word counts are exact and pinned.
+//     the kernel's per-class RNG word counts are exact and pinned, and
+//     its tallies (flushed per block) are exact whenever a measurement
+//     call or a public run() returns, on every sweep path.
 //  5. The out-of-band invariant: sweep CSV bytes are identical with
 //     recording enabled or disabled, for 1/4/8 threads. (The compiled-
 //     out leg is CI's -DDIVSEC_OBS=0 build of this same test.)
@@ -23,11 +25,15 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/campaign.h"
 #include "attack/campaign_rng.h"
+#include "core/ratio_curve.h"
+#include "dist/adaptive.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
 #include "obs/metrics.h"
@@ -442,6 +448,112 @@ TEST(ObsCampaign, RngWordTotalsArePinned) {
     EXPECT_EQ(got, pinned) << "threads=" << threads;
 #endif
   }
+}
+
+/// The campaign ledger the registry holds: replications, executed
+/// events and RNG words per class.
+struct CampaignLedger {
+  std::uint64_t runs = 0;
+  std::uint64_t events = 0;
+  std::array<std::uint64_t, attack::kDrawClassCount> words{};
+  bool operator==(const CampaignLedger&) const = default;
+};
+
+CampaignLedger campaign_ledger() {
+  const obs::Snapshot snap = obs::snapshot();
+  CampaignLedger l;
+  l.runs = snap.counter("campaign.runs");
+  l.events = snap.counter("campaign.events.executed");
+  static constexpr const char* kClasses[attack::kDrawClassCount] = {
+      "entry",   "activation", "privesc",  "propagation",
+      "payload", "sabotage",   "host_ids", "alarm"};
+  for (std::size_t c = 0; c < attack::kDrawClassCount; ++c)
+    l.words[c] = snap.counter(std::string("campaign.rng_words.") + kClasses[c]);
+  return l;
+}
+
+/// 4 contiguous shards of `spec`'s task list, run and merged; returns
+/// the registry ledger of the whole cut.
+CampaignLedger four_shard_ledger(const dist::SweepSpec& spec,
+                                 const sim::Executor& ex) {
+  obs::reset();
+  std::vector<dist::ShardState> states;
+  for (std::size_t i = 0; i < 4; ++i)
+    states.push_back(dist::run_shard(spec, i, 4, &ex));
+  (void)dist::merge_shards(states);
+  return campaign_ledger();
+}
+
+TEST(ObsCampaign, KernelTelemetryIsExactOnEveryPath) {
+  // Kernel tallies reach the registry once per replication block, so
+  // the totals must be exact when a measurement call returns: the same
+  // for the in-process sweep and a 4-shard cut of it, and for an
+  // adaptive run and its 4-shard replay, at any thread count. 200 reps
+  // per cell with blocks of 16 leave a partial last block.
+  dist::SweepSpec spec;
+  spec.preset = "plant_small";
+  spec.seed = 4242;
+  spec.replications = 200;
+  spec.replication_block = 16;
+  spec.superblock = 64;
+  core::AdaptiveOptions adaptive;
+  adaptive.relative_precision = 0.10;
+  adaptive.absolute_precision = 0.02;
+  [[maybe_unused]] std::optional<CampaignLedger> fixed_ref, adaptive_ref;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const sim::Executor ex(threads);
+    obs::reset();
+    (void)dist::run_in_process(spec, &ex);
+    [[maybe_unused]] const CampaignLedger in_process = campaign_ledger();
+    [[maybe_unused]] const CampaignLedger sharded = four_shard_ledger(spec, ex);
+
+    obs::reset();
+    const dist::MergeResult adapted = dist::run_adaptive(spec, adaptive, &ex);
+    [[maybe_unused]] const CampaignLedger adaptive_run = campaign_ledger();
+    [[maybe_unused]] const CampaignLedger replayed = four_shard_ledger(
+        dist::spec_from_meta(adapted.meta), ex);
+#if DIVSEC_OBS
+    EXPECT_EQ(in_process.runs, 3 * spec.replications);
+    EXPECT_GT(in_process.events, in_process.runs);
+    EXPECT_EQ(sharded, in_process);
+    std::uint64_t achieved = 0;
+    for (const std::uint64_t a : adapted.meta.achieved) achieved += a;
+    EXPECT_LT(achieved, 3 * spec.replications);  // some cell stopped early
+    EXPECT_EQ(adaptive_run.runs, achieved);
+    EXPECT_EQ(replayed, adaptive_run);
+    if (!fixed_ref) fixed_ref = in_process, adaptive_ref = adaptive_run;
+    EXPECT_EQ(in_process, *fixed_ref);
+    EXPECT_EQ(adaptive_run, *adaptive_ref);
+#endif
+  }
+}
+
+TEST(ObsCampaign, PublicRunIsInTheRegistryWhenItReturns) {
+  const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
+  const attack::CampaignSimulator sim(attack::make_scope_cooling_scenario(),
+                                      attack::ThreatProfile::stuxnet(), cat);
+  attack::CampaignSimulator::flush_telemetry();  // nothing pending here
+  obs::reset();
+  stats::Rng rng(2013, 5);
+  const attack::CampaignResult r = sim.run(rng);
+  [[maybe_unused]] const CampaignLedger after_run = campaign_ledger();
+
+  // The engine's run keeps its tallies until the flush.
+  const std::vector<double> edges = core::curve_bin_edges(2160.0, 64);
+  std::vector<std::uint32_t> counts(edges.size());
+  obs::reset();
+  const attack::CampaignResult binned = sim.run(rng, {edges, counts});
+  [[maybe_unused]] const CampaignLedger before_flush = campaign_ledger();
+  attack::CampaignSimulator::flush_telemetry();
+  [[maybe_unused]] const CampaignLedger after_flush = campaign_ledger();
+#if DIVSEC_OBS
+  EXPECT_EQ(after_run.runs, 1u);
+  EXPECT_EQ(after_run.events, r.events_executed);
+  EXPECT_EQ(before_flush, CampaignLedger{});
+  EXPECT_EQ(after_flush, after_run);
+  EXPECT_EQ(binned.events_executed, r.events_executed);
+#endif
 }
 
 // --- 5. The out-of-band invariant --------------------------------------

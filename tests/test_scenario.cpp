@@ -132,6 +132,7 @@ TEST(PresetRegistry, NamesAndLookup) {
   const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
   EXPECT_THROW(make_preset("campus", cat, 1), std::out_of_range);
   EXPECT_THROW(make_preset("enterprise16", cat, 1), std::invalid_argument);
+
   // The unknown-preset message lists presets and families by name.
   try {
     (void)make_preset("campus", cat, 1);
@@ -140,6 +141,31 @@ TEST(PresetRegistry, NamesAndLookup) {
     const std::string what = e.what();
     EXPECT_NE(what.find("paper_two_machines"), std::string::npos);
     EXPECT_NE(what.find("hub-spoke"), std::string::npos);
+  }
+}
+
+TEST(PresetRegistry, EnterpriseSizeIsCappedByName) {
+  // N above kMaxFamilyNodes is rejected by the name rule itself, naming
+  // the cap, before any topology is allocated; the cap is accepted.
+  const std::string cap = "enterprise" + std::to_string(kMaxFamilyNodes);
+  const std::string over = "enterprise" + std::to_string(kMaxFamilyNodes + 1);
+  EXPECT_TRUE(has_preset(cap));
+  EXPECT_EQ(resolve_preset_name(cap), cap);
+  EXPECT_EQ(enterprise_spec(kMaxFamilyNodes).node_count(), kMaxFamilyNodes);
+  EXPECT_FALSE(has_preset(over));
+  EXPECT_FALSE(has_preset("enterprise99999999999"));
+  EXPECT_THROW((void)enterprise_spec(kMaxFamilyNodes + 1), std::invalid_argument);
+  const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
+  for (const std::string& name : {over, std::string("enterprise99999999999")}) {
+    try {
+      (void)resolve_preset_name(name);
+      FAIL() << name << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("must be <= 1048576"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(make_preset(name, cat, 1), std::invalid_argument) << name;
   }
 }
 

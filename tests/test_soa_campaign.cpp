@@ -17,6 +17,8 @@
 //     from its thread's scratch and hands them back clean, so a run's
 //     result never depends on what that thread ran before — a fleet of
 //     any size, a plant, a failed run.
+//  5. Kernel-filled curve bins: the engine's samples carry exactly the
+//     bins and final ratio that the public run()'s step curve gives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "scenario/presets.h"
 #include "sim/executor.h"
 #include "stats/rng.h"
+#include "step_curve_reference.h"
 
 namespace divsec {
 namespace {
@@ -427,6 +430,58 @@ TEST_F(SoaKernelFixture, MixedSizeSweepBitIdenticalAcrossThreads) {
       expect_bit_identical(reference[c], got[c]);
     }
   }
+}
+
+// --- 5. Curve bins filled by the kernel --------------------------------
+
+TEST_F(SoaKernelFixture, KernelCurveBinsEqualTheBinnedStepCurve) {
+  // The engine never builds a replication's step curve: the kernel's
+  // per-compromise hook writes the bin counts in place, and the final
+  // ratio is (hosts + PLCs) / nodes. Both must equal, bit for bit, what
+  // the public run()'s step curve gives under the reference binning.
+  const double horizon = CampaignOptions{}.t_max_hours;
+  const std::vector<double> edges = core::curve_bin_edges(horizon, 64);
+  constexpr std::uint64_t kReps = 10000;
+  for (const char* preset :
+       {"scope_cooling", "enterprise256", "brownfield:nodes=96"}) {
+    SCOPED_TRACE(preset);
+    const CampaignSimulator sim(
+        scenario::make_preset(preset, cat, 17,
+                              scenario::VariantPolicy::kRandomPerNode)
+            .scenario,
+        stuxnet, cat);
+    const double nodes =
+        static_cast<double>(sim.scenario().topology.node_count());
+    core::IndicatorSample s;
+    std::vector<std::uint32_t> want(edges.size());
+    std::uint64_t mismatches = 0, curves_with_steps = 0;
+    for (std::uint64_t rep = 0; rep < kReps; ++rep) {
+      core::campaign_sample(sim, horizon, edges, stats::Rng(99, rep), s);
+      stats::Rng rng(99, rep);
+      const CampaignResult r = sim.run(rng);
+      core::reference::sample_step_counts(r.compromised_ratio, edges, nodes,
+                                          want);
+      const bool same = s.ratio_counts == want &&
+                        s.final_ratio == r.compromised_ratio.back().second &&
+                        s.ratio_scale == static_cast<std::uint64_t>(nodes);
+      if (!same && mismatches++ == 0)
+        ADD_FAILURE() << "first mismatch at rep " << rep;
+      if (r.compromised_ratio.size() > 2) ++curves_with_steps;
+    }
+    attack::CampaignSimulator::flush_telemetry();
+    EXPECT_EQ(mismatches, 0u);
+    // Not vacuous: many runs had curves of several steps.
+    EXPECT_GT(curves_with_steps, kReps / 10);
+  }
+}
+
+TEST_F(SoaKernelFixture, KernelCurveBinsRejectMismatchedSizes) {
+  const CampaignSimulator sim(attack::make_scope_cooling_scenario(), stuxnet,
+                              cat);
+  const std::vector<double> edges = core::curve_bin_edges(100.0, 4);
+  std::vector<std::uint32_t> counts(3);
+  stats::Rng rng(1, 0);
+  EXPECT_THROW((void)sim.run(rng, {edges, counts}), std::invalid_argument);
 }
 
 TEST(UnionInCsr, InvertsUnionGraphExactly) {

@@ -14,6 +14,7 @@
 #include "core/ratio_curve.h"
 #include "stats/rng.h"
 #include "stats/tdigest.h"
+#include "step_curve_reference.h"
 
 namespace divsec::stats {
 namespace {
@@ -261,8 +262,8 @@ TEST(RatioCurve, ValueAtInterpolatesFromImplicitZero) {
   EXPECT_EQ(curve_value_at(curve, 8.0, 100.0), 0.5);  // clamped past horizon
 }
 
-/// The per-bin rule sample_step_counts replaces: ratio_at each bin's
-/// upper edge, then llround(ratio × nodes).
+/// The per-bin rule reference::sample_step_counts replaces: ratio_at
+/// each bin's upper edge, then llround(ratio × nodes).
 std::vector<std::uint32_t> per_bin_counts(const attack::CampaignResult& r,
                                           double horizon, std::size_t bins,
                                           std::size_t nodes) {
@@ -303,8 +304,8 @@ TEST(SampleStepCounts, MatchesPerBinRatioAt) {
               t, static_cast<double>(scaled) / static_cast<double>(nodes));
         }
         std::vector<std::uint32_t> got(bins, 0xdeadbeef);
-        sample_step_counts(r.compromised_ratio, edges,
-                           static_cast<double>(nodes), got);
+        reference::sample_step_counts(r.compromised_ratio, edges,
+                                      static_cast<double>(nodes), got);
         EXPECT_EQ(got, per_bin_counts(r, horizon, bins, nodes))
             << name << " nodes=" << nodes << " bins=" << bins;
       }
