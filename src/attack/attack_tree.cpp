@@ -1,22 +1,16 @@
 #include "attack/attack_tree.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace divsec::attack {
 
-AttackTree::NodeId AttackTree::add_leaf(std::string name, double probability,
-                                        double time_hours, double cost) {
+AttackTree::NodeId AttackTree::add_leaf(std::string name, double probability) {
   if (probability < 0.0 || probability > 1.0)
     throw std::invalid_argument("add_leaf: probability must be in [0,1]");
-  if (time_hours < 0.0 || cost < 0.0)
-    throw std::invalid_argument("add_leaf: time and cost must be >= 0");
   Node n;
   n.name = std::move(name);
   n.kind = GateKind::kLeaf;
   n.probability = probability;
-  n.time_hours = time_hours;
-  n.cost = cost;
   nodes_.push_back(std::move(n));
   return nodes_.size() - 1;
 }
@@ -83,127 +77,26 @@ double AttackTree::probability_of(NodeId id) const {
   return 0.0;
 }
 
-double AttackTree::cost_of(NodeId id) const {
-  const Node& n = nodes_[id];
-  switch (n.kind) {
-    case GateKind::kLeaf: return n.cost;
-    case GateKind::kAnd: {
-      double s = 0.0;
-      for (NodeId c : n.children) s += cost_of(c);
-      return s;
-    }
-    case GateKind::kOr: {
-      double best = cost_of(n.children.front());
-      for (NodeId c : n.children) best = std::min(best, cost_of(c));
-      return best;
-    }
-  }
-  return 0.0;
-}
-
-double AttackTree::time_of(NodeId id) const {
-  const Node& n = nodes_[id];
-  switch (n.kind) {
-    case GateKind::kLeaf: return n.time_hours;
-    case GateKind::kAnd: {
-      double s = 0.0;
-      for (NodeId c : n.children) s += time_of(c);
-      return s;
-    }
-    case GateKind::kOr: {
-      double best = time_of(n.children.front());
-      for (NodeId c : n.children) best = std::min(best, time_of(c));
-      return best;
-    }
-  }
-  return 0.0;
-}
-
 double AttackTree::success_probability() const { return probability_of(root()); }
-double AttackTree::min_cost() const { return cost_of(root()); }
-double AttackTree::min_time() const { return time_of(root()); }
-
-void AttackTree::scenarios_of(NodeId id, std::vector<std::vector<NodeId>>& out,
-                              std::size_t limit) const {
-  const Node& n = nodes_[id];
-  switch (n.kind) {
-    case GateKind::kLeaf:
-      out.push_back({id});
-      return;
-    case GateKind::kOr: {
-      for (NodeId c : n.children) {
-        std::vector<std::vector<NodeId>> child;
-        scenarios_of(c, child, limit);
-        for (auto& s : child) out.push_back(std::move(s));
-        if (out.size() > limit)
-          throw std::length_error("attack_scenarios: scenario count exceeds limit");
-      }
-      return;
-    }
-    case GateKind::kAnd: {
-      std::vector<std::vector<NodeId>> acc{{}};
-      for (NodeId c : n.children) {
-        std::vector<std::vector<NodeId>> child;
-        scenarios_of(c, child, limit);
-        std::vector<std::vector<NodeId>> next;
-        for (const auto& a : acc) {
-          for (const auto& b : child) {
-            auto merged = a;
-            merged.insert(merged.end(), b.begin(), b.end());
-            next.push_back(std::move(merged));
-            if (next.size() > limit)
-              throw std::length_error("attack_scenarios: scenario count exceeds limit");
-          }
-        }
-        acc = std::move(next);
-      }
-      for (auto& s : acc) out.push_back(std::move(s));
-      return;
-    }
-  }
-}
-
-std::vector<std::vector<AttackTree::NodeId>> AttackTree::attack_scenarios(
-    std::size_t limit) const {
-  std::vector<std::vector<NodeId>> out;
-  scenarios_of(root(), out, limit);
-  // Deduplicate leaves within each scenario.
-  for (auto& s : out) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
-  return out;
-}
-
-void AttackTree::scale_leaf_probabilities(const std::string& name_substring,
-                                          double factor) {
-  if (factor < 0.0) throw std::invalid_argument("scale_leaf_probabilities: factor < 0");
-  for (auto& n : nodes_) {
-    if (n.kind != GateKind::kLeaf) continue;
-    if (n.name.find(name_substring) == std::string::npos) continue;
-    n.probability = std::clamp(n.probability * factor, 0.0, 1.0);
-  }
-}
 
 AttackTree make_staged_attack_tree(double p_delivery, double p_activation,
                                    double p_privesc, double p_propagation,
                                    double p_plc_payload) {
   AttackTree t;
   // Delivery alternatives (Stuxnet's entry vectors).
-  const auto usb = t.add_leaf("delivery.usb", p_delivery, 48.0, 3.0);
-  const auto share = t.add_leaf("delivery.share", p_delivery * 0.6, 24.0, 2.0);
-  const auto spooler = t.add_leaf("delivery.spooler", p_delivery * 0.4, 24.0, 2.0);
+  const auto usb = t.add_leaf("delivery.usb", p_delivery);
+  const auto share = t.add_leaf("delivery.share", p_delivery * 0.6);
+  const auto spooler = t.add_leaf("delivery.spooler", p_delivery * 0.4);
   const auto delivery = t.add_or("stage.initial", {usb, share, spooler});
 
-  const auto act = t.add_leaf("stage.activated", p_activation, 4.0, 5.0);
-  const auto root = t.add_leaf("stage.root-access", p_privesc, 8.0, 8.0);
+  const auto act = t.add_leaf("stage.activated", p_activation);
+  const auto root = t.add_leaf("stage.root-access", p_privesc);
 
-  const auto hop_it = t.add_leaf("propagation.it-to-control", p_propagation, 72.0, 6.0);
-  const auto hop_proj = t.add_leaf("propagation.project-file", p_propagation * 0.8,
-                                   120.0, 4.0);
+  const auto hop_it = t.add_leaf("propagation.it-to-control", p_propagation);
+  const auto hop_proj = t.add_leaf("propagation.project-file", p_propagation * 0.8);
   const auto prop = t.add_or("stage.propagation", {hop_it, hop_proj});
 
-  const auto payload = t.add_leaf("stage.device-impairment", p_plc_payload, 240.0, 10.0);
+  const auto payload = t.add_leaf("stage.device-impairment", p_plc_payload);
 
   const auto top = t.add_and("attack.sabotage", {delivery, act, root, prop, payload});
   t.set_root(top);

@@ -2,12 +2,9 @@
 //
 // One of the three modeling formalisms the paper names ("Bayesian
 // networks, Petri-nets, or attack trees"). Leaves are basic attack steps
-// with a success probability, an expected time and a resource cost;
-// internal nodes combine children with AND (all required, sequential) or
-// OR (any one suffices). The tree answers the paper's "effort it takes to
-// conduct a successful attack (in terms of attack resources and time)":
-// success probability, cheapest cut, fastest cut, and the enumeration of
-// minimal attack scenarios (cut sets).
+// with a success probability; internal nodes combine children with AND
+// (all required) or OR (any one suffices). The tree answers the overall
+// success probability of the attack.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +20,12 @@ class AttackTree {
   enum class GateKind : std::uint8_t { kLeaf, kAnd, kOr };
 
   /// Add a basic attack step.
-  NodeId add_leaf(std::string name, double probability, double time_hours,
-                  double cost);
+  NodeId add_leaf(std::string name, double probability);
 
-  /// Add an AND gate over existing children (all must succeed; times and
-  /// costs add).
+  /// Add an AND gate over existing children (all must succeed).
   NodeId add_and(std::string name, std::vector<NodeId> children);
 
-  /// Add an OR gate over existing children (any suffices; attacker picks
-  /// the best child).
+  /// Add an OR gate over existing children (any suffices).
   NodeId add_or(std::string name, std::vector<NodeId> children);
 
   void set_root(NodeId id);
@@ -44,38 +38,15 @@ class AttackTree {
   /// OR complements (1 - prod(1 - p)).
   [[nodiscard]] double success_probability() const;
 
-  /// Minimum total cost of a successful scenario (OR: min child; AND: sum).
-  [[nodiscard]] double min_cost() const;
-
-  /// Minimum total time of a successful scenario (sequential attacker:
-  /// AND sums, OR takes the fastest child).
-  [[nodiscard]] double min_time() const;
-
-  /// All minimal attack scenarios (cut sets) as lists of leaf ids.
-  /// Throws std::length_error if more than `limit` scenarios exist.
-  [[nodiscard]] std::vector<std::vector<NodeId>> attack_scenarios(
-      std::size_t limit = 10000) const;
-
-  /// Multiply the probability of every leaf whose name contains
-  /// `name_substring` by `factor` (clamped to [0,1]): the hook used to
-  /// model swapping in a more resilient component variant.
-  void scale_leaf_probabilities(const std::string& name_substring, double factor);
-
  private:
   struct Node {
     std::string name;
     GateKind kind = GateKind::kLeaf;
     double probability = 0.0;  // leaves
-    double time_hours = 0.0;   // leaves
-    double cost = 0.0;         // leaves
     std::vector<NodeId> children;
   };
 
   [[nodiscard]] double probability_of(NodeId id) const;
-  [[nodiscard]] double cost_of(NodeId id) const;
-  [[nodiscard]] double time_of(NodeId id) const;
-  void scenarios_of(NodeId id, std::vector<std::vector<NodeId>>& out,
-                    std::size_t limit) const;
   void check_acyclic() const;
 
   std::vector<Node> nodes_;

@@ -116,40 +116,6 @@ double BayesianNetwork::marginal(NodeId node, int state) const {
   return dist.at(static_cast<std::size_t>(state));
 }
 
-std::vector<int> BayesianNetwork::most_probable_explanation(
-    std::span<const Evidence> evidence) const {
-  check_enumerable();
-  std::vector<int> assignment(nodes_.size(), 0);
-  std::vector<int> best(nodes_.size(), 0);
-  double best_p = -1.0;
-  for (;;) {
-    bool consistent = true;
-    for (const auto& e : evidence)
-      if (assignment[e.node] != e.state) {
-        consistent = false;
-        break;
-      }
-    if (consistent) {
-      double p = 1.0;
-      for (NodeId n = 0; n < nodes_.size() && p > best_p; ++n)
-        p *= node_prob(n, assignment);
-      if (p > best_p) {
-        best_p = p;
-        best = assignment;
-      }
-    }
-    std::size_t n = 0;
-    for (; n < nodes_.size(); ++n) {
-      if (static_cast<std::size_t>(++assignment[n]) < nodes_[n].states) break;
-      assignment[n] = 0;
-    }
-    if (n == nodes_.size()) break;
-  }
-  if (best_p < 0.0)
-    throw std::invalid_argument("most_probable_explanation: impossible evidence");
-  return best;
-}
-
 namespace {
 
 /// P[stage transition completes within its budget AND before its own
@@ -174,15 +140,6 @@ double stage_detection_within(const StageTransition& t, double extra_detection,
 
 double AttackBayesianNetwork::impairment_probability() const {
   return network.marginal(stage_node.back(), 1);
-}
-
-double AttackBayesianNetwork::detection_probability() const {
-  return network.marginal(detected_node, 1);
-}
-
-double AttackBayesianNetwork::detection_given_impairment() const {
-  const BayesianNetwork::Evidence e{stage_node.back(), 1};
-  return network.posterior(detected_node, std::span(&e, 1))[1];
 }
 
 AttackBayesianNetwork make_attack_bayesian_network(const StagedAttackModel& model,

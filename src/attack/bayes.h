@@ -8,9 +8,9 @@
 // make_attack_bayesian_network() compiles a StagedAttackModel into the
 // classic attack-BN shape: a chain of per-stage "stage completed within
 // its time budget" variables plus a noisy-OR Detected variable, so the
-// same attack formalization can be queried statically (P[impaired],
-// P[detected | impaired], most-probable explanation of an observation)
-// where the SAN gives trajectories.
+// same attack formalization can be queried statically (P[impaired], or
+// any posterior over the stage and Detected nodes) where the SAN gives
+// trajectories.
 #pragma once
 
 #include <array>
@@ -55,11 +55,6 @@ class BayesianNetwork {
   /// Marginal P[node = state].
   [[nodiscard]] double marginal(NodeId node, int state) const;
 
-  /// Most probable complete assignment consistent with the evidence
-  /// (argmax over the joint; ties broken toward lower states).
-  [[nodiscard]] std::vector<int> most_probable_explanation(
-      std::span<const Evidence> evidence = {}) const;
-
  private:
   struct Node {
     std::string name;
@@ -85,11 +80,6 @@ struct AttackBayesianNetwork {
 
   /// P[final stage completed] — the static analogue of attack success.
   [[nodiscard]] double impairment_probability() const;
-  /// P[detected].
-  [[nodiscard]] double detection_probability() const;
-  /// P[detected | final stage completed]: how observable a *successful*
-  /// attack was.
-  [[nodiscard]] double detection_given_impairment() const;
 };
 
 [[nodiscard]] AttackBayesianNetwork make_attack_bayesian_network(

@@ -54,13 +54,4 @@ double gadget_survival(const Program& reference, const Program& target,
   return static_cast<double>(surviving) / static_cast<double>(ref.size());
 }
 
-double mean_population_survival(const Program& reference,
-                                const std::vector<Program>& variants,
-                                const GadgetOptions& opts) {
-  if (variants.empty()) return 1.0;
-  double acc = 0.0;
-  for (const auto& v : variants) acc += gadget_survival(reference, v, opts);
-  return acc / static_cast<double>(variants.size());
-}
-
 }  // namespace divsec::divers

@@ -46,10 +46,4 @@ struct GadgetOptions {
 [[nodiscard]] double gadget_survival(const Program& reference, const Program& target,
                                      const GadgetOptions& opts = {});
 
-/// Survival computed over a population: mean pairwise survival from the
-/// reference binary to each variant (the multicompiler evaluation metric).
-[[nodiscard]] double mean_population_survival(const Program& reference,
-                                              const std::vector<Program>& variants,
-                                              const GadgetOptions& opts = {});
-
 }  // namespace divsec::divers

@@ -121,15 +121,4 @@ Program diversify(const Program& p, const TransformConfig& cfg, stats::Rng& rng)
   return out;
 }
 
-std::vector<Program> build_population(const Program& p, const TransformConfig& cfg,
-                                      std::size_t count, stats::Rng& rng) {
-  std::vector<Program> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    stats::Rng child = rng.stream(i);
-    out.push_back(diversify(p, cfg, child));
-  }
-  return out;
-}
-
 }  // namespace divsec::divers

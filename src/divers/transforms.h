@@ -64,10 +64,4 @@ struct TransformConfig {
 [[nodiscard]] Program diversify(const Program& p, const TransformConfig& cfg,
                                 stats::Rng& rng);
 
-/// Generate `count` diversified variants of `p` with independent streams
-/// of `rng` (a "multicompiler build farm").
-[[nodiscard]] std::vector<Program> build_population(const Program& p,
-                                                    const TransformConfig& cfg,
-                                                    std::size_t count, stats::Rng& rng);
-
 }  // namespace divsec::divers

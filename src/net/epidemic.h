@@ -36,8 +36,10 @@ struct EpidemicOptions {
 
 class MeanFieldEpidemic {
  public:
-  /// `channels` defines the directed reachability edges (see
-  /// reachability_graph); `seed_nodes` start at infection probability 1.
+  /// `channels` defines the directed reachability edges (j -> i when
+  /// net::can_reach(j, i, c) for any c of `channels`, see
+  /// ReachabilityIndex::union_in_csr); `seed_nodes` start at infection
+  /// probability 1.
   /// Builds a throwaway ReachabilityIndex internally — prefer the index
   /// overload when the caller already has one for the scenario.
   MeanFieldEpidemic(const Topology& topology, const Firewall& firewall,

@@ -37,9 +37,6 @@ class Firewall {
 
   [[nodiscard]] bool allows(Zone from, Zone to, Channel channel) const noexcept;
 
-  /// Traffic inside a zone is always allowed (switching, not routing).
-  [[nodiscard]] bool allows_same_zone() const noexcept { return true; }
-
   [[nodiscard]] std::size_t rule_count() const noexcept { return rules_.size(); }
   [[nodiscard]] const FirewallRule& rule(std::size_t i) const { return rules_.at(i); }
   [[nodiscard]] Action default_action() const noexcept { return default_action_; }

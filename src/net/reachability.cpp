@@ -1,12 +1,5 @@
 #include "net/reachability.h"
 
-#include <algorithm>
-#include <deque>
-#include <set>
-#include <stdexcept>
-
-#include "net/reachability_index.h"
-
 namespace divsec::net {
 
 bool can_reach(const Topology& topo, const Firewall& fw, NodeId a, NodeId b,
@@ -20,50 +13,6 @@ bool can_reach(const Topology& topo, const Firewall& fw, NodeId a, NodeId b,
   }
   if (!topo.linked(a, b)) return false;
   return fw.allows(na.zone, nb.zone, channel);
-}
-
-std::vector<std::vector<NodeId>> reachability_graph(
-    const Topology& topo, const Firewall& fw, const std::vector<Channel>& channels) {
-  return ReachabilityIndex(topo, fw).union_graph(channels);
-}
-
-std::optional<std::vector<NodeId>> shortest_attack_path(
-    const Topology& topo, const Firewall& fw, NodeId from, NodeId to,
-    const std::vector<Channel>& channels) {
-  if (from >= topo.node_count() || to >= topo.node_count())
-    throw std::out_of_range("shortest_attack_path: invalid node id");
-  if (from == to) return std::vector<NodeId>{from};
-  const auto edges = reachability_graph(topo, fw, channels);
-  std::vector<NodeId> parent(topo.node_count(), topo.node_count());
-  std::deque<NodeId> frontier{from};
-  parent[from] = from;
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    for (NodeId next : edges[cur]) {
-      if (parent[next] != topo.node_count()) continue;
-      parent[next] = cur;
-      if (next == to) {
-        std::vector<NodeId> path{to};
-        for (NodeId n = to; n != from; n = parent[n]) path.push_back(parent[n]);
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      frontier.push_back(next);
-    }
-  }
-  return std::nullopt;
-}
-
-std::size_t attack_surface_size(const Topology& topo, const Firewall& fw, NodeId entry,
-                                const std::vector<NodeId>& targets,
-                                const std::vector<Channel>& channels) {
-  std::set<NodeId> on_paths;
-  for (NodeId t : targets) {
-    const auto path = shortest_attack_path(topo, fw, entry, t, channels);
-    if (path.has_value()) on_paths.insert(path->begin(), path->end());
-  }
-  return on_paths.size();
 }
 
 }  // namespace divsec::net

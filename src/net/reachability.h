@@ -1,14 +1,13 @@
-// reachability.h — attack-surface graph queries over Topology + Firewall.
+// reachability.h — the reference definition of the attack-surface relation.
 //
-// Computes which node pairs can exchange traffic on a channel (link +
-// policy), and shortest attack paths (fewest hops) from an entry node to
-// a target — the skeleton the campaign simulator and the attack-tree
-// generator walk. USB is special-cased: it needs no link, only mutual
-// removable-media exposure, which is how Stuxnet crossed the air gap.
+// can_reach answers whether traffic on a channel can go directly from one
+// node to another (link + firewall policy). USB is special-cased: it needs
+// no link, only mutual removable-media exposure, which is how Stuxnet
+// crossed the air gap. The production paths read the same relation from
+// a precomputed net::ReachabilityIndex; this function is the plain
+// definition the index, its union CSR and the exact campaign oracle are
+// tested against.
 #pragma once
-
-#include <optional>
-#include <vector>
 
 #include "net/firewall.h"
 #include "net/topology.h"
@@ -18,24 +17,5 @@ namespace divsec::net {
 /// True if `channel` traffic from node a can reach node b directly.
 [[nodiscard]] bool can_reach(const Topology& topo, const Firewall& fw, NodeId a,
                              NodeId b, Channel channel);
-
-/// Directed adjacency per channel set: edges[i] lists nodes reachable from
-/// node i over ANY of the given channels.
-[[nodiscard]] std::vector<std::vector<NodeId>> reachability_graph(
-    const Topology& topo, const Firewall& fw, const std::vector<Channel>& channels);
-
-/// Shortest path (fewest hops) from `from` to `to` over the channels, or
-/// nullopt when unreachable. The path includes both endpoints.
-[[nodiscard]] std::optional<std::vector<NodeId>> shortest_attack_path(
-    const Topology& topo, const Firewall& fw, NodeId from, NodeId to,
-    const std::vector<Channel>& channels);
-
-/// Minimum number of node compromises needed to reach every node in
-/// `targets` starting from `entry` (size of the union of shortest paths;
-/// a cheap upper-bound proxy used by placement heuristics).
-[[nodiscard]] std::size_t attack_surface_size(const Topology& topo, const Firewall& fw,
-                                              NodeId entry,
-                                              const std::vector<NodeId>& targets,
-                                              const std::vector<Channel>& channels);
 
 }  // namespace divsec::net

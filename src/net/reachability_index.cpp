@@ -72,57 +72,40 @@ ReachabilityIndex::ReachabilityIndex(const Topology& topo, const Firewall& fw)
   }
 }
 
-ReachabilityIndex::ChannelUnion ReachabilityIndex::channel_union(
-    const std::vector<Channel>& channels) const noexcept {
-  ChannelUnion u;
+ReachabilityIndex::UnionInCsr ReachabilityIndex::union_in_csr(
+    const std::vector<Channel>& channels) const {
+  // Per (from zone, to zone): whether any link channel is allowed; and
+  // whether kUsb is among the channels.
+  bool usb = false;
+  bool link[kZoneCount][kZoneCount]{};
   for (Channel c : channels) {
     if (c == Channel::kUsb) {
-      u.usb = true;
+      usb = true;
       continue;
     }
     for (std::size_t za = 0; za < kZoneCount; ++za)
       for (std::size_t zb = 0; zb < kZoneCount; ++zb)
-        u.link[za][zb] |= allow_[za][zb][static_cast<std::size_t>(c)];
+        link[za][zb] |= allow_[za][zb][static_cast<std::size_t>(c)];
   }
-  return u;
-}
-
-void ReachabilityIndex::union_row(NodeId i, const ChannelUnion& u, bool incoming,
-                                  std::vector<NodeId>& out) const {
-  const std::size_t start = out.size();
-  const auto zi = static_cast<std::size_t>(zone_[i]);
-  for (std::uint32_t k = adj_off_[i]; k < adj_off_[i + 1]; ++k) {
-    const auto zj = static_cast<std::size_t>(zone_[adj_[k]]);
-    if (incoming ? u.link[zj][zi] : u.link[zi][zj]) out.push_back(adj_[k]);
-  }
-  if (u.usb && usb_rank_[i] != kUnexposed) {
-    const std::size_t mid = out.size();
-    for (std::uint32_t j : usb_)
-      if (j != i) out.push_back(j);
-    std::inplace_merge(out.begin() + static_cast<std::ptrdiff_t>(start),
-                       out.begin() + static_cast<std::ptrdiff_t>(mid), out.end());
-    out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(start),
-                          out.end()),
-              out.end());
-  }
-}
-
-std::vector<std::vector<NodeId>> ReachabilityIndex::union_graph(
-    const std::vector<Channel>& channels) const {
-  const ChannelUnion u = channel_union(channels);
-  std::vector<std::vector<NodeId>> out(n_);
-  for (NodeId a = 0; a < n_; ++a) union_row(a, u, false, out[a]);
-  return out;
-}
-
-ReachabilityIndex::UnionInCsr ReachabilityIndex::union_in_csr(
-    const std::vector<Channel>& channels) const {
-  const ChannelUnion u = channel_union(channels);
   UnionInCsr csr;
   csr.off.assign(n_ + 1, 0);
+  std::vector<NodeId>& out = csr.edge;
   for (NodeId i = 0; i < n_; ++i) {
-    union_row(i, u, true, csr.edge);
-    csr.off[i + 1] = csr.edge.size();
+    const std::size_t start = out.size();
+    const auto zi = static_cast<std::size_t>(zone_[i]);
+    for (std::uint32_t k = adj_off_[i]; k < adj_off_[i + 1]; ++k)
+      if (link[static_cast<std::size_t>(zone_[adj_[k]])][zi]) out.push_back(adj_[k]);
+    if (usb && usb_rank_[i] != kUnexposed) {
+      const std::size_t mid = out.size();
+      for (std::uint32_t j : usb_)
+        if (j != i) out.push_back(j);
+      std::inplace_merge(out.begin() + static_cast<std::ptrdiff_t>(start),
+                         out.begin() + static_cast<std::ptrdiff_t>(mid), out.end());
+      out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(start),
+                            out.end()),
+                out.end());
+    }
+    csr.off[i + 1] = out.size();
   }
   return csr;
 }

@@ -1,9 +1,9 @@
 // reachability_index.h — precomputed attack-surface queries in O(N + links).
 //
-// reachability.h answers "can a reach b on channel c" by walking the
-// adjacency vector and the firewall rule list on every call. That is fine
-// for one 11-node plant and hopeless for the campaign simulator's inner
-// loop on a generated enterprise fleet. ReachabilityIndex keeps the same
+// net::can_reach (reachability.h), the reference definition, answers "can
+// a reach b on channel c" by walking the adjacency vector and the firewall
+// rule list on every call. That is fine for one 11-node plant and hopeless
+// for the campaign simulator's inner loop on a generated enterprise fleet. ReachabilityIndex keeps the same
 // relation in the form net::can_reach reads it: a USB hop needs both ends
 // exposed to removable media, a link hop needs a link plus a firewall
 // verdict that depends only on (zone, zone, channel). So the index holds
@@ -52,16 +52,9 @@ class ReachabilityIndex {
                               static_cast<std::uint32_t>(b));
   }
 
-  /// Directed union adjacency over `channels`: out[i] lists, ascending,
-  /// the nodes reachable from i over ANY of the given channels — the
-  /// reachability_graph contract.
-  [[nodiscard]] std::vector<std::vector<NodeId>> union_graph(
-      const std::vector<Channel>& channels) const;
-
   /// Flat in-edge CSR over the union relation: the sources j with
-  /// j -> i over ANY of `channels` occupy edge[off[i] .. off[i + 1]),
-  /// ascending. Same relation as union_graph inverted, built without the
-  /// vector-of-vectors intermediary — this is the adjacency
+  /// can_reach(j, i, c) for ANY c of `channels` occupy
+  /// edge[off[i] .. off[i + 1]), ascending. This is the adjacency
   /// MeanFieldEpidemic's Euler loop runs on.
   struct UnionInCsr {
     std::vector<std::size_t> off;  // node_count + 1 offsets
@@ -125,20 +118,6 @@ class ReachabilityIndex {
                  [static_cast<std::size_t>(zone_[b])]
                  [static_cast<std::size_t>(c)];
   }
-
-  /// The channels of a union query: whether kUsb is among them, and per
-  /// (from zone, to zone) whether any of its link channels is allowed.
-  struct ChannelUnion {
-    bool usb = false;
-    bool link[kZoneCount][kZoneCount]{};
-  };
-  [[nodiscard]] ChannelUnion channel_union(
-      const std::vector<Channel>& channels) const noexcept;
-
-  /// Appends to `out`, ascending, the nodes j with i -> j over any channel
-  /// of `u` (j -> i when `incoming`).
-  void union_row(NodeId i, const ChannelUnion& u, bool incoming,
-                 std::vector<NodeId>& out) const;
 
   std::size_t n_ = 0;
   std::vector<std::uint32_t> adj_off_;  // n_ + 1 offsets into adj_

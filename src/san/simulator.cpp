@@ -19,23 +19,12 @@ std::size_t SanSimulator::add_rate_reward(std::function<double(const Marking&)> 
   return rate_rewards_.size() - 1;
 }
 
-std::size_t SanSimulator::add_impulse_reward(ActivityId activity, double amount) {
-  if (activity >= model_.activity_count())
-    throw std::out_of_range("add_impulse_reward: invalid activity");
-  impulse_rewards_.push_back(ImpulseReward{activity, amount, 0.0});
-  return impulse_rewards_.size() - 1;
-}
-
 double SanSimulator::rate_reward(std::size_t i) const {
   return rate_rewards_.at(i).integral;
 }
 
 double SanSimulator::rate_reward_average(std::size_t i) const {
   return now_ > 0.0 ? rate_rewards_.at(i).integral / now_ : 0.0;
-}
-
-double SanSimulator::impulse_reward(std::size_t i) const {
-  return impulse_rewards_.at(i).value;
 }
 
 void SanSimulator::reset() {
@@ -45,7 +34,6 @@ void SanSimulator::reset() {
   std::fill(firing_counts_.begin(), firing_counts_.end(), std::size_t{0});
   std::fill(clocks_.begin(), clocks_.end(), kInf);
   for (auto& r : rate_rewards_) r.integral = 0.0;
-  for (auto& r : impulse_rewards_) r.value = 0.0;
   resolve_instantaneous();
   refresh_clocks();
 }
@@ -87,9 +75,6 @@ void SanSimulator::fire(ActivityId id) {
   check_marking();
   ++total_firings_;
   ++firing_counts_[id];
-  for (auto& r : impulse_rewards_)
-    if (r.activity == id) r.value += r.amount;
-  if (trace_) trace_(now_, id, c);
 }
 
 void SanSimulator::refresh_clocks() {

@@ -4,10 +4,9 @@
 // The solver is a direct event-scheduling implementation: each enabled
 // timed activity holds a sampled completion clock; the earliest clock
 // fires next. Instantaneous activities always complete before time
-// advances. Rate rewards are integrated exactly between events; impulse
-// rewards accumulate on activity completion. All randomness comes from
-// the Rng passed at construction, so a (model, seed) pair fully
-// determines a trajectory.
+// advances. Rate rewards are integrated exactly between events. All
+// randomness comes from the Rng passed at construction, so a (model,
+// seed) pair fully determines a trajectory.
 #pragma once
 
 #include <functional>
@@ -28,16 +27,11 @@ class SanSimulator {
   /// Rate reward: integral over time of `rate(marking)` dt.
   std::size_t add_rate_reward(std::function<double(const Marking&)> rate);
 
-  /// Impulse reward: adds `amount` every time `activity` completes.
-  std::size_t add_impulse_reward(ActivityId activity, double amount = 1.0);
-
   /// Accumulated integral of rate reward `i` up to now().
   [[nodiscard]] double rate_reward(std::size_t i) const;
 
   /// Time-average of rate reward `i` over [0, now()]; 0 at time 0.
   [[nodiscard]] double rate_reward_average(std::size_t i) const;
-
-  [[nodiscard]] double impulse_reward(std::size_t i) const;
 
   /// Restore the initial marking, zero the clock and all rewards, and
   /// resolve initial instantaneous activities.
@@ -60,11 +54,6 @@ class SanSimulator {
   [[nodiscard]] double now() const noexcept { return now_; }
   [[nodiscard]] std::size_t total_firings() const noexcept { return total_firings_; }
   [[nodiscard]] std::size_t firings_of(ActivityId a) const { return firing_counts_.at(a); }
-
-  /// Optional trace callback: (time, activity id, selected case).
-  void set_trace(std::function<void(double, ActivityId, std::size_t)> trace) {
-    trace_ = std::move(trace);
-  }
 
  private:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -90,14 +79,7 @@ class SanSimulator {
     std::function<double(const Marking&)> rate;
     double integral = 0.0;
   };
-  struct ImpulseReward {
-    ActivityId activity;
-    double amount;
-    double value = 0.0;
-  };
   std::vector<RateReward> rate_rewards_;
-  std::vector<ImpulseReward> impulse_rewards_;
-  std::function<void(double, ActivityId, std::size_t)> trace_;
 };
 
 }  // namespace divsec::san

@@ -46,7 +46,6 @@ void CoolingPlant::step(double dt_s, double fan_fraction, double valve_fraction)
     t_water_ += h * (crac_kw - chiller_kw) / params_.water_heat_capacity_kj_per_c;
     // The loop cannot drop below the chiller's physical floor.
     t_water_ = std::max(t_water_, params_.chiller_cop_setpoint_c - 2.0);
-    last_crac_kw_ = crac_kw;
     time_s_ += h;
     remaining -= h;
   }

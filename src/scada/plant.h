@@ -41,10 +41,6 @@ class CoolingPlant {
   [[nodiscard]] double water_temp_c() const noexcept { return t_water_; }
   [[nodiscard]] double time_s() const noexcept { return time_s_; }
 
-  /// Instantaneous heat removed from the room by the CRAC (kW) for the
-  /// last step's commands.
-  [[nodiscard]] double crac_heat_kw() const noexcept { return last_crac_kw_; }
-
   [[nodiscard]] const PlantParameters& params() const noexcept { return params_; }
 
   /// Thermal runaway threshold used as the "device impairment" criterion.
@@ -57,7 +53,6 @@ class CoolingPlant {
   double t_room_;
   double t_water_;
   double time_s_ = 0.0;
-  double last_crac_kw_ = 0.0;
 };
 
 }  // namespace divsec::scada

@@ -48,11 +48,6 @@ ScenarioBuilder& ScenarioBuilder::firewall_variant(std::size_t v) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::max_sabotage_targets(std::size_t n) {
-  max_targets_ = n;
-  return *this;
-}
-
 namespace {
 
 /// Seeded (kind, zone) -> variant table for kZoneStratified. Draw order
@@ -104,7 +99,6 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
   const divers::VariantCatalog& cat = *catalog_;
   stats::Rng root(seed);
   stats::Rng assign_rng = root.stream(3);
-  stats::Rng target_rng = root.stream(4);
 
   GeneratedScenario out;
   out.name = std::move(name);
@@ -159,17 +153,8 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
   for (NodeId i = 0; i < n; ++i)
     if (sc.topology.node(i).usb_exposure) sc.entry_nodes.push_back(i);
 
-  // Sabotage targets: every PLC, optionally a seeded sample.
-  const std::vector<NodeId> all_plcs = sc.topology.nodes_with_role(Role::kPlc);
-  std::vector<NodeId> plcs = all_plcs;
-  if (max_targets_ > 0 && max_targets_ < plcs.size()) {
-    // Partial Fisher-Yates, then restore id order.
-    for (std::size_t i = 0; i < max_targets_; ++i)
-      std::swap(plcs[i], plcs[i + target_rng.below(plcs.size() - i)]);
-    plcs.resize(max_targets_);
-    std::sort(plcs.begin(), plcs.end());
-  }
-  sc.target_plcs = std::move(plcs);
+  // Sabotage targets: every PLC.
+  sc.target_plcs = sc.topology.nodes_with_role(Role::kPlc);
 
   // DoE components over the fleet, mirroring the paper case study's
   // seven-factor shape. Node-bound components with no nodes are dropped
@@ -193,7 +178,7 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
   }
   add_component("os.corporate", ComponentKind::kOs, std::move(corp_os));
   add_component("os.control", ComponentKind::kOs, std::move(ctl_os));
-  add_component("plc.firmware", ComponentKind::kPlcFirmware, all_plcs);
+  add_component("plc.firmware", ComponentKind::kPlcFirmware, sc.target_plcs);
   add_component("protocol.stack", ComponentKind::kProtocolStack, std::move(proto));
   add_component("firewall", ComponentKind::kFirewallFirmware, {});
   add_component("hmi.software", ComponentKind::kHmiSoftware, std::move(hmis));

@@ -70,10 +70,6 @@ class ScenarioBuilder {
   /// kMonoculture, seeded draw under the other policies).
   ScenarioBuilder& firewall_variant(std::size_t v);
 
-  /// Cap the number of sabotage-target PLCs (seeded sample without
-  /// replacement; 0 = every PLC is a target, the default).
-  ScenarioBuilder& max_sabotage_targets(std::size_t n);
-
   /// Assemble and validate. Deterministic in `seed`; the variant draws
   /// use substreams of Rng(seed) so the same fleet under two policies
   /// differs only in the assignment.
@@ -85,7 +81,6 @@ class ScenarioBuilder {
   net::Firewall firewall_;
   VariantPolicy policy_ = VariantPolicy::kMonoculture;
   std::optional<std::size_t> firewall_variant_;
-  std::size_t max_targets_ = 0;
 };
 
 }  // namespace divsec::scenario

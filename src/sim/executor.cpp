@@ -156,6 +156,10 @@ struct Executor::Pool {
 
 Executor::Executor(std::size_t threads)
     : threads_(threads == 0 ? default_thread_count() : threads) {
+  if (threads > kMaxThreads)
+    throw std::invalid_argument("Executor: thread count must be <= " +
+                                std::to_string(kMaxThreads) + ", got " +
+                                std::to_string(threads));
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
 }
 
@@ -199,9 +203,10 @@ void Executor::parallel_for(std::size_t begin, std::size_t end,
 }
 
 std::size_t Executor::default_thread_count() {
-  // A malformed or zero value falls through to the hardware default.
+  // A malformed, zero or above-bound value falls through to the hardware
+  // default.
   if (const char* env = std::getenv("DIVSEC_THREADS"))
-    if (const auto v = util::to_u64(env); v && *v >= 1)
+    if (const auto v = util::to_u64(env); v && *v >= 1 && *v <= kMaxThreads)
       return static_cast<std::size_t>(*v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;

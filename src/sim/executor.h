@@ -13,19 +13,25 @@
 // "the default", which honours the DIVSEC_THREADS environment variable
 // and falls back to std::thread::hardware_concurrency(). A thread count
 // of 1 is a pure serial path — no worker threads are spawned and
-// parallel_for degenerates to a plain loop on the calling thread.
+// parallel_for degenerates to a plain loop on the calling thread. A
+// requested count above kMaxThreads is refused before any thread starts.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace divsec::sim {
 
+/// Upper bound on a requested thread count: an explicit count above it is
+/// rejected, and a DIVSEC_THREADS value above it is ignored.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 class Executor {
  public:
-  /// threads == 0 resolves to default_thread_count().
+  /// threads == 0 resolves to default_thread_count(). Throws
+  /// std::invalid_argument if threads > kMaxThreads, before any thread
+  /// is started.
   explicit Executor(std::size_t threads = 0);
   ~Executor();
   Executor(const Executor&) = delete;
@@ -44,17 +50,7 @@ class Executor {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body) const;
 
-  /// parallel_for that collects f(i) into a vector indexed by i.
-  template <typename T>
-  [[nodiscard]] std::vector<T> parallel_map(
-      std::size_t count, const std::function<T(std::size_t)>& f) const {
-    std::vector<T> out(count);
-    parallel_for(0, count,
-                 [&out, &f](std::size_t i) { out[i] = f(i); });
-    return out;
-  }
-
-  /// DIVSEC_THREADS if set to a positive integer, else
+  /// DIVSEC_THREADS if set to an integer in [1, kMaxThreads], else
   /// hardware_concurrency(), else 1.
   [[nodiscard]] static std::size_t default_thread_count();
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "stats/special.h"
 
@@ -121,52 +122,6 @@ Summary summarize(std::span<const double> data) {
   s.p75 = quantile(data, 0.75);
   s.p95 = quantile(data, 0.95);
   return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: need >= 1 bin");
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long long>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
-double Histogram::density(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
-BatchMeans::BatchMeans(std::size_t batch_size) : batch_size_(batch_size) {
-  if (batch_size == 0) throw std::invalid_argument("BatchMeans: batch_size must be > 0");
-}
-
-void BatchMeans::add(double x) {
-  batch_sum_ += x;
-  if (++in_batch_ == batch_size_) {
-    batches_.add(batch_sum_ / static_cast<double>(batch_size_));
-    batch_sum_ = 0.0;
-    in_batch_ = 0;
-  }
-}
-
-std::size_t BatchMeans::completed_batches() const noexcept { return batches_.count(); }
-
-ConfidenceInterval BatchMeans::confidence_interval(double level) const {
-  return mean_confidence_interval(batches_, level);
 }
 
 }  // namespace divsec::stats

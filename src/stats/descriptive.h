@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace divsec::stats {
 
@@ -127,43 +126,5 @@ struct Summary {
   double max = 0.0;
 };
 [[nodiscard]] Summary summarize(std::span<const double> data);
-
-/// Fixed-width histogram over [lo, hi); samples outside are clamped into
-/// the edge bins so mass is conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_low(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_high(std::size_t i) const noexcept;
-  /// Empirical probability mass of bin i.
-  [[nodiscard]] double density(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Non-overlapping batch-means estimator for steady-state simulation
-/// output (reduces autocorrelation before the t interval is applied).
-class BatchMeans {
- public:
-  explicit BatchMeans(std::size_t batch_size);
-  void add(double x);
-  [[nodiscard]] std::size_t completed_batches() const noexcept;
-  [[nodiscard]] OnlineStats batch_stats() const noexcept { return batches_; }
-  [[nodiscard]] ConfidenceInterval confidence_interval(double level = 0.95) const;
-
- private:
-  std::size_t batch_size_;
-  std::size_t in_batch_ = 0;
-  double batch_sum_ = 0.0;
-  OnlineStats batches_;
-};
 
 }  // namespace divsec::stats

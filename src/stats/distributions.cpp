@@ -20,38 +20,14 @@ double sample_standard_normal(Rng& rng) noexcept {
 namespace {
 
 double sample_one(const Deterministic& d, Rng&) { return d.value; }
-double sample_one(const Uniform& d, Rng& rng) { return rng.uniform(d.lo, d.hi); }
 
 double sample_one(const Exponential& d, Rng& rng) {
   // Inverse transform; 1 - uniform() is in (0, 1] so log() is finite.
   return -std::log(1.0 - rng.uniform()) / d.rate;
 }
 
-double sample_one(const Weibull& d, Rng& rng) {
-  return d.scale * std::pow(-std::log(1.0 - rng.uniform()), 1.0 / d.shape);
-}
-
-double sample_one(const Lognormal& d, Rng& rng) {
-  return std::exp(d.mu + d.sigma * sample_standard_normal(rng));
-}
-
 double sample_one(const Normal& d, Rng& rng) {
   return d.mean + d.sd * sample_standard_normal(rng);
-}
-
-double sample_one(const Erlang& d, Rng& rng) {
-  double acc = 0.0;
-  for (int i = 0; i < d.k; ++i) acc += -std::log(1.0 - rng.uniform());
-  return acc / d.rate;
-}
-
-double sample_one(const Triangular& d, Rng& rng) {
-  const double u = rng.uniform();
-  const double span = d.hi - d.lo;
-  if (span <= 0.0) return d.lo;
-  const double fc = (d.mode - d.lo) / span;
-  if (u < fc) return d.lo + std::sqrt(u * span * (d.mode - d.lo));
-  return d.hi - std::sqrt((1.0 - u) * span * (d.hi - d.mode));
 }
 
 }  // namespace
@@ -63,19 +39,8 @@ double Distribution::sample(Rng& rng) const {
 double Distribution::mean() const {
   struct V {
     double operator()(const Deterministic& d) const { return d.value; }
-    double operator()(const Uniform& d) const { return 0.5 * (d.lo + d.hi); }
     double operator()(const Exponential& d) const { return 1.0 / d.rate; }
-    double operator()(const Weibull& d) const {
-      return d.scale * std::tgamma(1.0 + 1.0 / d.shape);
-    }
-    double operator()(const Lognormal& d) const {
-      return std::exp(d.mu + 0.5 * d.sigma * d.sigma);
-    }
     double operator()(const Normal& d) const { return d.mean; }
-    double operator()(const Erlang& d) const { return d.k / d.rate; }
-    double operator()(const Triangular& d) const {
-      return (d.lo + d.mode + d.hi) / 3.0;
-    }
   };
   return std::visit(V{}, v_);
 }
@@ -83,27 +48,8 @@ double Distribution::mean() const {
 double Distribution::variance() const {
   struct V {
     double operator()(const Deterministic&) const { return 0.0; }
-    double operator()(const Uniform& d) const {
-      const double w = d.hi - d.lo;
-      return w * w / 12.0;
-    }
     double operator()(const Exponential& d) const { return 1.0 / (d.rate * d.rate); }
-    double operator()(const Weibull& d) const {
-      const double g1 = std::tgamma(1.0 + 1.0 / d.shape);
-      const double g2 = std::tgamma(1.0 + 2.0 / d.shape);
-      return d.scale * d.scale * (g2 - g1 * g1);
-    }
-    double operator()(const Lognormal& d) const {
-      const double s2 = d.sigma * d.sigma;
-      return (std::exp(s2) - 1.0) * std::exp(2.0 * d.mu + s2);
-    }
     double operator()(const Normal& d) const { return d.sd * d.sd; }
-    double operator()(const Erlang& d) const { return d.k / (d.rate * d.rate); }
-    double operator()(const Triangular& d) const {
-      return (d.lo * d.lo + d.mode * d.mode + d.hi * d.hi - d.lo * d.mode -
-              d.lo * d.hi - d.mode * d.hi) /
-             18.0;
-    }
   };
   return std::visit(V{}, v_);
 }
@@ -113,19 +59,8 @@ std::string Distribution::to_string() const {
   struct V {
     std::ostringstream& os;
     void operator()(const Deterministic& d) const { os << "Deterministic(" << d.value << ")"; }
-    void operator()(const Uniform& d) const { os << "Uniform(" << d.lo << "," << d.hi << ")"; }
     void operator()(const Exponential& d) const { os << "Exponential(rate=" << d.rate << ")"; }
-    void operator()(const Weibull& d) const {
-      os << "Weibull(shape=" << d.shape << ",scale=" << d.scale << ")";
-    }
-    void operator()(const Lognormal& d) const {
-      os << "Lognormal(mu=" << d.mu << ",sigma=" << d.sigma << ")";
-    }
     void operator()(const Normal& d) const { os << "Normal(" << d.mean << "," << d.sd << ")"; }
-    void operator()(const Erlang& d) const { os << "Erlang(k=" << d.k << ",rate=" << d.rate << ")"; }
-    void operator()(const Triangular& d) const {
-      os << "Triangular(" << d.lo << "," << d.mode << "," << d.hi << ")";
-    }
   };
   std::visit(V{os}, v_);
   return os.str();
@@ -134,29 +69,11 @@ std::string Distribution::to_string() const {
 void Distribution::validate() const {
   struct V {
     void operator()(const Deterministic&) const {}
-    void operator()(const Uniform& d) const {
-      if (d.lo > d.hi) throw std::invalid_argument("Uniform: lo > hi");
-    }
     void operator()(const Exponential& d) const {
       if (!(d.rate > 0.0)) throw std::invalid_argument("Exponential: rate must be > 0");
     }
-    void operator()(const Weibull& d) const {
-      if (!(d.shape > 0.0) || !(d.scale > 0.0))
-        throw std::invalid_argument("Weibull: shape and scale must be > 0");
-    }
-    void operator()(const Lognormal& d) const {
-      if (d.sigma < 0.0) throw std::invalid_argument("Lognormal: sigma must be >= 0");
-    }
     void operator()(const Normal& d) const {
       if (d.sd < 0.0) throw std::invalid_argument("Normal: sd must be >= 0");
-    }
-    void operator()(const Erlang& d) const {
-      if (d.k < 1) throw std::invalid_argument("Erlang: k must be >= 1");
-      if (!(d.rate > 0.0)) throw std::invalid_argument("Erlang: rate must be > 0");
-    }
-    void operator()(const Triangular& d) const {
-      if (d.lo > d.mode || d.mode > d.hi)
-        throw std::invalid_argument("Triangular: requires lo <= mode <= hi");
     }
   };
   std::visit(V{}, v_);

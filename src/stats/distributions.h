@@ -1,10 +1,10 @@
 // distributions.h — value-semantic probability distributions.
 //
-// Distribution is a small variant-backed value type used throughout the
-// SAN engine (activity firing delays), the attack models (stage
-// durations), and the SCADA plant (sensor noise). Sampling is implemented
-// in-house (inverse transform / polar method) so results are bit-stable
-// across standard libraries.
+// Distribution is a small variant-backed value type with three kinds:
+// Deterministic (the default point mass), Exponential (SAN activity firing
+// delays and attack stage durations) and Normal (SCADA sensor noise).
+// Sampling is implemented in-house (inverse transform / polar method) so
+// results are bit-stable across standard libraries.
 #pragma once
 
 #include <string>
@@ -20,28 +20,9 @@ struct Deterministic {
   double value = 0.0;
 };
 
-/// Uniform on [lo, hi). Requires lo <= hi.
-struct Uniform {
-  double lo = 0.0;
-  double hi = 1.0;
-};
-
 /// Exponential with rate lambda (> 0); mean 1/lambda.
 struct Exponential {
   double rate = 1.0;
-};
-
-/// Weibull with shape k (> 0) and scale lambda (> 0).
-/// shape < 1: infant-mortality hazard; shape > 1: wear-out hazard.
-struct Weibull {
-  double shape = 1.0;
-  double scale = 1.0;
-};
-
-/// Lognormal: log of the variate is Normal(mu, sigma^2). sigma >= 0.
-struct Lognormal {
-  double mu = 0.0;
-  double sigma = 1.0;
 };
 
 /// Normal(mean, sd). sd >= 0.
@@ -50,36 +31,14 @@ struct Normal {
   double sd = 1.0;
 };
 
-/// Erlang: sum of k (>= 1) independent Exponential(rate) variables.
-/// Models multi-phase stage durations (e.g. multi-step exploit chains).
-struct Erlang {
-  int k = 1;
-  double rate = 1.0;
-};
-
-/// Triangular on [lo, hi] with mode m, lo <= m <= hi. Handy for expert
-/// "min / most-likely / max" duration elicitation, the form used in attack
-/// history calibration.
-struct Triangular {
-  double lo = 0.0;
-  double mode = 0.5;
-  double hi = 1.0;
-};
-
 class Distribution {
  public:
-  using Variant = std::variant<Deterministic, Uniform, Exponential, Weibull,
-                               Lognormal, Normal, Erlang, Triangular>;
+  using Variant = std::variant<Deterministic, Exponential, Normal>;
 
   Distribution() : v_(Deterministic{0.0}) {}
   Distribution(Deterministic d) : v_(d) { validate(); }  // NOLINT(google-explicit-constructor)
-  Distribution(Uniform d) : v_(d) { validate(); }        // NOLINT
   Distribution(Exponential d) : v_(d) { validate(); }    // NOLINT
-  Distribution(Weibull d) : v_(d) { validate(); }        // NOLINT
-  Distribution(Lognormal d) : v_(d) { validate(); }      // NOLINT
   Distribution(Normal d) : v_(d) { validate(); }         // NOLINT
-  Distribution(Erlang d) : v_(d) { validate(); }         // NOLINT
-  Distribution(Triangular d) : v_(d) { validate(); }     // NOLINT
 
   /// Draw one sample using `rng`.
   [[nodiscard]] double sample(Rng& rng) const;
@@ -92,8 +51,6 @@ class Distribution {
 
   /// Human-readable form, e.g. "Exponential(rate=2)".
   [[nodiscard]] std::string to_string() const;
-
-  [[nodiscard]] const Variant& raw() const noexcept { return v_; }
 
  private:
   void validate() const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace divsec::stats {
@@ -271,106 +269,6 @@ std::vector<double> main_effects(const TwoLevelDesign& design,
     out.push_back(estimate_effect(design, responses,
                                   std::string(1, static_cast<char>('A' + f))));
   return out;
-}
-
-std::vector<std::vector<double>> latin_hypercube(std::size_t dims, std::size_t samples,
-                                                 Rng& rng) {
-  if (dims == 0 || samples == 0)
-    throw std::invalid_argument("latin_hypercube: dims and samples must be > 0");
-  std::vector<std::vector<double>> pts(samples, std::vector<double>(dims));
-  std::vector<std::size_t> perm(samples);
-  for (std::size_t d = 0; d < dims; ++d) {
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
-    // Fisher-Yates with our deterministic RNG.
-    for (std::size_t i = samples - 1; i > 0; --i)
-      std::swap(perm[i], perm[rng.below(i + 1)]);
-    for (std::size_t i = 0; i < samples; ++i)
-      pts[i][d] = (static_cast<double>(perm[i]) + rng.uniform()) /
-                  static_cast<double>(samples);
-  }
-  return pts;
-}
-
-std::size_t MorrisDesign::evaluation_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& t : trajectories) n += t.points.size();
-  return n;
-}
-
-MorrisDesign morris_design(std::size_t dims, std::size_t trajectories, Rng& rng,
-                           int grid_levels) {
-  if (dims == 0) throw std::invalid_argument("morris_design: dims must be > 0");
-  if (grid_levels < 2 || grid_levels % 2 != 0)
-    throw std::invalid_argument("morris_design: grid_levels must be even and >= 2");
-  MorrisDesign md;
-  const double p = grid_levels;
-  md.delta = p / (2.0 * (p - 1.0));
-  for (std::size_t t = 0; t < trajectories; ++t) {
-    MorrisTrajectory traj;
-    // Base point on the lower half of the grid so +delta stays in [0,1].
-    std::vector<double> x(dims);
-    for (auto& xi : x)
-      xi = static_cast<double>(rng.below(static_cast<std::uint64_t>(grid_levels / 2))) /
-           (p - 1.0);
-    traj.points.push_back(x);
-    // Random dimension order.
-    std::vector<std::size_t> order(dims);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t i = dims - 1; i > 0; --i)
-      std::swap(order[i], order[rng.below(i + 1)]);
-    for (std::size_t step = 0; step < dims; ++step) {
-      const std::size_t d = order[step];
-      // Step up if possible, otherwise down; from the lower half +delta is
-      // always feasible, but keep the check for robustness.
-      double delta = md.delta;
-      if (x[d] + delta > 1.0 + 1e-12) delta = -md.delta;
-      x[d] += delta;
-      traj.points.push_back(x);
-      traj.dim_order.push_back(d);
-      traj.deltas.push_back(delta);
-    }
-    md.trajectories.push_back(std::move(traj));
-  }
-  return md;
-}
-
-MorrisEffects morris_effects(const MorrisDesign& design,
-                             std::span<const double> evaluations) {
-  if (evaluations.size() != design.evaluation_count())
-    throw std::invalid_argument("morris_effects: evaluation count mismatch");
-  if (design.trajectories.empty())
-    throw std::invalid_argument("morris_effects: empty design");
-  const std::size_t dims = design.trajectories.front().dim_order.size();
-  std::vector<std::vector<double>> ee(dims);
-  std::size_t off = 0;
-  for (const auto& traj : design.trajectories) {
-    for (std::size_t step = 0; step < traj.dim_order.size(); ++step) {
-      const double fy = evaluations[off + step + 1];
-      const double fx = evaluations[off + step];
-      ee[traj.dim_order[step]].push_back((fy - fx) / traj.deltas[step]);
-    }
-    off += traj.points.size();
-  }
-  MorrisEffects me;
-  me.mu.resize(dims);
-  me.mu_star.resize(dims);
-  me.sigma.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    double mu = 0.0, mu_star = 0.0;
-    for (double e : ee[d]) {
-      mu += e;
-      mu_star += std::abs(e);
-    }
-    const double n = static_cast<double>(ee[d].size());
-    mu /= n;
-    mu_star /= n;
-    double var = 0.0;
-    for (double e : ee[d]) var += (e - mu) * (e - mu);
-    me.mu[d] = mu;
-    me.mu_star[d] = mu_star;
-    me.sigma[d] = n > 1 ? std::sqrt(var / (n - 1.0)) : 0.0;
-  }
-  return me;
 }
 
 }  // namespace divsec::stats

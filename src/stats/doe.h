@@ -7,8 +7,6 @@
 //     and alias-structure computation),
 //   * Plackett-Burman screening designs (Sylvester + Paley Hadamard
 //     constructions),
-//   * Latin hypercube sampling,
-//   * Morris elementary-effects screening designs,
 // plus contrast-based effect estimation for 2-level designs.
 #pragma once
 
@@ -16,8 +14,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include "stats/rng.h"
 
 namespace divsec::stats {
 
@@ -109,36 +105,5 @@ struct AliasStructure {
 /// All main effects, in factor order.
 [[nodiscard]] std::vector<double> main_effects(const TwoLevelDesign& design,
                                                std::span<const double> responses);
-
-/// Latin hypercube sample: `samples` points in [0,1)^dims, one point per
-/// stratum in every dimension.
-[[nodiscard]] std::vector<std::vector<double>> latin_hypercube(std::size_t dims,
-                                                               std::size_t samples,
-                                                               Rng& rng);
-
-/// Morris one-at-a-time screening design.
-struct MorrisTrajectory {
-  std::vector<std::vector<double>> points;  // k+1 points in [0,1]^k
-  std::vector<std::size_t> dim_order;       // dimension changed at step i
-  std::vector<double> deltas;               // signed delta applied at step i
-};
-struct MorrisDesign {
-  std::vector<MorrisTrajectory> trajectories;
-  double delta = 0.0;
-  [[nodiscard]] std::size_t evaluation_count() const noexcept;
-};
-[[nodiscard]] MorrisDesign morris_design(std::size_t dims, std::size_t trajectories,
-                                         Rng& rng, int grid_levels = 4);
-
-/// Morris elementary-effect statistics per dimension.
-struct MorrisEffects {
-  std::vector<double> mu;       // mean elementary effect
-  std::vector<double> mu_star;  // mean |elementary effect| (screening rank)
-  std::vector<double> sigma;    // sd of elementary effects (interaction proxy)
-};
-/// `evaluations` holds f(point) for every trajectory point, concatenated
-/// trajectory by trajectory in order.
-[[nodiscard]] MorrisEffects morris_effects(const MorrisDesign& design,
-                                           std::span<const double> evaluations);
 
 }  // namespace divsec::stats

@@ -12,41 +12,6 @@ constexpr int kMaxIter = 500;
 constexpr double kEps = 3.0e-14;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
 
-/// P(a,x) by its power series, valid/fast for x < a + 1.
-double gamma_p_series(double a, double x) {
-  double ap = a;
-  double sum = 1.0 / a;
-  double del = sum;
-  for (int n = 0; n < kMaxIter; ++n) {
-    ap += 1.0;
-    del *= x / ap;
-    sum += del;
-    if (std::fabs(del) < std::fabs(sum) * kEps) break;
-  }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-}
-
-/// Q(a,x) by modified Lentz continued fraction, valid/fast for x >= a + 1.
-double gamma_q_contfrac(double a, double x) {
-  double b = x + 1.0 - a;
-  double c = 1.0 / kFpMin;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= kMaxIter; ++i) {
-    const double an = -i * (i - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = b + an / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-}
-
 /// Continued fraction for the incomplete beta function (Lentz).
 double betacf(double a, double b, double x) {
   const double qab = a + b;
@@ -80,20 +45,6 @@ double betacf(double a, double b, double x) {
 }
 
 }  // namespace
-
-double reg_gamma_p(double a, double x) {
-  if (!(a > 0.0)) throw std::invalid_argument("reg_gamma_p: a must be > 0");
-  if (x < 0.0) throw std::invalid_argument("reg_gamma_p: x must be >= 0");
-  if (x == 0.0) return 0.0;
-  return (x < a + 1.0) ? gamma_p_series(a, x) : 1.0 - gamma_q_contfrac(a, x);
-}
-
-double reg_gamma_q(double a, double x) {
-  if (!(a > 0.0)) throw std::invalid_argument("reg_gamma_q: a must be > 0");
-  if (x < 0.0) throw std::invalid_argument("reg_gamma_q: x must be >= 0");
-  if (x == 0.0) return 1.0;
-  return (x < a + 1.0) ? 1.0 - gamma_p_series(a, x) : gamma_q_contfrac(a, x);
-}
 
 double reg_beta(double a, double b, double x) {
   if (!(a > 0.0) || !(b > 0.0))
@@ -189,18 +140,6 @@ double f_sf(double x, double d1, double d2) {
   // Compute the tail directly through the complementary beta argument to
   // keep precision for large F (tiny p-values).
   return reg_beta(0.5 * d2, 0.5 * d1, d2 / (d1 * x + d2));
-}
-
-double chi2_cdf(double x, double k) {
-  if (!(k > 0.0)) throw std::invalid_argument("chi2_cdf: k must be > 0");
-  if (x <= 0.0) return 0.0;
-  return reg_gamma_p(0.5 * k, 0.5 * x);
-}
-
-double chi2_sf(double x, double k) {
-  if (!(k > 0.0)) throw std::invalid_argument("chi2_sf: k must be > 0");
-  if (x <= 0.0) return 1.0;
-  return reg_gamma_q(0.5 * k, 0.5 * x);
 }
 
 }  // namespace divsec::stats

@@ -1,20 +1,13 @@
 // special.h — special functions backing the statistical tests.
 //
-// The ANOVA engine needs the F distribution, confidence intervals need
-// Student's t, and goodness-of-fit checks need chi-squared. All are
-// expressed in terms of the regularized incomplete gamma / beta
-// functions, implemented with the classic series + continued-fraction
-// split (Numerical Recipes style), accurate to ~1e-12 over the ranges the
+// The ANOVA engine needs the F distribution and confidence intervals need
+// Student's t. Both are expressed in terms of the regularized incomplete
+// beta function, implemented with the classic continued-fraction split
+// (Numerical Recipes style), accurate to ~1e-12 over the ranges the
 // library exercises.
 #pragma once
 
 namespace divsec::stats {
-
-/// Regularized lower incomplete gamma P(a, x) = γ(a,x)/Γ(a), a > 0, x >= 0.
-[[nodiscard]] double reg_gamma_p(double a, double x);
-
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-[[nodiscard]] double reg_gamma_q(double a, double x);
 
 /// Regularized incomplete beta I_x(a, b), a, b > 0, x in [0, 1].
 [[nodiscard]] double reg_beta(double a, double b, double x);
@@ -37,11 +30,5 @@ namespace divsec::stats {
 
 /// Upper tail of the F distribution: P[F > x]; the ANOVA p-value.
 [[nodiscard]] double f_sf(double x, double d1, double d2);
-
-/// Chi-squared CDF with k > 0 degrees of freedom.
-[[nodiscard]] double chi2_cdf(double x, double k);
-
-/// Chi-squared upper tail.
-[[nodiscard]] double chi2_sf(double x, double k);
 
 }  // namespace divsec::stats

@@ -38,89 +38,44 @@ TEST(StagedModel, ExpectedTimesAndValidation) {
 
 TEST(AttackTree, LeafProbabilities) {
   AttackTree t;
-  const auto leaf = t.add_leaf("x", 0.3, 2.0, 5.0);
+  const auto leaf = t.add_leaf("x", 0.3);
   t.set_root(leaf);
   EXPECT_DOUBLE_EQ(t.success_probability(), 0.3);
-  EXPECT_DOUBLE_EQ(t.min_cost(), 5.0);
-  EXPECT_DOUBLE_EQ(t.min_time(), 2.0);
 }
 
 TEST(AttackTree, AndMultipliesOrComplements) {
   AttackTree t;
-  const auto a = t.add_leaf("a", 0.5, 1.0, 1.0);
-  const auto b = t.add_leaf("b", 0.4, 2.0, 3.0);
+  const auto a = t.add_leaf("a", 0.5);
+  const auto b = t.add_leaf("b", 0.4);
   const auto and_node = t.add_and("and", {a, b});
   t.set_root(and_node);
   EXPECT_DOUBLE_EQ(t.success_probability(), 0.2);
-  EXPECT_DOUBLE_EQ(t.min_cost(), 4.0);
-  EXPECT_DOUBLE_EQ(t.min_time(), 3.0);
 
   AttackTree u;
-  const auto c = u.add_leaf("c", 0.5, 1.0, 1.0);
-  const auto d = u.add_leaf("d", 0.4, 2.0, 3.0);
+  const auto c = u.add_leaf("c", 0.5);
+  const auto d = u.add_leaf("d", 0.4);
   const auto or_node = u.add_or("or", {c, d});
   u.set_root(or_node);
   EXPECT_DOUBLE_EQ(u.success_probability(), 1.0 - 0.5 * 0.6);
-  EXPECT_DOUBLE_EQ(u.min_cost(), 1.0);
-  EXPECT_DOUBLE_EQ(u.min_time(), 1.0);
 }
 
 TEST(AttackTree, NestedGateEvaluation) {
   // (a OR b) AND c.
   AttackTree t;
-  const auto a = t.add_leaf("a", 0.5, 1, 1);
-  const auto b = t.add_leaf("b", 0.5, 1, 1);
-  const auto c = t.add_leaf("c", 0.8, 1, 1);
+  const auto a = t.add_leaf("a", 0.5);
+  const auto b = t.add_leaf("b", 0.5);
+  const auto c = t.add_leaf("c", 0.8);
   const auto or_ab = t.add_or("or", {a, b});
   t.set_root(t.add_and("root", {or_ab, c}));
   EXPECT_DOUBLE_EQ(t.success_probability(), 0.75 * 0.8);
 }
 
-TEST(AttackTree, ScenariosEnumerateCutSets) {
-  // (a OR b) AND c -> {a,c}, {b,c}.
-  AttackTree t;
-  const auto a = t.add_leaf("a", 0.5, 1, 1);
-  const auto b = t.add_leaf("b", 0.5, 1, 1);
-  const auto c = t.add_leaf("c", 0.8, 1, 1);
-  t.set_root(t.add_and("root", {t.add_or("or", {a, b}), c}));
-  const auto scenarios = t.attack_scenarios();
-  ASSERT_EQ(scenarios.size(), 2u);
-  EXPECT_EQ(scenarios[0], (std::vector<AttackTree::NodeId>{a, c}));
-  EXPECT_EQ(scenarios[1], (std::vector<AttackTree::NodeId>{b, c}));
-}
-
-TEST(AttackTree, ScenarioLimitEnforced) {
-  AttackTree t;
-  std::vector<AttackTree::NodeId> ors;
-  for (int g = 0; g < 5; ++g) {
-    std::vector<AttackTree::NodeId> leaves;
-    for (int i = 0; i < 4; ++i)
-      leaves.push_back(t.add_leaf("l", 0.5, 1, 1));
-    ors.push_back(t.add_or("or", leaves));
-  }
-  t.set_root(t.add_and("root", ors));  // 4^5 = 1024 scenarios
-  EXPECT_EQ(t.attack_scenarios(2000).size(), 1024u);
-  EXPECT_THROW(t.attack_scenarios(100), std::length_error);
-}
-
-TEST(AttackTree, ScaleLeafProbabilities) {
-  AttackTree t;
-  const auto a = t.add_leaf("os.exploit", 0.8, 1, 1);
-  const auto b = t.add_leaf("plc.payload", 0.5, 1, 1);
-  t.set_root(t.add_and("root", {a, b}));
-  t.scale_leaf_probabilities("plc", 0.1);
-  EXPECT_NEAR(t.success_probability(), 0.8 * 0.05, 1e-12);
-  t.scale_leaf_probabilities("os", 10.0);  // clamped to 1.0
-  EXPECT_NEAR(t.success_probability(), 1.0 * 0.05, 1e-12);
-  EXPECT_THROW(t.scale_leaf_probabilities("x", -1.0), std::invalid_argument);
-}
-
 TEST(AttackTree, Validation) {
   AttackTree t;
-  EXPECT_THROW(t.add_leaf("bad", 1.5, 1, 1), std::invalid_argument);
-  EXPECT_THROW(t.add_leaf("bad", 0.5, -1, 1), std::invalid_argument);
+  EXPECT_THROW(t.add_leaf("bad", 1.5), std::invalid_argument);
+  EXPECT_THROW(t.add_leaf("bad", -0.5), std::invalid_argument);
   EXPECT_THROW(t.add_and("empty", {}), std::invalid_argument);
-  const auto a = t.add_leaf("a", 0.5, 1, 1);
+  const auto a = t.add_leaf("a", 0.5);
   EXPECT_THROW(t.add_or("bad", {a, 99}), std::out_of_range);
   EXPECT_THROW((void)t.root(), std::logic_error);
   EXPECT_THROW(t.set_root(42), std::out_of_range);
@@ -128,11 +83,14 @@ TEST(AttackTree, Validation) {
 
 TEST(AttackTree, StagedTreeMatchesPaperStructure) {
   const AttackTree t = make_staged_attack_tree(0.6, 0.9, 0.8, 0.5, 0.85);
-  // 3 delivery alternatives x 2 propagation alternatives = 6 scenarios.
-  EXPECT_EQ(t.attack_scenarios().size(), 6u);
+  // 8 leaves, an OR over the 3 delivery vectors, an OR over the 2
+  // propagation hops, and the AND of the five stages at the root.
+  EXPECT_EQ(t.node_count(), 11u);
+  EXPECT_EQ(t.kind(t.root()), AttackTree::GateKind::kAnd);
+  const double delivery = 1.0 - (1.0 - 0.6) * (1.0 - 0.36) * (1.0 - 0.24);
+  const double propagation = 1.0 - (1.0 - 0.5) * (1.0 - 0.4);
   const double p = t.success_probability();
-  EXPECT_GT(p, 0.0);
-  EXPECT_LT(p, 1.0);
+  EXPECT_NEAR(p, delivery * 0.9 * 0.8 * propagation * 0.85, 1e-12);
   // Lowering the PLC payload probability must lower overall success.
   AttackTree weaker = make_staged_attack_tree(0.6, 0.9, 0.8, 0.5, 0.2);
   EXPECT_LT(weaker.success_probability(), p);

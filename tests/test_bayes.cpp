@@ -81,20 +81,6 @@ TEST(BayesianNetwork, ExplainingAway) {
   EXPECT_LT(p_rain_wet_spr, p_rain_wet);
 }
 
-TEST(BayesianNetwork, MostProbableExplanation) {
-  const BayesianNetwork bn = sprinkler();
-  const Ev wet{2, 1};
-  const auto mpe = bn.most_probable_explanation(std::span(&wet, 1));
-  ASSERT_EQ(mpe.size(), 3u);
-  EXPECT_EQ(mpe[2], 1);  // respects the evidence
-  // The MPE must have maximal joint probability among wet-consistent
-  // assignments.
-  const double p_mpe = bn.joint(mpe);
-  for (int r = 0; r < 2; ++r)
-    for (int s = 0; s < 2; ++s)
-      EXPECT_GE(p_mpe, bn.joint(std::vector<int>{r, s, 1}) - 1e-15);
-}
-
 TEST(BayesianNetwork, ValidationErrors) {
   BayesianNetwork bn;
   EXPECT_THROW(bn.add_node("", 2, {}, {0.5, 0.5}), std::invalid_argument);
@@ -139,21 +125,15 @@ TEST(AttackBn, ChainStructureAndMonotonicity) {
 TEST(AttackBn, LongHorizonCertainSuccessWithoutDetection) {
   const auto bn = make_attack_bayesian_network(uniform_model(1.0), 1e6);
   EXPECT_NEAR(bn.impairment_probability(), 1.0, 1e-6);
-  EXPECT_NEAR(bn.detection_probability(), 0.0, 1e-12);
+  EXPECT_NEAR(bn.network.marginal(bn.detected_node, 1), 0.0, 1e-12);
 }
 
 TEST(AttackBn, DetectionRespondsToRates) {
   const auto quiet = make_attack_bayesian_network(uniform_model(0.8, 0.0001), 500.0);
   const auto loud = make_attack_bayesian_network(uniform_model(0.8, 0.05), 500.0);
-  EXPECT_GT(loud.detection_probability(), quiet.detection_probability());
+  EXPECT_GT(loud.network.marginal(loud.detected_node, 1),
+            quiet.network.marginal(quiet.detected_node, 1));
   EXPECT_LT(loud.impairment_probability(), quiet.impairment_probability());
-}
-
-TEST(AttackBn, DetectionGivenImpairmentIsWellDefined) {
-  const auto bn = make_attack_bayesian_network(uniform_model(0.8, 0.01), 500.0);
-  const double d = bn.detection_given_impairment();
-  EXPECT_GE(d, 0.0);
-  EXPECT_LE(d, 1.0);
 }
 
 TEST(AttackBn, AgreesWithSanOnConfigurationOrdering) {

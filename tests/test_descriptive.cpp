@@ -133,47 +133,5 @@ TEST(Summarize, FiveNumberSummary) {
   EXPECT_GT(s.p95, s.p75);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 9
-  h.add(5.0);   // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_NEAR(h.density(0), 0.4, 1e-12);
-  EXPECT_EQ(h.bin_low(5), 5.0);
-  EXPECT_EQ(h.bin_high(5), 6.0);
-}
-
-TEST(Histogram, Errors) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(BatchMeans, ReducesToBatchAverages) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 35; ++i) bm.add(static_cast<double>(i % 10));
-  EXPECT_EQ(bm.completed_batches(), 3u);  // the partial 4th batch is pending
-  // Each complete batch holds 0..9, mean 4.5.
-  EXPECT_NEAR(bm.batch_stats().mean(), 4.5, 1e-12);
-}
-
-TEST(BatchMeans, ConfidenceIntervalNeedsTwoBatches) {
-  BatchMeans bm(5);
-  for (int i = 0; i < 5; ++i) bm.add(1.0);
-  EXPECT_THROW((void)bm.confidence_interval(), std::invalid_argument);
-  for (int i = 0; i < 5; ++i) bm.add(3.0);
-  const auto ci = bm.confidence_interval(0.95);
-  EXPECT_TRUE(ci.contains(2.0));
-}
-
-TEST(BatchMeans, RejectsZeroBatchSize) {
-  EXPECT_THROW(BatchMeans(0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace divsec::stats

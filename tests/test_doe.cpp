@@ -1,4 +1,4 @@
-// Tests for stats/doe.h — factorial spaces, screening designs, LHS, Morris.
+// Tests for stats/doe.h — factorial spaces and screening designs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -150,83 +150,6 @@ TEST(EffectEstimation, Errors) {
                std::invalid_argument);
   EXPECT_THROW((void)estimate_effect(d, y, ""), std::invalid_argument);
   EXPECT_THROW((void)estimate_effect(d, y, "C"), std::invalid_argument);
-}
-
-TEST(LatinHypercube, OnePointPerStratumInEveryDimension) {
-  Rng rng(11);
-  const std::size_t n = 16, dims = 3;
-  const auto pts = latin_hypercube(dims, n, rng);
-  ASSERT_EQ(pts.size(), n);
-  for (std::size_t d = 0; d < dims; ++d) {
-    std::set<std::size_t> strata;
-    for (const auto& p : pts) {
-      EXPECT_GE(p[d], 0.0);
-      EXPECT_LT(p[d], 1.0);
-      strata.insert(static_cast<std::size_t>(p[d] * static_cast<double>(n)));
-    }
-    EXPECT_EQ(strata.size(), n) << "dimension " << d << " not stratified";
-  }
-}
-
-TEST(LatinHypercube, Errors) {
-  Rng rng(1);
-  EXPECT_THROW(latin_hypercube(0, 5, rng), std::invalid_argument);
-  EXPECT_THROW(latin_hypercube(2, 0, rng), std::invalid_argument);
-}
-
-TEST(Morris, DesignShape) {
-  Rng rng(5);
-  const auto md = morris_design(4, 6, rng);
-  EXPECT_EQ(md.trajectories.size(), 6u);
-  EXPECT_EQ(md.evaluation_count(), 6u * 5u);
-  for (const auto& t : md.trajectories) {
-    EXPECT_EQ(t.points.size(), 5u);
-    // Every dimension changed exactly once per trajectory.
-    std::set<std::size_t> dims(t.dim_order.begin(), t.dim_order.end());
-    EXPECT_EQ(dims.size(), 4u);
-    for (const auto& p : t.points)
-      for (double x : p) {
-        EXPECT_GE(x, -1e-12);
-        EXPECT_LE(x, 1.0 + 1e-12);
-      }
-  }
-}
-
-TEST(Morris, RecoversLinearCoefficients) {
-  // f(x) = 5 x0 - 3 x1 + 0 x2: mu* must be {5, 3, 0} with sigma ~ 0.
-  Rng rng(6);
-  const auto md = morris_design(3, 8, rng);
-  std::vector<double> evals;
-  for (const auto& t : md.trajectories)
-    for (const auto& p : t.points) evals.push_back(5.0 * p[0] - 3.0 * p[1]);
-  const auto eff = morris_effects(md, evals);
-  EXPECT_NEAR(eff.mu_star[0], 5.0, 1e-9);
-  EXPECT_NEAR(eff.mu_star[1], 3.0, 1e-9);
-  EXPECT_NEAR(eff.mu_star[2], 0.0, 1e-9);
-  EXPECT_NEAR(eff.mu[0], 5.0, 1e-9);
-  EXPECT_NEAR(eff.mu[1], -3.0, 1e-9);
-  EXPECT_NEAR(eff.sigma[0], 0.0, 1e-9);
-}
-
-TEST(Morris, InteractionRaisesSigma) {
-  // f(x) = x0 * x1: elementary effects of x0 depend on x1 -> sigma > 0.
-  Rng rng(7);
-  const auto md = morris_design(2, 20, rng);
-  std::vector<double> evals;
-  for (const auto& t : md.trajectories)
-    for (const auto& p : t.points) evals.push_back(p[0] * p[1]);
-  const auto eff = morris_effects(md, evals);
-  EXPECT_GT(eff.sigma[0], 0.05);
-  EXPECT_GT(eff.sigma[1], 0.05);
-}
-
-TEST(Morris, Errors) {
-  Rng rng(8);
-  EXPECT_THROW(morris_design(0, 5, rng), std::invalid_argument);
-  EXPECT_THROW(morris_design(2, 5, rng, 3), std::invalid_argument);
-  const auto md = morris_design(2, 3, rng);
-  EXPECT_THROW(morris_effects(md, std::vector<double>(5, 0.0)),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -44,15 +44,6 @@ TEST(Executor, EmptyRangeIsANoop) {
   ex.parallel_for(5, 5, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(Executor, ParallelMapPreservesIndexOrder) {
-  const Executor ex(4);
-  const std::vector<double> out = ex.parallel_map<double>(
-      64, [](std::size_t i) { return static_cast<double>(i) * 2.0; });
-  ASSERT_EQ(out.size(), 64u);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) * 2.0);
-}
-
 TEST(Executor, PropagatesExceptionsToCaller) {
   const Executor ex(4);
   EXPECT_THROW(ex.parallel_for(0, 100,
@@ -102,10 +93,27 @@ TEST(Executor, DefaultThreadCountHonoursEnvOverride) {
   EXPECT_EQ(Executor::default_thread_count(), 3u);
   ::setenv("DIVSEC_THREADS", "not-a-number", 1);
   EXPECT_GE(Executor::default_thread_count(), 1u);
+  ::setenv("DIVSEC_THREADS", "1024", 1);
+  EXPECT_EQ(Executor::default_thread_count(), kMaxThreads);
   ::unsetenv("DIVSEC_THREADS");
   EXPECT_GE(Executor::default_thread_count(), 1u);
   const Executor ex(0);
   EXPECT_GE(ex.thread_count(), 1u);
+}
+
+TEST(Executor, ThreadCountAboveTheBoundIsRejected) {
+  // Only rejected values are tried: no test starts a large pool.
+  EXPECT_THROW(Executor(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(Executor(std::size_t{99999999999}), std::invalid_argument);
+  ::unsetenv("DIVSEC_THREADS");
+  const std::size_t hardware = Executor::default_thread_count();
+  // An env value above the bound falls back to the hardware default, as a
+  // malformed one does.
+  for (const char* huge : {"1025", "99999999999", "18446744073709551615"}) {
+    ::setenv("DIVSEC_THREADS", huge, 1);
+    EXPECT_EQ(Executor::default_thread_count(), hardware) << huge;
+  }
+  ::unsetenv("DIVSEC_THREADS");
 }
 
 }  // namespace

@@ -101,16 +101,6 @@ TEST(Gadgets, EmptyReferenceSurvivesTrivially) {
   EXPECT_DOUBLE_EQ(gadget_survival(p, q), 1.0);
 }
 
-TEST(Gadgets, MeanPopulationSurvival) {
-  const Program base = sample_program(11);
-  stats::Rng rng(12);
-  const auto pop = build_population(base, TransformConfig::all(), 6, rng);
-  const double s = mean_population_survival(base, pop);
-  EXPECT_GE(s, 0.0);
-  EXPECT_LT(s, 0.05);
-  EXPECT_DOUBLE_EQ(mean_population_survival(base, {}), 1.0);
-}
-
 TEST(Aslr, PerAttemptIsTwoToMinusBits) {
   EXPECT_DOUBLE_EQ(AslrModel(0).per_attempt_success(), 1.0);
   EXPECT_DOUBLE_EQ(AslrModel(8).per_attempt_success(), 1.0 / 256.0);

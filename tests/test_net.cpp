@@ -208,51 +208,5 @@ TEST(Reachability, SelfReachIsFalse) {
   EXPECT_FALSE(can_reach(t, Firewall::permissive(), 1, 1, Channel::kHttp));
 }
 
-TEST(ShortestAttackPath, FindsMultiHopRoute) {
-  const Topology t = two_zone();
-  const Firewall fw = Firewall::permissive();
-  const auto path =
-      shortest_attack_path(t, fw, 0, 2, {Channel::kSmbShare, Channel::kModbus});
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (std::vector<NodeId>{0, 1, 2}));
-}
-
-TEST(ShortestAttackPath, RespectsFirewall) {
-  const Topology t = two_zone();
-  Firewall fw(Action::kDeny);  // nothing crosses zones
-  const auto path = shortest_attack_path(t, fw, 0, 2, {Channel::kSmbShare});
-  EXPECT_FALSE(path.has_value());
-}
-
-TEST(ShortestAttackPath, TrivialAndInvalid) {
-  const Topology t = two_zone();
-  const auto self = shortest_attack_path(t, Firewall::permissive(), 1, 1, {});
-  ASSERT_TRUE(self.has_value());
-  EXPECT_EQ(self->size(), 1u);
-  EXPECT_THROW(
-      shortest_attack_path(t, Firewall::permissive(), 0, 9, {Channel::kHttp}),
-      std::out_of_range);
-}
-
-TEST(ReachabilityGraph, EdgesMatchCanReach) {
-  const Topology t = two_zone();
-  const Firewall fw = Firewall::permissive();
-  const auto g = reachability_graph(t, fw, {Channel::kHttp});
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_EQ(g[0], (std::vector<NodeId>{1}));
-  EXPECT_EQ(g[1], (std::vector<NodeId>{0, 2}));
-}
-
-TEST(AttackSurface, UnionOfShortestPaths) {
-  const Topology t = two_zone();
-  const Firewall fw = Firewall::permissive();
-  const std::size_t n =
-      attack_surface_size(t, fw, 0, {2}, {Channel::kSmbShare, Channel::kModbus});
-  EXPECT_EQ(n, 3u);  // 0 -> 1 -> 2
-  EXPECT_EQ(attack_surface_size(t, Firewall(Action::kDeny), 0, {2},
-                                {Channel::kSmbShare}),
-            0u);
-}
-
 }  // namespace
 }  // namespace divsec::net

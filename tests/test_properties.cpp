@@ -89,12 +89,7 @@ TEST_P(SanDelayLaw, FirstPassageMeanMatchesDistributionMean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, SanDelayLaw,
-    ::testing::Values(DelayCase{"exponential", stats::Exponential{0.5}},
-                      DelayCase{"weibull", stats::Weibull{1.8, 3.0}},
-                      DelayCase{"lognormal", stats::Lognormal{0.5, 0.4}},
-                      DelayCase{"erlang", stats::Erlang{3, 1.5}},
-                      DelayCase{"uniform", stats::Uniform{1.0, 5.0}},
-                      DelayCase{"triangular", stats::Triangular{2.0, 3.0, 7.0}}),
+    ::testing::Values(DelayCase{"exponential", stats::Exponential{0.5}}),
     [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------

@@ -111,35 +111,48 @@ TEST(ReachabilityIndex, DISABLED_MatchesReferenceOnEnterprise16384) {
   expect_index_matches_reference(fleet.scenario.topology, fleet.scenario.firewall);
 }
 
-TEST(ReachabilityIndex, UnionGraphMatchesPerChannelUnion) {
-  const attack::Scenario sc = attack::make_scope_cooling_scenario();
-  const std::vector<Channel> channels{Channel::kUsb, Channel::kSmbShare,
-                                      Channel::kHttp};
-  const ReachabilityIndex index(sc.topology, sc.firewall);
-  const auto graph = index.union_graph(channels);
-  ASSERT_EQ(graph.size(), sc.topology.node_count());
-  for (NodeId a = 0; a < sc.topology.node_count(); ++a) {
+/// union_in_csr is the adjacency MeanFieldEpidemic runs on. Its row i
+/// must list, ascending, every j with can_reach(j, i, c) for some channel
+/// c of the set: the reference definition, checked pair by pair.
+void expect_union_in_csr_matches_can_reach(const Topology& topo, const Firewall& fw,
+                                           const std::vector<Channel>& channels) {
+  const ReachabilityIndex index(topo, fw);
+  const auto csr = index.union_in_csr(channels);
+  const std::size_t n = topo.node_count();
+  ASSERT_EQ(csr.off.size(), n + 1);
+  ASSERT_EQ(csr.off.front(), 0u);
+  ASSERT_EQ(csr.off.back(), csr.edge.size());
+  for (NodeId i = 0; i < n; ++i) {
     std::vector<NodeId> expected;
-    for (NodeId b = 0; b < sc.topology.node_count(); ++b)
+    for (NodeId j = 0; j < n; ++j)
       for (Channel c : channels)
-        if (can_reach(sc.topology, sc.firewall, a, b, c)) {
-          expected.push_back(b);
+        if (can_reach(topo, fw, j, i, c)) {
+          expected.push_back(j);
           break;
         }
-    EXPECT_EQ(graph[a], expected) << "node " << a;
-    // Ascending, as documented.
-    EXPECT_TRUE(std::is_sorted(graph[a].begin(), graph[a].end()));
+    const std::vector<NodeId> got(
+        csr.edge.begin() + static_cast<std::ptrdiff_t>(csr.off[i]),
+        csr.edge.begin() + static_cast<std::ptrdiff_t>(csr.off[i + 1]));
+    EXPECT_EQ(got, expected) << "in-edges of node " << i;
   }
 }
 
-TEST(ReachabilityIndex, ReachabilityGraphDelegatesToTheSameRelation) {
-  // reachability_graph is now a thin wrapper; keep its public contract.
+TEST(UnionInCsr, MatchesCanReachOnScopeCoolingAndPlantMedium) {
+  const std::vector<Channel> channels{Channel::kUsb, Channel::kSmbShare,
+                                      Channel::kHttp};
+  // The paper plant: its USB-exposed nodes form a clique on kUsb.
   const attack::Scenario sc = attack::make_scope_cooling_scenario();
-  const std::vector<Channel> channels{Channel::kUsb, Channel::kSmbShare};
-  const auto via_function = reachability_graph(sc.topology, sc.firewall, channels);
-  const auto via_index =
-      ReachabilityIndex(sc.topology, sc.firewall).union_graph(channels);
-  EXPECT_EQ(via_function, via_index);
+  std::size_t exposed = 0;
+  for (NodeId i = 0; i < sc.topology.node_count(); ++i)
+    exposed += sc.topology.node(i).usb_exposure ? 1 : 0;
+  ASSERT_GE(exposed, 3u);
+  expect_union_in_csr_matches_can_reach(sc.topology, sc.firewall, channels);
+
+  const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
+  const auto made = scenario::make_preset("plant_medium", cat, 17,
+                                          scenario::VariantPolicy::kMonoculture);
+  expect_union_in_csr_matches_can_reach(made.scenario.topology,
+                                        made.scenario.firewall, channels);
 }
 
 TEST(ReachabilityIndex, CampaignSimulatorExposesItsIndex) {

@@ -268,7 +268,7 @@ TEST(SanSimulator, AvailabilityModelMatchesTheory) {
   EXPECT_NEAR(res.stats.mean(), 0.9, 0.01);
 }
 
-TEST(SanSimulator, ImpulseRewardCountsFirings) {
+TEST(SanSimulator, FiringsOfCountsCompletions) {
   SanModel m;
   const PlaceId clock = m.add_place("clock", 1);
   const ActivityId tick = m.add_timed_activity("tick", stats::Deterministic{1.0});
@@ -276,10 +276,9 @@ TEST(SanSimulator, ImpulseRewardCountsFirings) {
   m.add_output_arc(tick, clock);
   stats::Rng rng(31);
   SanSimulator sim(m, rng);
-  const auto reward = sim.add_impulse_reward(tick, 2.0);
   sim.run_until(10.5);
   EXPECT_EQ(sim.firings_of(tick), 10u);
-  EXPECT_EQ(sim.impulse_reward(reward), 20.0);
+  EXPECT_EQ(sim.total_firings(), 10u);
 }
 
 TEST(SanSimulator, RateRewardIntegratesExactly) {

@@ -305,24 +305,18 @@ TEST(ScenarioBuilderPolicies, MonocultureStratifiedAndRandomDiffer) {
   EXPECT_TRUE(hetero);
 }
 
-TEST(ScenarioBuilderOptions, SabotageTargetCapAndDescription) {
+TEST(ScenarioBuilderOptions, DescriptionSpansEveryPlc) {
   const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
   const FleetSpec spec = enterprise_spec(64);
   const net::Topology topo = TopologyGenerator(spec).generate(5);
   const std::size_t all_plcs = topo.nodes_with_role(Role::kPlc).size();
   ASSERT_GT(all_plcs, 3u);
 
-  const GeneratedScenario capped = ScenarioBuilder(topo, cat)
-                                       .max_sabotage_targets(3)
-                                       .build("capped", 5);
-  EXPECT_EQ(capped.scenario.target_plcs.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(capped.scenario.target_plcs.begin(),
-                             capped.scenario.target_plcs.end()));
-  for (NodeId plc : capped.scenario.target_plcs)
-    EXPECT_EQ(topo.node(plc).role, Role::kPlc);
-
-  // The DoE view still spans every PLC and builds a SystemDescription.
-  const core::SystemDescription desc = capped.make_description(cat);
+  // Every PLC is a sabotage target, and the DoE view spans every PLC and
+  // builds a SystemDescription.
+  const GeneratedScenario built = ScenarioBuilder(topo, cat).build("fleet", 5);
+  EXPECT_EQ(built.scenario.target_plcs, topo.nodes_with_role(Role::kPlc));
+  const core::SystemDescription desc = built.make_description(cat);
   for (const auto& comp : desc.components())
     if (comp.name == "plc.firmware") {
       EXPECT_EQ(comp.nodes.size(), all_plcs);

@@ -484,29 +484,5 @@ TEST_F(SoaKernelFixture, KernelCurveBinsRejectMismatchedSizes) {
   EXPECT_THROW((void)sim.run(rng, {edges, counts}), std::invalid_argument);
 }
 
-TEST(UnionInCsr, InvertsUnionGraphExactly) {
-  const auto cat = divers::VariantCatalog::standard(2013);
-  const auto made = scenario::make_preset("plant_medium", cat, 17,
-                                          scenario::VariantPolicy::kMonoculture);
-  const net::ReachabilityIndex index(made.scenario.topology,
-                                     made.scenario.firewall);
-  const std::vector<net::Channel> channels = {net::Channel::kHttp,
-                                              net::Channel::kSmbShare,
-                                              net::Channel::kUsb};
-  const auto out = index.union_graph(channels);
-  const auto csr = index.union_in_csr(channels);
-  ASSERT_EQ(csr.off.size(), index.node_count() + 1);
-  // Rebuild the in-edge lists the old way and compare element-wise.
-  std::vector<std::vector<net::NodeId>> expect(index.node_count());
-  for (net::NodeId j = 0; j < out.size(); ++j)
-    for (net::NodeId i : out[j]) expect[i].push_back(j);
-  for (net::NodeId i = 0; i < index.node_count(); ++i) {
-    const std::vector<net::NodeId> got(
-        csr.edge.begin() + static_cast<std::ptrdiff_t>(csr.off[i]),
-        csr.edge.begin() + static_cast<std::ptrdiff_t>(csr.off[i + 1]));
-    EXPECT_EQ(got, expect[i]) << "node " << i;
-  }
-}
-
 }  // namespace
 }  // namespace divsec

@@ -141,27 +141,5 @@ TEST(Transforms, ConfigNoneIsIdentity) {
   EXPECT_EQ(encode(p), encode(q));
 }
 
-TEST(Transforms, PopulationVariantsAreDistinctFromOriginal) {
-  stats::Rng gen(13), rng(14);
-  const Program p = generate_program(gen);
-  const auto pop = build_population(p, TransformConfig::all(), 5, rng);
-  ASSERT_EQ(pop.size(), 5u);
-  const auto base = encode(p);
-  for (const auto& v : pop) EXPECT_NE(encode(v), base);
-  // And pairwise distinct (overwhelmingly likely).
-  for (std::size_t i = 0; i < pop.size(); ++i)
-    for (std::size_t j = i + 1; j < pop.size(); ++j)
-      EXPECT_NE(encode(pop[i]), encode(pop[j]));
-}
-
-TEST(Transforms, PopulationIsDeterministicInRngState) {
-  stats::Rng gen(15);
-  const Program p = generate_program(gen);
-  stats::Rng r1(16), r2(16);
-  const auto a = build_population(p, TransformConfig::all(), 3, r1);
-  const auto b = build_population(p, TransformConfig::all(), 3, r2);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(encode(a[i]), encode(b[i]));
-}
-
 }  // namespace
 }  // namespace divsec::divers

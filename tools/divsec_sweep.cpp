@@ -115,7 +115,8 @@ void usage(std::FILE* to) {
       "                       (multiple of the block; default %zu)\n"
       "  --bins N             survival-estimator bins (default 64)\n"
       "  --horizon H          measurement horizon in hours (default 2160)\n"
-      "  --threads T          executor threads (default DIVSEC_THREADS)\n"
+      "  --threads T          executor threads, at most %zu (default\n"
+      "                       DIVSEC_THREADS)\n"
       "  --shard i/K          compute only shard i of K (contiguous\n"
       "                       balanced ranges) and write its state file\n"
       "  --tasks PLAN         execute the task list --shard i owns in the\n"
@@ -183,7 +184,7 @@ void usage(std::FILE* to) {
       "  histogram count/mean/p50/p99\n"
       "\n"
       "divsec_sweep --help | --version\n",
-      sim::kDefaultReductionBlock, sim::kDefaultSuperblockReps);
+      sim::kDefaultReductionBlock, sim::kDefaultSuperblockReps, sim::kMaxThreads);
 }
 
 [[noreturn]] void die_unknown(const std::string& flag) {
@@ -216,6 +217,16 @@ scenario::VariantPolicy parse_policy(const std::string& name) {
 std::uint64_t u64_flag(const std::string& flag, std::string_view value) {
   if (const auto v = util::to_u64(value)) return *v;
   die("bad number for " + flag + ": " + std::string(value));
+}
+
+/// --threads: a count up to sim::kMaxThreads (0 = the DIVSEC_THREADS
+/// default), checked here so no executor is ever asked for more.
+std::size_t threads_flag(const std::string& flag, std::string_view value) {
+  const std::uint64_t v = u64_flag(flag, value);
+  if (v > sim::kMaxThreads)
+    die("bad number for " + flag + ": " + std::string(value) + " (at most " +
+        std::to_string(sim::kMaxThreads) + ")");
+  return static_cast<std::size_t>(v);
 }
 
 double f64_flag(const std::string& flag, std::string_view value) {
@@ -362,7 +373,7 @@ int cmd_run(int argc, char** argv) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
     else if (flag == "--threads")
-      threads = u64_flag(flag, args.value(flag));
+      threads = threads_flag(flag, args.value(flag));
     else if (flag == "--shard") {
       shard_value = args.value(flag);
       sharded = true;
@@ -688,7 +699,7 @@ int cmd_adapt(int argc, char** argv) {
     else if (flag == "--round")
       options.round_replications = u64_flag(flag, args.value(flag));
     else if (flag == "--threads")
-      threads = u64_flag(flag, args.value(flag));
+      threads = threads_flag(flag, args.value(flag));
     else if (flag == "--out") out = args.value(flag);
     else if (flag == "--metrics") metrics_path = args.value(flag);
     else if (flag == "--trace") trace_path = args.value(flag);
