@@ -35,12 +35,6 @@ BayesianNetwork::NodeId BayesianNetwork::add_node(std::string name,
   return nodes_.size() - 1;
 }
 
-BayesianNetwork::NodeId BayesianNetwork::node_by_name(const std::string& name) const {
-  for (NodeId n = 0; n < nodes_.size(); ++n)
-    if (nodes_[n].name == name) return n;
-  throw std::out_of_range("node_by_name: no node named '" + name + "'");
-}
-
 double BayesianNetwork::node_prob(NodeId n, std::span<const int> assignment) const {
   const Node& node = nodes_[n];
   std::size_t idx = 0;
@@ -49,17 +43,6 @@ double BayesianNetwork::node_prob(NodeId n, std::span<const int> assignment) con
     idx = idx * nodes_[p].states + static_cast<std::size_t>(assignment[p]);
   }
   return node.cpt[idx * node.states + static_cast<std::size_t>(assignment[n])];
-}
-
-double BayesianNetwork::joint(std::span<const int> assignment) const {
-  if (assignment.size() != nodes_.size())
-    throw std::invalid_argument("joint: assignment arity mismatch");
-  for (NodeId n = 0; n < nodes_.size(); ++n)
-    if (assignment[n] < 0 || static_cast<std::size_t>(assignment[n]) >= nodes_[n].states)
-      throw std::out_of_range("joint: state out of range");
-  double p = 1.0;
-  for (NodeId n = 0; n < nodes_.size(); ++n) p *= node_prob(n, assignment);
-  return p;
 }
 
 void BayesianNetwork::check_enumerable() const {

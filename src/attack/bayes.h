@@ -39,10 +39,6 @@ class BayesianNetwork {
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] const std::string& name(NodeId n) const { return nodes_.at(n).name; }
   [[nodiscard]] std::size_t states(NodeId n) const { return nodes_.at(n).states; }
-  [[nodiscard]] NodeId node_by_name(const std::string& name) const;
-
-  /// Joint probability of a complete assignment (one state per node).
-  [[nodiscard]] double joint(std::span<const int> assignment) const;
 
   /// Exact posterior P[target | evidence] by enumeration.
   struct Evidence {

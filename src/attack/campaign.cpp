@@ -260,15 +260,9 @@ CampaignSimulator::CampaignSimulator(
 }
 
 CampaignSimulator::~CampaignSimulator() = default;
-CampaignSimulator::CampaignSimulator(CampaignSimulator&&) noexcept = default;
 
 const net::ReachabilityIndex& CampaignSimulator::reachability() const noexcept {
   return *tables_->reach;
-}
-
-std::shared_ptr<const net::ReachabilityIndex>
-CampaignSimulator::shared_reachability() const noexcept {
-  return tables_->reach;
 }
 
 namespace {

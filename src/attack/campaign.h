@@ -172,15 +172,15 @@ class CampaignSimulator {
   /// instead of indexing the same topology again. The index must
   /// have been built from this scenario's topology and firewall (node
   /// counts are validated; the caller owns the stronger equivalence —
-  /// core::MeasurementEngine keys its cache on the full structural
-  /// input). Construction consumes no randomness either way, so results
-  /// are identical to the self-building constructor.
+  /// core::MeasurementEngine keys its cache on the topology's identity
+  /// plus the firewall's zone-pair verdicts). Construction consumes no
+  /// randomness either way, so results are identical to the
+  /// self-building constructor.
   CampaignSimulator(Scenario scenario, ThreatProfile profile,
                     const divers::VariantCatalog& catalog,
                     DetectionModel detection, CampaignOptions options,
                     std::shared_ptr<const net::ReachabilityIndex> shared_reach);
   ~CampaignSimulator();
-  CampaignSimulator(CampaignSimulator&&) noexcept;
 
   /// Run one stochastic campaign; deterministic in `rng`. Thread-safe for
   /// concurrent calls on one simulator (all shared state is read-only).
@@ -205,11 +205,6 @@ class CampaignSimulator {
   /// The per-scenario reachability index built at construction; share it
   /// with net::MeanFieldEpidemic instead of building another.
   [[nodiscard]] const net::ReachabilityIndex& reachability() const noexcept;
-
-  /// Owning handle on the same index, for sharing across simulators of
-  /// the same topology (the MeasurementEngine context cache does this).
-  [[nodiscard]] std::shared_ptr<const net::ReachabilityIndex>
-  shared_reachability() const noexcept;
 
  private:
   Scenario scenario_;

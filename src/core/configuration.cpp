@@ -1,6 +1,5 @@
 #include "core/configuration.h"
 
-#include <map>
 #include <stdexcept>
 
 namespace divsec::core {
@@ -86,26 +85,6 @@ stats::FactorSpace SystemDescription::factor_space() const {
     factors.push_back(std::move(f));
   }
   return stats::FactorSpace(std::move(factors));
-}
-
-std::size_t SystemDescription::diversity_degree(const Configuration& config) const {
-  validate(config);
-  std::size_t d = 0;
-  for (std::size_t v : config.variant)
-    if (v != 0) ++d;
-  return d;
-}
-
-double SystemDescription::shannon_diversity(const Configuration& config) const {
-  validate(config);
-  // Group components by kind; entropy of variant usage within each kind.
-  std::map<ComponentKind, std::vector<std::size_t>> by_kind;
-  for (std::size_t i = 0; i < components_.size(); ++i)
-    by_kind[components_[i].kind].push_back(config.variant[i]);
-  double h = 0.0;
-  for (const auto& [kind, assignment] : by_kind)
-    h += divers::shannon_diversity(assignment);
-  return h;
 }
 
 double SystemDescription::extra_cost(const Configuration& config) const {

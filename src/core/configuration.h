@@ -59,14 +59,6 @@ class SystemDescription {
   /// The space as DoE factors (levels = variant names).
   [[nodiscard]] stats::FactorSpace factor_space() const;
 
-  /// Number of components whose variant differs from baseline (the
-  /// paper's "diversity degree" in its simplest form).
-  [[nodiscard]] std::size_t diversity_degree(const Configuration& config) const;
-
-  /// Shannon entropy of the variant assignment per kind, summed over
-  /// kinds present (richer diversity metric for reporting).
-  [[nodiscard]] double shannon_diversity(const Configuration& config) const;
-
   /// Extra cost of `config` relative to the baseline configuration
   /// (sum over components of variant cost - baseline variant cost).
   [[nodiscard]] double extra_cost(const Configuration& config) const;

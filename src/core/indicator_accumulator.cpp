@@ -81,4 +81,18 @@ IndicatorSummary IndicatorAccumulator::summarize() const {
   return s;
 }
 
+std::vector<IndicatorSummary> summarize_cells(
+    std::span<const IndicatorAccumulator> acc,
+    std::span<const std::uint64_t> achieved, std::size_t replications,
+    double horizon_hours) {
+  std::vector<IndicatorSummary> out(acc.size());
+  for (std::size_t c = 0; c < acc.size(); ++c) {
+    out[c] = acc[c].summarize();
+    out[c].replications =
+        achieved.empty() ? replications : static_cast<std::size_t>(achieved[c]);
+    out[c].horizon_hours = horizon_hours;
+  }
+  return out;
+}
+
 }  // namespace divsec::core

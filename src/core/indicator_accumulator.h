@@ -12,6 +12,10 @@
 // DIVSEC_THREADS.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/indicators.h"
 #include "core/ratio_curve.h"
 #include "sim/stopping.h"
@@ -72,5 +76,17 @@ class IndicatorAccumulator {
   stats::OnlineStats final_ratio_;
   RatioCurveAccumulator curve_;
 };
+
+/// The one step that turns a sweep's per-cell accumulators into the
+/// summaries it reports: each cell's summarize(), with replications set
+/// to the cell's budget — achieved[c] when the per-cell counts are given
+/// (an adaptive sweep), else `replications` for every cell — and the
+/// sweep's horizon. The engine's fixed and adaptive paths and the
+/// distributed merge all report through it, so a merged CSV cannot drift
+/// from the in-process one.
+[[nodiscard]] std::vector<IndicatorSummary> summarize_cells(
+    std::span<const IndicatorAccumulator> acc,
+    std::span<const std::uint64_t> achieved, std::size_t replications,
+    double horizon_hours);
 
 }  // namespace divsec::core

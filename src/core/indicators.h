@@ -207,11 +207,11 @@ struct MeasurementOptions {
   std::size_t survival_bins = stats::kDefaultSurvivalBins;
   /// Executor for (cell × replication) jobs; null falls back to
   /// sim::Executor::shared() (DIVSEC_THREADS-sized). Non-owning.
-  /// Note the deliberate asymmetry with the low-level controllers
-  /// (sim::run_replications, san estimators), where a null executor
-  /// means strictly serial: measurement is the top-level hot path and
-  /// parallelizes by default; set DIVSEC_THREADS=1 or pass a 1-thread
-  /// executor to force the serial path. Results are bit-identical either
+  /// Note the deliberate asymmetry with the SAN estimators
+  /// (san/analysis.h), where a null executor means strictly serial:
+  /// measurement is the top-level hot path and parallelizes by default;
+  /// set DIVSEC_THREADS=1 or pass a 1-thread executor to force the
+  /// serial path. Results are bit-identical either
   /// way, and a caller already running inside an executor job reuses its
   /// thread inline (no nested parallelism or deadlock).
   const sim::Executor* executor = nullptr;

@@ -263,8 +263,9 @@ void validate_options(const MeasurementOptions& options) {
     throw std::invalid_argument(
         "MeasurementEngine: campaign.t_max_hours (the measurement horizon) "
         "must be > 0");
-  if (options.survival_bins == 0)
-    throw std::invalid_argument("MeasurementEngine: need >= 1 survival bin");
+  if (options.survival_bins == 0 || options.survival_bins > stats::kMaxSurvivalBins)
+    throw std::invalid_argument("MeasurementEngine: survival bins must be in [1, " +
+                                std::to_string(stats::kMaxSurvivalBins) + "]");
 }
 
 }  // namespace
@@ -442,16 +443,11 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   std::vector<IndicatorAccumulator> acc =
       sim::reduce_task_partials(plan, std::move(partials), make);
 
-  std::vector<IndicatorSummary> out(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    out[c] = acc[c].summarize();
-    out[c].replications = reps;
-    out[c].horizon_hours = horizon;
-    if (visit)
+  if (visit)
+    for (std::size_t c = 0; c < cells; ++c)
       visit(c, std::span<const IndicatorSample>(samples.data() + c * reps,
                                                 reps));
-  }
-  return out;
+  return summarize_cells(acc, {}, reps, horizon);
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::measure(
@@ -593,15 +589,9 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
     active.swap(still);
   }
 
-  std::vector<IndicatorSummary> out(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    out[c] = r.accumulators[c].summarize();
-    out[c].replications = static_cast<std::size_t>(r.achieved[c]);
-    out[c].horizon_hours = horizon;
-    r.total_replications += r.achieved[c];
-  }
+  for (const std::uint64_t a : r.achieved) r.total_replications += a;
   r.total_rounds = static_cast<std::size_t>(round);
-  return out;
+  return summarize_cells(r.accumulators, r.achieved, options_.replications, horizon);
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(

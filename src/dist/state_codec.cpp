@@ -189,7 +189,7 @@ void walk(V& v, Of<SweepMeta> auto& m) {
   v.uint("replications", m.replications);
   v.uint("replication_block", m.replication_block);
   v.uint("superblock", m.superblock);
-  v.uint("survival_bins", m.survival_bins);
+  v.uint("survival_bins", m.survival_bins, {.lo = 1, .hi = stats::kMaxSurvivalBins});
   v.f64("horizon_hours", m.horizon_hours);
   // Per-cell lookups downstream index the policy list by cell.
   v.uint("cells", m.cells, {.lo = m.policies.size(), .hi = m.policies.size()});

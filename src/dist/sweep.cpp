@@ -25,24 +25,6 @@ double timed_ms(const F& f) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-
-std::vector<core::IndicatorSummary> summarize_cells(
-    const SweepMeta& meta, const std::vector<core::IndicatorAccumulator>& acc) {
-  // Mirrors the engine's reassembly exactly so merged summaries are
-  // field-for-field identical to the in-process path (run_cells for
-  // fixed budgets, measure_scenarios_adaptive for recorded counts — the
-  // achieved list feeds replications-derived columns like success_prob).
-  std::vector<core::IndicatorSummary> out(acc.size());
-  for (std::size_t c = 0; c < acc.size(); ++c) {
-    out[c] = acc[c].summarize();
-    out[c].replications = meta.achieved.empty()
-                              ? meta.replications
-                              : static_cast<std::size_t>(meta.achieved[c]);
-    out[c].horizon_hours = meta.horizon_hours;
-  }
-  return out;
-}
-
 }  // namespace
 
 sim::ShardPlan sweep_shard_plan(const SweepMeta& meta) {
@@ -312,7 +294,10 @@ MergeResult merge_shards(const std::vector<ShardState>& states) {
       acc.merge(core::IndicatorAccumulator::from_state(*slots[c * per_group + s]));
     out.accumulators.push_back(std::move(acc));
   }
-  out.summaries = summarize_cells(meta, out.accumulators);
+  // The engine's own cell-summary step, fed the meta's budget: merged
+  // summaries are field-for-field those of the in-process path.
+  out.summaries = core::summarize_cells(out.accumulators, meta.achieved,
+                                        meta.replications, meta.horizon_hours);
   out.meta = meta;
   out.meta.shard = 0;
   out.meta.shard_count = states.size();  // provenance: shards reduced
@@ -348,7 +333,8 @@ std::vector<core::IndicatorSummary> summaries_from_merged(
   acc.reserve(merged.partials.size());
   for (const auto& p : merged.partials)
     acc.push_back(core::IndicatorAccumulator::from_state(p));
-  return summarize_cells(merged.meta, acc);
+  return core::summarize_cells(acc, merged.meta.achieved, merged.meta.replications,
+                               merged.meta.horizon_hours);
 }
 
 std::string sweep_csv(const SweepMeta& meta,

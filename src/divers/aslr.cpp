@@ -24,13 +24,4 @@ double AslrModel::expected_attempts() const noexcept {
   return std::pow(2.0, bits_);
 }
 
-std::uint64_t AslrModel::sample_attempts(stats::Rng& rng) const noexcept {
-  const double p = per_attempt_success();
-  if (p >= 1.0) return 1;
-  // Geometric via inversion: ceil(ln U / ln(1-p)).
-  const double u = 1.0 - rng.uniform();  // in (0, 1]
-  const double n = std::ceil(std::log(u) / std::log1p(-p));
-  return n < 1.0 ? 1 : static_cast<std::uint64_t>(n);
-}
-
 }  // namespace divsec::divers

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 
-#include "stats/rng.h"
-
 namespace divsec::divers {
 
 class AslrModel {
@@ -29,9 +27,6 @@ class AslrModel {
 
   /// Expected number of attempts until success (geometric mean).
   [[nodiscard]] double expected_attempts() const noexcept;
-
-  /// Sample the number of attempts until the guess lands (>= 1).
-  [[nodiscard]] std::uint64_t sample_attempts(stats::Rng& rng) const noexcept;
 
  private:
   int bits_;

@@ -4,26 +4,6 @@
 
 namespace divsec::divers {
 
-const char* to_string(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kNop: return "nop";
-    case Opcode::kMovReg: return "mov";
-    case Opcode::kMovImm: return "movi";
-    case Opcode::kAdd: return "add";
-    case Opcode::kSub: return "sub";
-    case Opcode::kMul: return "mul";
-    case Opcode::kXor: return "xor";
-    case Opcode::kAnd: return "and";
-    case Opcode::kOr: return "or";
-    case Opcode::kShl: return "shl";
-    case Opcode::kShr: return "shr";
-    case Opcode::kLoad: return "load";
-    case Opcode::kStore: return "store";
-    case Opcode::kCmpLt: return "cmplt";
-  }
-  return "?";
-}
-
 std::size_t Program::instruction_count() const noexcept {
   std::size_t n = 0;
   for (const auto& b : blocks) n += b.body.size();
@@ -134,47 +114,6 @@ ExecutionResult execute(const Program& p, const std::vector<std::int64_t>& input
       case TerminatorKind::kReturn: return r;
     }
   }
-}
-
-std::string disassemble(const Program& p) {
-  std::string out;
-  for (std::size_t b = 0; b < p.blocks.size(); ++b) {
-    out += "bb" + std::to_string(b) + ":\n";
-    for (const auto& i : p.blocks[b].body) {
-      out += "  ";
-      out += to_string(i.op);
-      if (i.op == Opcode::kMovImm) {
-        out += " r" + std::to_string(i.dst) + ", #" + std::to_string(i.imm);
-      } else if (i.op == Opcode::kNop) {
-        // no operands
-      } else if (i.op == Opcode::kMovReg) {
-        out += " r" + std::to_string(i.dst) + ", r" + std::to_string(i.src1);
-      } else if (i.op == Opcode::kLoad) {
-        out += " r" + std::to_string(i.dst) + ", [r" + std::to_string(i.src1) + "]";
-      } else if (i.op == Opcode::kStore) {
-        out += " [r" + std::to_string(i.src1) + "], r" + std::to_string(i.src2);
-      } else {
-        out += " r" + std::to_string(i.dst) + ", r" + std::to_string(i.src1) +
-               ", r" + std::to_string(i.src2);
-      }
-      out += "\n";
-    }
-    const Terminator& t = p.blocks[b].term;
-    switch (t.kind) {
-      case TerminatorKind::kJump:
-        out += "  jmp bb" + std::to_string(t.target) + "\n";
-        break;
-      case TerminatorKind::kBranch:
-        out += "  bnz r" + std::to_string(t.reg) + ", bb" +
-               std::to_string(t.target) + ", bb" + std::to_string(t.fallthrough) +
-               "\n";
-        break;
-      case TerminatorKind::kReturn:
-        out += "  ret\n";
-        break;
-    }
-  }
-  return out;
 }
 
 Program generate_program(stats::Rng& rng, const GeneratorOptions& opts) {

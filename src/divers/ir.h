@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "stats/rng.h"
@@ -44,8 +43,6 @@ enum class Opcode : std::uint8_t {
   kStore,    // mem[src1 % kMemoryWords] = src2
   kCmpLt,    // dst = (src1 < src2) ? 1 : 0   (signed)
 };
-
-[[nodiscard]] const char* to_string(Opcode op) noexcept;
 
 struct Instruction {
   Opcode op = Opcode::kNop;
@@ -114,9 +111,5 @@ struct GeneratorOptions {
 /// Deterministically generate a random (terminating) program: branches
 /// only go forward and the final block returns.
 [[nodiscard]] Program generate_program(stats::Rng& rng, const GeneratorOptions& opts = {});
-
-/// Human-readable disassembly (one instruction per line, block labels as
-/// "bbN:"); used in debugging and variant diffing.
-[[nodiscard]] std::string disassemble(const Program& p);
 
 }  // namespace divsec::divers

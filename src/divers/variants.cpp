@@ -8,18 +8,6 @@
 
 namespace divsec::divers {
 
-const char* to_string(ComponentKind k) noexcept {
-  switch (k) {
-    case ComponentKind::kOs: return "os";
-    case ComponentKind::kPlcFirmware: return "plc-firmware";
-    case ComponentKind::kProtocolStack: return "protocol-stack";
-    case ComponentKind::kHmiSoftware: return "hmi-software";
-    case ComponentKind::kFirewallFirmware: return "firewall-firmware";
-    case ComponentKind::kHistorianDb: return "historian-db";
-  }
-  return "?";
-}
-
 std::array<ComponentKind, kComponentKindCount> all_component_kinds() noexcept {
   return {ComponentKind::kOs,          ComponentKind::kPlcFirmware,
           ComponentKind::kProtocolStack, ComponentKind::kHmiSoftware,
@@ -223,22 +211,6 @@ VariantCatalog VariantCatalog::standard(std::uint64_t seed) {
   }
 
   return cat;
-}
-
-double shannon_diversity(const std::vector<std::size_t>& assignment) {
-  if (assignment.empty()) return 0.0;
-  std::vector<std::size_t> sorted = assignment;
-  std::sort(sorted.begin(), sorted.end());
-  double h = 0.0;
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    const double p = static_cast<double>(j - i) / n;
-    h -= p * std::log(p);
-    i = j;
-  }
-  return h;
 }
 
 }  // namespace divsec::divers

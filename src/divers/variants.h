@@ -41,7 +41,6 @@ enum class ComponentKind : std::uint8_t {
 
 inline constexpr std::size_t kComponentKindCount = 6;
 
-[[nodiscard]] const char* to_string(ComponentKind k) noexcept;
 [[nodiscard]] std::array<ComponentKind, kComponentKindCount> all_component_kinds() noexcept;
 
 struct Variant {
@@ -120,10 +119,5 @@ class VariantCatalog {
   // immutable and therefore safe to share across executor threads.
   std::array<std::vector<double>, kComponentKindCount> survival_cache_;
 };
-
-/// Shannon diversity index of a variant assignment (entropy in nats of
-/// the empirical variant distribution across `assignment`); 0 for a
-/// monoculture, ln(n) for n equally-used variants.
-[[nodiscard]] double shannon_diversity(const std::vector<std::size_t>& assignment);
 
 }  // namespace divsec::divers

@@ -63,10 +63,6 @@ void MeanFieldEpidemic::advance(double hours) {
   time_ = t_end;
 }
 
-double MeanFieldEpidemic::infection_probability(NodeId i) const {
-  return infected_.at(i);
-}
-
 double MeanFieldEpidemic::compromised_ratio() const noexcept {
   double s = 0.0;
   for (double v : infected_) s += v;

@@ -58,9 +58,6 @@ class MeanFieldEpidemic {
   /// horizon even when `hours` is not a multiple of dt.
   void advance(double hours);
 
-  /// P[node i infected] at the current time.
-  [[nodiscard]] double infection_probability(NodeId i) const;
-
   /// Mean compromised ratio: average infection probability.
   [[nodiscard]] double compromised_ratio() const noexcept;
 

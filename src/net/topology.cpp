@@ -6,42 +6,6 @@
 
 namespace divsec::net {
 
-const char* to_string(Zone z) noexcept {
-  switch (z) {
-    case Zone::kCorporate: return "corporate";
-    case Zone::kDmz: return "dmz";
-    case Zone::kControl: return "control";
-    case Zone::kField: return "field";
-  }
-  return "?";
-}
-
-const char* to_string(Role r) noexcept {
-  switch (r) {
-    case Role::kWorkstation: return "workstation";
-    case Role::kServer: return "server";
-    case Role::kScadaServer: return "scada-server";
-    case Role::kEngineering: return "engineering";
-    case Role::kHmi: return "hmi";
-    case Role::kHistorian: return "historian";
-    case Role::kPlc: return "plc";
-    case Role::kSensorGateway: return "sensor-gateway";
-  }
-  return "?";
-}
-
-const char* to_string(Channel c) noexcept {
-  switch (c) {
-    case Channel::kUsb: return "usb";
-    case Channel::kSmbShare: return "smb";
-    case Channel::kPrintSpooler: return "spooler";
-    case Channel::kProjectFile: return "project-file";
-    case Channel::kModbus: return "modbus";
-    case Channel::kHttp: return "http";
-  }
-  return "?";
-}
-
 const Topology::Storage& Topology::empty_storage() noexcept {
   static const Storage empty;
   return empty;
@@ -104,14 +68,6 @@ std::vector<NodeId> Topology::nodes_with_role(Role r) const {
   std::vector<NodeId> out;
   for (NodeId i = 0; i < nodes.size(); ++i)
     if (nodes[i].role == r) out.push_back(i);
-  return out;
-}
-
-std::vector<NodeId> Topology::nodes_in_zone(Zone z) const {
-  const std::vector<Node>& nodes = data().nodes;
-  std::vector<NodeId> out;
-  for (NodeId i = 0; i < nodes.size(); ++i)
-    if (nodes[i].zone == z) out.push_back(i);
   return out;
 }
 

@@ -26,8 +26,6 @@ inline constexpr std::size_t kZoneCount = 4;
 static_assert(static_cast<std::size_t>(Zone::kField) + 1 == kZoneCount,
               "update kZoneCount when adding Zone enumerators");
 
-[[nodiscard]] const char* to_string(Zone z) noexcept;
-
 /// Functional role of a node; used by attack targeting and the SCADA
 /// binding (a PLC node hosts PLC firmware, an HMI node hosts HMI software).
 enum class Role : std::uint8_t {
@@ -40,8 +38,6 @@ enum class Role : std::uint8_t {
   kPlc,              // programmable logic controller
   kSensorGateway,    // field I/O concentrator
 };
-
-[[nodiscard]] const char* to_string(Role r) noexcept;
 
 /// Propagation / communication channel.
 enum class Channel : std::uint8_t {
@@ -56,8 +52,6 @@ enum class Channel : std::uint8_t {
 inline constexpr std::size_t kChannelCount = 6;
 static_assert(static_cast<std::size_t>(Channel::kHttp) + 1 == kChannelCount,
               "update kChannelCount when adding Channel enumerators");
-
-[[nodiscard]] const char* to_string(Channel c) noexcept;
 
 struct Node {
   std::string name;
@@ -106,9 +100,6 @@ class Topology {
 
   /// All nodes with the given role.
   [[nodiscard]] std::vector<NodeId> nodes_with_role(Role r) const;
-
-  /// All nodes in the given zone.
-  [[nodiscard]] std::vector<NodeId> nodes_in_zone(Zone z) const;
 
   /// The address of the shared storage: equal for copies of one value
   /// until one of them is mutated, null for a topology that never held

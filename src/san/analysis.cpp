@@ -8,52 +8,6 @@ namespace divsec::san {
 
 namespace {
 
-/// Shared core of the scalar families: blocked deterministic reduction
-/// of experiment outputs over (seed, i) streams, retaining every output
-/// in replication order.
-sim::ReplicationResult reduce_scalar(const sim::Experiment& experiment,
-                                     std::size_t replications, std::uint64_t seed,
-                                     const sim::Executor* executor) {
-  if (replications == 0)
-    throw std::invalid_argument("san estimator: need >= 1 replication");
-  sim::ReplicationResult r;
-  r.samples.resize(replications);
-  r.stats = sim::blocked_reduce<stats::OnlineStats>(
-      executor, replications, /*block=*/0, [] { return stats::OnlineStats{}; },
-      [&](stats::OnlineStats& acc, std::size_t i) {
-        stats::Rng rng(seed, /*stream=*/i);
-        const double y = experiment(rng);
-        r.samples[i] = y;
-        acc.add(y);
-      });
-  return r;
-}
-
-sim::Experiment instant_experiment(const SanModel& model,
-                                   const std::function<double(const Marking&)>& f,
-                                   double t) {
-  if (!f) throw std::invalid_argument("instant_of_time: null function");
-  return [&model, &f, t](stats::Rng& rng) {
-    SanSimulator sim(model, rng);
-    sim.run_until(t);
-    return f(sim.marking());
-  };
-}
-
-sim::Experiment interval_experiment(const SanModel& model,
-                                    const std::function<double(const Marking&)>& rate,
-                                    double t) {
-  if (!rate) throw std::invalid_argument("interval_of_time_average: null function");
-  if (!(t > 0.0))
-    throw std::invalid_argument("interval_of_time_average: t must be > 0");
-  return [&model, &rate, t](stats::Rng& rng) {
-    SanSimulator sim(model, rng);
-    const std::size_t r = sim.add_rate_reward(rate);
-    sim.run_until(t);
-    return sim.rate_reward_average(r);
-  };
-}
-
 void validate_first_passage(const Predicate& absorbed, double t_max,
                             std::size_t replications) {
   if (!absorbed) throw std::invalid_argument("first_passage: null predicate");
@@ -64,20 +18,30 @@ void validate_first_passage(const Predicate& absorbed, double t_max,
 
 }  // namespace
 
-sim::ReplicationResult instant_of_time(const SanModel& model,
-                                       const std::function<double(const Marking&)>& f,
-                                       double t, std::size_t replications,
-                                       std::uint64_t seed,
-                                       const sim::Executor* executor) {
-  return reduce_scalar(instant_experiment(model, f, t), replications, seed,
-                       executor);
-}
-
-sim::ReplicationResult interval_of_time_average(
+ReplicationResult interval_of_time_average(
     const SanModel& model, const std::function<double(const Marking&)>& rate, double t,
     std::size_t replications, std::uint64_t seed, const sim::Executor* executor) {
-  return reduce_scalar(interval_experiment(model, rate, t), replications, seed,
-                       executor);
+  if (!rate) throw std::invalid_argument("interval_of_time_average: null function");
+  if (!(t > 0.0))
+    throw std::invalid_argument("interval_of_time_average: t must be > 0");
+  if (replications == 0)
+    throw std::invalid_argument("interval_of_time_average: need >= 1 replication");
+  // Blocked deterministic reduction over (seed, i) streams, retaining
+  // every output in replication order.
+  ReplicationResult r;
+  r.samples.resize(replications);
+  r.stats = sim::blocked_reduce<stats::OnlineStats>(
+      executor, replications, /*block=*/0, [] { return stats::OnlineStats{}; },
+      [&](stats::OnlineStats& acc, std::size_t i) {
+        stats::Rng rng(seed, /*stream=*/i);
+        SanSimulator sim(model, rng);
+        const std::size_t reward = sim.add_rate_reward(rate);
+        sim.run_until(t);
+        const double y = sim.rate_reward_average(reward);
+        r.samples[i] = y;
+        acc.add(y);
+      });
+  return r;
 }
 
 double FirstPassageResult::conditional_mean() const noexcept {

@@ -1,13 +1,12 @@
 // analysis.h — transient (Monte-Carlo) solution of SAN reward models.
 //
-// Implements the three estimator families the security indicators need:
-//  * instant-of-time: E[f(marking at time t)]
-//  * interval-of-time: E[integral of rate reward over [0, t]] (and its
-//    time average)
+// Implements the two estimator families the SAN benches and indicators
+// need:
+//  * interval-of-time: E[time average of a rate reward over [0, t]]
 //  * first passage: distribution of the first time a predicate holds
 //    (Time-To-Attack / Time-To-Security-Failure are first-passage times).
 //
-// All three families aggregate through the same streaming layer the
+// Both families aggregate through the same streaming layer the
 // measurement engine uses (sim::blocked_reduce over fixed-size
 // replication blocks, merged in ascending block order), so they are
 // bit-identical for any executor thread count; each keeps its
@@ -20,7 +19,8 @@
 
 #include "san/model.h"
 #include "san/simulator.h"
-#include "sim/replication.h"
+#include "sim/executor.h"
+#include "stats/descriptive.h"
 #include "stats/survival.h"
 
 namespace divsec::san {
@@ -29,14 +29,15 @@ namespace divsec::san {
 // replication scheme; passing an Executor parallelizes replications with
 // bit-identical output (replication i always draws from stream i).
 
-/// E[f(marking)] at simulated time t, by independent replications.
-[[nodiscard]] sim::ReplicationResult instant_of_time(
-    const SanModel& model, const std::function<double(const Marking&)>& f, double t,
-    std::size_t replications, std::uint64_t seed,
-    const sim::Executor* executor = nullptr);
+/// Per-replication outputs of a scalar estimator, in replication order,
+/// and their streaming moments.
+struct ReplicationResult {
+  stats::OnlineStats stats;
+  std::vector<double> samples;
+};
 
 /// E[time-average of rate(marking) over [0, t]].
-[[nodiscard]] sim::ReplicationResult interval_of_time_average(
+[[nodiscard]] ReplicationResult interval_of_time_average(
     const SanModel& model, const std::function<double(const Marking&)>& rate, double t,
     std::size_t replications, std::uint64_t seed,
     const sim::Executor* executor = nullptr);

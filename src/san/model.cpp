@@ -11,26 +11,11 @@ PlaceId SanModel::add_place(std::string name, Tokens initial) {
   return places_.size() - 1;
 }
 
-ActivityId SanModel::add_timed_activity(std::string name, stats::Distribution delay,
-                                        bool reactivate_on_change) {
+ActivityId SanModel::add_timed_activity(std::string name, stats::Distribution delay) {
   Activity a;
   a.name = std::move(name);
-  a.kind = ActivityKind::kTimed;
   a.delay = std::move(delay);
-  a.reactivate_on_change = reactivate_on_change;
   a.cases.push_back(Case{});  // implicit single case
-  activities_.push_back(std::move(a));
-  return activities_.size() - 1;
-}
-
-ActivityId SanModel::add_instantaneous_activity(std::string name, double weight) {
-  if (!(weight > 0.0))
-    throw std::invalid_argument("add_instantaneous_activity: weight must be > 0");
-  Activity a;
-  a.name = std::move(name);
-  a.kind = ActivityKind::kInstantaneous;
-  a.weight = weight;
-  a.cases.push_back(Case{});
   activities_.push_back(std::move(a));
   return activities_.size() - 1;
 }
@@ -62,24 +47,6 @@ void SanModel::add_input_gate(ActivityId a, Predicate enabled, MarkingFn functio
       InputGate{std::move(enabled), std::move(function)});
 }
 
-void SanModel::add_output_gate(ActivityId a, MarkingFn function, std::size_t case_index) {
-  if (!function) throw std::invalid_argument("add_output_gate: null function");
-  auto& act = mutable_activity(a);
-  if (case_index >= act.cases.size())
-    throw std::out_of_range("add_output_gate: invalid case index");
-  act.cases[case_index].output_gates.push_back(OutputGate{std::move(function)});
-}
-
-void SanModel::set_rate_scale(ActivityId a,
-                              std::function<double(const Marking&)> scale) {
-  if (!scale) throw std::invalid_argument("set_rate_scale: null function");
-  auto& act = mutable_activity(a);
-  if (act.kind != ActivityKind::kTimed)
-    throw std::invalid_argument("set_rate_scale: only timed activities have rates");
-  act.rate_scale = std::move(scale);
-  act.reactivate_on_change = true;
-}
-
 std::size_t SanModel::add_case(ActivityId a, double probability) {
   if (!(probability >= 0.0 && probability <= 1.0))
     throw std::invalid_argument("add_case: probability must be in [0,1]");
@@ -87,22 +54,16 @@ std::size_t SanModel::add_case(ActivityId a, double probability) {
   // The first explicit case replaces the implicit default; mixing arcs
   // attached to the implicit default with explicit cases is an error.
   if (!act.explicit_cases) {
-    if (!act.cases[0].output_arcs.empty() || !act.cases[0].output_gates.empty())
+    if (!act.cases[0].output_arcs.empty())
       throw std::logic_error(
           "add_case: arcs were already attached to the implicit default case of '" +
-          act.name + "'; add cases before output arcs/gates");
+          act.name + "'; add cases before output arcs");
     act.explicit_cases = true;
     act.cases[0].probability = probability;
     return 0;
   }
-  act.cases.push_back(Case{probability, {}, {}});
+  act.cases.push_back(Case{probability, {}});
   return act.cases.size() - 1;
-}
-
-PlaceId SanModel::place_by_name(const std::string& name) const {
-  for (PlaceId p = 0; p < places_.size(); ++p)
-    if (places_[p].name == name) return p;
-  throw std::out_of_range("place_by_name: no place named '" + name + "'");
 }
 
 Marking SanModel::initial_marking() const {
@@ -121,7 +82,7 @@ void SanModel::validate() const {
     if (std::fabs(psum - 1.0) > 1e-9)
       throw std::invalid_argument("SanModel: case probabilities of '" + a.name +
                                   "' sum to " + std::to_string(psum) + ", expected 1");
-    if (a.kind == ActivityKind::kTimed && a.delay.mean() < 0.0)
+    if (a.delay.mean() < 0.0)
       throw std::invalid_argument("SanModel: activity '" + a.name +
                                   "' has negative mean delay");
   }

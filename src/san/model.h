@@ -1,11 +1,11 @@
 // model.h — Stochastic Activity Networks (SAN).
 //
 // SANs (Sanders & Meyer) generalize stochastic Petri nets with input
-// gates (arbitrary enabling predicates + marking functions), output gates
-// (arbitrary marking functions) and probabilistic cases on activity
-// completion. The paper's SCoPE case study "has been developed by means
-// of the stochastic activity networks (SAN) formalism"; this module is
-// the formalism, and simulator.h is its discrete-event solver.
+// gates (arbitrary enabling predicates + marking functions) and
+// probabilistic cases on activity completion. The paper's SCoPE case
+// study "has been developed by means of the stochastic activity networks
+// (SAN) formalism"; this module is the formalism, and simulator.h is its
+// discrete-event solver.
 //
 // Semantics implemented (standard):
 //  * an activity is enabled iff all its input arcs are satisfied and all
@@ -13,12 +13,13 @@
 //  * enabled timed activities sample a completion time from their delay
 //    distribution; if an activity becomes disabled before completing it
 //    is aborted (its clock is discarded);
-//  * instantaneous activities complete before any timed activity and
-//    before time advances; ties are broken by weight-proportional random
-//    selection;
 //  * on completion, input arcs consume tokens, input-gate functions run,
 //    one case is selected by its probability, and that case's output arcs
-//    and output-gate functions run.
+//    run.
+// Every activity is timed, with a fixed rate: the models this library
+// builds (the staged attack, the paper's two-machine network, the
+// validation queues) need no instantaneous activities, output gates or
+// marking-dependent rates.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ using Marking = std::vector<Tokens>;
 
 /// Arbitrary enabling predicate over the marking.
 using Predicate = std::function<bool(const Marking&)>;
-/// Arbitrary marking transformation (input/output gate function).
+/// Arbitrary marking transformation (input-gate function).
 using MarkingFn = std::function<void(Marking&)>;
 
 struct Place {
@@ -62,33 +63,15 @@ struct InputGate {
   MarkingFn function;  // applied when the activity completes (may be null)
 };
 
-struct OutputGate {
-  MarkingFn function;  // applied after the case's output arcs
-};
-
 /// One probabilistic case of an activity.
 struct Case {
   double probability = 1.0;
   std::vector<OutputArc> output_arcs;
-  std::vector<OutputGate> output_gates;
 };
-
-enum class ActivityKind { kTimed, kInstantaneous };
 
 struct Activity {
   std::string name;
-  ActivityKind kind = ActivityKind::kTimed;
-  stats::Distribution delay;  // timed only
-  double weight = 1.0;        // instantaneous tie-breaking weight
-  /// If true, the activity resamples its remaining delay whenever the
-  /// marking changes while it stays enabled (SAN "reactivation").
-  bool reactivate_on_change = false;
-  /// Optional marking-dependent rate scale: the sampled delay is divided
-  /// by rate_scale(marking) (> 0 whenever the activity is enabled). With
-  /// an Exponential delay this is exactly a marking-dependent rate, e.g.
-  /// min(c, queue) for an M/M/c server pool. Such activities should
-  /// normally set reactivate_on_change so the rate tracks the marking.
-  std::function<double(const Marking&)> rate_scale;
+  stats::Distribution delay;
   /// Internal: whether add_case() has replaced the implicit default case.
   bool explicit_cases = false;
   std::vector<InputArc> input_arcs;
@@ -102,11 +85,7 @@ class SanModel {
   PlaceId add_place(std::string name, Tokens initial = 0);
 
   /// Add a timed activity with the given delay distribution.
-  ActivityId add_timed_activity(std::string name, stats::Distribution delay,
-                                bool reactivate_on_change = false);
-
-  /// Add an instantaneous (zero-delay) activity with selection weight.
-  ActivityId add_instantaneous_activity(std::string name, double weight = 1.0);
+  ActivityId add_timed_activity(std::string name, stats::Distribution delay);
 
   /// Input arc: requires (and consumes) `multiplicity` tokens in `place`.
   void add_input_arc(ActivityId a, PlaceId p, Tokens multiplicity = 1);
@@ -116,11 +95,6 @@ class SanModel {
                       std::size_t case_index = 0);
 
   void add_input_gate(ActivityId a, Predicate enabled, MarkingFn function = nullptr);
-  void add_output_gate(ActivityId a, MarkingFn function, std::size_t case_index = 0);
-
-  /// Attach a marking-dependent rate scale to a timed activity (see
-  /// Activity::rate_scale). Implies reactivation on marking change.
-  void set_rate_scale(ActivityId a, std::function<double(const Marking&)> scale);
 
   /// Append a probabilistic case; returns its index. Every activity starts
   /// with one implicit case of probability 1; the first add_case() call
@@ -132,9 +106,6 @@ class SanModel {
   [[nodiscard]] std::size_t activity_count() const noexcept { return activities_.size(); }
   [[nodiscard]] const Place& place(PlaceId p) const { return places_.at(p); }
   [[nodiscard]] const Activity& activity(ActivityId a) const { return activities_.at(a); }
-
-  /// Find a place by name; throws std::out_of_range if absent.
-  [[nodiscard]] PlaceId place_by_name(const std::string& name) const;
 
   [[nodiscard]] Marking initial_marking() const;
 

@@ -34,7 +34,6 @@ void SanSimulator::reset() {
   std::fill(firing_counts_.begin(), firing_counts_.end(), std::size_t{0});
   std::fill(clocks_.begin(), clocks_.end(), kInf);
   for (auto& r : rate_rewards_) r.integral = 0.0;
-  resolve_instantaneous();
   refresh_clocks();
 }
 
@@ -71,7 +70,6 @@ void SanSimulator::fire(ActivityId id) {
     if (gate.function) gate.function(marking_);
   const std::size_t c = select_case(a);
   for (const auto& arc : a.cases[c].output_arcs) marking_[arc.place] += arc.multiplicity;
-  for (const auto& gate : a.cases[c].output_gates) gate.function(marking_);
   check_marking();
   ++total_firings_;
   ++firing_counts_[id];
@@ -80,45 +78,14 @@ void SanSimulator::fire(ActivityId id) {
 void SanSimulator::refresh_clocks() {
   for (ActivityId id = 0; id < model_.activity_count(); ++id) {
     const Activity& a = model_.activity(id);
-    if (a.kind != ActivityKind::kTimed) continue;
     if (is_enabled(a)) {
-      if (clocks_[id] == kInf || a.reactivate_on_change) {
-        double delay = a.delay.sample(rng_);
-        if (a.rate_scale) {
-          const double scale = a.rate_scale(marking_);
-          if (!(scale > 0.0))
-            throw std::logic_error("SAN: rate_scale of '" + a.name +
-                                   "' must be > 0 while enabled");
-          delay /= scale;
-        }
-        clocks_[id] = now_ + delay;
-      }
+      if (clocks_[id] == kInf) clocks_[id] = now_ + a.delay.sample(rng_);
       // else: keep the previously sampled completion time (standard
       // enabling-memory semantics).
     } else {
       clocks_[id] = kInf;  // abort
     }
   }
-}
-
-void SanSimulator::resolve_instantaneous() {
-  for (std::size_t iter = 0; iter < kInstantaneousBudget; ++iter) {
-    // Collect enabled instantaneous activities.
-    double total_weight = 0.0;
-    ActivityId chosen = model_.activity_count();
-    // Weight-proportional selection in one pass (reservoir-style).
-    for (ActivityId id = 0; id < model_.activity_count(); ++id) {
-      const Activity& a = model_.activity(id);
-      if (a.kind != ActivityKind::kInstantaneous || !is_enabled(a)) continue;
-      total_weight += a.weight;
-      if (rng_.uniform() < a.weight / total_weight) chosen = id;
-    }
-    if (chosen == model_.activity_count()) return;  // none enabled
-    fire(chosen);
-  }
-  throw std::logic_error(
-      "SAN instability: instantaneous activities fired > 1e6 times without "
-      "time advancing");
 }
 
 void SanSimulator::advance_time(double t) {
@@ -141,8 +108,6 @@ bool SanSimulator::step() {
   advance_time(t_min);
   clocks_[next] = kInf;
   fire(next);
-  refresh_clocks();
-  resolve_instantaneous();
   refresh_clocks();
   return true;
 }

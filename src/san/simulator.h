@@ -3,8 +3,7 @@
 //
 // The solver is a direct event-scheduling implementation: each enabled
 // timed activity holds a sampled completion clock; the earliest clock
-// fires next. Instantaneous activities always complete before time
-// advances. Rate rewards are integrated exactly between events. All
+// fires next. Rate rewards are integrated exactly between events. All
 // randomness comes from the Rng passed at construction, so a (model,
 // seed) pair fully determines a trajectory.
 #pragma once
@@ -33,8 +32,7 @@ class SanSimulator {
   /// Time-average of rate reward `i` over [0, now()]; 0 at time 0.
   [[nodiscard]] double rate_reward_average(std::size_t i) const;
 
-  /// Restore the initial marking, zero the clock and all rewards, and
-  /// resolve initial instantaneous activities.
+  /// Restore the initial marking, zero the clock and all rewards.
   void reset();
 
   /// Advance to (and fire) the next timed completion. Returns false when
@@ -57,12 +55,10 @@ class SanSimulator {
 
  private:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
-  static constexpr std::size_t kInstantaneousBudget = 1'000'000;
 
   [[nodiscard]] bool is_enabled(const Activity& a) const;
   void fire(ActivityId id);
   void refresh_clocks();
-  void resolve_instantaneous();
   void advance_time(double t);
   [[nodiscard]] std::size_t select_case(const Activity& a);
   void check_marking() const;

@@ -163,10 +163,4 @@ void CoolingSystem::compromise_crac_plc(SpoofMode spoof) {
   crac_plc_.load_program(make_sabotage_program(), {});
 }
 
-void CoolingSystem::compromise_chiller_plc(SpoofMode spoof) {
-  chiller_channel_.compromised = true;
-  chiller_channel_.spoof = spoof;
-  chiller_plc_.load_program(make_sabotage_program(), {});
-}
-
 }  // namespace divsec::scada

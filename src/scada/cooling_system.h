@@ -60,8 +60,6 @@ class CoolingSystem {
   // --- Attack hooks -------------------------------------------------------
   /// Replace the CRAC PLC's logic with "fan off" sabotage.
   void compromise_crac_plc(SpoofMode spoof);
-  /// Replace the chiller PLC's logic with "valve shut" sabotage.
-  void compromise_chiller_plc(SpoofMode spoof);
 
   // --- Observability --------------------------------------------------------
   [[nodiscard]] double now_s() const noexcept { return time_s_; }

@@ -31,17 +31,6 @@ void Historian::record(const std::string& tag, double time_s, double value) {
   if (s.samples.size() > capacity_) s.samples.pop_front();
 }
 
-std::size_t Historian::sample_count(const std::string& tag) const {
-  const Series* s = find(tag);
-  return s ? s->samples.size() : 0;
-}
-
-std::optional<Sample> Historian::latest(const std::string& tag) const {
-  const Series* s = find(tag);
-  if (!s || s->samples.empty()) return std::nullopt;
-  return s->samples.back();
-}
-
 std::vector<Sample> Historian::query(const std::string& tag, double since) const {
   std::vector<Sample> out;
   const Series* s = find(tag);
@@ -49,34 +38,6 @@ std::vector<Sample> Historian::query(const std::string& tag, double since) const
   for (const auto& smp : s->samples)
     if (smp.time_s >= since) out.push_back(smp);
   return out;
-}
-
-std::vector<std::string> Historian::tags() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& s : series_) out.push_back(s.tag);
-  return out;
-}
-
-std::optional<Historian::WindowStats> Historian::window_stats(const std::string& tag,
-                                                              double since) const {
-  const auto samples = query(tag, since);
-  if (samples.empty()) return std::nullopt;
-  WindowStats w;
-  w.n = samples.size();
-  w.min = w.max = samples.front().value;
-  double mean = 0.0;
-  for (const auto& s : samples) {
-    mean += s.value;
-    w.min = std::min(w.min, s.value);
-    w.max = std::max(w.max, s.value);
-  }
-  mean /= static_cast<double>(w.n);
-  double var = 0.0;
-  for (const auto& s : samples) var += (s.value - mean) * (s.value - mean);
-  w.mean = mean;
-  w.variance = w.n > 1 ? var / static_cast<double>(w.n - 1) : 0.0;
-  return w;
 }
 
 void AlarmEngine::add_rule(AlarmRule rule) {
@@ -106,13 +67,6 @@ std::vector<Alarm> AlarmEngine::evaluate(const std::string& tag, double time_s,
   }
   log_.insert(log_.end(), raised.begin(), raised.end());
   return raised;
-}
-
-std::optional<double> AlarmEngine::first_alarm_time() const {
-  if (log_.empty()) return std::nullopt;
-  double t = log_.front().time_s;
-  for (const auto& a : log_) t = std::min(t, a.time_s);
-  return t;
 }
 
 AnomalyDetector::AnomalyDetector() : AnomalyDetector(Options{}) {}

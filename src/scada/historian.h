@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,22 +27,8 @@ class Historian {
 
   void record(const std::string& tag, double time_s, double value);
 
-  [[nodiscard]] std::size_t sample_count(const std::string& tag) const;
-  [[nodiscard]] std::optional<Sample> latest(const std::string& tag) const;
   /// Samples with time >= since, oldest first.
   [[nodiscard]] std::vector<Sample> query(const std::string& tag, double since) const;
-  [[nodiscard]] std::vector<std::string> tags() const;
-
-  /// Mean/min/max of the samples in [since, +inf); nullopt if empty.
-  struct WindowStats {
-    std::size_t n = 0;
-    double mean = 0.0;
-    double variance = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  [[nodiscard]] std::optional<WindowStats> window_stats(const std::string& tag,
-                                                        double since) const;
 
  private:
   struct Series {
@@ -81,7 +66,6 @@ class AlarmEngine {
   std::vector<Alarm> evaluate(const std::string& tag, double time_s, double value);
 
   [[nodiscard]] const std::vector<Alarm>& alarm_log() const noexcept { return log_; }
-  [[nodiscard]] std::optional<double> first_alarm_time() const;
 
  private:
   struct RuleState {

@@ -128,36 +128,9 @@ double Plc::output(std::size_t i) const {
   return outputs_[i];
 }
 
-double Plc::memory(std::size_t i) const {
-  if (i >= kPlcMemory) throw std::out_of_range("Plc::memory");
-  return memory_[i];
-}
-
 void Plc::set_memory(std::size_t i, double v) {
   if (i >= kPlcMemory) throw std::out_of_range("Plc::set_memory");
   memory_[i] = v;
-}
-
-IlProgram make_hysteresis_program(double on_above, double off_below) {
-  if (!(on_above >= off_below))
-    throw std::invalid_argument("make_hysteresis_program: on_above < off_below");
-  using S = OperandSpace;
-  // %M0 latches the on/off state:
-  //   M0 = (I0 > on_above) OR (M0 AND NOT(I0 < off_below)); Q0 = M0.
-  // %M1 is scratch for the "not below the release threshold" term.
-  return IlProgram{
-      {IlOp::kLd, S::kInput, 0, 0.0},
-      {IlOp::kLt, S::kConstant, 0, off_below},  // acc = I0 < off_below
-      {IlOp::kStn, S::kMemory, 1, 0.0},         // M1 = !(below)
-      {IlOp::kLd, S::kMemory, 0, 0.0},
-      {IlOp::kAnd, S::kMemory, 1, 0.0},         // acc = M0 && !below
-      {IlOp::kSt, S::kMemory, 0, 0.0},
-      {IlOp::kLd, S::kInput, 0, 0.0},
-      {IlOp::kGt, S::kConstant, 0, on_above},   // acc = I0 > on_above
-      {IlOp::kOr, S::kMemory, 0, 0.0},
-      {IlOp::kSt, S::kMemory, 0, 0.0},
-      {IlOp::kSt, S::kOutput, 0, 0.0},
-  };
 }
 
 }  // namespace divsec::scada

@@ -86,7 +86,6 @@ class Plc {
   void set_input(std::size_t i, double v);
   [[nodiscard]] double input(std::size_t i) const;
   [[nodiscard]] double output(std::size_t i) const;
-  [[nodiscard]] double memory(std::size_t i) const;
   void set_memory(std::size_t i, double v);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -108,9 +107,5 @@ class Plc {
   double memory_[kPlcMemory] = {};
   std::uint64_t scans_ = 0;
 };
-
-/// Convenience factory: a thermostat program that drives %Q0 on/off from
-/// %I0 vs a threshold with hysteresis kept in %M0.
-[[nodiscard]] IlProgram make_hysteresis_program(double on_above, double off_below);
 
 }  // namespace divsec::scada

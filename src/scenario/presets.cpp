@@ -136,18 +136,6 @@ std::vector<std::string> preset_names() {
           "enterprise{N}"};
 }
 
-bool has_preset(const std::string& name) {
-  try {
-    if (canonical_builtin_name(name)) return true;
-    if (FamilySpec::is_family_name(name)) {
-      (void)FamilySpec::parse(name);
-      return true;
-    }
-  } catch (const std::invalid_argument&) {
-  }
-  return false;
-}
-
 std::string resolve_preset_name(const std::string& name) {
   if (FamilySpec::is_family_name(name)) return FamilySpec::parse(name).canonical();
   if (std::optional<std::string> canonical = canonical_builtin_name(name))

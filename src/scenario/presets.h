@@ -51,10 +51,6 @@ namespace divsec::scenario {
 
 inline constexpr std::size_t kMinEnterpriseNodes = 24;
 
-/// True for fixed preset names, well-formed enterprise{N} instances and
-/// valid family specs.
-[[nodiscard]] bool has_preset(const std::string& name);
-
 /// Canonicalize a preset name: fixed presets pass through unchanged,
 /// enterprise{N} comes back rendered from the parsed N (enterprise0256
 /// is enterprise256), and family specs come back in

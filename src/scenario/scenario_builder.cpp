@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -26,25 +27,13 @@ const char* to_string(VariantPolicy p) noexcept {
 
 ScenarioBuilder::ScenarioBuilder(net::Topology topology,
                                  const divers::VariantCatalog& catalog)
-    : topology_(std::move(topology)),
-      catalog_(&catalog),
-      firewall_(net::Firewall::segmented_ics()) {
+    : topology_(std::move(topology)), catalog_(&catalog) {
   if (topology_.node_count() == 0)
     throw std::invalid_argument("ScenarioBuilder: empty topology");
 }
 
-ScenarioBuilder& ScenarioBuilder::firewall(net::Firewall fw) {
-  firewall_ = std::move(fw);
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::variant_policy(VariantPolicy policy) {
   policy_ = policy;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::firewall_variant(std::size_t v) {
-  firewall_variant_ = v;
   return *this;
 }
 
@@ -104,7 +93,7 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
   out.name = std::move(name);
   attack::Scenario& sc = out.scenario;
   sc.topology = topology_;
-  sc.firewall = firewall_;
+  sc.firewall = net::Firewall::segmented_ics();
 
   const std::size_t n = sc.topology.node_count();
   sc.software.assign(n, attack::NodeSoftware{});
@@ -140,14 +129,12 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
       sw.historian = pick(ComponentKind::kHistorianDb, node.zone);
   }
 
-  if (firewall_variant_) {
-    sc.firewall_variant = *firewall_variant_;
-  } else if (policy_ == VariantPolicy::kMonoculture) {
-    sc.firewall_variant = 0;
-  } else {
-    sc.firewall_variant =
-        assign_rng.below(cat.count(ComponentKind::kFirewallFirmware));
-  }
+  // The zone firewall's firmware variant: 0 under kMonoculture, a seeded
+  // draw under the other policies.
+  sc.firewall_variant =
+      policy_ == VariantPolicy::kMonoculture
+          ? 0
+          : assign_rng.below(cat.count(ComponentKind::kFirewallFirmware));
 
   // Entry nodes: wherever operators plug removable media in.
   for (NodeId i = 0; i < n; ++i)

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,15 +59,8 @@ class ScenarioBuilder {
   /// The catalog must outlive the builder and the built scenarios.
   ScenarioBuilder(net::Topology topology, const divers::VariantCatalog& catalog);
 
-  /// Firewall policy (default: net::Firewall::segmented_ics()).
-  ScenarioBuilder& firewall(net::Firewall fw);
-
   /// Variant assignment policy (default: kMonoculture).
   ScenarioBuilder& variant_policy(VariantPolicy policy);
-
-  /// Pin the zone firewall's firmware variant (default: 0 under
-  /// kMonoculture, seeded draw under the other policies).
-  ScenarioBuilder& firewall_variant(std::size_t v);
 
   /// Assemble and validate. Deterministic in `seed`; the variant draws
   /// use substreams of Rng(seed) so the same fleet under two policies
@@ -78,9 +70,7 @@ class ScenarioBuilder {
  private:
   net::Topology topology_;
   const divers::VariantCatalog* catalog_;
-  net::Firewall firewall_;
   VariantPolicy policy_ = VariantPolicy::kMonoculture;
-  std::optional<std::size_t> firewall_variant_;
 };
 
 }  // namespace divsec::scenario

@@ -65,16 +65,4 @@ class Executor {
   std::unique_ptr<Pool> pool_;  // null when threads_ == 1
 };
 
-/// Shared executor-or-serial dispatch for low-level replication
-/// controllers whose null default means "strictly serial".
-inline void for_each_index(const Executor* executor, std::size_t begin,
-                           std::size_t end,
-                           const std::function<void(std::size_t)>& body) {
-  if (executor) {
-    executor->parallel_for(begin, end, body);
-  } else {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  }
-}
-
 }  // namespace divsec::sim

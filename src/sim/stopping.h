@@ -1,9 +1,9 @@
 // stopping.h — the shared sequential stopping rule.
 //
-// One place for the Law & Kelton CI half-width criterion so the
-// single-experiment controller (sim/replication.cpp) and the adaptive
+// One place for the Law & Kelton CI half-width criterion so the adaptive
 // sweep's round loop (core::MeasurementEngine::measure_scenarios_adaptive)
-// apply bit-for-bit the same predicate to the same streaming moments.
+// and the cross-process coordinator (dist::run_adaptive) apply
+// bit-for-bit the same predicate to the same streaming moments.
 //
 // Two criteria, either of which stops the run once the minimum is met:
 //   relative: half-width <= relative_precision * |mean|
@@ -20,9 +20,8 @@
 
 namespace divsec::sim {
 
-/// Knobs of the sequential procedure. Field names and defaults are the
-/// historical SequentialOptions of run_sequential (replication.h aliases
-/// that name to this struct).
+/// Knobs of the sequential procedure; core::resolve_adaptive_schedule
+/// fills them from the adaptive sweep's options.
 struct StoppingRule {
   std::size_t min_replications = 10;
   std::size_t max_replications = 10000;

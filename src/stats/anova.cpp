@@ -94,49 +94,6 @@ std::string AnovaTable::to_string() const {
   return os.str();
 }
 
-AnovaTable one_way_anova(std::span<const std::vector<double>> groups,
-                         const std::string& factor_name) {
-  if (groups.size() < 2) throw std::invalid_argument("one_way_anova: need >= 2 groups");
-  std::size_t n_total = 0;
-  double grand_sum = 0.0;
-  for (const auto& g : groups) {
-    if (g.empty()) throw std::invalid_argument("one_way_anova: empty group");
-    n_total += g.size();
-    for (double x : g) grand_sum += x;
-  }
-  if (n_total <= groups.size())
-    throw std::invalid_argument("one_way_anova: no error degrees of freedom");
-  const double grand_mean = grand_sum / static_cast<double>(n_total);
-
-  double ss_between = 0.0, ss_total = 0.0;
-  for (const auto& g : groups) {
-    double mean = 0.0;
-    for (double x : g) mean += x;
-    mean /= static_cast<double>(g.size());
-    ss_between += static_cast<double>(g.size()) * (mean - grand_mean) * (mean - grand_mean);
-    for (double x : g) ss_total += (x - grand_mean) * (x - grand_mean);
-  }
-  const double ss_within = ss_total - ss_between;
-
-  AnovaTable t;
-  AnovaEffect between;
-  between.name = factor_name;
-  between.ss = ss_between;
-  between.df = groups.size() - 1;
-  t.error.name = "Error";
-  t.error.ss = ss_within;
-  t.error.df = n_total - groups.size();
-  t.error.ms = t.error.ss / static_cast<double>(t.error.df);
-  t.total.name = "Total";
-  t.total.ss = ss_total;
-  t.total.df = n_total - 1;
-  t.total.eta_squared = 1.0;
-  t.error.eta_squared = ss_total > 0.0 ? ss_within / ss_total : 0.0;
-  finalize(between, t.error.ms, static_cast<double>(t.error.df), ss_total);
-  t.effects.push_back(between);
-  return t;
-}
-
 AnovaTable factorial_anova(std::span<const std::size_t> levels,
                            std::span<const std::string> factor_names,
                            std::span<const std::vector<double>> cells,

@@ -2,8 +2,7 @@
 //
 // Step 3 of the paper: "allocate the variability of the security
 // indicators ... to the component(s) responsible for such variability."
-// We implement one-way ANOVA and balanced N-way factorial ANOVA with all
-// interaction terms, reporting for each effect the sum of squares, degrees
+// We implement balanced N-way factorial ANOVA with all interaction terms, reporting for each effect the sum of squares, degrees
 // of freedom, F statistic, p-value, and eta^2 (the variance share the
 // paper's assessment step ranks components by).
 #pragma once
@@ -36,10 +35,6 @@ struct AnovaTable {
   /// Render as an aligned text table (for benches and reports).
   [[nodiscard]] std::string to_string() const;
 };
-
-/// One-way ANOVA over g groups of observations.
-[[nodiscard]] AnovaTable one_way_anova(std::span<const std::vector<double>> groups,
-                                       const std::string& factor_name = "Factor");
 
 /// Balanced N-way full-factorial ANOVA.
 ///

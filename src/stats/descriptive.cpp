@@ -107,21 +107,4 @@ double quantile(std::span<const double> data, double q) {
   return v[i] + frac * (v[i + 1] - v[i]);
 }
 
-Summary summarize(std::span<const double> data) {
-  if (data.empty()) throw std::invalid_argument("summarize: empty sample");
-  OnlineStats os;
-  for (double x : data) os.add(x);
-  Summary s;
-  s.n = data.size();
-  s.mean = os.mean();
-  s.stddev = os.stddev();
-  s.min = os.min();
-  s.max = os.max();
-  s.p25 = quantile(data, 0.25);
-  s.median = quantile(data, 0.50);
-  s.p75 = quantile(data, 0.75);
-  s.p95 = quantile(data, 0.95);
-  return s;
-}
-
 }  // namespace divsec::stats

@@ -1,8 +1,8 @@
 // descriptive.h — descriptive statistics and interval estimation.
 //
 // OnlineStats (Welford accumulation) is the workhorse used by reward
-// variables and replication controllers; Summary adds order statistics;
-// confidence intervals use Student's t from special.h.
+// variables and replication controllers; confidence intervals use
+// Student's t from special.h.
 #pragma once
 
 #include <cstddef>
@@ -112,19 +112,5 @@ struct ProportionTest {
 /// Quantile of a sample by linear interpolation between order statistics
 /// (type-7 / the numpy default). q in [0,1]; data need not be sorted.
 [[nodiscard]] double quantile(std::span<const double> data, double q);
-
-/// Full five-number-style summary of a sample.
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-[[nodiscard]] Summary summarize(std::span<const double> data);
 
 }  // namespace divsec::stats

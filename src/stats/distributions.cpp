@@ -1,7 +1,6 @@
 #include "stats/distributions.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace divsec::stats {
@@ -52,18 +51,6 @@ double Distribution::variance() const {
     double operator()(const Normal& d) const { return d.sd * d.sd; }
   };
   return std::visit(V{}, v_);
-}
-
-std::string Distribution::to_string() const {
-  std::ostringstream os;
-  struct V {
-    std::ostringstream& os;
-    void operator()(const Deterministic& d) const { os << "Deterministic(" << d.value << ")"; }
-    void operator()(const Exponential& d) const { os << "Exponential(rate=" << d.rate << ")"; }
-    void operator()(const Normal& d) const { os << "Normal(" << d.mean << "," << d.sd << ")"; }
-  };
-  std::visit(V{os}, v_);
-  return os.str();
 }
 
 void Distribution::validate() const {

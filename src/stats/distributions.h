@@ -7,7 +7,6 @@
 // results are bit-stable across standard libraries.
 #pragma once
 
-#include <string>
 #include <variant>
 
 #include "stats/rng.h"
@@ -48,9 +47,6 @@ class Distribution {
 
   /// Analytic variance of the distribution.
   [[nodiscard]] double variance() const;
-
-  /// Human-readable form, e.g. "Exponential(rate=2)".
-  [[nodiscard]] std::string to_string() const;
 
  private:
   void validate() const;

@@ -66,14 +66,6 @@ std::size_t FactorSpace::encode(std::span<const int> levels) const {
   return idx;
 }
 
-std::vector<std::vector<int>> full_factorial(const FactorSpace& space) {
-  std::vector<std::vector<int>> out;
-  const std::size_t n = space.configuration_count();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(space.decode(i));
-  return out;
-}
-
 TwoLevelDesign full_factorial_2k(std::vector<std::string> factor_names) {
   const std::size_t k = factor_names.size();
   if (k == 0 || k > 24)
@@ -110,23 +102,11 @@ TwoLevelDesign fractional_factorial(std::vector<std::string> base_factor_names,
   return d;
 }
 
-std::vector<std::string> AliasStructure::aliases_of(const std::string& word) const {
-  const std::uint32_t m = word_to_mask(word, total_factors);
-  std::vector<std::string> out;
-  out.reserve(defining_masks.size());
-  for (std::uint32_t dm : defining_masks) out.push_back(mask_to_word(m ^ dm));
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.size() != b.size() ? a.size() < b.size() : a < b;
-  });
-  return out;
-}
-
 AliasStructure alias_structure(std::size_t base_factors,
                                std::span<const Generator> generators) {
   const std::size_t total = base_factors + generators.size();
   if (total > 26) throw std::invalid_argument("alias_structure: > 26 factors");
   AliasStructure as;
-  as.total_factors = total;
   // Each generator g_i contributes the defining word (added factor letter)
   // * (base word). The defining relation is the XOR-closure of these.
   std::vector<std::uint32_t> gens;
@@ -146,7 +126,6 @@ AliasStructure alias_structure(std::size_t base_factors,
   }
   std::sort(subgroup.begin(), subgroup.end());
   subgroup.erase(std::unique(subgroup.begin(), subgroup.end()), subgroup.end());
-  as.defining_masks = subgroup;
   int res = 0;
   for (std::uint32_t w : subgroup) {
     const int len = std::popcount(w);

@@ -48,9 +48,6 @@ class FactorSpace {
   std::vector<Factor> factors_;
 };
 
-/// All configurations of the space, as level-index vectors.
-[[nodiscard]] std::vector<std::vector<int>> full_factorial(const FactorSpace& space);
-
 /// A two-level design in coded units: runs x factors matrix of -1/+1.
 struct TwoLevelDesign {
   std::vector<std::string> factor_names;
@@ -81,12 +78,8 @@ struct AliasStructure {
   /// Words of the defining relation (excluding I), as sorted letter strings.
   std::vector<std::string> defining_relation;
   /// resolution = length of the shortest defining word (0 if full design).
+  /// An effect is aliased with its product with each defining word.
   int resolution = 0;
-  /// aliases("A") -> {"BCD", ...}: effects confounded with "A".
-  [[nodiscard]] std::vector<std::string> aliases_of(const std::string& word) const;
-
-  std::vector<std::uint32_t> defining_masks;  // internal bitmask form
-  std::size_t total_factors = 0;
 };
 [[nodiscard]] AliasStructure alias_structure(std::size_t base_factors,
                                              std::span<const Generator> generators);

@@ -86,6 +86,11 @@ class KaplanMeier {
 /// estimator so their event-time summaries agree on identical inputs.
 inline constexpr std::size_t kDefaultSurvivalBins = 64;
 
+/// Upper bound on the survival bin count (64x the default). Every reader
+/// of a bin count (the engine's options, the state codec, the sweep CLI)
+/// rejects more, so no input can size the per-cell grids unboundedly.
+inline constexpr std::size_t kMaxSurvivalBins = 4096;
+
 /// Streaming product-limit estimator on a fixed binned grid over
 /// [0, horizon]. Observations bucket into `bins` equal-width bins (events
 /// past the horizon clamp into the last bin; censorings at or past the

@@ -20,7 +20,6 @@
 #include "dist/sweep.h"
 #include "scenario/presets.h"
 #include "sim/executor.h"
-#include "sim/replication.h"
 #include "sim/stopping.h"
 #include "stats/rng.h"
 
@@ -95,28 +94,6 @@ TEST(StoppingRule, EitherCriterionStops) {
   neither.relative_precision = 0.0;
   neither.absolute_precision = 0.0;
   EXPECT_FALSE(sim::precision_reached(tight, neither));
-}
-
-TEST(RunSequential, AbsoluteFloorStopsNearZeroMeanExperiment) {
-  // A near-zero-mean experiment: the relative-only rule burns the whole
-  // budget, the absolute floor stops as soon as the half-width is small.
-  const sim::Experiment near_zero = [](stats::Rng& rng) {
-    return rng.uniform(-1e-3, 1e-3);
-  };
-  sim::SequentialOptions relative_only;
-  relative_only.min_replications = 10;
-  relative_only.max_replications = 400;
-  relative_only.relative_precision = 0.05;
-  const auto burned = sim::run_sequential(near_zero, relative_only, 99);
-  EXPECT_EQ(burned.stats.count(), 400u);  // capped, never converged
-
-  sim::SequentialOptions with_floor = relative_only;
-  with_floor.absolute_precision = 1e-3;
-  const auto stopped = sim::run_sequential(near_zero, with_floor, 99);
-  EXPECT_LT(stopped.stats.count(), 400u);
-  EXPECT_GE(stopped.stats.count(), 10u);
-  const double hw = stopped.confidence_interval(0.95).half_width();
-  EXPECT_LE(hw, 1e-3);
 }
 
 // ---- schedule resolution ---------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for stats/anova.h — one-way and factorial variance decomposition.
+// Tests for stats/anova.h — factorial variance decomposition.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,40 +10,6 @@
 
 namespace divsec::stats {
 namespace {
-
-TEST(OneWayAnova, HandComputedExample) {
-  // Groups {1,2,3}, {2,3,4}, {6,7,8}: grand mean 4, SSB = 3*(2-4)^2 +
-  // 3*(3-4)^2 + 3*(7-4)^2 = 42, SSW = 2+2+2 = 6, df = (2, 6).
-  const std::vector<std::vector<double>> groups{
-      {1, 2, 3}, {2, 3, 4}, {6, 7, 8}};
-  const AnovaTable t = one_way_anova(groups, "G");
-  const auto& g = t.effect("G");
-  EXPECT_NEAR(g.ss, 42.0, 1e-12);
-  EXPECT_EQ(g.df, 2u);
-  EXPECT_NEAR(t.error.ss, 6.0, 1e-12);
-  EXPECT_EQ(t.error.df, 6u);
-  EXPECT_NEAR(g.f, (42.0 / 2.0) / (6.0 / 6.0), 1e-12);
-  EXPECT_LT(g.p_value, 0.01);
-  EXPECT_NEAR(g.eta_squared, 42.0 / 48.0, 1e-12);
-}
-
-TEST(OneWayAnova, NoDifferenceGivesSmallF) {
-  Rng rng(3);
-  std::vector<std::vector<double>> groups(4);
-  for (auto& g : groups)
-    for (int i = 0; i < 50; ++i) g.push_back(sample_standard_normal(rng));
-  const AnovaTable t = one_way_anova(groups);
-  EXPECT_GT(t.effect("Factor").p_value, 0.01);
-}
-
-TEST(OneWayAnova, Errors) {
-  EXPECT_THROW(one_way_anova(std::vector<std::vector<double>>{{1.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(one_way_anova(std::vector<std::vector<double>>{{1.0}, {}}),
-               std::invalid_argument);
-  EXPECT_THROW(one_way_anova(std::vector<std::vector<double>>{{1.0}, {2.0}}),
-               std::invalid_argument);
-}
 
 TEST(FactorialAnova, TwoByTwoHandComputed) {
   // Cell means with no interaction: A effect 4, B effect 2.
@@ -162,10 +128,12 @@ TEST(FactorialAnova, ValidationErrors) {
 }
 
 TEST(AnovaTable, ToStringAndLookup) {
-  const std::vector<std::vector<double>> groups{{1, 2}, {3, 4}};
-  const AnovaTable t = one_way_anova(groups, "X");
+  const std::vector<std::size_t> levels{2, 2};
+  const std::vector<std::string> names{"X", "Y"};
+  const std::vector<std::vector<double>> cells{{1, 2}, {3, 4}, {2, 4}, {5, 5}};
+  const AnovaTable t = factorial_anova(levels, names, cells);
   const std::string s = t.to_string();
-  EXPECT_NE(s.find("X"), std::string::npos);
+  EXPECT_NE(s.find("X:Y"), std::string::npos);
   EXPECT_NE(s.find("Error"), std::string::npos);
   EXPECT_NE(s.find("Total"), std::string::npos);
   EXPECT_THROW((void)t.effect("nope"), std::out_of_range);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "attack/campaign.h"
-#include "sim/replication.h"
 
 namespace divsec::attack {
 namespace {

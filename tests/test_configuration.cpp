@@ -30,9 +30,7 @@ TEST_F(ScopeDescription, BaselineConfigurationIsAllZeros) {
   const Configuration c = desc.baseline_configuration();
   EXPECT_EQ(c.variant.size(), 7u);
   for (std::size_t v : c.variant) EXPECT_EQ(v, 0u);
-  EXPECT_EQ(desc.diversity_degree(c), 0u);
   EXPECT_DOUBLE_EQ(desc.extra_cost(c), 0.0);
-  EXPECT_DOUBLE_EQ(desc.shannon_diversity(c), 0.0);
 }
 
 TEST_F(ScopeDescription, InstantiateAppliesVariantsToBoundNodes) {
@@ -48,16 +46,6 @@ TEST_F(ScopeDescription, InstantiateAppliesVariantsToBoundNodes) {
   EXPECT_EQ(sc.software[t.node_by_name("corp.ws1")].os, 0u);
   EXPECT_EQ(*sc.software[t.node_by_name("fld.plc-chiller")].plc_firmware, 3u);
   EXPECT_EQ(sc.firewall_variant, 1u);
-}
-
-TEST_F(ScopeDescription, DiversityMetrics) {
-  Configuration c = desc.baseline_configuration();
-  c.variant[1] = 2;
-  c.variant[2] = 1;
-  EXPECT_EQ(desc.diversity_degree(c), 2u);
-  // The two OS components now use different variants: entropy ln 2 for
-  // the OS kind; plc kind has a single component so entropy stays 0.
-  EXPECT_NEAR(desc.shannon_diversity(c), std::log(2.0), 1e-12);
 }
 
 TEST_F(ScopeDescription, ExtraCostScalesWithNodeCount) {

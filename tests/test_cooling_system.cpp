@@ -21,7 +21,7 @@ TEST(CoolingSystem, NormalOperationHoldsSetpointsWithoutAlarms) {
   EXPECT_NEAR(sys.room_temp_c(), 24.0, 2.0);
   EXPECT_FALSE(sys.impaired());
   EXPECT_FALSE(sys.first_detection_time_s().has_value());
-  EXPECT_GT(sys.historian().sample_count("room_temp"), 1000u);
+  EXPECT_GT(sys.historian().query("room_temp", 0.0).size(), 1000u);
 }
 
 TEST(CoolingSystem, CracSabotageOverheatsTheRoom) {
@@ -32,23 +32,6 @@ TEST(CoolingSystem, CracSabotageOverheatsTheRoom) {
   EXPECT_TRUE(sys.impaired());
   ASSERT_TRUE(sys.impairment_time_s().has_value());
   EXPECT_GT(*sys.impairment_time_s(), 600.0);
-}
-
-TEST(CoolingSystem, ChillerSabotageAlsoImpairsButSlower) {
-  // Killing the chiller leaves the CRAC moving heat into an increasingly
-  // warm loop: slower degradation than stopping airflow outright.
-  CoolingSystem crac_hit(fast_options(), 3);
-  crac_hit.advance(600.0);
-  crac_hit.compromise_crac_plc(SpoofMode::kNone);
-  crac_hit.advance(8.0 * 3600.0);
-  ASSERT_TRUE(crac_hit.impaired());
-
-  CoolingSystem chiller_hit(fast_options(), 3);
-  chiller_hit.advance(600.0);
-  chiller_hit.compromise_chiller_plc(SpoofMode::kNone);
-  chiller_hit.advance(8.0 * 3600.0);
-  ASSERT_TRUE(chiller_hit.impaired());
-  EXPECT_GT(*chiller_hit.impairment_time_s(), *crac_hit.impairment_time_s());
 }
 
 TEST(CoolingSystem, NoSpoofIsDetectedBeforeImpairment) {

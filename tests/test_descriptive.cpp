@@ -119,19 +119,5 @@ TEST(Quantile, Errors) {
   EXPECT_THROW((void)quantile(v, 1.5), std::invalid_argument);
 }
 
-TEST(Summarize, FiveNumberSummary) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.n, 100u);
-  EXPECT_NEAR(s.mean, 50.5, 1e-12);
-  EXPECT_EQ(s.min, 1.0);
-  EXPECT_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.median, 50.5, 1e-12);
-  EXPECT_NEAR(s.p25, 25.75, 1e-12);
-  EXPECT_NEAR(s.p75, 75.25, 1e-12);
-  EXPECT_GT(s.p95, s.p75);
-}
-
 }  // namespace
 }  // namespace divsec::stats

@@ -58,13 +58,6 @@ TEST(Distributions, ExponentialIsNonNegative) {
   for (int i = 0; i < 10000; ++i) EXPECT_GE(d.sample(rng), 0.0);
 }
 
-TEST(Distributions, ToStringNamesTheFamily) {
-  EXPECT_NE(Distribution(Exponential{2.0}).to_string().find("Exponential"),
-            std::string::npos);
-  EXPECT_NE(Distribution(Normal{0.0, 1.0}).to_string().find("Normal"),
-            std::string::npos);
-}
-
 TEST(Distributions, DefaultConstructedIsPointMassAtZero) {
   Distribution d;
   Rng rng(6);

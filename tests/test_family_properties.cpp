@@ -352,9 +352,10 @@ TEST(FamilySpecParsing, NulBytesAndNegativeZeroHaveNoSpelling) {
 }
 
 TEST(FamilySpecParsing, PresetRegistryIntegration) {
-  EXPECT_TRUE(has_preset("brownfield"));
-  EXPECT_TRUE(has_preset("hub-spoke:nodes=128"));
-  EXPECT_FALSE(has_preset("hub-spoke:nodes=7"));  // infeasible
+  EXPECT_NO_THROW((void)resolve_preset_name("brownfield"));
+  EXPECT_NO_THROW((void)resolve_preset_name("hub-spoke:nodes=128"));
+  EXPECT_THROW((void)resolve_preset_name("hub-spoke:nodes=7"),  // infeasible
+               std::invalid_argument);
   EXPECT_EQ(resolve_preset_name("enterprise64"), "enterprise64");
   // One spelling per enterprise preset: leading zeros name the same
   // fleet, so they resolve to the same name and sweep fingerprint.

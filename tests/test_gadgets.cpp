@@ -124,22 +124,6 @@ TEST(Aslr, ExpectedAttemptsMatchesEntropy) {
   EXPECT_DOUBLE_EQ(AslrModel(10).expected_attempts(), 1024.0);
 }
 
-TEST(Aslr, SampledAttemptsAreGeometric) {
-  const AslrModel m(6);  // p = 1/64, mean 64
-  stats::Rng rng(13);
-  double acc = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i)
-    acc += static_cast<double>(m.sample_attempts(rng));
-  EXPECT_NEAR(acc / kN, 64.0, 2.5);
-}
-
-TEST(Aslr, ZeroEntropySamplesOneAttempt) {
-  const AslrModel m(0);
-  stats::Rng rng(14);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(m.sample_attempts(rng), 1u);
-}
-
 TEST(Aslr, RejectsBadEntropy) {
   EXPECT_THROW(AslrModel(-1), std::invalid_argument);
   EXPECT_THROW(AslrModel(49), std::invalid_argument);

@@ -13,14 +13,11 @@ TEST(Historian, RecordAndQuery) {
   h.record("t", 0.0, 1.0);
   h.record("t", 1.0, 2.0);
   h.record("t", 2.0, 3.0);
-  EXPECT_EQ(h.sample_count("t"), 3u);
-  EXPECT_EQ(h.sample_count("other"), 0u);
-  const auto latest = h.latest("t");
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->value, 3.0);
+  const auto all = h.query("t", 0.0);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all.back().value, 3.0);
   EXPECT_EQ(h.query("t", 1.0).size(), 2u);
-  EXPECT_FALSE(h.latest("missing").has_value());
-  EXPECT_EQ(h.tags(), (std::vector<std::string>{"t"}));
+  EXPECT_TRUE(h.query("missing", 0.0).empty());
 }
 
 TEST(Historian, RejectsTimeTravel) {
@@ -34,23 +31,10 @@ TEST(Historian, RejectsTimeTravel) {
 TEST(Historian, RingCapacityEvictsOldest) {
   Historian h(/*capacity_per_tag=*/3);
   for (int i = 0; i < 5; ++i) h.record("t", i, i * 10.0);
-  EXPECT_EQ(h.sample_count("t"), 3u);
   const auto samples = h.query("t", 0.0);
+  EXPECT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples.front().value, 20.0);  // 0 and 10 evicted
   EXPECT_THROW(Historian(0), std::invalid_argument);
-}
-
-TEST(Historian, WindowStats) {
-  Historian h;
-  for (int i = 0; i < 10; ++i) h.record("t", i, static_cast<double>(i));
-  const auto w = h.window_stats("t", 5.0);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(w->n, 5u);  // samples at t = 5..9
-  EXPECT_DOUBLE_EQ(w->mean, 7.0);
-  EXPECT_DOUBLE_EQ(w->min, 5.0);
-  EXPECT_DOUBLE_EQ(w->max, 9.0);
-  EXPECT_NEAR(w->variance, 2.5, 1e-12);
-  EXPECT_FALSE(h.window_stats("t", 100.0).has_value());
 }
 
 TEST(AlarmEngine, HighAlarmWithDeadbandRearm) {
@@ -82,15 +66,6 @@ TEST(AlarmEngine, RulesAreTagScoped) {
   AlarmEngine e;
   e.add_rule({"a", 10.0, 0.0, 0.1});
   EXPECT_TRUE(e.evaluate("b", 0.0, 100.0).empty());
-}
-
-TEST(AlarmEngine, FirstAlarmTime) {
-  AlarmEngine e;
-  e.add_rule({"a", 10.0, 0.0, 0.1});
-  EXPECT_FALSE(e.first_alarm_time().has_value());
-  e.evaluate("a", 7.0, 11.0);
-  ASSERT_TRUE(e.first_alarm_time().has_value());
-  EXPECT_EQ(*e.first_alarm_time(), 7.0);
 }
 
 TEST(AlarmEngine, RuleValidation) {

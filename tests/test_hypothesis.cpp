@@ -1,6 +1,5 @@
 // Tests for the hypothesis-testing additions: Welch t-test,
-// two-proportion z-test, configuration comparison, and the IR
-// disassembler.
+// two-proportion z-test and configuration comparison.
 #include <gtest/gtest.h>
 
 #include "core/indicators.h"
@@ -124,30 +123,13 @@ TEST(CompareIndicators, SameConfigurationIsNotSignificant) {
   EXPECT_FALSE(cmp.b_is_significantly_safer(0.01));
 }
 
-TEST(Disassembler, RendersInstructionsAndTerminators) {
-  divers::Program p;
-  p.blocks.resize(2);
-  p.blocks[0].body.push_back({divers::Opcode::kMovImm, 1, 0, 0, 42});
-  p.blocks[0].body.push_back({divers::Opcode::kAdd, 2, 1, 1, 0});
-  p.blocks[0].body.push_back({divers::Opcode::kStore, 0, 3, 2, 0});
-  p.blocks[0].term = {divers::TerminatorKind::kBranch, 2, 1, 1};
-  p.blocks[1].term = {divers::TerminatorKind::kReturn, 0, 0, 0};
-  const std::string asm_text = divers::disassemble(p);
-  EXPECT_NE(asm_text.find("bb0:"), std::string::npos);
-  EXPECT_NE(asm_text.find("movi r1, #42"), std::string::npos);
-  EXPECT_NE(asm_text.find("add r2, r1, r1"), std::string::npos);
-  EXPECT_NE(asm_text.find("[r3], r2"), std::string::npos);
-  EXPECT_NE(asm_text.find("bnz r2, bb1, bb1"), std::string::npos);
-  EXPECT_NE(asm_text.find("ret"), std::string::npos);
-}
-
-TEST(Disassembler, DifferentVariantsDisassembleDifferently) {
+TEST(Diversify, AllTransformsChangeTheEncoding) {
   stats::Rng gen(5);
   const divers::Program p = divers::generate_program(gen);
   stats::Rng trng(6);
   const divers::Program q =
       divers::diversify(p, divers::TransformConfig::all(), trng);
-  EXPECT_NE(divers::disassemble(p), divers::disassemble(q));
+  EXPECT_NE(divers::encode(p), divers::encode(q));
 }
 
 }  // namespace

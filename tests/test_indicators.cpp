@@ -161,5 +161,21 @@ TEST_F(IndicatorsFixture, ZeroReplicationsRejected) {
       std::invalid_argument);
 }
 
+TEST_F(IndicatorsFixture, SurvivalBinsOutsideOneToTheBoundRejected) {
+  MeasurementOptions mo;
+  mo.replications = 8;
+  for (const std::size_t bins : {std::size_t{0}, stats::kMaxSurvivalBins + 1}) {
+    mo.survival_bins = bins;
+    EXPECT_THROW(
+        measure_indicators(desc, desc.baseline_configuration(), stuxnet, mo),
+        std::invalid_argument)
+        << bins;
+  }
+  mo.survival_bins = stats::kMaxSurvivalBins;
+  EXPECT_EQ(measure_indicators(desc, desc.baseline_configuration(), stuxnet, mo)
+                .replications,
+            8u);
+}
+
 }  // namespace
 }  // namespace divsec::core

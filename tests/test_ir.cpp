@@ -143,10 +143,5 @@ TEST(IrGenerator, RespectsOptions) {
                std::invalid_argument);
 }
 
-TEST(Ir, OpcodeNames) {
-  EXPECT_STREQ(to_string(Opcode::kNop), "nop");
-  EXPECT_STREQ(to_string(Opcode::kCmpLt), "cmplt");
-}
-
 }  // namespace
 }  // namespace divsec::divers

@@ -2,8 +2,7 @@
 //
 // The engine's contract: job (cell, rep) draws from Rng(cell.seed, rep),
 // so multi-threaded measurement is bit-identical to the serial path for
-// both measurement engines, and replication stream semantics
-// (run_replications' (seed, i) derivation) are preserved.
+// both measurement engines.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +10,6 @@
 #include "core/measurement.h"
 #include "core/pipeline.h"
 #include "sim/executor.h"
-#include "sim/replication.h"
 
 namespace divsec::core {
 namespace {
@@ -196,51 +194,6 @@ TEST_F(MeasurementParallelFixture, VisitorSeesSamplesWithoutChangingSummaries) {
     EXPECT_EQ(table.tta_cells[c].size(), 80u);
     EXPECT_EQ(table.success_cells[c].size(), 80u);
   }
-}
-
-TEST(ReplicationStreams, RunReplicationsPreservesPerIndexStreams) {
-  // Replication i must consume exactly the (seed, i) stream, executor or
-  // not: this is the invariant all measurement determinism rests on.
-  const sim::Experiment experiment = [](stats::Rng& rng) { return rng.uniform(); };
-  constexpr std::uint64_t kSeed = 424242;
-
-  const auto serial = sim::run_replications(experiment, 32, kSeed);
-  ASSERT_EQ(serial.samples.size(), 32u);
-  for (std::size_t i = 0; i < 32; ++i) {
-    stats::Rng rng(kSeed, i);
-    EXPECT_EQ(serial.samples[i], rng.uniform()) << "stream " << i;
-  }
-
-  const sim::Executor threaded(4);
-  const auto parallel = sim::run_replications(experiment, 32, kSeed, &threaded);
-  EXPECT_EQ(serial.samples, parallel.samples);
-  EXPECT_EQ(serial.stats.mean(), parallel.stats.mean());
-  EXPECT_EQ(serial.stats.variance(), parallel.stats.variance());
-
-  // Prefix property: a shorter run is a prefix of a longer one.
-  const auto shorter = sim::run_replications(experiment, 8, kSeed, &threaded);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(shorter.samples[i], serial.samples[i]);
-}
-
-TEST(ReplicationStreams, SequentialStoppingRuleMatchesSerialExactly) {
-  const sim::Experiment experiment = [](stats::Rng& rng) {
-    return 10.0 + rng.uniform();  // tight spread: stops quickly
-  };
-  sim::SequentialOptions opts;
-  opts.min_replications = 10;
-  opts.max_replications = 500;
-  opts.relative_precision = 0.01;
-
-  const auto serial = sim::run_sequential(experiment, opts, 7);
-  const sim::Executor threaded(4);
-  const auto parallel = sim::run_sequential(experiment, opts, 7, &threaded);
-
-  // Same stopping point, same retained samples, same statistics: surplus
-  // batch samples past the stopping index are discarded.
-  EXPECT_EQ(serial.samples, parallel.samples);
-  EXPECT_EQ(serial.stats.count(), parallel.stats.count());
-  EXPECT_EQ(serial.stats.mean(), parallel.stats.mean());
-  EXPECT_EQ(serial.stats.variance(), parallel.stats.variance());
 }
 
 }  // namespace

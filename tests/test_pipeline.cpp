@@ -146,10 +146,9 @@ TEST_F(PipelineFixture, FractionalFactorialHalvesTheRunsAndKeepsTheSignal) {
   EXPECT_LT(frac.success_effects[0], 0.0);  // os.corporate
   EXPECT_LT(frac.success_effects[1], 0.0);  // os.control
   EXPECT_LT(frac.success_effects[3], 0.0);  // plc.firmware (generated)
-  // plc.firmware (D) is aliased with ABC, nothing shorter.
-  const auto aliases = frac.aliases.aliases_of("D");
-  ASSERT_EQ(aliases.size(), 1u);
-  EXPECT_EQ(aliases[0], "ABC");
+  // plc.firmware (D) is aliased with ABC, nothing shorter: the defining
+  // relation is I = ABCD alone.
+  EXPECT_EQ(frac.aliases.defining_relation, std::vector<std::string>{"ABCD"});
 }
 
 TEST_F(PipelineFixture, FractionalRejectsUnknownComponents) {

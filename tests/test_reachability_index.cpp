@@ -40,7 +40,7 @@ void expect_index_matches_reference(const Topology& topo, const Firewall& fw) {
         const Channel channel = static_cast<Channel>(ch);
         const bool expected = can_reach(topo, fw, a, b, channel);
         EXPECT_EQ(index.can_reach(a, b, channel), expected)
-            << "can_reach(" << a << "," << b << "," << to_string(channel) << ")";
+            << "can_reach(" << a << "," << b << "," << static_cast<int>(channel) << ")";
         if (expected)
           reach[ch].push_back(b);
         else if (linked && channel != Channel::kUsb)
@@ -52,9 +52,9 @@ void expect_index_matches_reference(const Topology& topo, const Firewall& fw) {
     for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
       const Channel channel = static_cast<Channel>(ch);
       EXPECT_EQ(listed(index, channel, a, true), reach[ch])
-          << "direct targets of " << a << " on " << to_string(channel);
+          << "direct targets of " << a << " on " << static_cast<int>(channel);
       EXPECT_EQ(listed(index, channel, a, false), tunnel[ch])
-          << "tunnel targets of " << a << " on " << to_string(channel);
+          << "tunnel targets of " << a << " on " << static_cast<int>(channel);
     }
   }
 }

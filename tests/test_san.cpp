@@ -12,14 +12,13 @@
 namespace divsec::san {
 namespace {
 
-TEST(SanModel, PlacesAndLookup) {
+TEST(SanModel, Places) {
   SanModel m;
   const PlaceId a = m.add_place("alpha", 2);
   const PlaceId b = m.add_place("beta");
   EXPECT_EQ(m.place_count(), 2u);
   EXPECT_EQ(m.place(a).initial, 2);
-  EXPECT_EQ(m.place_by_name("beta"), b);
-  EXPECT_THROW((void)m.place_by_name("gamma"), std::out_of_range);
+  EXPECT_EQ(m.place(b).name, "beta");
   EXPECT_THROW(m.add_place("neg", -1), std::invalid_argument);
   const Marking init = m.initial_marking();
   EXPECT_EQ(init[a], 2);
@@ -64,8 +63,6 @@ TEST(SanModel, StructuralErrors) {
   EXPECT_THROW(m.add_input_arc(a, p, 0), std::invalid_argument);
   EXPECT_THROW(m.add_output_arc(a, p, 1, 5), std::out_of_range);
   EXPECT_THROW(m.add_input_gate(a, nullptr), std::invalid_argument);
-  EXPECT_THROW(m.add_output_gate(a, nullptr), std::invalid_argument);
-  EXPECT_THROW(m.add_instantaneous_activity("w", 0.0), std::invalid_argument);
 }
 
 /// One token, one exponential transition: first passage is Exp(rate).
@@ -97,10 +94,10 @@ TEST(SanSimulator, ExponentialRaceProbability) {
   m.add_input_arc(b, token);
   m.add_output_arc(b, wb);
 
-  const auto res = instant_of_time(
-      m, [wa](const Marking& mk) { return static_cast<double>(mk[wa]); }, 50.0,
-      20000, 13);
-  EXPECT_NEAR(res.stats.mean(), 0.75, 0.01);
+  // The loser is aborted, so a_won is reached iff A wins the race.
+  const auto fp = first_passage(
+      m, [wa](const Marking& mk) { return mk[wa] >= 1; }, 50.0, 20000, 13);
+  EXPECT_NEAR(fp.absorption_probability(), 0.75, 0.01);
 }
 
 /// Case probabilities select outcomes at the specified frequencies.
@@ -116,46 +113,9 @@ TEST(SanSimulator, CaseSelectionFrequencies) {
   m.add_output_arc(flip, heads, 1, ch);
   m.add_output_arc(flip, tails, 1, ct);
 
-  const auto res = instant_of_time(
-      m, [heads](const Marking& mk) { return static_cast<double>(mk[heads]); }, 2.0,
-      20000, 17);
-  EXPECT_NEAR(res.stats.mean(), 0.3, 0.01);
-}
-
-/// Instantaneous activities complete before time advances.
-TEST(SanSimulator, InstantaneousFiresBeforeTimedAtTimeZero) {
-  SanModel m;
-  const PlaceId p = m.add_place("p", 1);
-  const PlaceId q = m.add_place("q", 0);
-  const ActivityId inst = m.add_instantaneous_activity("now");
-  m.add_input_arc(inst, p);
-  m.add_output_arc(inst, q);
-  stats::Rng rng(1);
-  SanSimulator sim(m, rng);
-  // Already resolved during reset, at time 0.
-  EXPECT_EQ(sim.tokens(q), 1);
-  EXPECT_EQ(sim.now(), 0.0);
-}
-
-TEST(SanSimulator, InstantaneousWeightsBiasSelection) {
-  // Two instantaneous activities compete for one token; weight 3:1.
-  int a_wins = 0;
-  for (int rep = 0; rep < 4000; ++rep) {
-    SanModel m;
-    const PlaceId p = m.add_place("p", 1);
-    const PlaceId qa = m.add_place("qa", 0);
-    const PlaceId qb = m.add_place("qb", 0);
-    const ActivityId a = m.add_instantaneous_activity("a", 3.0);
-    const ActivityId b = m.add_instantaneous_activity("b", 1.0);
-    m.add_input_arc(a, p);
-    m.add_output_arc(a, qa);
-    m.add_input_arc(b, p);
-    m.add_output_arc(b, qb);
-    stats::Rng rng(100, rep);
-    SanSimulator sim(m, rng);
-    if (sim.tokens(qa) == 1) ++a_wins;
-  }
-  EXPECT_NEAR(a_wins / 4000.0, 0.75, 0.03);
+  const auto fp = first_passage(
+      m, [heads](const Marking& mk) { return mk[heads] >= 1; }, 2.0, 20000, 17);
+  EXPECT_NEAR(fp.absorption_probability(), 0.3, 0.01);
 }
 
 TEST(SanSimulator, InputGatePredicateControlsEnabling) {
@@ -180,13 +140,15 @@ TEST(SanSimulator, InputGatePredicateControlsEnabling) {
   EXPECT_EQ(sim.tokens(out), 1);  // opened at 5, fired at 6
 }
 
-TEST(SanSimulator, OutputGateFunctionRuns) {
+TEST(SanSimulator, InputGateFunctionRunsOnCompletion) {
   SanModel m;
   const PlaceId p = m.add_place("p", 1);
   const PlaceId bucket = m.add_place("bucket", 0);
   const ActivityId a = m.add_timed_activity("a", stats::Deterministic{1.0});
   m.add_input_arc(a, p);
-  m.add_output_gate(a, [bucket](Marking& mk) { mk[bucket] += 5; });
+  m.add_input_gate(
+      a, [](const Marking&) { return true; },
+      [bucket](Marking& mk) { mk[bucket] += 5; });
   stats::Rng rng(3);
   SanSimulator sim(m, rng);
   sim.run_until(2.0);
@@ -199,20 +161,12 @@ TEST(SanSimulator, GateDrivingTokensNegativeThrows) {
   const PlaceId victim = m.add_place("victim", 0);
   const ActivityId a = m.add_timed_activity("a", stats::Deterministic{1.0});
   m.add_input_arc(a, p);
-  m.add_output_gate(a, [victim](Marking& mk) { mk[victim] -= 1; });
+  m.add_input_gate(
+      a, [](const Marking&) { return true; },
+      [victim](Marking& mk) { mk[victim] -= 1; });
   stats::Rng rng(4);
   SanSimulator sim(m, rng);
   EXPECT_THROW(sim.run_until(2.0), std::logic_error);
-}
-
-TEST(SanSimulator, InstantaneousLoopDetected) {
-  SanModel m;
-  const PlaceId p = m.add_place("p", 1);
-  const ActivityId a = m.add_instantaneous_activity("loop");
-  m.add_input_arc(a, p);
-  m.add_output_arc(a, p);  // puts the token straight back: unstable
-  stats::Rng rng(5);
-  EXPECT_THROW(SanSimulator(m, rng), std::logic_error);
 }
 
 TEST(SanSimulator, DisabledActivityIsAborted) {
@@ -345,55 +299,6 @@ TEST(FirstPassage, CensoringCounted) {
   EXPECT_EQ(fp.censored + fp.times.size(), 5000u);
 }
 
-/// Marking-dependent rates: M/M/2 with lambda = mu = 1 (rho = 0.5) has
-/// mean number in system L = 4/3.
-TEST(SanSimulator, MM2MarkingDependentServiceRate) {
-  SanModel m;
-  const PlaceId queue = m.add_place("queue", 0);
-  const ActivityId arrive = m.add_timed_activity("arrive", stats::Exponential{1.0});
-  m.add_output_arc(arrive, queue);
-  const ActivityId serve = m.add_timed_activity("serve", stats::Exponential{1.0});
-  m.add_input_arc(serve, queue);
-  m.set_rate_scale(serve, [queue](const Marking& mk) {
-    return static_cast<double>(std::min<Tokens>(2, mk[queue]));
-  });
-  const auto res = interval_of_time_average(
-      m, [queue](const Marking& mk) { return static_cast<double>(mk[queue]); },
-      4000.0, 60, 51);
-  EXPECT_NEAR(res.stats.mean(), 4.0 / 3.0, 0.08);
-}
-
-TEST(SanSimulator, RateScaleSpeedsUpProportionally) {
-  // A transition at scale 4 completes (in distribution) 4x faster.
-  SanModel m;
-  const PlaceId src = m.add_place("src", 1);
-  const PlaceId dst = m.add_place("dst", 0);
-  const ActivityId a = m.add_timed_activity("a", stats::Exponential{1.0});
-  m.add_input_arc(a, src);
-  m.add_output_arc(a, dst);
-  m.set_rate_scale(a, [](const Marking&) { return 4.0; });
-  const auto fp = first_passage(
-      m, [dst](const Marking& mk) { return mk[dst] >= 1; }, 100.0, 20000, 53);
-  EXPECT_NEAR(fp.conditional_mean(), 0.25, 0.01);
-}
-
-TEST(SanSimulator, RateScaleValidation) {
-  SanModel m;
-  const PlaceId p = m.add_place("p", 1);
-  const ActivityId timed = m.add_timed_activity("t", stats::Exponential{1.0});
-  const ActivityId inst = m.add_instantaneous_activity("i");
-  m.add_input_arc(timed, p);
-  m.add_output_arc(timed, p);
-  m.add_input_arc(inst, p, 2);  // never enabled (only 1 token)
-  EXPECT_THROW(m.set_rate_scale(timed, nullptr), std::invalid_argument);
-  EXPECT_THROW(m.set_rate_scale(inst, [](const Marking&) { return 1.0; }),
-               std::invalid_argument);
-  // Zero scale while enabled is a model bug caught at runtime.
-  m.set_rate_scale(timed, [](const Marking&) { return 0.0; });
-  stats::Rng rng(55);
-  EXPECT_THROW(SanSimulator(m, rng), std::logic_error);
-}
-
 TEST(Analysis, Errors) {
   SanModel m;
   m.add_place("p", 1);
@@ -403,9 +308,13 @@ TEST(Analysis, Errors) {
   EXPECT_THROW(
       first_passage(m, [](const Marking&) { return true; }, -1.0, 10, 1),
       std::invalid_argument);
-  EXPECT_THROW(instant_of_time(m, nullptr, 1.0, 10, 1), std::invalid_argument);
+  EXPECT_THROW(interval_of_time_average(m, nullptr, 1.0, 10, 1),
+               std::invalid_argument);
   EXPECT_THROW(
       interval_of_time_average(m, [](const Marking&) { return 0.0; }, 0.0, 10, 1),
+      std::invalid_argument);
+  EXPECT_THROW(
+      interval_of_time_average(m, [](const Marking&) { return 0.0; }, 1.0, 0, 1),
       std::invalid_argument);
 }
 

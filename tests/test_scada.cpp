@@ -118,8 +118,24 @@ TEST(Plc, IlComparisonsAndDivision) {
 }
 
 TEST(Plc, HysteresisProgramLatches) {
+  // A thermostat that drives %Q0 from %I0 with hysteresis latched in %M0:
+  //   M0 = (I0 > 28) OR (M0 AND NOT(I0 < 24)); Q0 = M0.
+  // %M1 is scratch for the "not below the release threshold" term.
+  using S = OperandSpace;
   Plc plc("thermo");
-  plc.load_program(make_hysteresis_program(28.0, 24.0));
+  plc.load_program(IlProgram{
+      {IlOp::kLd, S::kInput, 0, 0.0},
+      {IlOp::kLt, S::kConstant, 0, 24.0},  // acc = I0 < 24
+      {IlOp::kStn, S::kMemory, 1, 0.0},    // M1 = !(below)
+      {IlOp::kLd, S::kMemory, 0, 0.0},
+      {IlOp::kAnd, S::kMemory, 1, 0.0},    // acc = M0 && !below
+      {IlOp::kSt, S::kMemory, 0, 0.0},
+      {IlOp::kLd, S::kInput, 0, 0.0},
+      {IlOp::kGt, S::kConstant, 0, 28.0},  // acc = I0 > 28
+      {IlOp::kOr, S::kMemory, 0, 0.0},
+      {IlOp::kSt, S::kMemory, 0, 0.0},
+      {IlOp::kSt, S::kOutput, 0, 0.0},
+  });
   const auto run = [&](double t) {
     plc.set_input(0, t);
     plc.scan(0.5);

@@ -89,7 +89,10 @@ TEST(TopologyGenerator, GeneratedFleetMatchesSpecAndIsDeterministic) {
             spec.control_sites * spec.plc_cells_per_site * spec.plcs_per_cell);
   EXPECT_EQ(a.nodes_with_role(Role::kWorkstation).size(),
             spec.corporate_workstations);
-  EXPECT_EQ(a.nodes_in_zone(Zone::kDmz).size(), spec.dmz_historians);
+  std::size_t dmz_nodes = 0;
+  for (NodeId n = 0; n < a.node_count(); ++n)
+    if (a.node(n).zone == Zone::kDmz) ++dmz_nodes;
+  EXPECT_EQ(dmz_nodes, spec.dmz_historians);
 
   // A different seed rewires the fleet (same census, different links).
   const net::Topology c = gen.generate(12);
@@ -116,18 +119,21 @@ TEST(PresetRegistry, NamesAndLookup) {
   const auto names = preset_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "paper_two_machines"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "enterprise{N}"), names.end());
-  EXPECT_TRUE(has_preset("scope_cooling"));
-  EXPECT_TRUE(has_preset("plant_small"));
-  EXPECT_TRUE(has_preset("enterprise64"));
-  EXPECT_TRUE(has_preset("enterprise1024"));
-  EXPECT_FALSE(has_preset("enterprise16"));  // below kMinEnterpriseNodes
-  EXPECT_FALSE(has_preset("enterprise12x"));
-  EXPECT_FALSE(has_preset("campus"));
+  EXPECT_EQ(resolve_preset_name("scope_cooling"), "scope_cooling");
+  EXPECT_EQ(resolve_preset_name("plant_small"), "plant_small");
+  EXPECT_NO_THROW((void)resolve_preset_name("enterprise64"));
+  EXPECT_NO_THROW((void)resolve_preset_name("enterprise1024"));
+  // Below kMinEnterpriseNodes.
+  EXPECT_THROW((void)resolve_preset_name("enterprise16"), std::out_of_range);
+  EXPECT_THROW((void)resolve_preset_name("enterprise12x"), std::out_of_range);
+  EXPECT_THROW((void)resolve_preset_name("campus"), std::out_of_range);
 
   // Family specs are preset names too (family_spec.h).
-  EXPECT_TRUE(has_preset("brownfield"));
-  EXPECT_TRUE(has_preset("purdue-deep:nodes=128,depth=3"));
-  EXPECT_FALSE(has_preset("purdue-deep:nodes=2"));  // below kMinFamilyNodes
+  EXPECT_NO_THROW((void)resolve_preset_name("brownfield"));
+  EXPECT_NO_THROW((void)resolve_preset_name("purdue-deep:nodes=128,depth=3"));
+  // Below kMinFamilyNodes.
+  EXPECT_THROW((void)resolve_preset_name("purdue-deep:nodes=2"),
+               std::invalid_argument);
 
   const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
   EXPECT_THROW(make_preset("campus", cat, 1), std::out_of_range);
@@ -149,11 +155,11 @@ TEST(PresetRegistry, EnterpriseSizeIsCappedByName) {
   // the cap, before any topology is allocated; the cap is accepted.
   const std::string cap = "enterprise" + std::to_string(kMaxFamilyNodes);
   const std::string over = "enterprise" + std::to_string(kMaxFamilyNodes + 1);
-  EXPECT_TRUE(has_preset(cap));
   EXPECT_EQ(resolve_preset_name(cap), cap);
   EXPECT_EQ(enterprise_spec(kMaxFamilyNodes).node_count(), kMaxFamilyNodes);
-  EXPECT_FALSE(has_preset(over));
-  EXPECT_FALSE(has_preset("enterprise99999999999"));
+  EXPECT_THROW((void)resolve_preset_name(over), std::invalid_argument);
+  EXPECT_THROW((void)resolve_preset_name("enterprise99999999999"),
+               std::invalid_argument);
   EXPECT_THROW((void)enterprise_spec(kMaxFamilyNodes + 1), std::invalid_argument);
   const divers::VariantCatalog cat = divers::VariantCatalog::standard(2013);
   for (const std::string& name : {over, std::string("enterprise99999999999")}) {

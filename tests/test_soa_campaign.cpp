@@ -194,10 +194,11 @@ TEST_F(SoaKernelFixture, EngineBitIdenticalAcrossThreads) {
 TEST_F(SoaKernelFixture, SharedReachabilityIndexGivesIdenticalRuns) {
   const auto made = scenario::make_preset("plant_medium", cat, 17,
                                           scenario::VariantPolicy::kMonoculture);
+  const auto index = std::make_shared<const net::ReachabilityIndex>(
+      made.scenario.topology, made.scenario.firewall);
   const CampaignSimulator own(made.scenario, stuxnet, cat);
-  const CampaignSimulator shared(made.scenario, stuxnet, cat, {}, {},
-                                 own.shared_reachability());
-  EXPECT_EQ(&own.reachability(), &shared.reachability());
+  const CampaignSimulator shared(made.scenario, stuxnet, cat, {}, {}, index);
+  EXPECT_EQ(&shared.reachability(), index.get());
   for (std::uint64_t rep = 0; rep < 8; ++rep) {
     stats::Rng ra(1, rep), rb(1, rep);
     expect_same_result(own.run(ra), shared.run(rb));
@@ -209,10 +210,11 @@ TEST_F(SoaKernelFixture, SharedIndexRejectsWrongTopologySize) {
                                            scenario::VariantPolicy::kMonoculture);
   const auto medium = scenario::make_preset("plant_medium", cat, 17,
                                             scenario::VariantPolicy::kMonoculture);
-  const CampaignSimulator donor(small.scenario, stuxnet, cat);
-  EXPECT_THROW(CampaignSimulator(medium.scenario, stuxnet, cat, {}, {},
-                                 donor.shared_reachability()),
-               std::invalid_argument);
+  const auto small_index = std::make_shared<const net::ReachabilityIndex>(
+      small.scenario.topology, small.scenario.firewall);
+  EXPECT_THROW(
+      CampaignSimulator(medium.scenario, stuxnet, cat, {}, {}, small_index),
+      std::invalid_argument);
 }
 
 TEST(StructuralKey, EqualForStructurallyIdenticalInputsOnly) {

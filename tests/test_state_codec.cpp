@@ -352,6 +352,27 @@ TEST(StateCodecCanonical, RejectsThreadCountAbove32Bits) {
   EXPECT_THROW((void)decode_shard_state(f.join()), std::runtime_error);
 }
 
+TEST(StateCodecCanonical, RejectsSurvivalBinsOutOfRange) {
+  // The bin count sizes every cell's survival grid downstream, so the
+  // decoder bounds it before any engine is built.
+  constexpr std::uint64_t kOver = stats::kMaxSurvivalBins + 1;
+  for (const std::uint64_t bins : {std::uint64_t{0}, kOver}) {
+    ShardState state = rich_state();
+    state.meta.survival_bins = bins;
+    try {
+      (void)decode_shard_state(encode_shard_state(state));
+      ADD_FAILURE() << "decoded survival_bins = " << bins;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("survival_bins"), std::string::npos)
+          << e.what();
+    }
+  }
+  ShardState at_bound = rich_state();
+  at_bound.meta.survival_bins = stats::kMaxSurvivalBins;
+  EXPECT_EQ(decode_shard_state(encode_shard_state(at_bound)).meta.survival_bins,
+            stats::kMaxSurvivalBins);
+}
+
 TEST(StateCodecCanonical, RejectsZeroRunSplitInTwo) {
   ShardState state = rich_state();
   state.partials.back().curve.sums = {0, 0, 0, 0};

@@ -113,7 +113,8 @@ void usage(std::FILE* to) {
       "  --block B            replications per reduction block (default %zu)\n"
       "  --superblock SB      replications per distributable superblock\n"
       "                       (multiple of the block; default %zu)\n"
-      "  --bins N             survival-estimator bins (default 64)\n"
+      "  --bins N             survival-estimator bins, at most %zu\n"
+      "                       (default 64)\n"
       "  --horizon H          measurement horizon in hours (default 2160)\n"
       "  --threads T          executor threads, at most %zu (default\n"
       "                       DIVSEC_THREADS)\n"
@@ -184,7 +185,8 @@ void usage(std::FILE* to) {
       "  histogram count/mean/p50/p99\n"
       "\n"
       "divsec_sweep --help | --version\n",
-      sim::kDefaultReductionBlock, sim::kDefaultSuperblockReps, sim::kMaxThreads);
+      sim::kDefaultReductionBlock, sim::kDefaultSuperblockReps,
+      stats::kMaxSurvivalBins, sim::kMaxThreads);
 }
 
 [[noreturn]] void die_unknown(const std::string& flag) {
@@ -219,13 +221,15 @@ std::uint64_t u64_flag(const std::string& flag, std::string_view value) {
   die("bad number for " + flag + ": " + std::string(value));
 }
 
-/// --threads: a count up to sim::kMaxThreads (0 = the DIVSEC_THREADS
-/// default), checked here so no executor is ever asked for more.
-std::size_t threads_flag(const std::string& flag, std::string_view value) {
+/// A count up to `max`, checked here so nothing downstream is ever asked
+/// for more: --threads (sim::kMaxThreads; 0 = the DIVSEC_THREADS default)
+/// and --bins (stats::kMaxSurvivalBins).
+std::size_t bounded_flag(const std::string& flag, std::string_view value,
+                         std::size_t max) {
   const std::uint64_t v = u64_flag(flag, value);
-  if (v > sim::kMaxThreads)
+  if (v > max)
     die("bad number for " + flag + ": " + std::string(value) + " (at most " +
-        std::to_string(sim::kMaxThreads) + ")");
+        std::to_string(max) + ")");
   return static_cast<std::size_t>(v);
 }
 
@@ -346,7 +350,7 @@ bool parse_sweep_flag(ArgReader& args, const std::string& flag,
   else if (flag == "--superblock")
     spec.superblock = u64_flag(flag, args.value(flag));
   else if (flag == "--bins")
-    spec.survival_bins = u64_flag(flag, args.value(flag));
+    spec.survival_bins = bounded_flag(flag, args.value(flag), stats::kMaxSurvivalBins);
   else if (flag == "--horizon") {
     const std::string value = args.value(flag);
     const double hours = f64_flag(flag, value);
@@ -373,7 +377,7 @@ int cmd_run(int argc, char** argv) {
     const std::string flag = argv[args.i];
     if (parse_sweep_flag(args, flag, spec)) continue;
     else if (flag == "--threads")
-      threads = threads_flag(flag, args.value(flag));
+      threads = bounded_flag(flag, args.value(flag), sim::kMaxThreads);
     else if (flag == "--shard") {
       shard_value = args.value(flag);
       sharded = true;
@@ -699,7 +703,7 @@ int cmd_adapt(int argc, char** argv) {
     else if (flag == "--round")
       options.round_replications = u64_flag(flag, args.value(flag));
     else if (flag == "--threads")
-      threads = threads_flag(flag, args.value(flag));
+      threads = bounded_flag(flag, args.value(flag), sim::kMaxThreads);
     else if (flag == "--out") out = args.value(flag);
     else if (flag == "--metrics") metrics_path = args.value(flag);
     else if (flag == "--trace") trace_path = args.value(flag);
