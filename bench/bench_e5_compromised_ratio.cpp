@@ -33,6 +33,7 @@
 #include "scenario/presets.h"
 #include "sim/executor.h"
 #include "sim/shard_plan.h"
+#include "sim/stopping.h"
 #include "sim/streaming.h"
 #include "stats/survival.h"
 #include "stats/tdigest.h"
@@ -382,13 +383,14 @@ bool adaptive_sweep_phase() {
   bool precision_ok = true;
   bench::row({"cell", "achieved", "rounds", "verdict"}, 14);
   for (std::size_t c = 0; c < result.meta.cells; ++c) {
-    const bool capped = result.meta.achieved[c] >= sched.rule.max_replications;
     const bool converged = result.accumulators[c].precision_reached(sched.rule);
-    if (!capped && !converged) precision_ok = false;
+    const bool stopped =
+        sim::should_stop(result.meta.achieved[c], converged, sched.rule);
+    if (!stopped) precision_ok = false;
     bench::row({bench::fmt_int(static_cast<long long>(c)),
                 bench::fmt_int(static_cast<long long>(result.meta.achieved[c])),
                 bench::fmt_int(static_cast<long long>(result.cell_rounds[c])),
-                converged ? "converged" : (capped ? "capped" : "NEITHER (BUG)")},
+                !stopped ? "NEITHER (BUG)" : (converged ? "converged" : "capped")},
                14);
   }
 

@@ -126,6 +126,8 @@ struct CampaignTables {
   std::shared_ptr<const net::ReachabilityIndex> reach;
 
   std::size_t node_count = 0;
+  std::vector<NodeId> entry_nodes;  // where initial delivery can land
+  std::vector<NodeId> target_plcs;  // sabotage targets, in pool order
   std::vector<NodeRow> rows;
   std::vector<OsExploit> os_exploits;  // by OS variant
   // PLC payload success: the project-file route by firmware variant, and
@@ -154,7 +156,9 @@ struct CampaignTables {
                   ? std::move(shared_reach)
                   : std::make_shared<const net::ReachabilityIndex>(sc.topology,
                                                                    sc.firewall)),
-        node_count(sc.topology.node_count()) {
+        node_count(sc.topology.node_count()),
+        entry_nodes(sc.entry_nodes),
+        target_plcs(sc.target_plcs) {
     if (reach->node_count() != node_count)
       throw std::invalid_argument(
           "CampaignSimulator: shared ReachabilityIndex node count does not "
@@ -234,29 +238,19 @@ struct CampaignTables {
   }
 };
 
-CampaignSimulator::CampaignSimulator(Scenario scenario, ThreatProfile profile,
-                                     const divers::VariantCatalog& catalog,
-                                     DetectionModel detection, CampaignOptions options)
-    : CampaignSimulator(std::move(scenario), std::move(profile), catalog,
-                        detection, options, nullptr) {}
-
 CampaignSimulator::CampaignSimulator(
-    Scenario scenario, ThreatProfile profile,
+    const Scenario& scenario, ThreatProfile profile,
     const divers::VariantCatalog& catalog, DetectionModel detection,
     CampaignOptions options,
     std::shared_ptr<const net::ReachabilityIndex> shared_reach)
-    : scenario_(std::move(scenario)),
-      profile_(std::move(profile)),
-      catalog_(catalog),
-      detection_(detection),
-      options_(options) {
+    : profile_(std::move(profile)), detection_(detection), options_(options) {
   profile_.validate();
   detection_.validate();
-  scenario_.validate(catalog_);
+  scenario.validate(catalog);
   if (!(options_.t_max_hours > 0.0))
     throw std::invalid_argument("CampaignOptions: t_max_hours must be > 0");
   tables_ = std::make_unique<const CampaignTables>(
-      scenario_, profile_, catalog_, detection_, std::move(shared_reach));
+      scenario, profile_, catalog, detection_, std::move(shared_reach));
 }
 
 CampaignSimulator::~CampaignSimulator() = default;
@@ -365,12 +359,11 @@ RunScratch& thread_scratch() {
 /// thread's RunScratch. deliver() is the only transition out of kClean
 /// and logs the node in `touched`. The unowned pool is never copied: its
 /// first `unowned` positions read `pool_override[i]`, or
-/// `sc.target_plcs[i]` while that is kNoOverride, and a capture logs the
+/// `tb.target_plcs[i]` while that is kNoOverride, and a capture logs the
 /// position it overrides in `pool_touched`. The destructor restores
 /// exactly the logged nodes and positions and empties the pools, so even
 /// a throw mid-run hands the next run a clean scratch.
 struct RunState {
-  const Scenario& sc;
   const ThreatProfile& pr;
   const DetectionModel& det;
   const CampaignOptions& opt;
@@ -417,12 +410,10 @@ struct RunState {
   std::size_t hosts_owned = 0;     // non-PLC nodes at >= kActivated
   std::size_t activated_count = 0;  // A(t): host-IDS exposure pool
 
-  RunState(const Scenario& s, const ThreatProfile& p,
-           const CampaignTables& t, const DetectionModel& d,
-           const CampaignOptions& o, const stats::Rng& base, RunScratch& scr,
-           const RatioBins* ratio_bins)
-      : sc(s),
-        pr(p),
+  RunState(const ThreatProfile& p, const CampaignTables& t,
+           const DetectionModel& d, const CampaignOptions& o,
+           const stats::Rng& base, RunScratch& scr, const RatioBins* ratio_bins)
+      : pr(p),
         det(d),
         opt(o),
         tb(t),
@@ -435,7 +426,7 @@ struct RunState {
         root_cum(scr.root_cum),
         payload_sources(scr.payload_sources),
         owned_plcs(scr.owned_plcs),
-        unowned(s.target_plcs.size()) {
+        unowned(t.target_plcs.size()) {
     // Growth keeps the invariant (new entries are kClean / kNoOverride),
     // and every throwing step leaves the scratch as it found it, so a
     // throw here (where no destructor runs) cannot dirty it either.
@@ -546,7 +537,7 @@ struct RunState {
   /// Position i of the unowned-target pool, i < unowned.
   [[nodiscard]] NodeId unowned_at(std::size_t i) const {
     const NodeId o = pool[i];
-    return o == kNoOverride ? sc.target_plcs[i] : o;
+    return o == kNoOverride ? tb.target_plcs[i] : o;
   }
 
   /// Swap-remove position i from the unowned pool: the last live entry
@@ -568,7 +559,7 @@ struct RunState {
 
   void on_entry() {
     const NodeId n =
-        sc.entry_nodes[rng.below(DrawClass::kEntry, sc.entry_nodes.size())];
+        tb.entry_nodes[rng.below(DrawClass::kEntry, tb.entry_nodes.size())];
     if (state[n] == NodeState::kClean) {
       if (!result.time_of_entry) result.time_of_entry = now;
       deliver(n, CampaignEventKind::kDelivered);
@@ -821,11 +812,10 @@ struct CampaignCounters {
 
 /// One kernel run. `bins` selects the c(t) hook: null keeps the step
 /// curve, otherwise the kernel fills the bins.
-CampaignResult run_kernel(const Scenario& sc, const ThreatProfile& pr,
-                          const CampaignTables& tb, const DetectionModel& det,
-                          const CampaignOptions& opt, const stats::Rng& base,
-                          const RatioBins* bins) {
-  RunState st(sc, pr, tb, det, opt, base, thread_scratch(), bins);
+CampaignResult run_kernel(const ThreatProfile& pr, const CampaignTables& tb,
+                          const DetectionModel& det, const CampaignOptions& opt,
+                          const stats::Rng& base, const RatioBins* bins) {
+  RunState st(pr, tb, det, opt, base, thread_scratch(), bins);
   st.run_until(opt.t_max_hours);
   st.finish_bins();
   st.result.hosts_compromised = st.hosts_owned;
@@ -846,7 +836,7 @@ CampaignResult CampaignSimulator::run(stats::Rng& rng) const {
   // so run() leaves `rng` untouched — a (cell, rep) job stays a pure
   // function of Rng(cell.seed, rep).
   CampaignResult r =
-      run_kernel(scenario_, profile_, *tables_, detection_, options_, rng, nullptr);
+      run_kernel(profile_, *tables_, detection_, options_, rng, nullptr);
   flush_telemetry();
   return r;
 }
@@ -855,8 +845,7 @@ CampaignResult CampaignSimulator::run(stats::Rng& rng, RatioBins bins) const {
   if (bins.counts.size() != bins.edges.size())
     throw std::invalid_argument(
         "CampaignSimulator::run: ratio bin counts and edges differ in size");
-  return run_kernel(scenario_, profile_, *tables_, detection_, options_, rng,
-                    &bins);
+  return run_kernel(profile_, *tables_, detection_, options_, rng, &bins);
 }
 
 void CampaignSimulator::flush_telemetry() {

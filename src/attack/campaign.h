@@ -21,17 +21,20 @@
 // weights), next to tiny per-variant tables of exploit success
 // probabilities and delay rates. So an event touches one row per node it
 // reads, and a per-cell build copies bytes per node instead of walking
-// the VariantCatalog. Each run() schedules the model's recurring Poisson
-// processes as exact superpositions (worm scanning at rate lambda*R(t)
-// over R roots, host-IDS first passage over the activated pool, and so
-// on) next to a small heap of per-node retry events. No string labels,
+// the VariantCatalog. Of the scenario itself the simulator keeps only the
+// entry and target lists; the topology, firewall and variant assignment
+// are read while the tables are built and never again. Each run()
+// schedules the model's recurring Poisson processes as exact
+// superpositions (worm scanning at rate lambda*R(t) over R roots,
+// host-IDS first passage over the activated pool, and so on) next to a
+// small heap of per-node retry events. No string labels,
 // no per-node scans, no per-event catalog or firewall walks, no queue
 // that grows with fleet compromise. The precomputed state is read-only,
 // so one simulator serves any number of concurrent replications. A run's
 // own mutable state (per-node state, event heap, membership pools) lives
 // in a per-thread scratch that each run hands back clean by restoring
 // only the nodes it touched. The unowned-target pool is never copied
-// from the scenario: it reads the immutable target list through a sparse
+// per run: it reads the tables' immutable target list through a sparse
 // override array, and a capture swap-removes by overriding one position,
 // which the run restores on exit. So a replication costs O(nodes and
 // targets touched), not O(node_count) or O(target count), and allocates
@@ -164,22 +167,18 @@ struct CampaignTables;
 
 class CampaignSimulator {
  public:
-  CampaignSimulator(Scenario scenario, ThreatProfile profile,
+  /// Validates the scenario and builds the tables run() reads; the
+  /// simulator keeps no reference to `scenario`. `shared_reach`, when
+  /// given, is used instead of indexing the topology again: it must have
+  /// been built from this scenario's topology and firewall (node counts
+  /// are validated; the caller owns the stronger equivalence —
+  /// core::MeasurementEngine keys its index map on the topology's
+  /// identity plus the firewall's zone-pair verdicts). Construction
+  /// consumes no randomness either way, so results do not depend on it.
+  CampaignSimulator(const Scenario& scenario, ThreatProfile profile,
                     const divers::VariantCatalog& catalog,
-                    DetectionModel detection = {}, CampaignOptions options = {});
-
-  /// Shared-topology construction: reuse a prebuilt ReachabilityIndex
-  /// instead of indexing the same topology again. The index must
-  /// have been built from this scenario's topology and firewall (node
-  /// counts are validated; the caller owns the stronger equivalence —
-  /// core::MeasurementEngine keys its cache on the topology's identity
-  /// plus the firewall's zone-pair verdicts). Construction consumes no
-  /// randomness either way, so results are identical to the
-  /// self-building constructor.
-  CampaignSimulator(Scenario scenario, ThreatProfile profile,
-                    const divers::VariantCatalog& catalog,
-                    DetectionModel detection, CampaignOptions options,
-                    std::shared_ptr<const net::ReachabilityIndex> shared_reach);
+                    DetectionModel detection = {}, CampaignOptions options = {},
+                    std::shared_ptr<const net::ReachabilityIndex> shared_reach = nullptr);
   ~CampaignSimulator();
 
   /// Run one stochastic campaign; deterministic in `rng`. Thread-safe for
@@ -199,17 +198,15 @@ class CampaignSimulator {
   /// and zero them. Cheap when there is nothing to publish.
   static void flush_telemetry();
 
-  [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
   [[nodiscard]] const ThreatProfile& profile() const noexcept { return profile_; }
 
-  /// The per-scenario reachability index built at construction; share it
-  /// with net::MeanFieldEpidemic instead of building another.
+  /// The reachability index the tables were built over (the shared one,
+  /// or one built at construction); share it with net::MeanFieldEpidemic
+  /// instead of building another.
   [[nodiscard]] const net::ReachabilityIndex& reachability() const noexcept;
 
  private:
-  Scenario scenario_;
   ThreatProfile profile_;
-  const divers::VariantCatalog& catalog_;
   DetectionModel detection_;
   CampaignOptions options_;
   std::unique_ptr<const CampaignTables> tables_;

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +18,7 @@
 #include "san/simulator.h"
 #include "sim/executor.h"
 #include "sim/shard_plan.h"
+#include "sim/stopping.h"
 #include "sim/streaming.h"
 
 namespace divsec::core {
@@ -39,10 +38,6 @@ obs::Gauge& contexts_peak_live_gauge() {
 }
 obs::Counter& reach_builds_counter() {
   static obs::Counter& c = obs::counter("core.context.reach_builds");
-  return c;
-}
-obs::Counter& reach_dedup_counter() {
-  static obs::Counter& c = obs::counter("core.context.reach_dedup_hits");
   return c;
 }
 
@@ -119,16 +114,15 @@ void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
   s.ttsf = r.time_to_detection.value_or(horizon);
   s.ttsf_censored = !r.time_to_detection.has_value();
   s.attack_succeeded = r.attack_succeeded();
-  const std::size_t nodes = sim.scenario().topology.node_count();
+  const std::size_t nodes = sim.reachability().node_count();
   s.final_ratio = static_cast<double>(r.hosts_compromised + r.plcs_compromised) /
                   static_cast<double>(nodes);
   s.ratio_scale = static_cast<std::uint64_t>(nodes);
 }
 
 /// The one place cell contexts come from — every entry point (measure,
-/// measure_scenarios, measure_scenario_tasks) used to carry its own
-/// eager construction loop; they now all go through this factory, which
-/// run_tasks drives lazily one scheduling round at a time.
+/// measure_scenarios, measure_scenario_tasks) goes through this factory,
+/// which run_tasks drives lazily one scheduling round at a time.
 ///
 /// Campaign contexts whose topologies are copies of one value (one
 /// net::Topology::identity(), e.g. the arms scenario::make_preset_arms
@@ -136,15 +130,22 @@ void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
 /// share one net::ReachabilityIndex. The key is an address, not the
 /// structure, so finding the index costs O(1) whatever the fleet size;
 /// separately built topologies that happen to be equal get one index
-/// each. Concurrent builders of the same key deduplicate through a
-/// shared_future, so a fleet of same-topology cells builds its index
-/// exactly once. Construction consumes no randomness, so sharing and
-/// laziness leave results bit-identical.
+/// each. Every keyed topology belongs to a plan cell or to the
+/// description (instantiate() copies the baseline, so configuration
+/// cells share its storage), and both outlive the factory, so no key's
+/// address is reused while the map lives. run_tasks resolves a round's
+/// indexes on its own thread before the round's parallel build, so a
+/// fleet of same-topology cells builds its index exactly once and the
+/// builders receive it instead of racing for it. Construction consumes
+/// no randomness, so sharing and laziness leave results bit-identical.
 ///
-/// Thread-safe; one instance per measurement call (the cache — and the
-/// indexes and topologies it pins — lives exactly that long).
+/// One instance per measurement call (the map — and the indexes it
+/// holds — lives exactly that long). build() may run concurrently;
+/// reach_for() runs on the calling thread only.
 class MeasurementEngine::ContextFactory {
  public:
+  using IndexPtr = std::shared_ptr<const net::ReachabilityIndex>;
+
   /// Configuration-plan cells (instantiated through the description).
   ContextFactory(const SystemDescription& description,
                  const attack::ThreatProfile& profile,
@@ -170,72 +171,61 @@ class MeasurementEngine::ContextFactory {
     return description_ ? config_cells_.size() : scenario_cells_.size();
   }
 
-  /// Build cell c's context. Thread-safe (run_tasks builds a round's
-  /// contexts in a parallel_for).
-  [[nodiscard]] std::unique_ptr<CellContext> build(std::size_t c) {
+  /// The reachability index of each of `cells`, in order: a map lookup
+  /// per cell, then one build per key not seen before, those builds
+  /// spread over `executor`. All null for the staged-SAN engine.
+  [[nodiscard]] std::vector<IndexPtr> reach_for(std::span<const std::size_t> cells,
+                                                const sim::Executor& executor) {
+    if (options_->engine == Engine::kStagedSan)
+      return std::vector<IndexPtr>(cells.size());
+    std::vector<const IndexPtr*> found;
+    std::vector<std::pair<IndexPtr*, const attack::Scenario*>> missing;
+    for (const std::size_t c : cells) {
+      // Configuration cells take the baseline's topology and firewall.
+      const attack::Scenario& sc =
+          description_ ? description_->baseline() : scenario_cells_[c].scenario;
+      auto [it, inserted] = reach_.try_emplace(
+          Key{sc.topology.identity(), net::ReachabilityIndex::verdicts(sc.firewall)});
+      if (inserted) missing.emplace_back(&it->second, &sc);
+      found.push_back(&it->second);
+    }
+    executor.parallel_for(0, missing.size(), [&](std::size_t i) {
+      const obs::Span span("context.reach");
+      const attack::Scenario& sc = *missing[i].second;
+      *missing[i].first =
+          std::make_shared<const net::ReachabilityIndex>(sc.topology, sc.firewall);
+    });
+    reach_builds_counter().add(missing.size());
+    std::vector<IndexPtr> out;
+    out.reserve(found.size());
+    for (const IndexPtr* index : found) out.push_back(*index);
+    return out;
+  }
+
+  /// Build cell c's context over its index from reach_for (null for the
+  /// staged-SAN engine). Thread-safe: reads only.
+  [[nodiscard]] std::unique_ptr<CellContext> build(std::size_t c,
+                                                   IndexPtr reach) const {
     auto ctx = std::make_unique<CellContext>();
+    const auto campaign = [&](const attack::Scenario& sc) {
+      ctx->campaign.emplace(sc, *profile_, *catalog_, options_->detection,
+                            options_->campaign, std::move(reach));
+    };
     if (options_->engine == Engine::kStagedSan) {
       auto& staged = ctx->san.emplace();
       staged.asan = attack::build_attack_san(
           derive_staged_model(*description_, config_cells_[c].configuration,
                               *profile_, options_->detection));
       staged.terminal = staged.asan.terminal_predicate();
+    } else if (description_) {
+      campaign(description_->instantiate(config_cells_[c].configuration));
     } else {
-      attack::Scenario sc = description_
-                                ? description_->instantiate(
-                                      config_cells_[c].configuration)
-                                : scenario_cells_[c].scenario;
-      auto reach = shared_reach(sc.topology, sc.firewall);
-      ctx->campaign.emplace(std::move(sc), *profile_, *catalog_,
-                            options_->detection, options_->campaign,
-                            std::move(reach));
+      campaign(scenario_cells_[c].scenario);
     }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++live_;
-      peak_live_ = std::max(peak_live_, live_);
-      contexts_peak_live_gauge().record_max(peak_live_);
-    }
-    contexts_built_counter().add(1);
     return ctx;
   }
 
-  /// run_tasks reports contexts it drops, so peak_live_ means what it says.
-  void note_dropped(std::size_t count) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    live_ -= count;
-  }
-
  private:
-  using IndexPtr = std::shared_ptr<const net::ReachabilityIndex>;
-
-  [[nodiscard]] IndexPtr shared_reach(const net::Topology& topo,
-                                      const net::Firewall& fw) {
-    std::promise<IndexPtr> promise;
-    std::shared_future<IndexPtr> future;
-    bool builder = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      auto [it, inserted] = reach_cache_.try_emplace(
-          Key{topo.identity(), net::ReachabilityIndex::verdicts(fw)});
-      if (inserted) it->second = Entry{topo, promise.get_future().share()};
-      future = it->second.future;
-      builder = inserted;
-    }
-    if (builder)
-      reach_builds_counter().add(1);
-    else
-      reach_dedup_counter().add(1);
-    if (builder) {
-      try {
-        promise.set_value(std::make_shared<const net::ReachabilityIndex>(topo, fw));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
-    return future.get();
-  }
-
   const SystemDescription* description_ = nullptr;
   const divers::VariantCatalog* catalog_;
   const attack::ThreatProfile* profile_;
@@ -244,14 +234,7 @@ class MeasurementEngine::ContextFactory {
   std::span<const ScenarioCell> scenario_cells_;
 
   using Key = std::pair<const void*, net::ReachabilityIndex::Verdicts>;
-  struct Entry {
-    net::Topology pin;  // keeps Key's storage address from being reused
-    std::shared_future<IndexPtr> future;
-  };
-  std::mutex mu_;
-  std::map<Key, Entry> reach_cache_;
-  std::size_t live_ = 0;
-  std::size_t peak_live_ = 0;
+  std::map<Key, IndexPtr> reach_;
 };
 
 namespace {
@@ -349,19 +332,23 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
     const std::size_t count = end - begin;
 
     // Contexts are independent, so a round's missing ones build in a
-    // parallel_for of their own (same-topology duplicates dedupe on the
-    // factory's index cache).
+    // parallel_for of their own, each over the index resolved for it
+    // here first.
     fresh.clear();
     for (std::size_t t = begin; t < end; ++t) {
       const std::size_t cell = shard.task(tasks[t]).group;
       if (!slots[cell] && (fresh.empty() || fresh.back() != cell))
         fresh.push_back(cell);
     }
+    std::vector<ContextFactory::IndexPtr> reach =
+        factory.reach_for(fresh, *executor_);
     executor_->parallel_for(0, fresh.size(), [&](std::size_t i) {
       const obs::Span build_span("context.build");
-      slots[fresh[i]] = factory.build(fresh[i]);
+      slots[fresh[i]] = factory.build(fresh[i], std::move(reach[i]));
     });
     live.insert(live.end(), fresh.begin(), fresh.end());
+    contexts_built_counter().add(fresh.size());
+    contexts_peak_live_gauge().record_max(live.size());
 
     // One reduction per round over (task, block) items: a task's block
     // partials merge in ascending block order, so its partial depends
@@ -402,7 +389,6 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
     while (dropped < live.size() && live[dropped] < keep_from)
       slots[live[dropped++]].reset();
     live.erase(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(dropped));
-    factory.note_dropped(dropped);
 
     for (std::size_t t = begin; t < end; ++t) {
       const sim::ShardPlan::Task task = shard.task(tasks[t]);
@@ -410,7 +396,6 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
     }
     heartbeat.tick(done_reps);
   }
-  factory.note_dropped(live.size());
   heartbeat.finish(done_reps);
   return out;
 }
@@ -421,9 +406,6 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   const std::size_t cells = factory.cell_count();
   const std::size_t reps = options_.replications;
   const double horizon = options_.campaign.t_max_hours;
-  const auto make = [&](std::size_t) {
-    return IndicatorAccumulator(horizon, options_.survival_bins);
-  };
 
   // The in-process path is the K = 1 instance of the distributed plan:
   // every superblock task of every cell runs here, then the exact
@@ -437,11 +419,9 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   const sim::ShardPlan plan = shard_plan(cells);
   std::vector<std::uint64_t> all_tasks(plan.task_count());
   for (std::size_t t = 0; t < all_tasks.size(); ++t) all_tasks[t] = t;
-  std::vector<IndicatorAccumulator> partials =
-      run_tasks(factory, seeds, plan, all_tasks, visit ? &samples : nullptr,
-                /*task_seconds=*/nullptr);
-  std::vector<IndicatorAccumulator> acc =
-      sim::reduce_task_partials(plan, std::move(partials), make);
+  const std::vector<IndicatorAccumulator> acc = sim::reduce_task_partials(
+      plan, run_tasks(factory, seeds, plan, all_tasks,
+                      visit ? &samples : nullptr, /*task_seconds=*/nullptr));
 
   if (visit)
     for (std::size_t c = 0; c < cells; ++c)
@@ -502,9 +482,9 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
   for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
 
   // One accumulator per cell, fed round by round with exactly the fold
-  // sequence the exact reducer uses: the cell's first superblock partial
-  // becomes the accumulator, later partials merge in ascending superblock
-  // order. Replaying the recorded per-cell prefix through
+  // sequence the exact reducer uses: superblock partials merge in
+  // ascending order into a default accumulator, which adopts the first
+  // one as it is. Replaying the recorded per-cell prefix through
   // measure_scenario_tasks + reduce_task_partials therefore performs the
   // identical operation sequence — bit-identical summaries.
   AdaptiveReport local;
@@ -544,10 +524,7 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         const std::size_t c = static_cast<std::size_t>(tasks[i]) / per_group;
         round_reps += partials[i].count();
-        if (tasks[i] % per_group == 0)  // the cell's first superblock
-          r.accumulators[c] = std::move(partials[i]);
-        else
-          r.accumulators[c].merge(partials[i]);
+        r.accumulators[c].merge(partials[i]);
         r.cell_seconds[c] += task_seconds[i];
       }
     }
@@ -557,11 +534,11 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
     for (const std::size_t c : active) {
       folded_sb[c] = std::min(per_group, folded_sb[c] + take);
       r.achieved[c] = r.accumulators[c].count();
-      const bool capped = folded_sb[c] >= per_group ||
-                          r.achieved[c] >= sched.rule.max_replications;
-      const bool converged = r.achieved[c] >= sched.rule.min_replications &&
-                             r.accumulators[c].precision_reached(sched.rule);
-      if (capped || converged)
+      // A cell with every superblock folded holds the whole budget, which
+      // is at least max_replications, so the rule retires it too.
+      if (sim::should_stop(r.achieved[c],
+                           r.accumulators[c].precision_reached(sched.rule),
+                           sched.rule))
         r.cell_rounds[c] = round;
       else
         still.push_back(c);

@@ -23,13 +23,15 @@
 // one scheduling round of superblock tasks at a time, shared read-only by
 // that cell's jobs and dropped once the ascending task order has moved
 // past the cell — a 10^4-cell sweep holds O(round) contexts, not 10^4.
-// Cells whose topologies are copies of one value (one
+// A context holds its cell's campaign tables, not a copy of the cell's
+// scenario. Cells whose topologies are copies of one value (one
 // net::Topology::identity(), as the arms of scenario::make_preset_arms
-// are) under the same firewall verdicts share one net::ReachabilityIndex;
-// separately built equal topologies get one each. Construction consumes
-// no randomness, so laziness and sharing leave every bit of the results
-// unchanged (the obs:: registry exposes the counters as
-// core.context.built / peak_live / reach_builds / reach_dedup_hits).
+// are) under the same firewall verdicts share one net::ReachabilityIndex,
+// looked up on the calling thread before a round's parallel context
+// builds; separately built equal topologies get one each. Construction
+// consumes no randomness, so laziness and sharing leave every bit of the
+// results unchanged (the obs:: registry exposes the counters as
+// core.context.built / peak_live / reach_builds).
 //
 // Aggregation is streaming, block-sharded, and two-level: each cell's
 // replication range splits into fixed-size superblocks

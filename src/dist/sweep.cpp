@@ -276,24 +276,15 @@ MergeResult merge_shards(const std::vector<ShardState>& states) {
     }
 
   // Restore and fold each cell's covered prefix in ascending (cell,
-  // superblock) order — the same left-fold the in-process reducer
-  // performs (sim::reduce_task_partials: the first partial becomes the
-  // accumulator, later ones merge into it).
+  // superblock) order, the order `expect` lists it in — the same left
+  // fold into default accumulators the in-process reducer performs
+  // (sim::reduce_task_partials).
   const std::size_t per_group = plan.superblocks_per_group();
   MergeResult out;
-  out.accumulators.reserve(meta.cells);
-  for (std::size_t c = 0; c < meta.cells; ++c) {
-    const std::size_t needed =
-        meta.achieved.empty()
-            ? per_group
-            : static_cast<std::size_t>((meta.achieved[c] + meta.superblock - 1) /
-                                       meta.superblock);
-    core::IndicatorAccumulator acc =
-        core::IndicatorAccumulator::from_state(*slots[c * per_group]);
-    for (std::size_t s = 1; s < needed; ++s)
-      acc.merge(core::IndicatorAccumulator::from_state(*slots[c * per_group + s]));
-    out.accumulators.push_back(std::move(acc));
-  }
+  out.accumulators.resize(meta.cells);
+  for (const std::uint64_t t : expect)
+    out.accumulators[t / per_group].merge(
+        core::IndicatorAccumulator::from_state(*slots[t]));
   // The engine's own cell-summary step, fed the meta's budget: merged
   // summaries are field-for-field those of the in-process path.
   out.summaries = core::summarize_cells(out.accumulators, meta.achieved,

@@ -26,10 +26,8 @@ ReplicationResult interval_of_time_average(
     throw std::invalid_argument("interval_of_time_average: t must be > 0");
   if (replications == 0)
     throw std::invalid_argument("interval_of_time_average: need >= 1 replication");
-  // Blocked deterministic reduction over (seed, i) streams, retaining
-  // every output in replication order.
+  // Blocked deterministic reduction over (seed, i) streams.
   ReplicationResult r;
-  r.samples.resize(replications);
   r.stats = sim::blocked_reduce<stats::OnlineStats>(
       executor, replications, /*block=*/0, [] { return stats::OnlineStats{}; },
       [&](stats::OnlineStats& acc, std::size_t i) {
@@ -37,9 +35,7 @@ ReplicationResult interval_of_time_average(
         SanSimulator sim(model, rng);
         const std::size_t reward = sim.add_rate_reward(rate);
         sim.run_until(t);
-        const double y = sim.rate_reward_average(reward);
-        r.samples[i] = y;
-        acc.add(y);
+        acc.add(sim.rate_reward_average(reward));
       });
   return r;
 }

@@ -9,8 +9,7 @@
 // Both families aggregate through the same streaming layer the
 // measurement engine uses (sim::blocked_reduce over fixed-size
 // replication blocks, merged in ascending block order), so they are
-// bit-identical for any executor thread count; each keeps its
-// per-replication outputs.
+// bit-identical for any executor thread count.
 #pragma once
 
 #include <functional>
@@ -29,11 +28,9 @@ namespace divsec::san {
 // replication scheme; passing an Executor parallelizes replications with
 // bit-identical output (replication i always draws from stream i).
 
-/// Per-replication outputs of a scalar estimator, in replication order,
-/// and their streaming moments.
+/// A scalar estimator's streaming moments over its replications.
 struct ReplicationResult {
   stats::OnlineStats stats;
-  std::vector<double> samples;
 };
 
 /// E[time-average of rate(marking) over [0, t]].

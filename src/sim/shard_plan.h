@@ -140,31 +140,21 @@ class ShardPlan {
 
 /// The exact reducer: combine the complete task-partial list (canonical
 /// task order, e.g. concatenated from shard states sorted by task index)
-/// into one accumulator per group. Group g's result is its first
-/// superblock partial left-merged with the rest in ascending superblock
+/// into one accumulator per group. Group g's result is a default Acc
+/// left-merged with its superblock partials in ascending superblock
 /// order — the same sequence for one process or many, any thread count.
-/// make(g) supplies the empty accumulator only for groups with no tasks
-/// (count == 0).
-template <typename Acc, typename Make>
-[[nodiscard]] std::vector<Acc> reduce_task_partials(const ShardPlan& plan,
-                                                    std::vector<Acc> partials,
-                                                    const Make& make) {
+/// Acc{} must adopt its first merge partner exactly (as
+/// core::IndicatorAccumulator does).
+template <typename Acc>
+[[nodiscard]] std::vector<Acc> reduce_task_partials(
+    const ShardPlan& plan, const std::vector<Acc>& partials) {
   if (partials.size() != plan.task_count())
     throw std::invalid_argument(
         "reduce_task_partials: partial count != task count");
   const std::size_t per_group = plan.superblocks_per_group();
-  std::vector<Acc> out;
-  out.reserve(plan.groups());
-  for (std::size_t g = 0; g < plan.groups(); ++g) {
-    if (per_group == 0) {
-      out.push_back(make(g));
-      continue;
-    }
-    Acc acc = std::move(partials[g * per_group]);
-    for (std::size_t s = 1; s < per_group; ++s)
-      acc.merge(partials[g * per_group + s]);
-    out.push_back(std::move(acc));
-  }
+  std::vector<Acc> out(plan.groups());
+  for (std::size_t t = 0; t < partials.size(); ++t)
+    out[t / per_group].merge(partials[t]);
   return out;
 }
 

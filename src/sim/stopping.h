@@ -1,9 +1,10 @@
 // stopping.h — the shared sequential stopping rule.
 //
-// One place for the Law & Kelton CI half-width criterion so the adaptive
-// sweep's round loop (core::MeasurementEngine::measure_scenarios_adaptive)
-// and the cross-process coordinator (dist::run_adaptive) apply
-// bit-for-bit the same predicate to the same streaming moments.
+// One place for the Law & Kelton CI half-width criterion and its
+// min/max bounds, so the adaptive sweep's round loop
+// (core::MeasurementEngine::measure_scenarios_adaptive, which
+// dist::run_adaptive drives) and every check of its verdicts apply
+// bit-for-bit the same rule to the same streaming moments.
 //
 // Two criteria, either of which stops the run once the minimum is met:
 //   relative: half-width <= relative_precision * |mean|
@@ -33,8 +34,8 @@ struct StoppingRule {
 };
 
 /// True when the streaming moments meet either precision criterion.
-/// Ignores the min/max bounds (see should_stop); false below two samples
-/// because no confidence interval exists yet. A zero-variance sequence
+/// Ignores the min/max bounds (should_stop applies them); false below
+/// two samples because no confidence interval exists yet. A zero-variance sequence
 /// has half-width 0 and satisfies any enabled criterion immediately.
 [[nodiscard]] inline bool precision_reached(const stats::OnlineStats& stats,
                                             const StoppingRule& rule) {
@@ -48,13 +49,15 @@ struct StoppingRule {
   return rel_ok || abs_ok;
 }
 
-/// The full rule with its bounds: never stop below min_replications,
-/// always stop at max_replications, otherwise stop on precision.
-[[nodiscard]] inline bool should_stop(const stats::OnlineStats& stats,
-                                      const StoppingRule& rule) {
-  if (stats.count() < rule.min_replications) return false;
-  if (stats.count() >= rule.max_replications) return true;
-  return precision_reached(stats, rule);
+/// The full rule with its bounds, over `count` observations whose
+/// precision criterion (precision_reached, or a conjunction of it over
+/// several indicators) gave `precision`: always stop at
+/// max_replications, never below min_replications, otherwise stop on
+/// precision.
+[[nodiscard]] inline bool should_stop(std::size_t count, bool precision,
+                                      const StoppingRule& rule) noexcept {
+  if (count >= rule.max_replications) return true;
+  return count >= rule.min_replications && precision;
 }
 
 }  // namespace divsec::sim

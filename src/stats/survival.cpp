@@ -133,26 +133,6 @@ std::vector<double> StreamingSurvival::survival_curve() const {
   return s;
 }
 
-double StreamingSurvival::survival_at(double t) const {
-  return survival_at(t, survival_curve());
-}
-
-double StreamingSurvival::survival_at(double t,
-                                      std::span<const double> curve) const noexcept {
-  if (n_ == 0 || t < 0.0) return 1.0;
-  if (t >= horizon_) return curve.back();
-  // Bin-k events step the curve at the bin's upper edge, so t inside bin
-  // k still sees the value entering the bin.
-  const std::size_t k = std::min(
-      bins() - 1,
-      static_cast<std::size_t>(t / horizon_ * static_cast<double>(bins())));
-  return curve[k];
-}
-
-std::optional<double> StreamingSurvival::quantile(double q) const {
-  return quantile(q, survival_curve());
-}
-
 std::optional<double> StreamingSurvival::quantile(
     double q, std::span<const double> curve) const {
   if (!(q > 0.0 && q < 1.0))
@@ -162,10 +142,6 @@ std::optional<double> StreamingSurvival::quantile(
   for (std::size_t k = 0; k < bins(); ++k)
     if (curve[k + 1] <= 1.0 - q) return width * static_cast<double>(k + 1);
   return std::nullopt;
-}
-
-double StreamingSurvival::restricted_mean() const {
-  return restricted_mean(survival_curve());
 }
 
 double StreamingSurvival::restricted_mean(

@@ -137,25 +137,19 @@ class StreamingSurvival {
   [[nodiscard]] std::size_t censored_count() const noexcept { return n_ - events_; }
 
   /// Survival entering each bin of the product-limit curve (size
-  /// bins() + 1; front() == 1, back() == the post-horizon plateau).
-  /// O(bins) per call: evaluate once and query against it when walking a
-  /// time grid.
+  /// bins() + 1; front() == 1, back() == the post-horizon plateau): bin
+  /// k's events step the curve at its upper edge, so S(t) for t in bin k
+  /// is curve[k]. O(bins) per call: evaluate once and pass it to the
+  /// queries below.
   [[nodiscard]] std::vector<double> survival_curve() const;
 
-  /// S(t) of the binned product-limit curve (step at bin upper edges).
-  /// The one-argument conveniences recompute the curve per call; the
-  /// curve-taking overloads query a precomputed survival_curve().
-  [[nodiscard]] double survival_at(double t) const;
-  [[nodiscard]] double survival_at(double t,
-                                   std::span<const double> curve) const noexcept;
-  /// Smallest bin upper edge with S <= 1 - q; nullopt when censoring
-  /// keeps the curve above that level. q in (0,1).
-  [[nodiscard]] std::optional<double> quantile(double q) const;
+  /// Smallest bin upper edge with S <= 1 - q on `curve` (this estimator's
+  /// survival_curve()); nullopt when censoring keeps the curve above that
+  /// level. q in (0,1).
   [[nodiscard]] std::optional<double> quantile(double q,
                                                std::span<const double> curve) const;
-  [[nodiscard]] std::optional<double> median() const { return quantile(0.5); }
-  /// Integral of S(t) over [0, horizon] — the censoring-aware mean.
-  [[nodiscard]] double restricted_mean() const;
+  /// Integral of S(t) over [0, horizon] on `curve` — the censoring-aware
+  /// mean.
   [[nodiscard]] double restricted_mean(std::span<const double> curve) const noexcept;
 
  private:

@@ -41,9 +41,11 @@ TEST(StoppingRule, NeverStopsBelowMinReplications) {
   rule.max_replications = 100;
   // Zero variance: converged by any precision measure — but min wins.
   const stats::OnlineStats nine = filled_stats(5.0, 0.0, 9);
-  EXPECT_FALSE(sim::should_stop(nine, rule));
+  ASSERT_TRUE(sim::precision_reached(nine, rule));
+  EXPECT_FALSE(sim::should_stop(nine.count(), true, rule));
   const stats::OnlineStats ten = filled_stats(5.0, 0.0, 10);
-  EXPECT_TRUE(sim::should_stop(ten, rule));
+  EXPECT_TRUE(
+      sim::should_stop(ten.count(), sim::precision_reached(ten, rule), rule));
 }
 
 TEST(StoppingRule, AlwaysStopsAtMaxReplications) {
@@ -53,7 +55,9 @@ TEST(StoppingRule, AlwaysStopsAtMaxReplications) {
   rule.relative_precision = 1e-12;  // unreachable
   const stats::OnlineStats noisy = filled_stats(1.0, 10.0, 50);
   EXPECT_FALSE(sim::precision_reached(noisy, rule));
-  EXPECT_TRUE(sim::should_stop(noisy, rule));  // the cap, not convergence
+  // The cap, not convergence.
+  EXPECT_TRUE(sim::should_stop(noisy.count(), false, rule));
+  EXPECT_FALSE(sim::should_stop(noisy.count() - 1, false, rule));
 }
 
 TEST(StoppingRule, PrecisionNeedsTwoSamples) {

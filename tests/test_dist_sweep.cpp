@@ -461,7 +461,6 @@ TEST(DistributedSweep, ThreeArmSweepBuildsOneIndex) {
   const obs::Snapshot snap = obs::snapshot();
   EXPECT_EQ(snap.counter("core.context.built"), 3u);
   EXPECT_EQ(snap.counter("core.context.reach_builds"), 1u);
-  EXPECT_EQ(snap.counter("core.context.reach_dedup_hits"), 2u);
 #endif
 }
 

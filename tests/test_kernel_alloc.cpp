@@ -6,7 +6,8 @@
 // bins in place, plus the per-block telemetry flush — a warm
 // replication makes no allocation at all. Nor may
 // the reachability index a fleet's runs share grow faster than the fleet:
-// its build allocates O(nodes + links) bytes, not an all-pairs relation.
+// its build allocates O(nodes + links) bytes, not an all-pairs relation,
+// and a context built over a shared index copies none of its scenario.
 // This binary replaces the global operator new/delete (backed by
 // malloc/free) to count the allocations made while a window is armed —
 // which is why it is its own executable, and why it stays out of
@@ -15,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "attack/campaign.h"
@@ -140,6 +142,30 @@ TEST(KernelAlloc, WarmEnginePathReplicationsAllocateNothing) {
   EXPECT_GT(compromised, 16u);
   // ... and allocated nothing: no step curve, no result vector, no pool.
   EXPECT_EQ(g_count.load(), 0u) << g_bytes.load() << " bytes";
+}
+
+TEST(KernelAlloc, ContextOverASharedIndexHoldsNoScenarioCopy) {
+  // A sweep's arms share their topology and index, so a campaign context
+  // should cost its per-node tables, not another copy of the cell's
+  // scenario (the variant assignment alone is ~48 B/node).
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const auto made = scenario::make_preset("enterprise4096", cat, 17,
+                                          scenario::VariantPolicy::kRandomPerNode);
+  const std::size_t nodes = made.scenario.topology.node_count();
+  ASSERT_EQ(nodes, 4096u);
+  const auto index = std::make_shared<const net::ReachabilityIndex>(
+      made.scenario.topology, made.scenario.firewall);
+  const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
+
+  g_bytes = 0;
+  g_armed = true;
+  const attack::CampaignSimulator sim(made.scenario, stuxnet, cat, {}, {}, index);
+  g_armed = false;
+  EXPECT_EQ(&sim.reachability(), index.get());
+
+  // The 12-byte node rows, the entry and target lists and the
+  // per-variant tables fit well inside 24 B/node.
+  EXPECT_LE(g_bytes.load(), 24 * nodes) << g_bytes.load() << " bytes";
 }
 
 TEST(KernelAlloc, ReachabilityIndexBuildAllocatesLinearBytes) {

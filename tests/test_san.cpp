@@ -308,14 +308,14 @@ TEST(Analysis, Errors) {
   EXPECT_THROW(
       first_passage(m, [](const Marking&) { return true; }, -1.0, 10, 1),
       std::invalid_argument);
-  EXPECT_THROW(interval_of_time_average(m, nullptr, 1.0, 10, 1),
+  EXPECT_THROW((void)interval_of_time_average(m, nullptr, 1.0, 10, 1),
                std::invalid_argument);
-  EXPECT_THROW(
-      interval_of_time_average(m, [](const Marking&) { return 0.0; }, 0.0, 10, 1),
-      std::invalid_argument);
-  EXPECT_THROW(
-      interval_of_time_average(m, [](const Marking&) { return 0.0; }, 1.0, 0, 1),
-      std::invalid_argument);
+  EXPECT_THROW((void)interval_of_time_average(
+                   m, [](const Marking&) { return 0.0; }, 0.0, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)interval_of_time_average(
+                   m, [](const Marking&) { return 0.0; }, 1.0, 0, 1),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -263,7 +263,6 @@ TEST_F(SoaKernelFixture, LazyContextsShareIndexesAndBoundResidency) {
     const obs::Snapshot snap = obs::snapshot();
     EXPECT_EQ(snap.counter("core.context.built"), 64u);
     EXPECT_EQ(snap.counter("core.context.reach_builds"), 1u);
-    EXPECT_EQ(snap.counter("core.context.reach_dedup_hits"), 63u);
     // Rounds are 4 x threads tasks; with one task per cell the live set
     // stays around a round's width — far below the 64-cell fleet.
     EXPECT_LE(snap.gauge("core.context.peak_live"), 16u);
@@ -452,8 +451,7 @@ TEST_F(SoaKernelFixture, KernelCurveBinsEqualTheBinnedStepCurve) {
                               scenario::VariantPolicy::kRandomPerNode)
             .scenario,
         stuxnet, cat);
-    const double nodes =
-        static_cast<double>(sim.scenario().topology.node_count());
+    const double nodes = static_cast<double>(sim.reachability().node_count());
     core::IndicatorSample s;
     std::vector<std::uint32_t> want(edges.size());
     std::uint64_t mismatches = 0, curves_with_steps = 0;

@@ -325,6 +325,20 @@ TEST(StateCodecCanonical, SplitAndJoinReproduceTheFile) {
   EXPECT_EQ(Framed::split(bytes).join(), bytes);
 }
 
+TEST(StateCodecCanonical, DefaultAccumulatorAdoptsItsFirstMergePartner) {
+  // Every superblock fold (sim::reduce_task_partials, dist::merge_shards,
+  // the adaptive round loop) starts from a default accumulator, so its
+  // first merge must reproduce the partner's state byte for byte.
+  const ShardState original = rich_state();
+  ShardState adopted = original;
+  for (core::IndicatorAccumulator::State& partial : adopted.partials) {
+    core::IndicatorAccumulator acc;
+    acc.merge(core::IndicatorAccumulator::from_state(partial));
+    partial = acc.state();
+  }
+  EXPECT_EQ(encode_shard_state(adopted), encode_shard_state(original));
+}
+
 /// rich_state's meta payload ends with shard 0, shard_count 1, merged 1,
 /// wall_ms 0.0 (varf64 byte 0x00) and threads 1.
 Framed rich_framed() {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -39,11 +40,16 @@ TEST(StreamingSurvival, MatchesKaplanMeierWithinBinWidth) {
   }
   const KaplanMeier km(std::move(obs));
   const double width = horizon / 128.0;
-  for (double t : {0.5, 1.0, 2.0, 4.0, 7.0})
-    EXPECT_NEAR(stream.survival_at(t), km.survival_at(t), 0.02) << t;
-  EXPECT_NEAR(stream.restricted_mean(), km.restricted_mean(horizon), 0.05);
-  ASSERT_TRUE(stream.median().has_value());
-  EXPECT_NEAR(*stream.median(), std::log(2.0) / lambda, 2.0 * width + 0.05);
+  const std::vector<double> curve = stream.survival_curve();
+  ASSERT_EQ(curve.size(), 129u);
+  // curve[k] is S(t) for t in bin k: t = 0.5, 1, 2, 4, 7.
+  for (const std::size_t k : {8u, 16u, 32u, 64u, 112u})
+    EXPECT_NEAR(curve[k], km.survival_at(static_cast<double>(k) * width), 0.02)
+        << k;
+  EXPECT_NEAR(stream.restricted_mean(curve), km.restricted_mean(horizon), 0.05);
+  const std::optional<double> median = stream.quantile(0.5, curve);
+  ASSERT_TRUE(median.has_value());
+  EXPECT_NEAR(*median, std::log(2.0) / lambda, 2.0 * width + 0.05);
 }
 
 TEST(StreamingSurvival, AllCensoredKeepsCurveAtOne) {
@@ -51,10 +57,11 @@ TEST(StreamingSurvival, AllCensoredKeepsCurveAtOne) {
   for (int i = 0; i < 50; ++i) s.add(10.0, /*event=*/false);
   EXPECT_EQ(s.event_count(), 0u);
   EXPECT_EQ(s.censored_count(), 50u);
-  EXPECT_DOUBLE_EQ(s.survival_at(9.9), 1.0);
-  EXPECT_FALSE(s.median().has_value());
+  const std::vector<double> curve = s.survival_curve();
+  EXPECT_EQ(curve, std::vector<double>(17, 1.0));
+  EXPECT_FALSE(s.quantile(0.5, curve).has_value());
   // No event ever observed: the censoring-aware mean is the horizon.
-  EXPECT_DOUBLE_EQ(s.restricted_mean(), 10.0);
+  EXPECT_DOUBLE_EQ(s.restricted_mean(curve), 10.0);
 }
 
 TEST(StreamingSurvival, MergeIsExact) {
@@ -71,9 +78,10 @@ TEST(StreamingSurvival, MergeIsExact) {
   EXPECT_EQ(left.count(), whole.count());
   EXPECT_EQ(left.event_count(), whole.event_count());
   // Bin counts add: the merged curve is bit-identical, not just close.
-  for (double t : {0.1, 0.7, 1.3, 2.9, 3.9})
-    EXPECT_EQ(left.survival_at(t), whole.survival_at(t)) << t;
-  EXPECT_EQ(left.restricted_mean(), whole.restricted_mean());
+  const std::vector<double> curve = whole.survival_curve();
+  EXPECT_EQ(left.survival_curve(), curve);
+  EXPECT_EQ(left.restricted_mean(left.survival_curve()),
+            whole.restricted_mean(curve));
 }
 
 TEST(StreamingSurvival, Validation) {
@@ -81,7 +89,7 @@ TEST(StreamingSurvival, Validation) {
   EXPECT_THROW(StreamingSurvival(1.0, 0), std::invalid_argument);
   StreamingSurvival s(1.0, 8);
   EXPECT_THROW(s.add(-0.5, true), std::invalid_argument);
-  EXPECT_THROW((void)s.quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)s.quantile(0.0, s.survival_curve()), std::invalid_argument);
   StreamingSurvival other(2.0, 8);
   other.add(1.0, true);
   EXPECT_THROW(s.merge(other), std::invalid_argument);
