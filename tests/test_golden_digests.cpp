@@ -14,14 +14,19 @@
 // tasks than the 4-thread executor has threads (the sub-task parallel
 // path of the reducer). A second corpus pins the adaptive sweep
 // (`divsec_sweep adapt`): its CSV digest and the per-cell achieved
-// counts its stopping rule settled on.
+// counts its stopping rule settled on. A third pins the configuration
+// path (`divsec_report`): the DoE table of the SCoPE description under
+// both engines, the only digests of the staged-SAN engine.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "core/report.h"
 #include "dist/adaptive.h"
 #include "dist/fnv.h"
 #include "dist/sweep.h"
@@ -149,6 +154,28 @@ TEST_P(GoldenDigests, AdaptiveCsvAndAchievedCountsMatchPinned) {
     EXPECT_EQ(r.meta.achieved, g.achieved);
     EXPECT_EQ(hex(dist::fnv1a(dist::sweep_csv(r.meta, r.summaries))),
               hex(g.digest));
+  }
+}
+
+TEST_P(GoldenDigests, ConfigurationTableCsvMatchesPinned) {
+  const sim::Executor ex{GetParam()};
+  const divers::VariantCatalog catalog = divers::VariantCatalog::standard(2013);
+  const core::SystemDescription desc = core::make_scope_description(catalog);
+  // divsec_report --seed 2013 --replications 300 --engine E
+  // (its E_measurements.csv)
+  const std::pair<core::Engine, std::uint64_t> engines[] = {
+      {core::Engine::kStagedSan, 0x1efa189a282c8700ULL},
+      {core::Engine::kCampaign, 0xe7ef0285b540190fULL}};
+  for (const auto& [engine, digest] : engines) {
+    SCOPED_TRACE(engine == core::Engine::kStagedSan ? "san" : "campaign");
+    core::PipelineOptions po;
+    po.measurement.engine = engine;
+    po.measurement.replications = 300;
+    po.measurement.seed = 2013;
+    po.measurement.executor = &ex;
+    const core::Pipeline pipeline(desc, attack::ThreatProfile::stuxnet(), po);
+    const auto result = pipeline.run({"os.control", "plc.firmware", "firewall"}, 0);
+    EXPECT_EQ(hex(dist::fnv1a(core::measurement_csv(result.table))), hex(digest));
   }
 }
 
