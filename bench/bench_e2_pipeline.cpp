@@ -202,12 +202,12 @@ bool print_streaming_vs_buffered() {
   core::MeasurementOptions mo = options().measurement;
   mo.replications = kReps;
 
-  core::MeasurementPlan plan;
+  core::ScenarioSweepPlan plan;
   for (std::size_t c = 0; c < 4; ++c) {
     core::Configuration config = desc.baseline_configuration();
     config.variant[1] = c % 2;       // control OS
     config.variant[2] = (c / 2) % 2; // PLC firmware
-    plan.cells.push_back({std::move(config), mo.seed + 7919 * c});
+    plan.cells.push_back({desc.instantiate(config), mo.seed + 7919 * c});
   }
 
   const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
@@ -215,9 +215,9 @@ bool print_streaming_vs_buffered() {
   std::printf("cells=%zu replications=%zu\n", plan.cell_count(), kReps);
 
   const double rss_base = bench::peak_rss_mb();
-  const core::MeasurementEngine engine(desc, profile, mo);
+  const core::MeasurementEngine engine(catalog(), profile, mo);
   auto t0 = std::chrono::steady_clock::now();
-  const auto streamed = engine.measure(plan);
+  const auto streamed = engine.measure_scenarios(plan);
   const double stream_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -225,7 +225,7 @@ bool print_streaming_vs_buffered() {
 
   t0 = std::chrono::steady_clock::now();
   std::size_t visited = 0;
-  const auto buffered = engine.measure(
+  const auto buffered = engine.measure_scenarios(
       plan, [&visited](std::size_t, std::span<const core::IndicatorSample> s) {
         visited += s.size();
       });

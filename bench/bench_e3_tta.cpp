@@ -41,12 +41,14 @@ void print_table() {
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, s.stuxnet, s.mo, rng);
     std::vector<double> tta;
+    const core::ScenarioSweepPlan plan{{{s.desc.instantiate(c), s.mo.seed}}};
     const auto summary =
-        core::MeasurementEngine(s.desc, s.stuxnet, s.mo)
-            .measure_one(c, [&tta](std::size_t,
-                                   std::span<const core::IndicatorSample> got) {
+        core::MeasurementEngine(s.cat, s.stuxnet, s.mo)
+            .measure_scenarios(plan, [&tta](std::size_t,
+                                            std::span<const core::IndicatorSample> got) {
               for (const auto& smp : got) tta.push_back(smp.tta);
-            });
+            })
+            .front();
     const auto q = [&tta](double p) { return stats::quantile(tta, p); };
     if (k == 0) base_mean = summary.tta.mean();
     bench::row({bench::fmt_int(static_cast<long long>(k)),
@@ -75,9 +77,10 @@ void print_km_table() {
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, s.stuxnet, s.mo, rng);
     std::vector<stats::SurvivalObservation> obs;
-    (void)core::MeasurementEngine(s.desc, s.stuxnet, s.mo)
-        .measure_one(c, [&obs](std::size_t,
-                               std::span<const core::IndicatorSample> got) {
+    const core::ScenarioSweepPlan plan{{{s.desc.instantiate(c), s.mo.seed}}};
+    (void)core::MeasurementEngine(s.cat, s.stuxnet, s.mo)
+        .measure_scenarios(plan, [&obs](std::size_t,
+                                        std::span<const core::IndicatorSample> got) {
           for (const auto& smp : got) obs.push_back({smp.tta, !smp.tta_censored});
         });
     const stats::KaplanMeier km(std::move(obs));

@@ -37,12 +37,14 @@ void print_diversity_sweep() {
     const core::Configuration c = core::place_resilient_components(
         s.desc, k, core::PlacementStrategy::kStrategic, stuxnet, s.mo, rng);
     std::vector<double> ttsf;
+    const core::ScenarioSweepPlan plan{{{s.desc.instantiate(c), s.mo.seed}}};
     const auto summary =
-        core::MeasurementEngine(s.desc, stuxnet, s.mo)
-            .measure_one(c, [&ttsf](std::size_t,
-                                    std::span<const core::IndicatorSample> got) {
+        core::MeasurementEngine(s.cat, stuxnet, s.mo)
+            .measure_scenarios(plan, [&ttsf](std::size_t,
+                                             std::span<const core::IndicatorSample> got) {
               for (const auto& smp : got) ttsf.push_back(smp.ttsf);
-            });
+            })
+            .front();
     bench::row({bench::fmt_int(static_cast<long long>(k)),
                 bench::fmt(summary.ttsf.mean(), 1),
                 bench::fmt(stats::quantile(ttsf, 0.5), 1),

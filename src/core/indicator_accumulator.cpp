@@ -1,6 +1,7 @@
 #include "core/indicator_accumulator.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace divsec::core {
 
@@ -55,6 +56,13 @@ void IndicatorAccumulator::merge(const IndicatorAccumulator& other) {
   ttsf_.merge(other.ttsf_);
   final_ratio_.merge(other.final_ratio_);
   curve_.merge(other.curve_);
+}
+
+void IndicatorAccumulator::merge(IndicatorAccumulator&& other) {
+  if (other.n_ != 0 && n_ == 0 && horizon_ == 0.0)
+    *this = std::move(other);
+  else
+    merge(other);
 }
 
 bool IndicatorAccumulator::precision_reached(const sim::StoppingRule& rule) const {

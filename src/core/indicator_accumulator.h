@@ -51,6 +51,8 @@ class IndicatorAccumulator {
 
   void add(const IndicatorSample& sample);
   void merge(const IndicatorAccumulator& other);
+  /// As merge(const&), but an empty accumulator adopts `other` by move.
+  void merge(IndicatorAccumulator&& other);
 
   /// Aggregate view; `samples` is left empty (retention is the caller's
   /// concern, not the accumulator's).

@@ -1,8 +1,10 @@
 #include "core/indicators.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/measurement.h"
+#include "core/ratio_curve.h"
 
 namespace divsec::core {
 
@@ -32,14 +34,13 @@ std::vector<net::NodeId> host_nodes(const Scenario& sc) {
 
 }  // namespace
 
-attack::StagedAttackModel derive_staged_model(const SystemDescription& description,
-                                              const Configuration& config,
+attack::StagedAttackModel derive_staged_model(const divers::VariantCatalog& cat,
+                                              const Scenario& sc,
                                               const attack::ThreatProfile& profile,
                                               const attack::DetectionModel& detection) {
   profile.validate();
   detection.validate();
-  const divers::VariantCatalog& cat = description.catalog();
-  const Scenario sc = description.instantiate(config);
+  sc.validate(cat);
   const auto hosts = host_nodes(sc);
 
   attack::StagedAttackModel m;
@@ -126,10 +127,10 @@ IndicatorSummary measure_indicators(const SystemDescription& description,
                                     const Configuration& config,
                                     const attack::ThreatProfile& profile,
                                     const MeasurementOptions& options) {
-  if (options.replications == 0)
-    throw std::invalid_argument("measure_indicators: need >= 1 replication");
-  const MeasurementEngine engine(description, profile, options);
-  return engine.measure_one(config);
+  ScenarioSweepPlan plan;
+  plan.cells.push_back({description.instantiate(config), options.seed});
+  const MeasurementEngine engine(description.catalog(), profile, options);
+  return std::move(engine.measure_scenarios(plan).front());
 }
 
 IndicatorComparison compare_indicators(const IndicatorSummary& a,
@@ -149,8 +150,13 @@ std::vector<double> mean_compromised_ratio_curve(
   if (options.engine != Engine::kCampaign)
     throw std::invalid_argument(
         "mean_compromised_ratio_curve: requires the campaign engine");
-  const MeasurementEngine engine(description, profile, options);
-  return engine.mean_ratio_curve(config, time_grid_hours);
+  const IndicatorSummary summary =
+      measure_indicators(description, config, profile, options);
+  std::vector<double> out(time_grid_hours.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = curve_value_at(summary.ratio_curve, summary.horizon_hours,
+                            time_grid_hours[i]);
+  return out;
 }
 
 }  // namespace divsec::core

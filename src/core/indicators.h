@@ -218,15 +218,17 @@ struct MeasurementOptions {
 };
 
 /// Step-1 bridge: derive the staged attack model (per-stage success
-/// probabilities and rates) for a concrete configuration. This is the
-/// "Attack Modeling" output of the pipeline: the component variants
-/// picked by `config` determine the probabilities, exactly as the paper
-/// prescribes.
+/// probabilities and rates) for a concrete scenario — an instantiated
+/// configuration or any plan cell. This is the "Attack Modeling" output
+/// of the pipeline: the deployed variants determine the probabilities,
+/// exactly as the paper prescribes. Validates the scenario against
+/// `catalog`, the profile and the detection model.
 [[nodiscard]] attack::StagedAttackModel derive_staged_model(
-    const SystemDescription& description, const Configuration& config,
+    const divers::VariantCatalog& catalog, const attack::Scenario& sc,
     const attack::ThreatProfile& profile, const attack::DetectionModel& detection);
 
-/// Measure all indicators for one configuration.
+/// Measure all indicators for one configuration: a one-cell plan of its
+/// instantiated scenario, seeded with options.seed.
 [[nodiscard]] IndicatorSummary measure_indicators(
     const SystemDescription& description, const Configuration& config,
     const attack::ThreatProfile& profile, const MeasurementOptions& options);
@@ -249,8 +251,9 @@ struct IndicatorComparison {
                                                      const IndicatorSummary& b);
 
 /// Mean compromised-ratio curve over replications, sampled at the given
-/// time grid (campaign engine only). Interpolated from the streamed
-/// binned curve accumulator — no per-configuration re-simulation.
+/// time grid (campaign engine only). Measures the same one-cell plan as
+/// measure_indicators and interpolates its streamed binned curve, so the
+/// curve shares the measurement's replications and determinism.
 [[nodiscard]] std::vector<double> mean_compromised_ratio_curve(
     const SystemDescription& description, const Configuration& config,
     const attack::ThreatProfile& profile, const MeasurementOptions& options,

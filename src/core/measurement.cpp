@@ -120,9 +120,10 @@ void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
   s.ratio_scale = static_cast<std::uint64_t>(nodes);
 }
 
-/// The one place cell contexts come from — every entry point (measure,
-/// measure_scenarios, measure_scenario_tasks) goes through this factory,
-/// which run_tasks drives lazily one scheduling round at a time.
+/// The one place cell contexts come from — every entry point
+/// (measure_scenarios, its adaptive form, measure_scenario_tasks) goes
+/// through this factory, which run_tasks drives lazily one scheduling
+/// round at a time. It holds the plan's cells and hands out their seeds.
 ///
 /// Campaign contexts whose topologies are copies of one value (one
 /// net::Topology::identity(), e.g. the arms scenario::make_preset_arms
@@ -130,14 +131,13 @@ void campaign_sample(const attack::CampaignSimulator& sim, double horizon,
 /// share one net::ReachabilityIndex. The key is an address, not the
 /// structure, so finding the index costs O(1) whatever the fleet size;
 /// separately built topologies that happen to be equal get one index
-/// each. Every keyed topology belongs to a plan cell or to the
-/// description (instantiate() copies the baseline, so configuration
-/// cells share its storage), and both outlive the factory, so no key's
-/// address is reused while the map lives. run_tasks resolves a round's
-/// indexes on its own thread before the round's parallel build, so a
-/// fleet of same-topology cells builds its index exactly once and the
-/// builders receive it instead of racing for it. Construction consumes
-/// no randomness, so sharing and laziness leave results bit-identical.
+/// each. Every keyed topology belongs to a plan cell, which outlives the
+/// factory, so no key's address is reused while the map lives. run_tasks
+/// resolves a round's indexes on its own thread before the round's
+/// parallel build, so a fleet of same-topology cells builds its index
+/// exactly once and the builders receive it instead of racing for it.
+/// Construction consumes no randomness, so sharing and laziness leave
+/// results bit-identical.
 ///
 /// One instance per measurement call (the map — and the indexes it
 /// holds — lives exactly that long). build() may run concurrently;
@@ -146,29 +146,15 @@ class MeasurementEngine::ContextFactory {
  public:
   using IndexPtr = std::shared_ptr<const net::ReachabilityIndex>;
 
-  /// Configuration-plan cells (instantiated through the description).
-  ContextFactory(const SystemDescription& description,
-                 const attack::ThreatProfile& profile,
-                 const MeasurementOptions& options,
-                 std::span<const MeasurementCell> cells)
-      : description_(&description),
-        catalog_(&description.catalog()),
-        profile_(&profile),
-        options_(&options),
-        config_cells_(cells) {}
-
-  /// Explicit-scenario cells (campaign engine; callers validate).
   ContextFactory(const divers::VariantCatalog& catalog,
                  const attack::ThreatProfile& profile,
                  const MeasurementOptions& options,
                  std::span<const ScenarioCell> cells)
-      : catalog_(&catalog),
-        profile_(&profile),
-        options_(&options),
-        scenario_cells_(cells) {}
+      : catalog_(&catalog), profile_(&profile), options_(&options), cells_(cells) {}
 
-  [[nodiscard]] std::size_t cell_count() const noexcept {
-    return description_ ? config_cells_.size() : scenario_cells_.size();
+  [[nodiscard]] std::size_t cell_count() const noexcept { return cells_.size(); }
+  [[nodiscard]] std::uint64_t seed(std::size_t c) const noexcept {
+    return cells_[c].seed;
   }
 
   /// The reachability index of each of `cells`, in order: a map lookup
@@ -181,9 +167,7 @@ class MeasurementEngine::ContextFactory {
     std::vector<const IndexPtr*> found;
     std::vector<std::pair<IndexPtr*, const attack::Scenario*>> missing;
     for (const std::size_t c : cells) {
-      // Configuration cells take the baseline's topology and firewall.
-      const attack::Scenario& sc =
-          description_ ? description_->baseline() : scenario_cells_[c].scenario;
+      const attack::Scenario& sc = cells_[c].scenario;
       auto [it, inserted] = reach_.try_emplace(
           Key{sc.topology.identity(), net::ReachabilityIndex::verdicts(sc.firewall)});
       if (inserted) missing.emplace_back(&it->second, &sc);
@@ -203,35 +187,29 @@ class MeasurementEngine::ContextFactory {
   }
 
   /// Build cell c's context over its index from reach_for (null for the
-  /// staged-SAN engine). Thread-safe: reads only.
+  /// staged-SAN engine). Thread-safe: reads only. Both engines validate
+  /// the cell's scenario here.
   [[nodiscard]] std::unique_ptr<CellContext> build(std::size_t c,
                                                    IndexPtr reach) const {
     auto ctx = std::make_unique<CellContext>();
-    const auto campaign = [&](const attack::Scenario& sc) {
-      ctx->campaign.emplace(sc, *profile_, *catalog_, options_->detection,
-                            options_->campaign, std::move(reach));
-    };
+    const attack::Scenario& sc = cells_[c].scenario;
     if (options_->engine == Engine::kStagedSan) {
       auto& staged = ctx->san.emplace();
       staged.asan = attack::build_attack_san(
-          derive_staged_model(*description_, config_cells_[c].configuration,
-                              *profile_, options_->detection));
+          derive_staged_model(*catalog_, sc, *profile_, options_->detection));
       staged.terminal = staged.asan.terminal_predicate();
-    } else if (description_) {
-      campaign(description_->instantiate(config_cells_[c].configuration));
     } else {
-      campaign(scenario_cells_[c].scenario);
+      ctx->campaign.emplace(sc, *profile_, *catalog_, options_->detection,
+                            options_->campaign, std::move(reach));
     }
     return ctx;
   }
 
  private:
-  const SystemDescription* description_ = nullptr;
   const divers::VariantCatalog* catalog_;
   const attack::ThreatProfile* profile_;
   const MeasurementOptions* options_;
-  std::span<const MeasurementCell> config_cells_;
-  std::span<const ScenarioCell> scenario_cells_;
+  std::span<const ScenarioCell> cells_;
 
   using Key = std::pair<const void*, net::ReachabilityIndex::Verdicts>;
   std::map<Key, IndexPtr> reach_;
@@ -253,22 +231,10 @@ void validate_options(const MeasurementOptions& options) {
 
 }  // namespace
 
-MeasurementEngine::MeasurementEngine(const SystemDescription& description,
-                                     const attack::ThreatProfile& profile,
-                                     const MeasurementOptions& options)
-    : description_(&description),
-      catalog_(&description.catalog()),
-      profile_(&profile),
-      options_(options),
-      executor_(options.executor ? options.executor : &sim::Executor::shared()) {
-  validate_options(options_);
-}
-
 MeasurementEngine::MeasurementEngine(const divers::VariantCatalog& catalog,
                                      const attack::ThreatProfile& profile,
                                      const MeasurementOptions& options)
-    : description_(nullptr),
-      catalog_(&catalog),
+    : catalog_(&catalog),
       profile_(&profile),
       options_(options),
       executor_(options.executor ? options.executor : &sim::Executor::shared()) {
@@ -281,9 +247,8 @@ sim::ShardPlan MeasurementEngine::shard_plan(std::size_t cells) const {
 }
 
 std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
-    ContextFactory& factory, std::span<const std::uint64_t> seeds,
-    const sim::ShardPlan& shard, std::span<const std::uint64_t> tasks,
-    std::vector<IndicatorSample>* samples,
+    ContextFactory& factory, const sim::ShardPlan& shard,
+    std::span<const std::uint64_t> tasks, std::vector<IndicatorSample>* samples,
     std::vector<double>* task_seconds) const {
   const double horizon = options_.campaign.t_max_hours;
   const std::size_t reps = options_.replications;
@@ -363,7 +328,7 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
       if (rep >= task.end) return;
       thread_local IndicatorSample s;
       run_job(*slots[task.group], horizon, curve_edges,
-              stats::Rng(seeds[task.group], rep), s);
+              stats::Rng(factory.seed(task.group), rep), s);
       if (samples) (*samples)[task.group * reps + rep] = s;
       a.add(s);
       // Kernel telemetry reaches the registry once per block (and at the
@@ -401,8 +366,7 @@ std::vector<IndicatorAccumulator> MeasurementEngine::run_tasks(
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::run_cells(
-    ContextFactory& factory, std::span<const std::uint64_t> seeds,
-    const CellVisitor& visit) const {
+    ContextFactory& factory, const CellVisitor& visit) const {
   const std::size_t cells = factory.cell_count();
   const std::size_t reps = options_.replications;
   const double horizon = options_.campaign.t_max_hours;
@@ -420,8 +384,8 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   std::vector<std::uint64_t> all_tasks(plan.task_count());
   for (std::size_t t = 0; t < all_tasks.size(); ++t) all_tasks[t] = t;
   const std::vector<IndicatorAccumulator> acc = sim::reduce_task_partials(
-      plan, run_tasks(factory, seeds, plan, all_tasks,
-                      visit ? &samples : nullptr, /*task_seconds=*/nullptr));
+      plan, run_tasks(factory, plan, all_tasks, visit ? &samples : nullptr,
+                      /*task_seconds=*/nullptr));
 
   if (visit)
     for (std::size_t c = 0; c < cells; ++c)
@@ -430,39 +394,15 @@ std::vector<IndicatorSummary> MeasurementEngine::run_cells(
   return summarize_cells(acc, {}, reps, horizon);
 }
 
-std::vector<IndicatorSummary> MeasurementEngine::measure(
-    const MeasurementPlan& plan, const CellVisitor& visit) const {
-  if (!description_)
-    throw std::logic_error(
-        "MeasurementEngine::measure: engine was built without a "
-        "SystemDescription (scenario-sweep-only)");
-  const std::size_t cells = plan.cell_count();
-  ContextFactory factory(*description_, *profile_, options_,
-                         std::span<const MeasurementCell>(plan.cells));
-  std::vector<std::uint64_t> seeds(cells);
-  for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
-  return run_cells(factory, seeds, visit);
-}
-
 std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios(
     const ScenarioSweepPlan& plan, const CellVisitor& visit) const {
-  if (options_.engine != Engine::kCampaign)
-    throw std::invalid_argument(
-        "measure_scenarios: requires the campaign engine");
-  const std::size_t cells = plan.cell_count();
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
-  std::vector<std::uint64_t> seeds(cells);
-  for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
-  return run_cells(factory, seeds, visit);
+  ContextFactory factory(*catalog_, *profile_, options_, plan.cells);
+  return run_cells(factory, visit);
 }
 
 std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
     const ScenarioSweepPlan& plan, const AdaptiveOptions& adaptive,
     AdaptiveReport* report) const {
-  if (options_.engine != Engine::kCampaign)
-    throw std::invalid_argument(
-        "measure_scenarios_adaptive: requires the campaign engine");
   if (!(adaptive.relative_precision > 0.0) &&
       !(adaptive.absolute_precision > 0.0))
     throw std::invalid_argument(
@@ -476,10 +416,7 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
   const AdaptiveSchedule sched = resolve_adaptive_schedule(
       adaptive, options_.replications, shard.superblock());
 
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
-  std::vector<std::uint64_t> seeds(cells);
-  for (std::size_t c = 0; c < cells; ++c) seeds[c] = plan.cells[c].seed;
+  ContextFactory factory(*catalog_, *profile_, options_, plan.cells);
 
   // One accumulator per cell, fed round by round with exactly the fold
   // sequence the exact reducer uses: superblock partials merge in
@@ -514,8 +451,8 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
       for (std::size_t s = folded_sb[c]; s < end; ++s)
         tasks.push_back(static_cast<std::uint64_t>(c * per_group + s));
     }
-    std::vector<IndicatorAccumulator> partials = run_tasks(
-        factory, seeds, shard, tasks, /*samples=*/nullptr, &task_seconds);
+    std::vector<IndicatorAccumulator> partials =
+        run_tasks(factory, shard, tasks, /*samples=*/nullptr, &task_seconds);
 
     const auto fold_start = std::chrono::steady_clock::now();
     std::uint64_t round_reps = 0;
@@ -524,7 +461,7 @@ std::vector<IndicatorSummary> MeasurementEngine::measure_scenarios_adaptive(
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         const std::size_t c = static_cast<std::size_t>(tasks[i]) / per_group;
         round_reps += partials[i].count();
-        r.accumulators[c].merge(partials[i]);
+        r.accumulators[c].merge(std::move(partials[i]));
         r.cell_seconds[c] += task_seconds[i];
       }
     }
@@ -575,9 +512,6 @@ std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
     const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
     std::span<const std::uint64_t> tasks,
     std::vector<double>* task_seconds) const {
-  if (options_.engine != Engine::kCampaign)
-    throw std::invalid_argument(
-        "measure_scenario_tasks: requires the campaign engine");
   const sim::ShardPlan expected = shard_plan(plan.cell_count());
   if (shard.groups() != expected.groups() ||
       shard.count() != expected.count() ||
@@ -603,43 +537,8 @@ std::vector<IndicatorAccumulator> MeasurementEngine::measure_scenario_tasks(
   // only the cells this task list touches — a handful at a time — ever
   // get a campaign context; shard processes of a huge sweep never pay
   // for the whole fleet's scenarios or reachability indexes.
-  ContextFactory factory(*catalog_, *profile_, options_,
-                         std::span<const ScenarioCell>(plan.cells));
-  std::vector<std::uint64_t> seeds(plan.cell_count());
-  for (std::size_t c = 0; c < plan.cell_count(); ++c)
-    seeds[c] = plan.cells[c].seed;
-  return run_tasks(factory, seeds, shard, tasks, /*samples=*/nullptr,
-                   task_seconds);
-}
-
-IndicatorSummary MeasurementEngine::measure_one(const Configuration& config,
-                                               const CellVisitor& visit) const {
-  MeasurementPlan plan;
-  plan.cells.push_back({config, options_.seed});
-  return std::move(measure(plan, visit).front());
-}
-
-std::vector<double> MeasurementEngine::mean_ratio_curve(
-    const Configuration& config, const std::vector<double>& time_grid_hours) const {
-  if (!description_)
-    throw std::logic_error(
-        "MeasurementEngine::mean_ratio_curve: engine was built without a "
-        "SystemDescription (scenario-sweep-only)");
-  if (options_.engine != Engine::kCampaign)
-    throw std::invalid_argument(
-        "mean_ratio_curve: requires the campaign engine");
-  // The per-cell curve accumulator already streams the binned mean curve
-  // through the standard measurement reduction — run the cell once and
-  // interpolate the bin-edge means onto the requested grid. This retired
-  // the per-configuration re-simulation pass: the curve shares the
-  // measurement's replications, its (cell seed, rep) RNG contract, and
-  // the reduction's determinism (bit-identical for any DIVSEC_THREADS).
-  const IndicatorSummary summary = measure_one(config);
-  std::vector<double> out(time_grid_hours.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = curve_value_at(summary.ratio_curve, summary.horizon_hours,
-                            time_grid_hours[i]);
-  return out;
+  ContextFactory factory(*catalog_, *profile_, options_, plan.cells);
+  return run_tasks(factory, shard, tasks, /*samples=*/nullptr, task_seconds);
 }
 
 }  // namespace divsec::core

@@ -1,25 +1,20 @@
 // measurement.h — the batched parallel measurement engine.
 //
 // The paper's "DoE & Measurements" step is a grid of independent
-// stochastic jobs: every (configuration cell, replication) pair can run
-// on its own core. MeasurementEngine flattens a MeasurementPlan — a list
-// of configuration cells, each with its own seed block — into that job
+// stochastic jobs: every (cell, replication) pair can run on its own
+// core. MeasurementEngine flattens a ScenarioSweepPlan — a list of
+// attack::Scenario cells, each with its own seed block — into that job
 // list, evaluates it on a sim::Executor, and reassembles per-cell
-// IndicatorSummary values in deterministic order.
-//
-// Two plan flavours share the job model:
-//  * MeasurementPlan      — configuration cells over the engine's
-//    SystemDescription (the paper's DoE grid);
-//  * ScenarioSweepPlan    — explicit attack::Scenario cells (generated
-//    fleets from the scenario:: layer), campaign engine only. This is
-//    how fleet sweeps run: generate N scenarios, measure them all in one
-//    flattened parallel batch.
+// IndicatorSummary values in deterministic order. A DoE grid over a
+// SystemDescription is a plan of instantiated configurations; generated
+// fleets from the scenario:: layer are plans of their arms. Either
+// engine (options.engine) runs any plan.
 //
 // Determinism contract: job (cell c, replication r) draws every random
 // number from stats::Rng(plan.cells[c].seed, r). Results are therefore
 // bit-identical for any thread count (including the serial path) and
 // independent of job scheduling; only wall-clock time changes. Cell
-// contexts (instantiated scenarios, staged SAN models) are built lazily,
+// contexts (campaign tables, staged SAN models) are built lazily,
 // one scheduling round of superblock tasks at a time, shared read-only by
 // that cell's jobs and dropped once the ascending task order has moved
 // past the cell — a 10^4-cell sweep holds O(round) contexts, not 10^4.
@@ -68,32 +63,18 @@ class ShardPlan;
 
 namespace divsec::core {
 
-/// One configuration cell of a plan: a point in the configuration space
+/// One plan cell: a concrete system (an instantiated configuration, or a
+/// scenario generated by scenario::make_preset_arms or a ScenarioBuilder)
 /// plus the master seed of its replication block (replication r uses RNG
-/// stream (seed, r)).
-struct MeasurementCell {
-  Configuration configuration;
-  std::uint64_t seed = 0;
-};
-
-/// The flattened unit of work handed to the executor: every cell runs
-/// the same replication count with the options' engine.
-struct MeasurementPlan {
-  std::vector<MeasurementCell> cells;
-
-  [[nodiscard]] std::size_t cell_count() const noexcept { return cells.size(); }
-};
-
-/// One explicit-scenario cell: a concrete system (typically generated by
-/// scenario::make_preset_arms or a ScenarioBuilder) plus its seed block.
-/// Cells that should share a reachability index hold copies of one
-/// topology value.
+/// stream (seed, r)). Cells that should share a reachability index hold
+/// copies of one topology value.
 struct ScenarioCell {
   attack::Scenario scenario;
   std::uint64_t seed = 0;
 };
 
-/// A sweep over explicit scenarios (campaign engine only).
+/// The flattened unit of work handed to the executor: every cell runs
+/// the same replication count with the options' engine.
 struct ScenarioSweepPlan {
   std::vector<ScenarioCell> cells;
 
@@ -126,16 +107,8 @@ struct AdaptiveReport {
 
 class MeasurementEngine {
  public:
-  /// The description and profile must outlive the engine. The executor
-  /// used is options.executor, falling back to sim::Executor::shared().
-  MeasurementEngine(const SystemDescription& description,
-                    const attack::ThreatProfile& profile,
-                    const MeasurementOptions& options);
-
-  /// Scenario-sweep-only engine: no SystemDescription, so only
-  /// measure_scenarios() is available (configuration-plan entry points
-  /// throw std::logic_error). The catalog and profile must outlive the
-  /// engine.
+  /// The catalog and profile must outlive the engine. The executor used
+  /// is options.executor, falling back to sim::Executor::shared().
   MeasurementEngine(const divers::VariantCatalog& catalog,
                     const attack::ThreatProfile& profile,
                     const MeasurementOptions& options);
@@ -148,15 +121,9 @@ class MeasurementEngine {
       std::function<void(std::size_t cell, std::span<const IndicatorSample>)>;
 
   /// Measure every cell of the plan: (cell × replication) jobs run on the
-  /// executor; summaries come back in cell order with samples folded in
-  /// replication order.
-  [[nodiscard]] std::vector<IndicatorSummary> measure(
-      const MeasurementPlan& plan, const CellVisitor& visit = {}) const;
-
-  /// Measure every scenario cell of a sweep with the campaign engine,
-  /// under the same flattened-job determinism contract: job (cell, rep)
-  /// draws from Rng(cell.seed, rep), bit-identical for any thread count.
-  /// Requires options.engine == Engine::kCampaign.
+  /// executor, job (cell, rep) drawing from Rng(cell.seed, rep), so the
+  /// results are bit-identical for any thread count; summaries come back
+  /// in cell order with samples folded in replication order.
   [[nodiscard]] std::vector<IndicatorSummary> measure_scenarios(
       const ScenarioSweepPlan& plan, const CellVisitor& visit = {}) const;
 
@@ -169,8 +136,8 @@ class MeasurementEngine {
   /// fixed-budget task list, so re-running exactly the recorded per-cell
   /// counts (report->achieved) through measure_scenario_tasks + the exact
   /// reducer reproduces every summary bit-identically for any thread or
-  /// shard count. Streaming only; requires the campaign engine. Throws
-  /// std::invalid_argument when both precision criteria are disabled.
+  /// shard count. Streaming only. Throws std::invalid_argument when both
+  /// precision criteria are disabled.
   [[nodiscard]] std::vector<IndicatorSummary> measure_scenarios_adaptive(
       const ScenarioSweepPlan& plan, const AdaptiveOptions& adaptive,
       AdaptiveReport* report = nullptr) const;
@@ -195,36 +162,23 @@ class MeasurementEngine {
   /// matter how the tasks were divided. task_seconds, when non-null,
   /// receives each task's measured fold time (the cost-model feed): the
   /// sum of its block times, whichever threads folded them.
-  /// Requires options.engine == Engine::kCampaign.
   [[nodiscard]] std::vector<IndicatorAccumulator> measure_scenario_tasks(
       const ScenarioSweepPlan& plan, const sim::ShardPlan& shard,
       std::span<const std::uint64_t> tasks,
       std::vector<double>* task_seconds = nullptr) const;
-
-  /// Convenience: one cell seeded with options.seed.
-  [[nodiscard]] IndicatorSummary measure_one(const Configuration& config,
-                                             const CellVisitor& visit = {}) const;
-
-  /// Mean compromised-ratio curve over replications on the given time
-  /// grid (campaign engine only); replications run in parallel, the mean
-  /// is reduced in replication order.
-  [[nodiscard]] std::vector<double> mean_ratio_curve(
-      const Configuration& config, const std::vector<double>& time_grid_hours) const;
 
   [[nodiscard]] const sim::Executor& executor() const noexcept { return *executor_; }
 
  private:
   class ContextFactory;  // measurement.cpp: lazy shared-context builder
   [[nodiscard]] std::vector<IndicatorSummary> run_cells(
-      ContextFactory& factory, std::span<const std::uint64_t> seeds,
-      const CellVisitor& visit) const;
+      ContextFactory& factory, const CellVisitor& visit) const;
   [[nodiscard]] std::vector<IndicatorAccumulator> run_tasks(
-      ContextFactory& factory, std::span<const std::uint64_t> seeds,
-      const sim::ShardPlan& shard, std::span<const std::uint64_t> tasks,
+      ContextFactory& factory, const sim::ShardPlan& shard,
+      std::span<const std::uint64_t> tasks,
       std::vector<IndicatorSample>* samples,
       std::vector<double>* task_seconds) const;
 
-  const SystemDescription* description_;  // null for scenario-sweep engines
   const divers::VariantCatalog* catalog_;
   const attack::ThreatProfile* profile_;
   MeasurementOptions options_;

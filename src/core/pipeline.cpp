@@ -18,7 +18,8 @@ Pipeline::Pipeline(const SystemDescription& description, attack::ThreatProfile p
 }
 
 attack::StagedAttackModel Pipeline::attack_model(const Configuration& c) const {
-  return derive_staged_model(*description_, c, profile_, options_.measurement.detection);
+  return derive_staged_model(description_->catalog(), description_->instantiate(c),
+                             profile_, options_.measurement.detection);
 }
 
 MeasurementTable Pipeline::measure_full_factorial(
@@ -56,8 +57,9 @@ MeasurementTable Pipeline::measure_full_factorial(
   // Enumerate configurations in FactorSpace order, then measure the whole
   // table as one batched (cell × replication) job list.
   const std::size_t n = out.space.configuration_count();
-  MeasurementPlan plan;
+  ScenarioSweepPlan plan;
   plan.cells.reserve(n);
+  out.configurations.reserve(n);
   for (std::size_t flat = 0; flat < n; ++flat) {
     const std::vector<int> levels = out.space.decode(flat);
     Configuration config = description_->baseline_configuration();
@@ -65,7 +67,9 @@ MeasurementTable Pipeline::measure_full_factorial(
       config.variant[out.component_index[f]] = static_cast<std::size_t>(levels[f]);
     // Independent seed block per cell so cells are statistically
     // independent but the whole table is reproducible.
-    plan.cells.push_back({std::move(config), options_.measurement.seed + 7919 * flat});
+    plan.cells.push_back(
+        {description_->instantiate(config), options_.measurement.seed + 7919 * flat});
+    out.configurations.push_back(std::move(config));
   }
 
   // Extract the per-replicate response vectors through the engine's cell
@@ -73,8 +77,9 @@ MeasurementTable Pipeline::measure_full_factorial(
   out.tta_cells.resize(n);
   out.ttsf_cells.resize(n);
   out.success_cells.resize(n);
-  const MeasurementEngine engine(*description_, profile_, options_.measurement);
-  std::vector<IndicatorSummary> summaries = engine.measure(
+  const MeasurementEngine engine(description_->catalog(), profile_,
+                                 options_.measurement);
+  out.summaries = engine.measure_scenarios(
       plan, [&out](std::size_t cell, std::span<const IndicatorSample> samples) {
         auto& tta = out.tta_cells[cell];
         auto& ttsf = out.ttsf_cells[cell];
@@ -88,11 +93,6 @@ MeasurementTable Pipeline::measure_full_factorial(
           success.push_back(s.attack_succeeded ? 1.0 : 0.0);
         }
       });
-
-  out.summaries = std::move(summaries);
-  out.configurations.reserve(n);
-  for (auto& cell : plan.cells)
-    out.configurations.push_back(std::move(cell.configuration));
   return out;
 }
 
@@ -104,7 +104,7 @@ Pipeline::Screening Pipeline::screen() const {
   Screening out;
   out.design = stats::plackett_burman(std::move(names));
 
-  MeasurementPlan plan;
+  ScenarioSweepPlan plan;
   plan.cells.reserve(out.design.runs.size());
   for (const auto& run : out.design.runs) {
     Configuration config = description_->baseline_configuration();
@@ -112,10 +112,11 @@ Pipeline::Screening Pipeline::screen() const {
       if (run[f] > 0)
         config.variant[f] = description_->catalog().count(comps[f].kind) - 1;
     }
-    plan.cells.push_back({std::move(config), options_.measurement.seed});
+    plan.cells.push_back({description_->instantiate(config), options_.measurement.seed});
   }
-  const MeasurementEngine engine(*description_, profile_, options_.measurement);
-  for (const IndicatorSummary& s : engine.measure(plan)) {
+  const MeasurementEngine engine(description_->catalog(), profile_,
+                                 options_.measurement);
+  for (const IndicatorSummary& s : engine.measure_scenarios(plan)) {
     out.mean_tta.push_back(s.tta.mean());
     out.success_prob.push_back(s.attack_success_probability());
   }
@@ -149,7 +150,7 @@ Pipeline::Fractional Pipeline::measure_fractional(
   std::vector<std::size_t> comp_index;
   for (const auto& name : out.design.factor_names) comp_index.push_back(index_of(name));
 
-  MeasurementPlan plan;
+  ScenarioSweepPlan plan;
   plan.cells.reserve(out.design.run_count());
   for (std::size_t r = 0; r < out.design.run_count(); ++r) {
     Configuration config = description_->baseline_configuration();
@@ -159,10 +160,12 @@ Pipeline::Fractional Pipeline::measure_fractional(
         config.variant[ci] = description_->catalog().count(comps[ci].kind) - 1;
       }
     }
-    plan.cells.push_back({std::move(config), options_.measurement.seed + 104729 * r});
+    plan.cells.push_back(
+        {description_->instantiate(config), options_.measurement.seed + 104729 * r});
   }
-  const MeasurementEngine engine(*description_, profile_, options_.measurement);
-  for (const IndicatorSummary& s : engine.measure(plan)) {
+  const MeasurementEngine engine(description_->catalog(), profile_,
+                                 options_.measurement);
+  for (const IndicatorSummary& s : engine.measure_scenarios(plan)) {
     out.success_prob.push_back(s.attack_success_probability());
     out.mean_tta.push_back(s.tta.mean());
   }

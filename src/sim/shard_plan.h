@@ -144,17 +144,18 @@ class ShardPlan {
 /// left-merged with its superblock partials in ascending superblock
 /// order — the same sequence for one process or many, any thread count.
 /// Acc{} must adopt its first merge partner exactly (as
-/// core::IndicatorAccumulator does).
+/// core::IndicatorAccumulator does); partials are moved in, so an adopted
+/// one costs no copy.
 template <typename Acc>
-[[nodiscard]] std::vector<Acc> reduce_task_partials(
-    const ShardPlan& plan, const std::vector<Acc>& partials) {
+[[nodiscard]] std::vector<Acc> reduce_task_partials(const ShardPlan& plan,
+                                                    std::vector<Acc>&& partials) {
   if (partials.size() != plan.task_count())
     throw std::invalid_argument(
         "reduce_task_partials: partial count != task count");
   const std::size_t per_group = plan.superblocks_per_group();
   std::vector<Acc> out(plan.groups());
   for (std::size_t t = 0; t < partials.size(); ++t)
-    out[t / per_group].merge(partials[t]);
+    out[t / per_group].merge(std::move(partials[t]));
   return out;
 }
 

@@ -1,7 +1,7 @@
-// Tests for the scenario-sweep flavour of core::MeasurementEngine: a
-// campaign replication set over generated enterprise fleets must be
-// bit-identical for any executor thread count (the DIVSEC_THREADS
-// contract), because job (cell, rep) draws only from Rng(cell.seed, rep).
+// Tests for core::MeasurementEngine over generated enterprise fleets: a
+// replication set must be bit-identical for any executor thread count
+// (the DIVSEC_THREADS contract), under either engine, because job
+// (cell, rep) draws only from Rng(cell.seed, rep).
 #include <gtest/gtest.h>
 
 #include "core/measurement.h"
@@ -30,10 +30,10 @@ void expect_bit_identical(const IndicatorSummary& a, const IndicatorSummary& b) 
 
 class FleetSweepFixture : public ::testing::Test {
  protected:
-  [[nodiscard]] MeasurementOptions options(const sim::Executor* ex,
-                                           std::size_t reps) const {
+  [[nodiscard]] MeasurementOptions options(const sim::Executor* ex, std::size_t reps,
+                                           Engine engine = Engine::kCampaign) const {
     MeasurementOptions mo;
-    mo.engine = Engine::kCampaign;
+    mo.engine = engine;
     mo.replications = reps;
     mo.seed = 2013;
     mo.executor = ex;
@@ -63,15 +63,18 @@ class FleetSweepFixture : public ::testing::Test {
 
 TEST_F(FleetSweepFixture, Enterprise256SweepBitIdenticalAcrossThreadCounts) {
   const ScenarioSweepPlan plan = enterprise_plan("enterprise256");
-  const MeasurementEngine one(cat, stuxnet, options(&serial, 10));
-  const MeasurementEngine eight(cat, stuxnet, options(&threaded, 10));
-  const auto a = one.measure_scenarios(plan);
-  const auto b = eight.measure_scenarios(plan);
-  ASSERT_EQ(a.size(), plan.cell_count());
-  ASSERT_EQ(b.size(), plan.cell_count());
-  for (std::size_t c = 0; c < a.size(); ++c) expect_bit_identical(a[c], b[c]);
-  // The fleet actually falls: some compromise happened somewhere.
-  EXPECT_GT(a[0].final_ratio.mean(), 0.0);
+  for (const Engine engine : {Engine::kCampaign, Engine::kStagedSan}) {
+    SCOPED_TRACE(engine == Engine::kCampaign ? "campaign" : "staged SAN");
+    const MeasurementEngine one(cat, stuxnet, options(&serial, 10, engine));
+    const MeasurementEngine eight(cat, stuxnet, options(&threaded, 10, engine));
+    const auto a = one.measure_scenarios(plan);
+    const auto b = eight.measure_scenarios(plan);
+    ASSERT_EQ(a.size(), plan.cell_count());
+    ASSERT_EQ(b.size(), plan.cell_count());
+    for (std::size_t c = 0; c < a.size(); ++c) expect_bit_identical(a[c], b[c]);
+    // The fleet actually falls: some compromise happened somewhere.
+    if (engine == Engine::kCampaign) EXPECT_GT(a[0].final_ratio.mean(), 0.0);
+  }
 }
 
 TEST_F(FleetSweepFixture, Enterprise1024SweepBitIdenticalAcrossThreadCounts) {
@@ -114,21 +117,6 @@ TEST_F(FleetSweepFixture, CellVisitorSeesReplicationOrderedSamples) {
     const auto r = sim.run(rng);
     EXPECT_EQ(ratios[c][5], r.compromised_ratio.back().second);
   }
-}
-
-TEST_F(FleetSweepFixture, ScenarioOnlyEngineRejectsConfigurationPlans) {
-  const MeasurementEngine engine(cat, stuxnet, options(&serial, 4));
-  EXPECT_THROW((void)engine.measure_one(Configuration{}), std::logic_error);
-  EXPECT_THROW((void)engine.mean_ratio_curve(Configuration{}, {0.0, 1.0}),
-               std::logic_error);
-}
-
-TEST_F(FleetSweepFixture, SweepRequiresCampaignEngine) {
-  MeasurementOptions mo = options(&serial, 4);
-  mo.engine = Engine::kStagedSan;
-  const MeasurementEngine engine(cat, stuxnet, mo);
-  EXPECT_THROW((void)engine.measure_scenarios(enterprise_plan("plant_small")),
-               std::invalid_argument);
 }
 
 }  // namespace

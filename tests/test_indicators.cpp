@@ -17,7 +17,8 @@ class IndicatorsFixture : public ::testing::Test {
 };
 
 TEST_F(IndicatorsFixture, DerivedModelValidatesAndReflectsMonoculture) {
-  const auto m = derive_staged_model(desc, desc.baseline_configuration(), stuxnet, det);
+  const attack::Scenario sc = desc.instantiate(desc.baseline_configuration());
+  const auto m = derive_staged_model(cat, sc, stuxnet, det);
   EXPECT_NO_THROW(m.validate());
   // Monoculture: the zero-days land nearly at full strength.
   EXPECT_GT(m.transitions[0].success_probability, 0.7);
@@ -27,9 +28,9 @@ TEST_F(IndicatorsFixture, DerivedModelValidatesAndReflectsMonoculture) {
 
 TEST_F(IndicatorsFixture, ResilientPlcLowersPayloadStage) {
   Configuration c = desc.baseline_configuration();
-  const auto base = derive_staged_model(desc, c, stuxnet, det);
+  const auto base = derive_staged_model(cat, desc.instantiate(c), stuxnet, det);
   c.variant[2] = cat.count(divers::ComponentKind::kPlcFirmware) - 1;  // abb
-  const auto hard = derive_staged_model(desc, c, stuxnet, det);
+  const auto hard = derive_staged_model(cat, desc.instantiate(c), stuxnet, det);
   EXPECT_LT(hard.transitions[3].success_probability,
             0.2 * base.transitions[3].success_probability);
   // Other stages unchanged.
@@ -39,10 +40,10 @@ TEST_F(IndicatorsFixture, ResilientPlcLowersPayloadStage) {
 
 TEST_F(IndicatorsFixture, DiverseOsSlowsActivationAndRaisesFailureDetection) {
   Configuration c = desc.baseline_configuration();
-  const auto base = derive_staged_model(desc, c, stuxnet, det);
+  const auto base = derive_staged_model(cat, desc.instantiate(c), stuxnet, det);
   c.variant[0] = 2;  // corporate OS -> linux (entry nodes live there)
   c.variant[1] = 2;  // control OS -> linux
-  const auto hard = derive_staged_model(desc, c, stuxnet, det);
+  const auto hard = derive_staged_model(cat, desc.instantiate(c), stuxnet, det);
   EXPECT_LT(hard.transitions[0].success_probability,
             base.transitions[0].success_probability);
   // More failures at the same attempt rate => more failure-triggered
@@ -53,10 +54,9 @@ TEST_F(IndicatorsFixture, DiverseOsSlowsActivationAndRaisesFailureDetection) {
 TEST_F(IndicatorsFixture, SpoofingSuppressesImpairmentDetection) {
   attack::ThreatProfile naked = stuxnet;
   naked.spoof_effectiveness = 0.0;
-  const auto with_spoof =
-      derive_staged_model(desc, desc.baseline_configuration(), stuxnet, det);
-  const auto without =
-      derive_staged_model(desc, desc.baseline_configuration(), naked, det);
+  const attack::Scenario sc = desc.instantiate(desc.baseline_configuration());
+  const auto with_spoof = derive_staged_model(cat, sc, stuxnet, det);
+  const auto without = derive_staged_model(cat, sc, naked, det);
   EXPECT_LT(with_spoof.impairment_detection_rate,
             0.1 * without.impairment_detection_rate);
 }
@@ -67,11 +67,13 @@ TEST_F(IndicatorsFixture, SanEngineMeasuresAllIndicators) {
   mo.replications = 300;
   mo.seed = 7;
   std::vector<IndicatorSample> samples;
-  const IndicatorSummary s = MeasurementEngine(desc, stuxnet, mo).measure_one(
-      desc.baseline_configuration(),
-      [&samples](std::size_t, std::span<const IndicatorSample> got) {
-        samples.assign(got.begin(), got.end());
-      });
+  const ScenarioSweepPlan plan{
+      {{desc.instantiate(desc.baseline_configuration()), mo.seed}}};
+  const auto keep = [&samples](std::size_t, std::span<const IndicatorSample> got) {
+    samples.assign(got.begin(), got.end());
+  };
+  const IndicatorSummary s =
+      MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan, keep).front();
   EXPECT_EQ(s.replications, 300u);
   EXPECT_EQ(samples.size(), 300u);
   EXPECT_EQ(s.tta.count(), 300u);
@@ -89,6 +91,20 @@ TEST_F(IndicatorsFixture, SanEngineMeasuresAllIndicators) {
     }
     EXPECT_LE(smp.tta, s.horizon_hours);
   }
+}
+
+TEST_F(IndicatorsFixture, StagedPlanCellWithoutEntryNodesRejected) {
+  // A plan cell reaches the staged-SAN engine without instantiate()'s
+  // validation, so the model derivation validates the scenario itself.
+  attack::Scenario sc = desc.instantiate(desc.baseline_configuration());
+  sc.entry_nodes.clear();
+  EXPECT_THROW((void)derive_staged_model(cat, sc, stuxnet, det), std::invalid_argument);
+  MeasurementOptions mo;
+  mo.engine = Engine::kStagedSan;
+  mo.replications = 4;
+  const ScenarioSweepPlan plan{{{std::move(sc), 1}}};
+  EXPECT_THROW((void)MeasurementEngine(cat, stuxnet, mo).measure_scenarios(plan),
+               std::invalid_argument);
 }
 
 TEST_F(IndicatorsFixture, CampaignEngineMeasuresRatio) {

@@ -46,17 +46,20 @@ void expect_same_samples(const std::vector<IndicatorSample>& a,
   }
 }
 
-/// One configuration's summary, with its samples captured through the
-/// engine's cell visitor.
+/// The baseline configuration's summary (as measure_indicators seeds
+/// it), with its samples captured through the engine's cell visitor.
 IndicatorSummary measure_with_samples(const SystemDescription& desc,
                                       const attack::ThreatProfile& profile,
                                       const MeasurementOptions& mo,
                                       std::vector<IndicatorSample>& samples) {
-  return MeasurementEngine(desc, profile, mo)
-      .measure_one(desc.baseline_configuration(),
-                   [&samples](std::size_t, std::span<const IndicatorSample> s) {
-                     samples.assign(s.begin(), s.end());
-                   });
+  const ScenarioSweepPlan plan{
+      {{desc.instantiate(desc.baseline_configuration()), mo.seed}}};
+  return MeasurementEngine(desc.catalog(), profile, mo)
+      .measure_scenarios(plan,
+                         [&samples](std::size_t, std::span<const IndicatorSample> s) {
+                           samples.assign(s.begin(), s.end());
+                         })
+      .front();
 }
 
 class MeasurementParallelFixture : public ::testing::Test {
@@ -159,8 +162,8 @@ TEST_F(MeasurementParallelFixture, SanAfterCampaignOnOneThreadHasNoCurve) {
   // campaign jobs must not inherit their compromised-ratio counts.
   const attack::ThreatProfile profile = attack::ThreatProfile::stuxnet();
   const IndicatorSummary campaign =
-      MeasurementEngine(desc, profile, options(Engine::kCampaign, 20, &serial))
-          .measure_one(desc.baseline_configuration());
+      measure_indicators(desc, desc.baseline_configuration(), profile,
+                         options(Engine::kCampaign, 20, &serial));
   ASSERT_FALSE(campaign.ratio_curve.empty());
 
   std::vector<IndicatorSample> samples;

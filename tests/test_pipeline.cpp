@@ -42,9 +42,9 @@ TEST_F(PipelineFixture, UnknownComponentRejected) {
 TEST_F(PipelineFixture, AttackModelStepMatchesDerivation) {
   const Pipeline p(desc, attack::ThreatProfile::stuxnet(), opts);
   const auto m = p.attack_model(desc.baseline_configuration());
-  const auto direct = derive_staged_model(desc, desc.baseline_configuration(),
-                                          attack::ThreatProfile::stuxnet(),
-                                          opts.measurement.detection);
+  const auto direct =
+      derive_staged_model(cat, desc.instantiate(desc.baseline_configuration()),
+                          attack::ThreatProfile::stuxnet(), opts.measurement.detection);
   for (std::size_t i = 0; i < attack::kStageCount; ++i) {
     EXPECT_DOUBLE_EQ(m.transitions[i].success_probability,
                      direct.transitions[i].success_probability);

@@ -140,8 +140,7 @@ TEST(StreamingMeasurementEdge, AllCensoredCellReportsUnbiasedFields) {
   const sim::Executor serial{1};
   mo.executor = &serial;
   const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
-  const MeasurementEngine engine(desc, stuxnet, mo);
-  const auto s = engine.measure_one(desc.baseline_configuration());
+  const auto s = measure_indicators(desc, desc.baseline_configuration(), stuxnet, mo);
   EXPECT_EQ(s.tta_censored, 40u);
   EXPECT_DOUBLE_EQ(s.tta_censor_fraction(), 1.0);
   // No event observed: the product-limit median is undefined and the
