@@ -138,8 +138,9 @@ void print_formalism_agreement() {
 
 /// Serial vs parallel wall time of the step-2 measurement — the batched
 /// (cell × replication) engine is the pipeline's hot path. The parallel
-/// run must be bit-identical to the serial one (asserted here), so the
-/// speedup is free of statistical caveats.
+/// run is bit-identical to the serial one
+/// (MeasurementParallelFixture.StagedSanFactorialBitIdenticalAcrossThreads),
+/// so the speedup is free of statistical caveats.
 void print_parallel_speedup() {
   const core::SystemDescription desc = core::make_scope_description(catalog());
   const std::vector<std::string> factors{"os.control", "plc.firmware", "firewall"};
@@ -150,10 +151,9 @@ void print_parallel_speedup() {
     po.measurement.executor = &ex;
     const core::Pipeline pipeline(desc, attack::ThreatProfile::stuxnet(), po);
     const auto t0 = std::chrono::steady_clock::now();
-    auto table = pipeline.measure_full_factorial(names, 0);
+    (void)pipeline.measure_full_factorial(names, 0);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return std::make_pair(std::move(table), ms);
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
 
   const sim::Executor serial(1);
@@ -161,17 +161,8 @@ void print_parallel_speedup() {
   const sim::Executor threaded(default_threads > 1 ? default_threads : 4);
 
   bench::section("E2 extra: batched parallel measurement engine");
-  const auto [serial_table, serial_ms] = timed_run(serial, factors);
-  const auto [parallel_table, parallel_ms] = timed_run(threaded, factors);
-
-  // Determinism check: thread count must not change a single bit.
-  bool identical = serial_table.configuration_count() ==
-                   parallel_table.configuration_count();
-  for (std::size_t c = 0; identical && c < serial_table.configuration_count(); ++c)
-    identical = serial_table.summaries[c].tta.mean() ==
-                    parallel_table.summaries[c].tta.mean() &&
-                serial_table.summaries[c].successes ==
-                    parallel_table.summaries[c].successes;
+  const double serial_ms = timed_run(serial, factors);
+  const double parallel_ms = timed_run(threaded, factors);
 
   const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
   bench::row({"variant", "threads", "wall ms", "speedup"}, 16);
@@ -179,8 +170,6 @@ void print_parallel_speedup() {
   bench::row({"parallel", bench::fmt_int(static_cast<long long>(threaded.thread_count())),
               bench::fmt(parallel_ms, 1), bench::fmt(speedup, 2)},
              16);
-  std::printf("parallel output bit-identical to serial: %s\n",
-              identical ? "yes" : "NO (BUG)");
 
   bench::write_bench_json(
       "BENCH_e2_parallel.json",
@@ -190,12 +179,13 @@ void print_parallel_speedup() {
 }
 
 /// Streaming vs buffered aggregation on the staged-SAN engine: the same
-/// 4-cell × many-replication measurement once streaming (O(cells +
-/// threads × block) state) and once with a cell visitor, which makes the
-/// engine retain the sample matrix. Summaries must match exactly — both
-/// paths fold through the same reduction — and the returned verdict
-/// gates the process exit code.
-bool print_streaming_vs_buffered() {
+/// 4-cell × many-replication measurement once streaming and once with a
+/// cell visitor, which makes the engine retain the sample matrix, each
+/// timed. Their identical summaries are
+/// MeasurementParallelFixture.VisitorSeesSamplesWithoutChangingSummaries,
+/// and the streaming path's flat heap is
+/// StreamingHeap.PeakIsFlatInReplicationsWhileTheVisitorPathGrows.
+void print_streaming_vs_buffered() {
   const core::SystemDescription desc = core::make_scope_description(catalog());
   constexpr std::size_t kReps = 50000;
 
@@ -214,56 +204,25 @@ bool print_streaming_vs_buffered() {
   bench::section("E2 extra: streaming vs buffered aggregation (staged SAN)");
   std::printf("cells=%zu replications=%zu\n", plan.cell_count(), kReps);
 
-  const double rss_base = bench::peak_rss_mb();
   const core::MeasurementEngine engine(catalog(), profile, mo);
-  auto t0 = std::chrono::steady_clock::now();
-  const auto streamed = engine.measure_scenarios(plan);
-  const double stream_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const double rss_stream = bench::peak_rss_mb();
-
-  t0 = std::chrono::steady_clock::now();
-  std::size_t visited = 0;
-  const auto buffered = engine.measure_scenarios(
-      plan, [&visited](std::size_t, std::span<const core::IndicatorSample> s) {
-        visited += s.size();
-      });
+  const auto timed_ms = [&](const core::MeasurementEngine::CellVisitor& visit) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)engine.measure_scenarios(plan, visit);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const double stream_ms = timed_ms(nullptr);
   const double buffered_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const double rss_buffered = bench::peak_rss_mb();
-
-  bool identical = visited == plan.cell_count() * kReps;
-  for (std::size_t c = 0; c < plan.cell_count(); ++c)
-    identical = identical &&
-                streamed[c].tta.mean() == buffered[c].tta.mean() &&
-                streamed[c].successes == buffered[c].successes &&
-                streamed[c].tta_event.restricted_mean ==
-                    buffered[c].tta_event.restricted_mean;
-
-  const double buffered_mb = static_cast<double>(plan.cell_count()) *
-                             static_cast<double>(kReps) *
-                             static_cast<double>(sizeof(core::IndicatorSample)) /
-                             (1024.0 * 1024.0);
-  bench::row({"path", "wall ms", "sample matrix MiB", "peak-RSS delta MiB"}, 20);
-  bench::row({"streaming", bench::fmt(stream_ms, 1), "0.000",
-              bench::fmt(rss_stream - rss_base, 1)},
-             20);
-  bench::row({"buffered", bench::fmt(buffered_ms, 1), bench::fmt(buffered_mb, 3),
-              bench::fmt(rss_buffered - rss_stream, 1)},
-             20);
-  std::printf("summaries identical: %s\n", identical ? "yes" : "NO (BUG)");
+      timed_ms([](std::size_t, std::span<const core::IndicatorSample>) {});
+  std::printf("wall ms: streaming %.1f, buffered %.1f\n", stream_ms,
+              buffered_ms);
 
   const int threads = static_cast<int>(engine.executor().thread_count());
   bench::write_bench_json(
       "BENCH_e2_streaming.json",
-      {{"e2.streaming_4x" + std::to_string(kReps), stream_ms, threads, 1.0,
-        rss_stream - rss_base},
-       {"e2.buffered_4x" + std::to_string(kReps), buffered_ms, threads,
-        stream_ms > 0.0 ? buffered_ms / stream_ms : 0.0,
-        rss_buffered - rss_stream}});
-  return identical;
+      {{"e2.streaming_4x" + std::to_string(kReps), stream_ms, threads, 1.0},
+       {"e2.buffered_4x" + std::to_string(kReps), buffered_ms, threads, 1.0}});
 }
 
 void BM_Step1_AttackModeling(benchmark::State& state) {
@@ -305,9 +264,9 @@ int main(int argc, char** argv) {
   print_pipeline_run();
   print_formalism_agreement();
   print_parallel_speedup();
-  const bool streaming_ok = print_streaming_vs_buffered();
+  print_streaming_vs_buffered();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return streaming_ok ? 0 : 1;
+  return 0;
 }

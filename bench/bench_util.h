@@ -7,17 +7,11 @@
 // the paper's reported shape while still profiling the library.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "util/json.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace divsec::bench {
 
@@ -28,24 +22,6 @@ using util::BenchRecord;
 using util::json_escape;
 using util::json_number;
 using util::write_bench_json;
-
-/// Process peak RSS (high-water mark) in MiB; NaN where unavailable.
-/// Because it is a high-water mark, phase-attributable memory is the
-/// *delta* across a phase, and a low-footprint phase must run before a
-/// high-footprint one to get a meaningful reading.
-inline double peak_rss_mb() {
-#if defined(__unix__) || defined(__APPLE__)
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-    return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);  // bytes
-#else
-    return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
-#endif
-  }
-#endif
-  return std::numeric_limits<double>::quiet_NaN();
-}
 
 /// Print a separator + header for one experiment section.
 inline void section(const std::string& title) {

@@ -69,18 +69,6 @@ const char* to_string(CampaignEventKind k) noexcept {
   return "?";
 }
 
-double CampaignResult::ratio_at(double t) const noexcept {
-  // The step curve is sorted by time: binary-search the first step past t.
-  // (The measurement engine never builds the curve: the kernel fills its
-  // bins directly, CampaignSimulator::run(rng, bins).)
-  const auto it = std::upper_bound(
-      compromised_ratio.begin(), compromised_ratio.end(), t,
-      [](double value, const std::pair<double, double>& step) {
-        return value < step.first;
-      });
-  return it == compromised_ratio.begin() ? 0.0 : std::prev(it)->second;
-}
-
 /// Everything run() reads per event, precomputed once per scenario.
 /// Deeply immutable after construction: concurrent replications share
 /// one Tables instance read-only, and simulators of the same topology
@@ -373,11 +361,9 @@ struct RunState {
   CampaignRng rng;
   CampaignResult result;
 
-  // c(t) hook state: run() keeps the step curve in `result`; the
-  // engine's run samples it at bin upper edges instead. `bin` is the
-  // first edge not yet written, `owned_count` the count since the last
-  // compromise.
-  const bool keep_curve;
+  // c(t) hook state: the count is sampled at the bin upper edges (none
+  // without bins). `bin` is the first edge not yet written,
+  // `owned_count` the count since the last compromise.
   const double* edges = nullptr;
   std::uint32_t* counts = nullptr;
   std::size_t bins = 0;
@@ -420,7 +406,6 @@ struct RunState {
         scratch(scr),
         tally(scr.tallies),
         rng(base),
-        keep_curve(ratio_bins == nullptr),
         heap(scr.heap),
         roots(scr.roots),
         root_cum(scr.root_cum),
@@ -436,9 +421,7 @@ struct RunState {
       scratch.pool_override.resize(unowned, kNoOverride);
     state = scratch.state.data();
     pool = scratch.pool_override.data();
-    if (keep_curve) {
-      result.compromised_ratio.emplace_back(0.0, 0.0);
-    } else {
+    if (ratio_bins) {
       edges = ratio_bins->edges.data();
       counts = ratio_bins->counts.data();
       bins = ratio_bins->edges.size();
@@ -485,9 +468,6 @@ struct RunState {
   /// from before this compromise.
   void record_ratio() {
     const std::size_t owned = hosts_owned + owned_plcs.size();
-    if (keep_curve)
-      result.compromised_ratio.emplace_back(
-          now, static_cast<double>(owned) / static_cast<double>(tb.node_count));
     while (bin < bins && edges[bin] < now) counts[bin++] = owned_count;
     owned_count = static_cast<std::uint32_t>(owned);
   }
@@ -810,8 +790,7 @@ struct CampaignCounters {
   }
 };
 
-/// One kernel run. `bins` selects the c(t) hook: null keeps the step
-/// curve, otherwise the kernel fills the bins.
+/// One kernel run; `bins`, when given, receive c(t).
 CampaignResult run_kernel(const ThreatProfile& pr, const CampaignTables& tb,
                           const DetectionModel& det, const CampaignOptions& opt,
                           const stats::Rng& base, const RatioBins* bins) {

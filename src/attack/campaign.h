@@ -12,7 +12,8 @@
 // It produces the paper's three indicators directly:
 //   * Time-To-Attack            — sabotage completed,
 //   * Time-To-Security-Failure  — first perceived manifestation,
-//   * compromised ratio c(t)    — step curve of owned nodes over time.
+//   * compromised ratio c(t)    — owned nodes over time, sampled at the
+//                                 caller's bin edges.
 //
 // The simulator is built to run on generated enterprise fleets, not just
 // the paper's 11-node plant: construction precomputes a per-scenario
@@ -40,11 +41,11 @@
 // targets touched), not O(node_count) or O(target count), and allocates
 // no fleet-sized buffer once warm.
 //
-// c(t) leaves the kernel through one per-compromise hook. run() turns
-// it into the step curve CampaignResult::compromised_ratio; the
-// measurement engine's run(rng, bins) has it write the compromised count
-// straight into the sample's curve bins, so that path keeps no curve and
-// allocates nothing once warm. Telemetry (runs, events per kind, scan
+// c(t) leaves the kernel through one per-compromise hook, which writes
+// the compromised count straight into the caller's curve bins
+// (run(rng, bins)), so no curve is kept and a warm run allocates
+// nothing. run(rng) passes no bins and reports only the final counts.
+// Telemetry (runs, events per kind, scan
 // thinning, RNG words per class) is tallied in plain per-thread counters
 // in the same scratch and published to the obs:: registry by
 // flush_telemetry(): run() flushes before it returns, and the engine
@@ -124,8 +125,6 @@ struct CampaignResult {
   std::optional<double> first_plc_compromise;
   std::optional<double> time_to_attack;     // TTA: sabotage completed
   std::optional<double> time_to_detection;  // TTSF: perceived manifestation
-  /// Step curve (time, compromised ratio); starts at (0, 0).
-  std::vector<std::pair<double, double>> compromised_ratio;
   std::vector<CampaignEvent> events;  // only when record_events
   std::size_t hosts_compromised = 0;  // final count (>= activated)
   std::size_t plcs_compromised = 0;
@@ -142,8 +141,6 @@ struct CampaignResult {
   [[nodiscard]] bool detected() const noexcept {
     return time_to_detection.has_value();
   }
-  /// Compromised ratio at time t (step interpolation).
-  [[nodiscard]] double ratio_at(double t) const noexcept;
 };
 
 struct CampaignOptions {
@@ -183,15 +180,14 @@ class CampaignSimulator {
 
   /// Run one stochastic campaign; deterministic in `rng`. Thread-safe for
   /// concurrent calls on one simulator (all shared state is read-only).
-  /// Publishes the run's telemetry before it returns.
+  /// Publishes the run's telemetry before it returns. The final ratio is
+  /// (hosts_compromised + plcs_compromised) / node_count.
   [[nodiscard]] CampaignResult run(stats::Rng& rng) const;
 
   /// The measurement engine's run: the same kernel and the same draws,
-  /// with c(t) written into `bins` at each compromise instead of into
-  /// compromised_ratio, which stays empty (the final ratio is
-  /// (hosts_compromised + plcs_compromised) / node_count). Allocates
-  /// nothing once warm unless record_events is set. Its telemetry stays
-  /// in the calling thread's tallies until flush_telemetry().
+  /// with c(t) written into `bins` at each compromise. Allocates nothing
+  /// once warm unless record_events is set. Its telemetry stays in the
+  /// calling thread's tallies until flush_telemetry().
   [[nodiscard]] CampaignResult run(stats::Rng& rng, RatioBins bins) const;
 
   /// Publish the calling thread's kernel tallies to the obs:: registry

@@ -9,8 +9,9 @@
 //  (iii) compromised ratio: "the number of compromised components at time
 //       t with respect to the total number of components".
 //
-// Two measurement engines estimate them for a (description,
-// configuration, threat) triple:
+// Two measurement engines estimate them for each (scenario, seed) cell
+// of a core::ScenarioSweepPlan under one threat profile (a configuration
+// becomes a cell through SystemDescription::instantiate):
 //  * kCampaign — the node-level network campaign simulator (slower,
 //    produces all three indicators including c(t) curves);
 //  * kStagedSan — the staged-attack SAN abstraction (fast; TTA/TTSF as

@@ -45,8 +45,7 @@ std::vector<std::uint64_t> achieved_tasks(const SweepMeta& meta) {
     throw std::invalid_argument(
         "achieved_tasks: achieved-count list must have one entry per cell");
   for (std::size_t c = 0; c < meta.cells; ++c) {
-    const std::uint64_t needed =
-        (meta.achieved[c] + meta.superblock - 1) / meta.superblock;
+    const std::uint64_t needed = sim::ceil_div(meta.achieved[c], meta.superblock);
     for (std::uint64_t s = 0; s < needed; ++s)
       tasks.push_back(c * per_group + s);
   }

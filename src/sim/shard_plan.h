@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,17 @@ namespace divsec::sim {
 /// partial boundaries fall (and hence merge-order floating point), so it
 /// is recorded in serialized shard state and validated at merge time.
 inline constexpr std::size_t kDefaultSuperblockReps = 16384;
+
+/// Most tasks one plan may list. A run lists its task indices and holds
+/// one accumulator partial (kilobytes) per task until the reduction, so
+/// 2^32 tasks is terabytes: a plan past it (a typo, or a wrapped negative
+/// replication count) is rejected before anything is allocated.
+inline constexpr std::size_t kMaxTasks = std::size_t{1} << 32;
+
+/// ⌈n / d⌉ for d > 0, without the overflow of (n + d - 1) / d.
+[[nodiscard]] constexpr std::size_t ceil_div(std::size_t n, std::size_t d) {
+  return n / d + (n % d != 0);
+}
 
 /// Contiguous balanced split of `n` list positions over `shard_count`
 /// shards: shard i owns positions [i·n/K, (i+1)·n/K). Deterministic in
@@ -69,7 +81,8 @@ class ShardPlan {
   /// kDefaultSuperblockReps rounded up to a block multiple. An explicit
   /// superblock must be a nonzero multiple of the block
   /// (std::invalid_argument otherwise) — a misaligned superblock would
-  /// split a block across shards and change the fold sequence.
+  /// split a block across shards and change the fold sequence. A plan of
+  /// more than kMaxTasks tasks throws std::invalid_argument too.
   [[nodiscard]] static ShardPlan make(std::size_t groups, std::size_t count,
                                       std::size_t block,
                                       std::size_t superblock) {
@@ -78,13 +91,19 @@ class ShardPlan {
     p.count_ = count;
     p.block_ = block ? block : kDefaultReductionBlock;
     std::size_t sb = superblock;
-    if (sb == 0)
-      sb = ((kDefaultSuperblockReps + p.block_ - 1) / p.block_) * p.block_;
+    if (sb == 0) sb = ceil_div(kDefaultSuperblockReps, p.block_) * p.block_;
     if (sb < p.block_ || sb % p.block_ != 0)
       throw std::invalid_argument(
           "ShardPlan: superblock must be a nonzero multiple of the block");
     p.superblock_ = sb;
-    p.per_group_ = count == 0 ? 0 : (count + sb - 1) / sb;
+    p.per_group_ = ceil_div(count, sb);
+    if (groups != 0 && p.per_group_ > kMaxTasks / groups)
+      throw std::invalid_argument(
+          "ShardPlan: " + std::to_string(count) + " replications in " +
+          "superblocks of " + std::to_string(sb) + " make " +
+          std::to_string(p.per_group_) + " tasks per cell; " +
+          std::to_string(groups) + " cells may list at most " +
+          std::to_string(kMaxTasks) + " tasks");
     return p;
   }
 
@@ -104,8 +123,7 @@ class ShardPlan {
   /// every group fits one superblock so short runs schedule no empty
   /// block jobs. Tasks bound-check against their own [begin, end).
   [[nodiscard]] std::size_t task_span() const noexcept {
-    if (per_group_ <= 1)
-      return count_ == 0 ? 0 : ((count_ + block_ - 1) / block_) * block_;
+    if (per_group_ <= 1) return ceil_div(count_, block_) * block_;
     return superblock_;
   }
 
@@ -118,7 +136,7 @@ class ShardPlan {
     out.group = t / per_group_;
     out.superblock = t % per_group_;
     out.begin = out.superblock * superblock_;
-    out.end = std::min(count_, out.begin + superblock_);
+    out.end = out.begin + std::min(superblock_, count_ - out.begin);
     return out;
   }
 

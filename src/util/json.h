@@ -71,24 +71,19 @@ inline std::string json_number_exact(double v) {
   return buf;
 }
 
-/// One machine-readable timing record for the perf trajectory. `speedup`
-/// is relative to whatever the writer defines as its serial baseline
-/// (1.0 for standalone timings). `peak_mb` is an optional memory datum
-/// (peak RSS or aggregation footprint, in MiB); NaN serializes as null.
+/// One machine-readable timing record for the perf trajectory: clocks
+/// only (exact counts and sizes are ctest cases). `speedup` is a ratio
+/// of two clocks the writer defines (1.0 for standalone timings).
 /// `wall_floor_ms` is an optional per-metric noise floor: the gate skips
 /// the wall comparison while the baseline wall sits below it — set it on
 /// sub-millisecond metrics (per-round merge times) where the global 5 ms
 /// CLI floor would be wrong in the other direction. NaN = omitted.
-/// `state_bytes` is an optional size datum (encoded shard-state bytes) —
-/// lower is better, gated like a ceiling so codec regressions fail CI.
 struct BenchRecord {
   std::string name;
   double wall_ms = 0.0;
   int threads = 1;
   double speedup = 1.0;
-  double peak_mb = std::numeric_limits<double>::quiet_NaN();
   double wall_floor_ms = std::numeric_limits<double>::quiet_NaN();
-  double state_bytes = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Write records as a JSON array to `path` (BENCH_*.json convention), so
@@ -101,17 +96,15 @@ inline void write_bench_json(const std::string& path,
   std::fprintf(f, "[\n");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    std::string extra;
-    if (std::isfinite(r.wall_floor_ms))
-      extra += ", \"wall_floor_ms\": " + json_number(r.wall_floor_ms);
-    if (std::isfinite(r.state_bytes))
-      extra += ", \"state_bytes\": " + json_number(r.state_bytes, 0);
+    const std::string floor =
+        std::isfinite(r.wall_floor_ms)
+            ? ", \"wall_floor_ms\": " + json_number(r.wall_floor_ms)
+            : "";
     std::fprintf(f,
                  "  {\"name\": \"%s\", \"wall_ms\": %s, \"threads\": %d, "
-                 "\"speedup\": %s, \"peak_mb\": %s%s}%s\n",
+                 "\"speedup\": %s%s}%s\n",
                  json_escape(r.name).c_str(), json_number(r.wall_ms).c_str(),
-                 r.threads, json_number(r.speedup).c_str(),
-                 json_number(r.peak_mb).c_str(), extra.c_str(),
+                 r.threads, json_number(r.speedup).c_str(), floor.c_str(),
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]\n");

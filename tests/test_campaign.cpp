@@ -2,6 +2,8 @@
 // the node-level campaign simulator.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "attack/campaign.h"
 
 namespace divsec::attack {
@@ -91,34 +93,29 @@ TEST_F(CampaignFixture, RunIsDeterministicInSeed) {
   const CampaignResult b = sim.run(r2);
   EXPECT_EQ(a.time_to_attack, b.time_to_attack);
   EXPECT_EQ(a.time_to_detection, b.time_to_detection);
-  EXPECT_EQ(a.compromised_ratio, b.compromised_ratio);
   EXPECT_EQ(a.hosts_compromised, b.hosts_compromised);
+  EXPECT_EQ(a.plcs_compromised, b.plcs_compromised);
+  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 TEST_F(CampaignFixture, CompromisedRatioCurveIsMonotoneAndBounded) {
   const CampaignSimulator sim(scope, ThreatProfile::stuxnet(), cat);
+  const std::size_t nodes = scope.topology.node_count();
+  std::vector<double> edges;
+  for (double t = 50.0; t <= 2160.0; t += 50.0) edges.push_back(t);
+  std::vector<std::uint32_t> counts(edges.size());
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     stats::Rng rng(seed);
-    const CampaignResult r = sim.run(rng);
-    double prev_t = -1.0, prev_ratio = 0.0;
-    for (const auto& [t, ratio] : r.compromised_ratio) {
-      EXPECT_GE(t, prev_t);
-      EXPECT_GE(ratio, prev_ratio - 1e-12);  // no disinfection modelled
-      EXPECT_GE(ratio, 0.0);
-      EXPECT_LE(ratio, 1.0);
-      prev_t = t;
-      prev_ratio = ratio;
+    const CampaignResult r = sim.run(rng, {edges, counts});
+    std::uint32_t prev = 0;
+    for (const std::uint32_t c : counts) {
+      EXPECT_GE(c, prev);  // no disinfection modelled
+      EXPECT_LE(c, nodes);
+      prev = c;
     }
+    // The last edge is the horizon: it reads the final counts.
+    EXPECT_EQ(counts.back(), r.hosts_compromised + r.plcs_compromised);
   }
-}
-
-TEST_F(CampaignFixture, RatioAtInterpolatesSteps) {
-  CampaignResult r;
-  r.compromised_ratio = {{0.0, 0.0}, {10.0, 0.2}, {50.0, 0.5}};
-  EXPECT_EQ(r.ratio_at(5.0), 0.0);
-  EXPECT_EQ(r.ratio_at(10.0), 0.2);
-  EXPECT_EQ(r.ratio_at(49.9), 0.2);
-  EXPECT_EQ(r.ratio_at(1e9), 0.5);
 }
 
 TEST_F(CampaignFixture, EventsRecordedOnlyWhenRequested) {
@@ -220,6 +217,7 @@ TEST_F(CampaignFixture, DetectionHaltsAttackWhenConfigured) {
 TEST_F(CampaignFixture, HorizonIsRespected) {
   CampaignOptions opts;
   opts.t_max_hours = 100.0;
+  opts.record_events = true;
   const CampaignSimulator sim(scope, ThreatProfile::stuxnet(), cat, {}, opts);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     stats::Rng rng(seed);
@@ -230,7 +228,7 @@ TEST_F(CampaignFixture, HorizonIsRespected) {
     if (r.time_to_detection) {
       EXPECT_LE(*r.time_to_detection, 100.0);
     }
-    for (const auto& [t, ratio] : r.compromised_ratio) EXPECT_LE(t, 100.0);
+    for (const CampaignEvent& e : r.events) EXPECT_LE(e.time, 100.0);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -205,8 +206,8 @@ TEST(StateCodec, PackedEncodingBeatsFixedWidthEquivalent) {
   const ShardState state = rich_state();
   const std::string bytes = encode_shard_state(state);
   const std::size_t equivalent = uncompressed_equivalent_bytes(state);
-  // Even this small CI-sized state packs well; the >= 4x contract at
-  // fleet scale is gated by the bench_e5 codec phase.
+  // Even this small state packs smaller; the >= 4x contract at many
+  // cells is StateCodecGoldenThreads.ManyCellStateMatchesPinnedAndPacksFourfold.
   EXPECT_GT(equivalent, bytes.size());
   const StateSectionSizes sizes = state_section_sizes(bytes);
   EXPECT_GT(sizes.accumulators, 0u);
@@ -263,6 +264,42 @@ TEST(ShardPlanning, RejectsMisalignedSuperblocks) {
   const sim::ShardPlan defaults = sim::ShardPlan::make(2, 100, 0, 0);
   EXPECT_EQ(defaults.block(), sim::kDefaultReductionBlock);
   EXPECT_EQ(defaults.superblock() % defaults.block(), 0u);
+}
+
+TEST(ShardPlanning, CountsAtTheUint64BoundaryNeitherWrapNorAllocate) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // ceil(count / superblock) used to wrap to 0 tasks at 2^64 - 1, so a
+  // sweep "ran" no replication and reported zeros; plans of 2^49 tasks
+  // died in the task-list allocation. Both are rejected by name.
+  for (const std::size_t count : {kMax, kMax - 16383, std::size_t{1} << 63}) {
+    try {
+      (void)sim::ShardPlan::make(3, count, 0, 0);
+      ADD_FAILURE() << count << " replications were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(count) +
+                                           " replications in superblocks of 16384"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // At the task cap exactly, a plan is accepted, and its last task ends
+  // at the count instead of wrapping.
+  const std::size_t sb = std::size_t{1} << 40;
+  const sim::ShardPlan top = sim::ShardPlan::make(
+      sim::kMaxTasks / (std::size_t{1} << 24), kMax, 256, sb);
+  EXPECT_EQ(top.superblocks_per_group(), std::size_t{1} << 24);
+  EXPECT_EQ(top.task_count(), sim::kMaxTasks);
+  const auto last = top.task(top.task_count() - 1);
+  EXPECT_EQ(last.begin, ((std::size_t{1} << 24) - 1) * sb);
+  EXPECT_EQ(last.end, kMax);
+  EXPECT_THROW((void)sim::ShardPlan::make(
+                   sim::kMaxTasks / (std::size_t{1} << 24) + 1, kMax, 256, sb),
+               std::invalid_argument);
+  // One superblock as wide as the count: no overflow in the span either.
+  const sim::ShardPlan wide = sim::ShardPlan::make(1, kMax, 1, kMax);
+  EXPECT_EQ(wide.task_count(), 1u);
+  EXPECT_EQ(wide.task_span(), kMax);
+  EXPECT_EQ(wide.task(0).end, kMax);
 }
 
 // ---- run + merge vs the in-process path ------------------------------------

@@ -151,9 +151,10 @@ TEST(MeanFieldEpidemic, TracksCampaignShapeOnScope) {
   constexpr std::size_t kReps = 60;
   for (std::size_t i = 0; i < kReps; ++i) {
     stats::Rng rng(5, i);
-    mc_final += sim.run(rng).compromised_ratio.back().second;
+    const attack::CampaignResult r = sim.run(rng);
+    mc_final += static_cast<double>(r.hosts_compromised + r.plcs_compromised);
   }
-  mc_final /= kReps;
+  mc_final /= static_cast<double>(kReps * sc.topology.node_count());
   // The ODE saturates at the host-reachable set; the campaign adds the
   // PLC payload path but loses runs to detection. They land close.
   EXPECT_NEAR(mf_final, mc_final, 0.15);

@@ -8,7 +8,8 @@
 // the reachability index a fleet's runs share grow faster than the fleet:
 // its build allocates O(nodes + links) bytes, not an all-pairs relation,
 // and a context built over a shared index copies none of its scenario.
-// Nor may a sweep's reduction hold a cell's accumulator twice. This
+// Nor may a sweep's reduction hold a cell's accumulator twice, nor may
+// the streaming path's heap grow with the replication count. This
 // binary replaces the global operator new/delete (backed by malloc/free)
 // to count the allocations made while a window is armed, and the live
 // and peak heap bytes — which is why it is its own executable, and why
@@ -18,6 +19,7 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -265,6 +267,71 @@ TEST(KernelAlloc, SweepReductionHoldsEachCellAccumulatorOnce) {
       << static_cast<double>(peak) / static_cast<double>(kCells * accumulator_bytes)
       << " accumulators of " << accumulator_bytes << " B per cell";
 }
+
+class StreamingHeap : public ::testing::TestWithParam<core::Engine> {};
+
+TEST_P(StreamingHeap, PeakIsFlatInReplicationsWhileTheVisitorPathGrows) {
+  // A 2-cell sweep at R and 8R replications, both within one superblock,
+  // on one thread. Without a visitor the engine folds each block as it
+  // finishes, so its peak live heap cannot grow with R: it may differ by
+  // kSlack, a t-digest's centroid buffers settling. A visitor makes the
+  // engine keep the cells x reps sample matrix on top of that, so the
+  // visitor path outgrows the streaming path by at least cells x 7R
+  // samples.
+  constexpr std::size_t kR = 1024;
+  constexpr std::size_t kSlack = 4096;
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const attack::ThreatProfile stuxnet = attack::ThreatProfile::stuxnet();
+  const auto plant = scenario::make_preset("scope_cooling", cat, 17,
+                                           scenario::VariantPolicy::kMonoculture);
+  core::ScenarioSweepPlan plan;
+  plan.cells.push_back({plant.scenario, 2013});
+  plan.cells.push_back({plant.scenario, 2014});
+  const sim::Executor serial{1};
+
+  // Peak live bytes of one warm measure_scenarios call, over the live
+  // bytes before it.
+  const auto peak_of = [&](std::size_t reps, bool visit) {
+    core::MeasurementOptions mo;
+    mo.engine = GetParam();
+    mo.replications = reps;
+    mo.executor = &serial;
+    const core::MeasurementEngine engine(cat, stuxnet, mo);
+    EXPECT_EQ(engine.shard_plan(1).task_count(), 1u) << reps << " reps";
+    std::size_t visited = 0;
+    const core::MeasurementEngine::CellVisitor visitor =
+        [&visited](std::size_t, std::span<const core::IndicatorSample> s) {
+          visited += s.size();
+        };
+    (void)engine.measure_scenarios(plan);  // warm: counters, scratch pools
+    const std::size_t base = g_live.load();
+    g_peak = base;
+    g_armed = true;
+    (void)engine.measure_scenarios(plan, visit ? visitor : nullptr);
+    g_armed = false;
+    EXPECT_EQ(visited, visit ? plan.cell_count() * reps : 0u);
+    return static_cast<std::ptrdiff_t>(g_peak.load() - base);
+  };
+  const std::ptrdiff_t stream_growth = peak_of(8 * kR, false) - peak_of(kR, false);
+  const std::ptrdiff_t visit_growth = peak_of(8 * kR, true) - peak_of(kR, true);
+
+  EXPECT_LE(std::abs(stream_growth), static_cast<std::ptrdiff_t>(kSlack));
+  const std::size_t matrix_growth =
+      plan.cell_count() * 7 * kR * sizeof(core::IndicatorSample);
+  EXPECT_GE(visit_growth - stream_growth,
+            static_cast<std::ptrdiff_t>(matrix_growth))
+      << "visitor path grew " << visit_growth << " B, streaming path "
+      << stream_growth << " B";
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, StreamingHeap,
+                         ::testing::Values(core::Engine::kCampaign,
+                                           core::Engine::kStagedSan),
+                         [](const auto& info) {
+                           return info.param == core::Engine::kCampaign
+                                      ? "campaign"
+                                      : "staged_san";
+                         });
 
 }  // namespace
 }  // namespace divsec

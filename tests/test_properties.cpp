@@ -135,13 +135,13 @@ TEST_P(CampaignInvariants, TimelinesAreConsistent) {
       ASSERT_TRUE(r.first_plc_compromise.has_value());
       EXPECT_GE(*r.time_to_attack, *r.first_plc_compromise);
     }
-    // All timestamps within the horizon; ratio curve in [0,1], monotone.
-    for (const auto& [t, ratio] : r.compromised_ratio) {
-      EXPECT_GE(t, 0.0);
-      EXPECT_LE(t, 2160.0);
-      EXPECT_GE(ratio, 0.0);
-      EXPECT_LE(ratio, 1.0);
+    // All timestamps within the horizon; the compromised count within
+    // the fleet.
+    for (const attack::CampaignEvent& e : r.events) {
+      EXPECT_GE(e.time, 0.0);
+      EXPECT_LE(e.time, 2160.0);
     }
+    EXPECT_LE(r.hosts_compromised + r.plcs_compromised, sc.topology.node_count());
     // Success implies not detected earlier.
     if (r.attack_succeeded() && r.time_to_detection) {
       EXPECT_LE(*r.time_to_attack, *r.time_to_detection);
@@ -166,8 +166,10 @@ TEST_P(CampaignInvariants, PermissiveFirewallNeverReducesSpread) {
   constexpr std::size_t kReps = 60;
   for (std::size_t i = 0; i < kReps; ++i) {
     stats::Rng r1(42, i), r2(42, i);
-    seg_ratio += seg_sim.run(r1).compromised_ratio.back().second;
-    flat_ratio += flat_sim.run(r2).compromised_ratio.back().second;
+    const attack::CampaignResult seg = seg_sim.run(r1);
+    const attack::CampaignResult fl = flat_sim.run(r2);
+    seg_ratio += static_cast<double>(seg.hosts_compromised + seg.plcs_compromised);
+    flat_ratio += static_cast<double>(fl.hosts_compromised + fl.plcs_compromised);
   }
   // Averaged over seeds, the flat network spreads at least as far.
   EXPECT_GE(flat_ratio, seg_ratio * 0.95);

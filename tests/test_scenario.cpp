@@ -211,7 +211,7 @@ TEST(PresetRegistry, PaperTwoMachinesIsTheMinimalRig) {
                                       attack::ThreatProfile::stuxnet(), cat);
   stats::Rng rng(1);
   const auto result = sim.run(rng);
-  EXPECT_GE(result.compromised_ratio.size(), 1u);
+  EXPECT_GT(result.events_executed, 0u);
 }
 
 TEST(PresetRegistry, ScopeCoolingPresetMatchesCuratedDescription) {

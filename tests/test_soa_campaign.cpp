@@ -34,7 +34,6 @@
 #include "scenario/presets.h"
 #include "sim/executor.h"
 #include "stats/rng.h"
-#include "step_curve_reference.h"
 
 namespace divsec {
 namespace {
@@ -129,11 +128,6 @@ void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.hosts_compromised, b.hosts_compromised);
   EXPECT_EQ(a.plcs_compromised, b.plcs_compromised);
   EXPECT_EQ(a.events_executed, b.events_executed);
-  ASSERT_EQ(a.compromised_ratio.size(), b.compromised_ratio.size());
-  for (std::size_t i = 0; i < a.compromised_ratio.size(); ++i) {
-    EXPECT_EQ(a.compromised_ratio[i].first, b.compromised_ratio[i].first);
-    EXPECT_EQ(a.compromised_ratio[i].second, b.compromised_ratio[i].second);
-  }
 }
 
 class SoaKernelFixture : public ::testing::Test {
@@ -348,7 +342,10 @@ TEST_F(SoaKernelFixture, LazySharedPathChangesNoBits) {
     for (std::uint64_t rep = 0; rep < 10; ++rep) {
       stats::Rng rng(plan.cells[c].seed, rep);
       const auto r = direct.run(rng);
-      EXPECT_EQ(samples[c][rep].final_ratio, r.compromised_ratio.back().second)
+      EXPECT_EQ(samples[c][rep].final_ratio,
+                static_cast<double>(r.hosts_compromised + r.plcs_compromised) /
+                    static_cast<double>(
+                        plan.cells[c].scenario.topology.node_count()))
           << "cell " << c << " rep " << rep;
     }
   }
@@ -435,43 +432,60 @@ TEST_F(SoaKernelFixture, MixedSizeSweepBitIdenticalAcrossThreads) {
 
 // --- 5. Curve bins filled by the kernel --------------------------------
 
-TEST_F(SoaKernelFixture, KernelCurveBinsEqualTheBinnedStepCurve) {
-  // The engine never builds a replication's step curve: the kernel's
-  // per-compromise hook writes the bin counts in place, and the final
-  // ratio is (hosts + PLCs) / nodes. Both must equal, bit for bit, what
-  // the public run()'s step curve gives under the reference binning.
+TEST_F(SoaKernelFixture, KernelCurveBinsEqualTheEventLogCounts) {
+  // The kernel's per-compromise hook writes the bin counts in place, and
+  // the final ratio is (hosts + PLCs) / nodes. A compromise is a host's
+  // kActivated or a PLC's kPlcCompromised event, and recording events
+  // draws no words, so bin k must equal the number of those events at
+  // time <= edges[k] in the same replication's event log.
   const double horizon = CampaignOptions{}.t_max_hours;
   const std::vector<double> edges = core::curve_bin_edges(horizon, 64);
   constexpr std::uint64_t kReps = 10000;
+  CampaignOptions logging;
+  logging.record_events = true;
   for (const char* preset :
        {"scope_cooling", "enterprise256", "brownfield:nodes=96"}) {
     SCOPED_TRACE(preset);
-    const CampaignSimulator sim(
+    const attack::Scenario sc =
         scenario::make_preset(preset, cat, 17,
                               scenario::VariantPolicy::kRandomPerNode)
-            .scenario,
-        stuxnet, cat);
-    const double nodes = static_cast<double>(sim.reachability().node_count());
+            .scenario;
+    const CampaignSimulator sim(sc, stuxnet, cat);
+    const CampaignSimulator logged(sc, stuxnet, cat, {}, logging);
+    const std::size_t nodes = sc.topology.node_count();
     core::IndicatorSample s;
     std::vector<std::uint32_t> want(edges.size());
-    std::uint64_t mismatches = 0, curves_with_steps = 0;
+    std::uint64_t mismatches = 0, runs_with_steps = 0;
     for (std::uint64_t rep = 0; rep < kReps; ++rep) {
       core::campaign_sample(sim, horizon, edges, stats::Rng(99, rep), s);
       stats::Rng rng(99, rep);
-      const CampaignResult r = sim.run(rng);
-      core::reference::sample_step_counts(r.compromised_ratio, edges, nodes,
-                                          want);
-      const bool same = s.ratio_counts == want &&
-                        s.final_ratio == r.compromised_ratio.back().second &&
-                        s.ratio_scale == static_cast<std::uint64_t>(nodes);
+      const CampaignResult r = logged.run(rng);
+      std::fill(want.begin(), want.end(), 0u);
+      std::size_t compromises = 0;
+      for (const attack::CampaignEvent& e : r.events) {
+        const bool counted =
+            e.kind == attack::CampaignEventKind::kPlcCompromised ||
+            (e.kind == attack::CampaignEventKind::kActivated &&
+             sc.topology.node(e.node).role != net::Role::kPlc);
+        if (!counted) continue;
+        ++compromises;
+        for (std::size_t k = 0; k < edges.size(); ++k)
+          if (e.time <= edges[k]) ++want[k];
+      }
+      const bool same =
+          s.ratio_counts == want &&
+          compromises == r.hosts_compromised + r.plcs_compromised &&
+          s.final_ratio == static_cast<double>(compromises) /
+                               static_cast<double>(nodes) &&
+          s.ratio_scale == nodes;
       if (!same && mismatches++ == 0)
         ADD_FAILURE() << "first mismatch at rep " << rep;
-      if (r.compromised_ratio.size() > 2) ++curves_with_steps;
+      if (compromises > 1) ++runs_with_steps;
     }
     attack::CampaignSimulator::flush_telemetry();
     EXPECT_EQ(mismatches, 0u);
-    // Not vacuous: many runs had curves of several steps.
-    EXPECT_GT(curves_with_steps, kReps / 10);
+    // Not vacuous: many runs compromised several nodes.
+    EXPECT_GT(runs_with_steps, kReps / 10);
   }
 }
 

@@ -1,10 +1,11 @@
 // The v4 shard-state codec against a fixed past and against hostile bytes.
 //
 // Golden: the exact bytes of a state that fills every section, the JSON
-// dump and size accounting derived from it, and digests of the merged and
-// adaptive states a small sweep writes. The values were captured from a
-// known-good build and are never edited: a change to any field walk,
-// primitive coding or section order moves at least one of them.
+// dump and size accounting derived from it, digests of the merged and
+// adaptive states a small sweep writes, and the bytes and packing ratio
+// of a 1024-cell state. The values were captured from a known-good build
+// and are never edited: a change to any field walk, primitive coding or
+// section order moves at least one of them.
 //
 // Canonical: decode accepts only the payload bytes encode writes, so
 // encode(decode(bytes)) == bytes — crafted near-miss encodings (overlong
@@ -28,6 +29,7 @@
 #include "dist/fnv.h"
 #include "dist/state_codec.h"
 #include "dist/sweep.h"
+#include "scenario/presets.h"
 #include "sim/executor.h"
 #include "stats/rng.h"
 
@@ -271,6 +273,34 @@ TEST_P(StateCodecGoldenThreads, AdaptiveStateMatchesPinnedDigest) {
   const ShardState adaptive = without_timing(
       merged_state(run_adaptive(small_spec(), options, &ex)));
   EXPECT_EQ(hex(fnv1a(encode_shard_state(adaptive))), "0x60e3ebd9c657c131");
+}
+
+TEST_P(StateCodecGoldenThreads, ManyCellStateMatchesPinnedAndPacksFourfold) {
+  // Many cells of few replications, the shape where fixed-width fields
+  // would dominate a shard file: the packed bytes must stay at least 4x
+  // smaller than their fixed-width equivalent (22.3x here).
+  constexpr std::size_t kCells = 1024;
+  SweepSpec spec;
+  spec.preset = "enterprise256";
+  spec.seed = 2013;
+  spec.replications = 8;
+  spec.replication_block = 8;
+  spec.superblock = 8;  // one superblock task per cell
+  spec.horizon_hours = 24.0;
+  constexpr scenario::VariantPolicy kCycle[3] = {
+      scenario::VariantPolicy::kMonoculture,
+      scenario::VariantPolicy::kZoneStratified,
+      scenario::VariantPolicy::kRandomPerNode};
+  spec.policies.clear();
+  for (std::size_t c = 0; c < kCells; ++c) spec.policies.push_back(kCycle[c % 3]);
+  const sim::Executor ex{GetParam()};
+  const ShardState state = without_timing(run_shard(spec, 0, 1, &ex));
+  const std::string bytes = encode_shard_state(state);
+  const std::size_t equivalent = uncompressed_equivalent_bytes(state);
+  EXPECT_EQ(bytes.size(), 146703u);
+  EXPECT_EQ(hex(fnv1a(bytes)), "0xb76504108fe83eb2");
+  EXPECT_EQ(equivalent, 3270265u);
+  EXPECT_GE(equivalent, 4 * bytes.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, StateCodecGoldenThreads,

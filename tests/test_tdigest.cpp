@@ -2,19 +2,16 @@
 // CensoredTimeAccumulator's q50/q90) and core/ratio_curve.h (the binned
 // compromised-ratio curve accumulator). Both are exact-merge citizens:
 // deterministic merges, exact state round-trips, and validation that
-// rejects structurally impossible restores. The per-step curve walk that
-// feeds the accumulator is checked against the per-bin ratio_at rule.
+// rejects structurally impossible restores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "attack/campaign.h"
 #include "core/ratio_curve.h"
 #include "stats/rng.h"
 #include "stats/tdigest.h"
-#include "step_curve_reference.h"
 
 namespace divsec::stats {
 namespace {
@@ -260,57 +257,6 @@ TEST(RatioCurve, ValueAtInterpolatesFromImplicitZero) {
   EXPECT_NEAR(curve_value_at(curve, 8.0, 3.0), 0.2, 1e-15);
   EXPECT_EQ(curve_value_at(curve, 8.0, 8.0), 0.5);
   EXPECT_EQ(curve_value_at(curve, 8.0, 100.0), 0.5);  // clamped past horizon
-}
-
-/// The per-bin rule reference::sample_step_counts replaces: ratio_at
-/// each bin's upper edge, then llround(ratio × nodes).
-std::vector<std::uint32_t> per_bin_counts(const attack::CampaignResult& r,
-                                          double horizon, std::size_t bins,
-                                          std::size_t nodes) {
-  std::vector<std::uint32_t> counts(bins);
-  for (std::size_t k = 0; k < bins; ++k) {
-    const double t =
-        horizon * static_cast<double>(k + 1) / static_cast<double>(bins);
-    counts[k] = static_cast<std::uint32_t>(
-        std::llround(r.ratio_at(t) * static_cast<double>(nodes)));
-  }
-  return counts;
-}
-
-TEST(SampleStepCounts, MatchesPerBinRatioAt) {
-  const double horizon = 640.0;  // 64 bins of width 10
-  // Step times in hours, each with a compromised count; the count is
-  // scaled to the node count so large fleets get large counts.
-  using Steps = std::vector<std::pair<double, std::uint32_t>>;
-  const std::vector<std::pair<const char*, Steps>> curves = {
-      {"empty", {}},
-      {"bare origin", {{0.0, 0}}},
-      {"on bin edges", {{0.0, 0}, {10.0, 1}, {320.0, 2}, {640.0, 3}}},
-      {"many in one bin",
-       {{0.0, 0}, {10.5, 1}, {12.0, 2}, {15.25, 3}, {19.999, 4}, {20.0, 5}}},
-      {"past horizon", {{0.0, 0}, {5.0, 1}, {639.9, 2}, {640.5, 3}, {900.0, 4}}},
-      {"all past horizon", {{0.0, 1}, {700.0, 2}}},
-      {"first step late", {{333.3, 2}, {334.0, 3}}},
-  };
-  for (const std::size_t nodes : {std::size_t{11}, std::size_t{16384}}) {
-    for (const std::size_t bins : {std::size_t{1}, std::size_t{64}}) {
-      const std::vector<double> edges = curve_bin_edges(horizon, bins);
-      for (const auto& [name, steps] : curves) {
-        attack::CampaignResult r;
-        for (const auto& [t, count] : steps) {
-          const std::uint32_t scaled = static_cast<std::uint32_t>(
-              count * (nodes / 4) % (nodes + 1));
-          r.compromised_ratio.emplace_back(
-              t, static_cast<double>(scaled) / static_cast<double>(nodes));
-        }
-        std::vector<std::uint32_t> got(bins, 0xdeadbeef);
-        reference::sample_step_counts(r.compromised_ratio, edges,
-                                      static_cast<double>(nodes), got);
-        EXPECT_EQ(got, per_bin_counts(r, horizon, bins, nodes))
-            << name << " nodes=" << nodes << " bins=" << bins;
-      }
-    }
-  }
 }
 
 }  // namespace
