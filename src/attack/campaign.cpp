@@ -152,13 +152,6 @@ struct CampaignTables {
           "CampaignSimulator: shared ReachabilityIndex node count does not "
           "match the scenario topology");
     const std::size_t n = node_count;
-    // Variant indices are packed into one byte each.
-    const auto variant_byte = [](std::size_t v) {
-      if (v > std::numeric_limits<std::uint8_t>::max())
-        throw std::length_error(
-            "CampaignSimulator: variant index above 255 cannot be packed");
-      return static_cast<std::uint8_t>(v);
-    };
     rows.resize(n);
     os_exploits.resize(cat.count(ComponentKind::kOs));
     std::vector<std::uint8_t> os_done(os_exploits.size(), 0);
@@ -171,8 +164,8 @@ struct CampaignTables {
       if (pr.has_sabotage_payload && (role == net::Role::kEngineering ||
                                       role == net::Role::kScadaServer))
         row.flags |= kFlagPayloadSource;
-      const std::size_t v = sc.software[i].os;
-      row.os = variant_byte(v);
+      row.os = sc.software[i].os;
+      const std::size_t v = row.os;
       if (os_done[v]) continue;
       os_done[v] = 1;
       OsExploit& e = os_exploits[v];
@@ -190,10 +183,11 @@ struct CampaignTables {
     std::vector<std::uint8_t> fw_done(plc_direct_p.size(), 0);
     std::vector<std::uint8_t> pair_done(plc_modbus_p.size(), 0);
     for (NodeId plc : sc.target_plcs) {
-      const std::size_t fw = *sc.software[plc].plc_firmware;
-      const std::size_t proto = sc.software[plc].protocol;
-      rows[plc].plc_fw = variant_byte(fw);
-      rows[plc].protocol = variant_byte(proto);
+      NodeRow& row = rows[plc];
+      row.plc_fw = *sc.software[plc].plc_firmware;
+      row.protocol = sc.software[plc].protocol;
+      const std::size_t fw = row.plc_fw;
+      const std::size_t proto = row.protocol;
       if (!fw_done[fw]) {
         fw_done[fw] = 1;
         plc_direct_p[fw] = cat.exploit_success(pr.plc_exploit, fw);

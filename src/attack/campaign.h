@@ -72,14 +72,22 @@ class ReachabilityIndex;
 namespace divsec::attack {
 
 /// Variant assignment for the software running on one node. Indices refer
-/// to VariantCatalog entries of the respective kind.
+/// to VariantCatalog entries of the respective kind, one byte each: a
+/// catalog holds at most divers::kMaxVariantsPerKind (256) variants of a
+/// kind, so every index it hands out fits. Two bytes of OS and protocol
+/// plus three 2-byte optional slots make 8 bytes per node, which is what
+/// each arm of a sweep holds per node for its assignment. Neither engine
+/// reads the HMI or historian slot: only Scenario::validate checks them,
+/// so they stay validated DoE levels with no effect on a measurement.
 struct NodeSoftware {
-  std::size_t os = 0;
-  std::size_t protocol = 0;
-  std::optional<std::size_t> plc_firmware;  // PLC nodes
-  std::optional<std::size_t> hmi;           // HMI nodes
-  std::optional<std::size_t> historian;     // historian nodes
+  std::uint8_t os = 0;
+  std::uint8_t protocol = 0;
+  std::optional<std::uint8_t> plc_firmware;  // PLC nodes
+  std::optional<std::uint8_t> hmi;           // HMI nodes
+  std::optional<std::uint8_t> historian;     // historian nodes
 };
+
+static_assert(sizeof(NodeSoftware) == 8, "a node's variant assignment is 8 bytes");
 
 /// A concrete system under attack: topology + policy + deployed variants.
 struct Scenario {

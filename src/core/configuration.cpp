@@ -1,5 +1,6 @@
 #include "core/configuration.h"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace divsec::core {
@@ -49,7 +50,9 @@ attack::Scenario SystemDescription::instantiate(const Configuration& config) con
   attack::Scenario sc = baseline_;
   for (std::size_t i = 0; i < components_.size(); ++i) {
     const Component& comp = components_[i];
-    const std::size_t v = config.variant[i];
+    // validate() holds it below the catalog's count, which is at most
+    // kMaxVariantsPerKind, so it fits a byte.
+    const auto v = static_cast<std::uint8_t>(config.variant[i]);
     switch (comp.kind) {
       case ComponentKind::kOs:
         for (net::NodeId n : comp.nodes) sc.software[n].os = v;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "divers/transforms.h"
 
@@ -25,6 +26,10 @@ std::size_t VariantCatalog::add_variant(Variant v) {
   if (!(v.cost > 0.0)) throw std::invalid_argument("add_variant: cost must be > 0");
   const auto ki = static_cast<std::size_t>(v.kind);
   auto& vec = by_kind_[ki];
+  if (vec.size() >= kMaxVariantsPerKind)
+    throw std::length_error("add_variant: more than " +
+                            std::to_string(kMaxVariantsPerKind) +
+                            " variants of one kind");
   vec.push_back(std::move(v));
   rebuild_survival(ki);
   return vec.size() - 1;

@@ -41,6 +41,11 @@ enum class ComponentKind : std::uint8_t {
 
 inline constexpr std::size_t kComponentKindCount = 6;
 
+/// At most this many variants of one kind: a deployed variant index is
+/// stored in one byte per node slot (attack::NodeSoftware), so every
+/// index a catalog hands out must fit in a std::uint8_t.
+inline constexpr std::size_t kMaxVariantsPerKind = 256;
+
 [[nodiscard]] std::array<ComponentKind, kComponentKindCount> all_component_kinds() noexcept;
 
 struct Variant {
@@ -85,7 +90,8 @@ class VariantCatalog {
   /// An empty catalog for custom construction (tests, sensitivity mode).
   VariantCatalog() = default;
 
-  /// Append a variant; returns its index within its kind.
+  /// Append a variant; returns its index within its kind. Throws
+  /// std::length_error when its kind already holds kMaxVariantsPerKind.
   std::size_t add_variant(Variant v);
 
   [[nodiscard]] const std::vector<Variant>& variants(ComponentKind k) const;

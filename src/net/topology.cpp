@@ -1,10 +1,21 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
 namespace divsec::net {
+
+namespace {
+
+/// The name-table size that holds `nodes` ids at most half full.
+std::size_t name_slots_for(std::size_t nodes) {
+  return std::bit_ceil(std::max<std::size_t>(2 * nodes, 16));
+}
+
+}  // namespace
 
 const Topology::Storage& Topology::empty_storage() noexcept {
   static const Storage empty;
@@ -23,10 +34,14 @@ NodeId Topology::add_node(std::string name, Zone zone, Role role, bool usb_expos
   if (name.empty()) throw std::invalid_argument("add_node: empty name");
   Storage& s = mutable_data();
   const NodeId id = s.nodes.size();
-  if (!s.name_index.emplace(name, id).second)
+  if (id >= kNoNode) throw std::length_error("add_node: node ids exceed 32 bits");
+  if (2 * (id + 1) > s.name_slots.size()) rehash_names(s, name_slots_for(id + 1));
+  const std::size_t slot = name_slot(s, name);
+  if (s.name_slots[slot] != kNoNode)
     throw std::invalid_argument("add_node: duplicate node name '" + name + "'");
   s.nodes.push_back(Node{std::move(name), zone, role, usb_exposure});
   s.adjacency.emplace_back();
+  s.name_slots[slot] = static_cast<std::uint32_t>(id);
   return id;
 }
 
@@ -34,7 +49,22 @@ void Topology::reserve(std::size_t nodes) {
   Storage& s = mutable_data();
   s.nodes.reserve(nodes);
   s.adjacency.reserve(nodes);
-  s.name_index.reserve(nodes);
+  if (name_slots_for(nodes) > s.name_slots.size())
+    rehash_names(s, name_slots_for(nodes));
+}
+
+std::size_t Topology::name_slot(const Storage& s, std::string_view name) {
+  const std::size_t mask = s.name_slots.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(name) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t id = s.name_slots[i];
+    if (id == kNoNode || s.nodes[id].name == name) return i;
+  }
+}
+
+void Topology::rehash_names(Storage& s, std::size_t slots) {
+  s.name_slots.assign(slots, kNoNode);
+  for (NodeId id = 0; id < s.nodes.size(); ++id)
+    s.name_slots[name_slot(s, s.nodes[id].name)] = static_cast<std::uint32_t>(id);
 }
 
 void Topology::connect(NodeId a, NodeId b) {
@@ -55,12 +85,12 @@ bool Topology::linked(NodeId a, NodeId b) const {
   return std::find(adj.begin(), adj.end(), b) != adj.end();
 }
 
-NodeId Topology::node_by_name(const std::string& name) const {
-  const auto& index = data().name_index;
-  const auto it = index.find(name);
-  if (it == index.end())
-    throw std::out_of_range("node_by_name: no node named '" + name + "'");
-  return it->second;
+NodeId Topology::node_by_name(std::string_view name) const {
+  const Storage& s = data();
+  if (!s.name_slots.empty())
+    if (const std::uint32_t id = s.name_slots[name_slot(s, name)]; id != kNoNode)
+      return id;
+  throw std::out_of_range("node_by_name: no node named '" + std::string(name) + "'");
 }
 
 std::vector<NodeId> Topology::nodes_with_role(Role r) const {

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace divsec::net {
@@ -76,9 +76,13 @@ struct Link {
 /// shares one reachability index per identity.
 class Topology {
  public:
+  /// Append a node; its id is its index. Throws std::invalid_argument on
+  /// an empty or duplicate name, and std::length_error once ids would
+  /// not fit the name table's 32 bits.
   NodeId add_node(std::string name, Zone zone, Role role, bool usb_exposure = false);
 
-  /// Pre-size internal storage for `nodes` nodes (fleet generation).
+  /// Pre-size internal storage for `nodes` nodes (fleet generation),
+  /// the name table included.
   void reserve(std::size_t nodes);
 
   /// Undirected link; both endpoints must exist; self-links are rejected.
@@ -95,8 +99,8 @@ class Topology {
 
   [[nodiscard]] bool linked(NodeId a, NodeId b) const;
 
-  /// Find a node by name; throws std::out_of_range if absent.
-  [[nodiscard]] NodeId node_by_name(const std::string& name) const;
+  /// Find a node by name in O(1); throws std::out_of_range if absent.
+  [[nodiscard]] NodeId node_by_name(std::string_view name) const;
 
   /// All nodes with the given role.
   [[nodiscard]] std::vector<NodeId> nodes_with_role(Role r) const;
@@ -107,11 +111,20 @@ class Topology {
   [[nodiscard]] const void* identity() const noexcept { return storage_.get(); }
 
  private:
+  /// The name table holds node ids only, no second copy of a name: an
+  /// open-addressed, linearly probed table of 32-bit ids keyed by
+  /// std::hash<std::string_view> of nodes[id].name, a power-of-two size
+  /// at most half full (kNoNode marks a free slot): 4 bytes per slot, so
+  /// 8-16 B per node. reserve() sizes it for the fleet up front; add_node
+  /// doubles it when a node would push it past half full. A copy-on-write
+  /// clone copies it verbatim, ids and all.
+  static constexpr std::uint32_t kNoNode = 0xffffffffu;
+
   struct Storage {
     std::vector<Node> nodes;
     std::vector<Link> links;
     std::vector<std::vector<NodeId>> adjacency;
-    std::unordered_map<std::string, NodeId> name_index;  // O(1) name lookup
+    std::vector<std::uint32_t> name_slots;  // node ids by name hash
   };
 
   [[nodiscard]] const Storage& data() const noexcept {
@@ -120,6 +133,11 @@ class Topology {
   [[nodiscard]] static const Storage& empty_storage() noexcept;
   /// The storage to mutate: created when absent, cloned when shared.
   [[nodiscard]] Storage& mutable_data();
+  /// The slot holding `name`'s id, or else the free slot where it would
+  /// go. Requires a non-empty, not full name table.
+  [[nodiscard]] static std::size_t name_slot(const Storage& s, std::string_view name);
+  /// Re-lay the name table over `slots` slots (a power of two).
+  static void rehash_names(Storage& s, std::size_t slots);
 
   std::shared_ptr<Storage> storage_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -75,8 +76,11 @@ struct RotationTable {
     }
   }
 
+  /// 0 for a kind the catalog has no variant of, as under the other
+  /// policies, so validate() rejects the slot instead of a division by 0.
   [[nodiscard]] std::size_t operator()(ComponentKind kind) {
     const std::size_t k = static_cast<std::size_t>(kind);
+    if (perm[k].empty()) return 0;
     return perm[k][next[k]++ % perm[k].size()];
   }
 };
@@ -106,7 +110,9 @@ GeneratedScenario ScenarioBuilder::build(std::string name,
   std::optional<RotationTable> rotation;
   if (policy_ == VariantPolicy::kBalancedRotation) rotation.emplace(cat, assign_rng);
 
-  const auto pick = [&](ComponentKind kind, Zone zone) -> std::size_t {
+  // Every draw is below cat.count(kind) <= kMaxVariantsPerKind (or 0 for
+  // an empty kind), so it fits the assignment's byte.
+  const auto pick = [&](ComponentKind kind, Zone zone) -> std::uint8_t {
     switch (policy_) {
       case VariantPolicy::kMonoculture: return 0;
       case VariantPolicy::kZoneStratified: return (*zones)(kind, zone);

@@ -171,6 +171,17 @@ bool has_legacy_sites(const FamilySpec& spec) {
   return segmented < sites;
 }
 
+/// Every node's name finds that node through the topology's name table,
+/// and names the table does not hold are refused.
+void expect_names_round_trip(const net::Topology& t, const std::string& label) {
+  for (NodeId i = 0; i < t.node_count(); ++i)
+    ASSERT_EQ(t.node_by_name(t.node(i).name), i) << label << " node " << i;
+  for (const std::string& unknown :
+       {std::string(), std::string("no.such.node"), t.node(0).name + "#"})
+    EXPECT_THROW((void)t.node_by_name(unknown), std::out_of_range)
+        << label << " '" << unknown << "'";
+}
+
 TEST(FamilyProperties, RandomSpecsHoldEveryInvariant) {
   stats::Rng rng(seed_base());
   for (std::size_t i = 0; i < kRandomSpecs; ++i) {
@@ -220,7 +231,24 @@ TEST(FamilyProperties, RandomSpecsHoldEveryInvariant) {
 
     // Determinism: a second expansion is bit-identical.
     EXPECT_EQ(topology_digest(gen.generate(seed)), topology_digest(t)) << label;
+
+    // Name round trip through the topology's name table.
+    expect_names_round_trip(t, label);
   }
+}
+
+TEST(FamilyProperties, NodeNamesRoundTripThroughTheNameTable) {
+  // RandomSpecsHoldEveryInvariant checks small random specs; here each
+  // family at a few thousand nodes, and enterprise fleets from the
+  // smallest preset to 16384 nodes.
+  for (const char* family : {"purdue-deep", "mesh-flat", "hub-spoke", "brownfield"}) {
+    const std::string spec = std::string(family) + ":nodes=4096";
+    expect_names_round_trip(TopologyGenerator(FamilySpec::parse(spec)).generate(2013),
+                            spec);
+  }
+  for (const std::size_t nodes : {kMinEnterpriseNodes, std::size_t{1000}, std::size_t{16384}})
+    expect_names_round_trip(TopologyGenerator(enterprise_spec(nodes)).generate(2013),
+                            "enterprise" + std::to_string(nodes));
 }
 
 TEST(FamilyProperties, ConcurrentGenerationIsBitIdentical) {

@@ -16,7 +16,6 @@
 // it stays out of sanitizer builds that intercept operator new
 // themselves.
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <atomic>
 #include <cstddef>
@@ -41,26 +40,30 @@ std::atomic<std::size_t> g_large{0};    // armed allocations >= threshold
 std::atomic<std::size_t> g_largest{0};  // biggest armed allocation
 std::atomic<std::size_t> g_bytes{0};    // sum of all armed allocations
 std::atomic<std::size_t> g_count{0};    // number of armed allocations
-std::atomic<std::size_t> g_live{0};     // usable bytes live now, always tracked
+std::atomic<std::size_t> g_live{0};     // requested bytes live now, always tracked
 std::atomic<std::size_t> g_peak{0};     // high-water mark of g_live while armed
 
-void* track(void* p) {
-  if (!p) return p;
-  const std::size_t live =
-      g_live.fetch_add(malloc_usable_size(p), std::memory_order_relaxed) +
-      malloc_usable_size(p);
+// Each block carries its requested size in a header, so live bytes are
+// the bytes the program asked for. malloc_usable_size would add the
+// slack of whichever chunk malloc split to serve a request, and that
+// moves with heap layout, not with the program.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+void track(std::size_t size) {
+  const std::size_t live = g_live.fetch_add(size, std::memory_order_relaxed) + size;
   if (g_armed.load(std::memory_order_relaxed)) {
     std::size_t seen = g_peak.load(std::memory_order_relaxed);
     while (live > seen &&
            !g_peak.compare_exchange_weak(seen, live, std::memory_order_relaxed)) {
     }
   }
-  return p;
 }
 
 void untrack_free(void* p) {
-  if (p) g_live.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
+  if (!p) return;
+  void* block = static_cast<char*>(p) - kHeader;
+  g_live.fetch_sub(*static_cast<std::size_t*>(block), std::memory_order_relaxed);
+  std::free(block);
 }
 
 void* counted_alloc(std::size_t size) {
@@ -76,7 +79,11 @@ void* counted_alloc(std::size_t size) {
            !g_largest.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
     }
   }
-  return track(std::malloc(size ? size : 1));
+  void* block = std::malloc(kHeader + size);
+  if (!block) return nullptr;
+  *static_cast<std::size_t*>(block) = size;
+  track(size);
+  return static_cast<char*>(block) + kHeader;
 }
 
 }  // namespace
@@ -194,6 +201,25 @@ TEST(KernelAlloc, ContextOverASharedIndexHoldsNoScenarioCopy) {
   // The 12-byte node rows, the entry and target lists and the
   // per-variant tables fit well inside 24 B/node.
   EXPECT_LE(g_bytes.load(), 24 * nodes) << g_bytes.load() << " bytes";
+}
+
+TEST(KernelAlloc, FleetPlanHoldsFewBytesPerNode) {
+  // A sweep's arms share one topology and each holds its own variant
+  // assignment and DoE grouping, so the expanded plan is the fleet's
+  // resident setup. Read as live bytes per node over three arms: 462
+  // B/node with 64-byte assignments and a string-keyed name index, 233
+  // B/node with 8-byte assignments and an id-only name table.
+  const auto cat = divers::VariantCatalog::standard(2013);
+  const scenario::VariantPolicy policies[] = {scenario::VariantPolicy::kMonoculture,
+                                              scenario::VariantPolicy::kZoneStratified,
+                                              scenario::VariantPolicy::kRandomPerNode};
+  const std::size_t base = g_live.load();
+  const auto arms = scenario::make_preset_arms("enterprise4096", cat, 2013, policies);
+  const std::size_t held = g_live.load() - base;
+  ASSERT_EQ(arms.size(), 3u);
+  const std::size_t nodes = arms.front().scenario.topology.node_count();
+  ASSERT_EQ(nodes, 4096u);
+  EXPECT_LE(held, 320 * nodes) << held / nodes << " B/node";
 }
 
 TEST(KernelAlloc, ReachabilityIndexBuildAllocatesLinearBytes) {

@@ -5,6 +5,7 @@
 // reproducibility contract extends through scenario generation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "scenario/presets.h"
@@ -309,6 +310,28 @@ TEST(ScenarioBuilderPolicies, MonocultureStratifiedAndRandomDiffer) {
       hetero = rand.scenario.software[i].os != *first;
   }
   EXPECT_TRUE(hetero);
+}
+
+TEST(ScenarioBuilderPolicies, EveryPolicyRejectsAKindTheCatalogLacks) {
+  // plant_small has historian nodes; the catalog has no historian DB.
+  // Every policy must reject the slot the same way (the rotation used to
+  // take its draw modulo 0 and die of SIGFPE).
+  const divers::VariantCatalog standard = divers::VariantCatalog::standard(1);
+  divers::VariantCatalog cat;
+  for (divers::ComponentKind kind : divers::all_component_kinds())
+    if (kind != divers::ComponentKind::kHistorianDb)
+      for (const divers::Variant& v : standard.variants(kind)) cat.add_variant(v);
+  for (VariantPolicy policy :
+       {VariantPolicy::kMonoculture, VariantPolicy::kZoneStratified,
+        VariantPolicy::kRandomPerNode, VariantPolicy::kBalancedRotation}) {
+    try {
+      (void)make_preset("plant_small", cat, 1, policy);
+      ADD_FAILURE() << to_string(policy) << ": built without a historian variant";
+    } catch (const std::out_of_range& e) {
+      EXPECT_STREQ(e.what(), "Scenario: historian variant out of range")
+          << to_string(policy);
+    }
+  }
 }
 
 TEST(ScenarioBuilderOptions, DescriptionSpansEveryPlc) {

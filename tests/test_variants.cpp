@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "divers/variants.h"
 
@@ -130,6 +132,25 @@ TEST(VariantCatalog, CustomCatalogValidation) {
   v.cost = 1.0;
   EXPECT_EQ(cat.add_variant(v), 0u);
   EXPECT_THROW((void)cat.survival(ComponentKind::kOs, 0, 3), std::out_of_range);
+}
+
+TEST(VariantCatalog, AtMostOneByteOfVariantsPerKind) {
+  // A deployed variant index is stored in one byte per node slot, so the
+  // catalog is where a 257th variant of one kind is refused.
+  VariantCatalog cat;
+  Variant v;
+  v.kind = ComponentKind::kHistorianDb;
+  for (std::size_t i = 0; i < kMaxVariantsPerKind; ++i) {
+    v.name = "db" + std::to_string(i);
+    ASSERT_EQ(cat.add_variant(v), i);
+  }
+  EXPECT_EQ(kMaxVariantsPerKind, 256u);
+  v.name = "db256";
+  EXPECT_THROW(cat.add_variant(v), std::length_error);
+  EXPECT_EQ(cat.count(ComponentKind::kHistorianDb), kMaxVariantsPerKind);
+  // The bound is per kind.
+  v.kind = ComponentKind::kOs;
+  EXPECT_EQ(cat.add_variant(v), 0u);
 }
 
 TEST(ComponentKind, Enumeration) {
